@@ -10,11 +10,14 @@ bound.  After the moves, every group shifts its object order by one, each
 anchor regenerates one helper set, and the fragment labels rotate so the
 next failure finds the staircases ready again.
 
-The Poisson variant tracks repair slack with a counter capped at b:
-failures decrement it, completed steps increment it.  Recoverability is
-witnessed by a census of nodes holding their full primary complement and
-exactly the staircase pattern; the witness set keeps at least k + counter
-members while the counter stays non-negative.
+Both failure models run one chain of sub-operations per failure
+(_StepChain) and differ only in pacing: the periodic variant commits the
+whole chain at once, the Poisson variant paces each sub-operation at the
+proof's read rate.  Slack is a counter capped at b (1 periodic): failures
+decrement it, completed steps increment it.  A census of nodes holding
+their full primary complement and exactly the staircase pattern witnesses
+recoverability; it keeps at least k + counter members while the counter
+stays non-negative.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ log = logging.getLogger(__name__)
 class OpCounts(NamedTuple):
     fragmentReads: int
     fragmentWrites: int
-
-
-class PrimaryNodeSet(NamedTuple):
-    members: frozenset
 
 
 @dataclass
@@ -363,6 +362,97 @@ def advanced_fail_node(state: ClusterState, layout: GroupLayout, t: float,
     layout.H[node] = False
 
 
+class _StepChain:
+    """All work of one repair step: the target's own staircase first, then
+    per group in ascending order a generate when its position-0 helpers are
+    missing, followed by a move+update.
+
+    Each sub-operation is planned from the placement as it stands when the
+    previous one committed, so a donor lost mid-step is regenerated before
+    its helpers move.  Creating the chain opens the step on the rotation and
+    wipes the target; finish() commits the labels.
+    """
+
+    def __init__(self, state: ClusterState, layout: GroupLayout,
+                 rotation: EfiRotation, node: int, t: float):
+        self.state = state
+        self.layout = layout
+        self.rotation = rotation
+        self.node = node
+        self.startTime = t
+        self.futile = False         # target failed again mid-step
+        self.counts = {"generate": [], "move": [], "update": []}
+        self.bitsRead = 0
+        rotation.begin_step(node)
+        _wipe_node(state, layout, node)
+
+    def next_subop(self) -> Optional[tuple]:
+        """(kind, group) of the next sub-operation, None once all are done."""
+        if not self.counts["generate"]:
+            return "generate", self.node    # the wiped target's staircase
+        group = len(self.counts["move"])
+        if group == self.layout.N:
+            return None
+        has_front = self.layout.H[group, :, 0].all()
+        return ("moveupdate" if has_front else "generate"), group
+
+    def commit(self, kind: str, group: int, t: float, collect: dict) -> None:
+        """Run one planned sub-operation at t; reads accumulate in collect."""
+        ctx = (self.state, self.layout, self.rotation)
+        if kind == "generate":
+            self.counts["generate"].append(generate_helpers(
+                *ctx, group, t=t, collect=collect, exclude=self.node))
+        else:
+            self.counts["move"].append(move_helpers(
+                *ctx, group, self.node, t=t, collect=collect))
+            self.counts["update"].append(update_helpers(
+                *ctx, group, t=t, collect=collect, exclude=self.node))
+
+    def planned_reads(self, kind: str, group: int) -> dict:
+        """Per-node read bits of a sub-operation, re-derived from the
+        current placement; used only to attribute aborted reads."""
+        layout = self.layout
+        reads = {}
+        try:
+            if kind == "generate":
+                for j in range(layout.r):
+                    p = layout.phys_at(group, j)
+                    srcs = _pick_primary_sources(layout, group, p,
+                                                 self.node, layout.k)
+                    _add_reads(reads, srcs, layout.flen)
+            else:
+                _add_reads(reads, [group], layout.r * layout.flen)
+                srcs = _pick_primary_sources(layout, group,
+                                             layout.front_phys(group),
+                                             self.node, layout.k)
+                _add_reads(reads, srcs, layout.flen)
+        except DecodeError:
+            log.warning("aborted sub-operation reads under-attributed: "
+                        "sources already gone")
+        return reads
+
+    def finish(self, t: float) -> AdvancedStepRecord:
+        self.rotation.commit_step()
+        self.rotation.assert_distinct()
+        written = sum(c.fragmentWrites for seq in self.counts.values()
+                      for c in seq)
+        return AdvancedStepRecord(
+            node=self.node, bitsRead=self.bitsRead,
+            bitsWritten=written * self.layout.flen, counts=self.counts,
+            futile=self.futile, startTime=self.startTime, endTime=t)
+
+    def run(self, t0: float, t1: float) -> AdvancedStepRecord:
+        """The whole chain at once: every sub-operation commits at t1 and
+        the step's reads are metered as one stream over [t0, t1]."""
+        collect = {}
+        for kind, group in iter(self.next_subop, None):
+            self.commit(kind, group, t1, collect)
+        self.bitsRead = sum(collect.values())
+        record = self.finish(t1)
+        self.state.meter_read_spread(collect, t0, t1)
+        return record
+
+
 def advanced_repair_step(state: ClusterState, layout: GroupLayout,
                          rotation: EfiRotation, failedNode: int, *,
                          t0=None, t1=None) -> AdvancedStepRecord:
@@ -371,38 +461,13 @@ def advanced_repair_step(state: ClusterState, layout: GroupLayout,
     Generates the target's own staircase first, then per group (ascending,
     including the target's own) moves the donated helpers in and updates
     the staircase.  Reads are metered as one stream over [t0, t1]; writes
-    land at t1.  The Poisson variant instead drives the same chain through
-    AdvancedPoissonRepairer, one paced sub-operation at a time.
+    land at t1.
     """
     if t0 is None:
         t0 = state.now
     if t1 is None:
         t1 = t0
-    rotation.begin_step(failedNode)
-    _wipe_node(state, layout, failedNode)
-    collect = {}
-    counts = {"generate": [], "move": [], "update": []}
-    counts["generate"].append(
-        generate_helpers(state, layout, rotation, failedNode, t=t1,
-                         collect=collect, exclude=failedNode))
-    for group in range(layout.N):
-        if not layout.H[group, :, 0].all():
-            counts["generate"].append(
-                generate_helpers(state, layout, rotation, group, t=t1,
-                                 collect=collect, exclude=failedNode))
-        counts["move"].append(
-            move_helpers(state, layout, rotation, group, failedNode, t=t1,
-                         collect=collect))
-        counts["update"].append(
-            update_helpers(state, layout, rotation, group, t=t1,
-                           collect=collect, exclude=failedNode))
-    rotation.commit_step()
-    rotation.assert_distinct()
-    state.meter_read_spread(collect, t0, t1)
-    written = sum(c.fragmentWrites for seq in counts.values() for c in seq)
-    return AdvancedStepRecord(node=failedNode, bitsRead=sum(collect.values()),
-                              bitsWritten=written * layout.flen,
-                              counts=counts, startTime=t0, endTime=t1)
+    return _StepChain(state, layout, rotation, failedNode, t0).run(t0, t1)
 
 
 def census(layout: GroupLayout) -> AdvancedInvariantWitness:
@@ -411,10 +476,6 @@ def census(layout: GroupLayout) -> AdvancedInvariantWitness:
     expected = layout.tri[layout.rot % r]
     helperOk = (layout.H == expected).all(axis=(1, 2))
     return AdvancedInvariantWitness(primaryOk=primaryOk, helperOk=helperOk)
-
-
-def witness_set(layout: GroupLayout) -> PrimaryNodeSet:
-    return PrimaryNodeSet(members=frozenset(census(layout).members()))
 
 
 def assert_advanced_invariant(layout: GroupLayout, minimum=None) -> None:
@@ -525,74 +586,68 @@ def advanced_schedule(counter: RepairCounter, variant: str, lam: float,
 
 @dataclass
 class _SubOp:
-    kind: str       # "generate" or "moveupdate"
+    kind: str       # "generate", "moveupdate" or a whole periodic "step"
     group: int
     t0: float
     t1: float
 
 
 class AdvancedPoissonRepairer:
-    """Drives repair steps as chains of paced sub-operations.
+    """Drives repair steps as timed events on a _StepChain, paced by
+    layout.variant.
 
     One step is in flight at a time; failed nodes queue oldest-first and
     the next step starts whenever the queue is non-empty, so the counter
-    never strands a broken node.  Each sub-operation commits atomically at
-    its end time, binding reads to sources alive at completion.  A donor
-    failing mid-sub-operation aborts it with pro-rata read metering and
-    the chain re-plans, regenerating the donor's helpers before retrying
-    the move.  The step's own target failing does not stop the chain: the
-    finished step leaves the target outside the witness census, the
-    counter still ticks up at completion, and the node queues again.
+    never strands a broken node.  Periodic: schedule is the step duration
+    (half the failure period) and each step is one event that commits the
+    whole chain; a failure during a step breaks the variant's contract.
+    Poisson: schedule is an AdvancedSchedule and each sub-operation commits
+    atomically at its end time, binding reads to sources alive at
+    completion.  A donor failing mid-sub-operation aborts it with pro-rata
+    read metering and the chain re-plans, regenerating the donor's helpers
+    before retrying the move.  The step's own target failing does not stop
+    the chain: the finished step leaves the target outside the witness
+    census, the counter still ticks up at completion, and the node queues
+    again.
     """
 
     def __init__(self, state: ClusterState, layout: GroupLayout,
-                 rotation: EfiRotation, schedule: AdvancedSchedule):
-        if layout.variant != "poisson":
-            raise ConfigError("repairer drives the poisson variant only")
+                 rotation: EfiRotation, schedule: AdvancedSchedule | float):
         self.state = state
         self.layout = layout
         self.rotation = rotation
         self.schedule = schedule
         self.counter = RepairCounter.at_cap(layout.counterCap)
         self.queue = deque()
-        self.halted = False
-        self.records = []
-        self.stepNode: Optional[int] = None
-        self.futile = False
-        self.stepStart = 0.0
-        self.stage = "idle"          # "gen_target" | "chain"
-        self.nextGroup = 0
+        self.chain: Optional[_StepChain] = None
         self.subop: Optional[_SubOp] = None
-        self.stepCounts = None
-        self.stepBitsRead = 0
-        self.stepBitsWritten = 0
 
     @property
     def idle(self) -> bool:
-        return self.stepNode is None
+        return self.chain is None
 
     def next_completion(self) -> Optional[float]:
         return self.subop.t1 if self.subop is not None else None
 
     def on_failure(self, t: float, node: int) -> None:
         advanced_fail_node(self.state, self.layout, t, node)
-        self.counter.value -= 1
-        self.counter.minSeen = min(self.counter.minSeen, self.counter.value)
-        if self.counter.value < 0:
-            self.halted = True
-        if node == self.stepNode:
-            self.futile = True
+        self.counter.on_failure()
+        if self.chain is not None:
+            if self.layout.variant == "periodic":
+                raise InvariantViolation("periodic steps must not overlap")
+            if node == self.chain.node:
+                self.chain.futile = True
         if node not in self.queue:
             self.queue.append(node)
         if self.subop is not None and node == self.subop.group:
             self._abort_subop(t)
             self._plan(t)
-        elif self.stepNode is None and not self.halted:
+        elif self.chain is None and not self.counter.halted:
             self._start_step(t)
 
     def on_subop_complete(self, t: float) -> Optional[AdvancedStepRecord]:
-        """Commit the due sub-operation; returns the step record when the
-        whole chain just finished."""
+        """Commit the due event; returns the step record when the whole
+        chain just finished."""
         sub = self.subop
         if sub is None:
             raise InvariantViolation("no sub-operation in flight")
@@ -600,112 +655,47 @@ class AdvancedPoissonRepairer:
             raise InvariantViolation(
                 f"completion at {t}, schedule says {sub.t1}")
         self.subop = None
+        if sub.kind == "step":
+            return self._end_step(self.chain.run(sub.t0, t), t)
         collect = {}
-        if sub.kind == "generate":
-            c = generate_helpers(self.state, self.layout, self.rotation,
-                                 sub.group, t=t, collect=collect,
-                                 exclude=self.stepNode)
-            self.stepCounts["generate"].append(c)
-            written = c.fragmentWrites
-        else:
-            cm = move_helpers(self.state, self.layout, self.rotation,
-                              sub.group, self.stepNode, t=t, collect=collect)
-            cu = update_helpers(self.state, self.layout, self.rotation,
-                                sub.group, t=t, collect=collect,
-                                exclude=self.stepNode)
-            self.stepCounts["move"].append(cm)
-            self.stepCounts["update"].append(cu)
-            written = cm.fragmentWrites + cu.fragmentWrites
-            self.nextGroup += 1
+        self.chain.commit(sub.kind, sub.group, t, collect)
         self.state.meter_read_spread(collect, sub.t0, t)
-        self.stepBitsRead += sum(collect.values())
-        self.stepBitsWritten += written * self.layout.flen
+        self.chain.bitsRead += sum(collect.values())
         return self._plan(t)
 
     def _start_step(self, t: float) -> None:
         if not self.queue:
             return
         node = self.queue.popleft()
-        self.stepNode = node
-        self.futile = False
-        self.stepStart = t
-        self.stage = "gen_target"
-        self.nextGroup = 0
-        self.stepCounts = {"generate": [], "move": [], "update": []}
-        self.stepBitsRead = 0
-        self.stepBitsWritten = 0
-        self.rotation.begin_step(node)
-        _wipe_node(self.state, self.layout, node)
-        self._plan(t)
+        self.chain = _StepChain(self.state, self.layout, self.rotation,
+                                node, t)
+        if self.layout.variant == "periodic":
+            self.subop = _SubOp("step", node, t, t + self.schedule)
+        else:
+            self._plan(t)
 
     def _plan(self, t: float) -> Optional[AdvancedStepRecord]:
-        if self.stepNode is None:
-            return None
-        layout = self.layout
-        if self.stage == "gen_target":
-            if layout.H[self.stepNode, :, 0].all():
-                self.stage = "chain"
-            else:
-                self._launch("generate", self.stepNode, t)
-                return None
-        if self.nextGroup < layout.N:
-            group = self.nextGroup
-            if layout.H[group, :, 0].all():
-                self._launch("moveupdate", group, t)
-            else:
-                self._launch("generate", group, t)
-            return None
-        return self._finish_step(t)
-
-    def _launch(self, kind: str, group: int, t: float) -> None:
+        """Launch the chain's next sub-operation, or end the step."""
+        nxt = self.chain.next_subop()
+        if nxt is None:
+            return self._end_step(self.chain.finish(t), t)
+        kind, group = nxt
         layout = self.layout
         if kind == "generate":
             bits = layout.k * layout.r * layout.flen
         else:
             bits = (layout.r + layout.k) * layout.flen
-        self.subop = _SubOp(kind=kind, group=group, t0=t,
-                            t1=t + self.schedule.subop_duration(bits))
+        self.subop = _SubOp(kind, group, t,
+                            t + self.schedule.subop_duration(bits))
+        return None
 
-    def _finish_step(self, t: float) -> AdvancedStepRecord:
-        self.rotation.commit_step()
-        self.rotation.assert_distinct()
-        record = AdvancedStepRecord(
-            node=self.stepNode, bitsRead=self.stepBitsRead,
-            bitsWritten=self.stepBitsWritten, counts=self.stepCounts,
-            futile=self.futile, startTime=self.stepStart, endTime=t)
-        self.records.append(record)
-        self.counter.value = min(self.counter.value + 1, self.counter.cap)
-        self.stepNode = None
-        self.futile = False
-        self.stepCounts = None
-        self.stepBitsRead = 0
-        self.stepBitsWritten = 0
-        if not self.halted:
+    def _end_step(self, record: AdvancedStepRecord,
+                  t: float) -> AdvancedStepRecord:
+        self.counter.on_step()
+        self.chain = None
+        if not self.counter.halted:
             self._start_step(t)
         return record
-
-    def _read_map(self, sub: _SubOp) -> dict:
-        """Planned per-node read bits of a sub-operation, re-derived from
-        the current placement; used only to attribute aborted reads."""
-        layout = self.layout
-        reads = {}
-        try:
-            if sub.kind == "generate":
-                for j in range(layout.r):
-                    p = layout.phys_at(sub.group, j)
-                    srcs = _pick_primary_sources(layout, sub.group, p,
-                                                 self.stepNode, layout.k)
-                    _add_reads(reads, srcs, layout.flen)
-            else:
-                _add_reads(reads, [sub.group], layout.r * layout.flen)
-                p0 = layout.front_phys(sub.group)
-                srcs = _pick_primary_sources(layout, sub.group, p0,
-                                             self.stepNode, layout.k)
-                _add_reads(reads, srcs, layout.flen)
-        except DecodeError:
-            log.warning("aborted sub-operation reads under-attributed: "
-                        "sources already gone")
-        return reads
 
     def _abort_subop(self, t: float) -> None:
         sub = self.subop
@@ -714,10 +704,11 @@ class AdvancedPoissonRepairer:
             return
         frac = min(1.0, (t - sub.t0) / (sub.t1 - sub.t0))
         scaled = {}
-        for node, bits in self._read_map(sub).items():
+        for node, bits in self.chain.planned_reads(sub.kind,
+                                                   sub.group).items():
             part = int(bits * frac + 0.5)
             if part:
                 scaled[node] = part
         if scaled:
             self.state.meter_read_spread(scaled, sub.t0, t)
-            self.stepBitsRead += sum(scaled.values())
+            self.chain.bitsRead += sum(scaled.values())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -203,6 +204,9 @@ def _write_trace(path, results) -> None:
 
 
 def cmd_run(args) -> int:
+    most = os.cpu_count() or 1
+    if not 1 <= args.jobs <= most:
+        raise ConfigError(f"--jobs must be in [1, {most}], got {args.jobs}")
     scenario, out = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)

@@ -39,14 +39,13 @@ class NodeStore:
 
 
 class ClusterState:
-    def __init__(self, N: int, capacity: int, detail_meters: bool = False):
+    def __init__(self, N: int, capacity: int):
         if N < 1 or capacity <= 0:
             raise ConfigError("need N >= 1 and positive capacity")
         self.N = N
         self.capacity = capacity
         self.nodes = [NodeStore(i, capacity) for i in range(N)]
         self.now = 0.0
-        self.detail_meters = detail_meters
         self.phase = "store"
         # phase -> totals; the repair read log feeds the peak-rate window
         self.phase_read: dict = {"store": 0, "repair": 0}

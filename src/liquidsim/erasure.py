@@ -39,8 +39,8 @@ class CodecParams:
         return self.flen // 8
 
 
-def make_codec(n: int, k: int, flen: int, backend: str = "auto",
-               force_byte: bool = False) -> CodecParams:
+def make_codec(n: int, k: int, flen: int,
+               backend: str = "auto") -> CodecParams:
     if not 1 <= k <= n:
         raise ConfigError("need 1 <= k <= n")
     if flen <= 0:
@@ -48,11 +48,9 @@ def make_codec(n: int, k: int, flen: int, backend: str = "auto",
     if backend == "auto":
         backend = "byte" if n <= MAX_BYTE_N and flen % 8 == 0 else "symbolic"
     if backend == "byte":
-        if n > MAX_BYTE_N and not force_byte:
+        if n > MAX_BYTE_N:
             raise ConfigError(
                 f"byte backend supports n <= {MAX_BYTE_N}; use symbolic for n = {n}")
-        if n > MAX_BYTE_N:
-            raise ConfigError(f"GF(256) cannot express {n} distinct rows")
         if flen % 8:
             raise ConfigError("byte backend needs flen divisible by 8")
     elif backend != "symbolic":

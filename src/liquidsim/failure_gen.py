@@ -2,13 +2,7 @@
 
 A failure sequence pairs a timing sequence (when a node fails) with an
 identifier sequence (which node fails).  Time starts at 0; the first failure
-happens strictly after 0.  Identifier models:
-
-  uniform   independent uniform node per failure
-  distinct  the first M failures hit M distinct nodes
-  gseq      uniform sequence built from geometric gaps between first hits,
-            returning the strictly increasing table of when each new
-            distinct node appeared
+happens strictly after 0.  Each failure hits an independent uniform node.
 """
 
 from __future__ import annotations
@@ -31,24 +25,15 @@ class FailureSeq:
             raise ConfigError("times and ids must have equal length")
 
 
-def _ids_for(model: str, N: int, count: int, rng) -> np.ndarray:
-    if model == "uniform":
-        return rng.integers(0, N, size=count, dtype=np.int64)
-    if model == "distinct":
-        if count > N:
-            raise ConfigError("distinct model cannot exceed N failures")
-        return gen_distinct_ids(N, count, rng)
-    raise ConfigError(f"unknown id model {model!r}")
-
-
-def gen_periodic(period: float, count: int, id_model: str, rng, N: int) -> FailureSeq:
+def gen_periodic(period: float, count: int, rng, N: int) -> FailureSeq:
     if period <= 0:
         raise ConfigError("period must be positive")
     times = (np.arange(1, count + 1, dtype=np.float64)) * period
-    return FailureSeq(times=times, ids=_ids_for(id_model, N, count, rng), N=N)
+    ids = rng.integers(0, N, size=count, dtype=np.int64)
+    return FailureSeq(times=times, ids=ids, N=N)
 
 
-def gen_poisson(lam: float, N: int, count: int, rng, id_model: str = "uniform") -> FailureSeq:
+def gen_poisson(lam: float, N: int, count: int, rng) -> FailureSeq:
     """Exponential interarrival gaps at aggregate rate lam*N."""
     if lam <= 0:
         raise ConfigError("lam must be positive")
@@ -58,71 +43,5 @@ def gen_poisson(lam: float, N: int, count: int, rng, id_model: str = "uniform") 
     # sequence stays strictly increasing
     for i in np.flatnonzero(np.diff(times) <= 0):
         times[i + 1] = np.nextafter(times[i], np.inf)
-    return FailureSeq(times=times, ids=_ids_for(id_model, N, count, rng), N=N)
-
-
-def gen_distinct_ids(N: int, M: int, rng, prefix=None) -> np.ndarray:
-    """M distinct node ids, excluding any in prefix."""
-    taken = set() if prefix is None else set(int(p) for p in prefix)
-    pool = np.array([i for i in range(N) if i not in taken], dtype=np.int64)
-    if M > len(pool):
-        raise ConfigError("not enough unused nodes for M distinct ids")
-    return rng.permutation(pool)[:M]
-
-
-def gen_useq_from_gseq(N: int, M: int, rng):
-    """Uniform failure ids built from the distinct-failure skeleton.
-
-    Returns (ids, gs_table).  ids[0] is the seed failure; gs_table[i-1] is
-    the 1-based index after the seed at which the i-th additional distinct
-    node appeared, strictly increasing.  The gap before the i-th new node is
-    geometric with success (N-i)/N, and failures inside a gap hit
-    already-failed nodes uniformly.
-    """
-    if not 1 <= M <= N - 1:
-        raise ConfigError("need 1 <= M <= N-1")
-    first = int(rng.integers(0, N))
-    failed = [first]
-    ids = [first]
-    gs_table = []
-    pos = 0
-    for i in range(1, M + 1):
-        gap = int(rng.geometric((N - i) / N))  # failures until a new node hits
-        for _ in range(gap - 1):
-            ids.append(failed[int(rng.integers(0, len(failed)))])
-        pos += gap
-        fresh_pool = [n for n in range(N) if n not in set(failed)]
-        fresh = fresh_pool[int(rng.integers(0, len(fresh_pool)))]
-        failed.append(fresh)
-        ids.append(fresh)
-        gs_table.append(pos)
-    return np.array(ids, dtype=np.int64), np.array(gs_table, dtype=np.int64)
-
-
-def export_failures(seq: FailureSeq, path) -> None:
-    """Text lines time,nodeId."""
-    with open(path, "w") as fh:
-        for t, i in zip(seq.times, seq.ids):
-            fh.write(f"{float(t)!r},{int(i)}\n")
-
-
-def load_failures(path, N: int) -> FailureSeq:
-    times, ids = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t_s, i_s = line.split(",")
-                t, i = float(t_s), int(i_s)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad failure line {line!r}") from exc
-            if not 0 <= i < N:
-                raise ConfigError(f"{path}:{lineno}: node id {i} outside [0,{N})")
-            times.append(t)
-            ids.append(i)
-    arr_t = np.array(times, dtype=np.float64)
-    if len(arr_t) > 1 and not np.all(np.diff(arr_t) > 0):
-        raise ConfigError(f"{path}: failure times must be strictly increasing")
-    return FailureSeq(times=arr_t, ids=np.array(ids, dtype=np.int64), N=N)
+    ids = rng.integers(0, N, size=count, dtype=np.int64)
+    return FailureSeq(times=times, ids=ids, N=N)

@@ -47,20 +47,31 @@ class LiquidLayout:
 
 @dataclass
 class RepairCounter:
+    """Repair slack.  A dip below zero voids the safety argument, so it
+    latches halted and repairers start no further steps."""
     value: int
     cap: int
     minSeen: int
+    halted: bool = False
 
     @classmethod
     def at_cap(cls, cap: int) -> "RepairCounter":
         return cls(value=cap, cap=cap, minSeen=cap)
+
+    def on_failure(self) -> None:
+        self.value -= 1
+        self.minSeen = min(self.minSeen, self.value)
+        if self.value < 0:
+            self.halted = True
+
+    def on_step(self) -> None:
+        self.value = min(self.value + 1, self.cap)
 
 
 @dataclass
 class StepSchedule:
     stepDuration: float                      # math.inf disables repair
     inProgress: Optional[tuple] = None       # (startTime, endTime, objectId)
-    halted: bool = False                     # latched once the counter dips
 
 
 def _split_rate(N: int, beta: float) -> tuple:
@@ -186,18 +197,14 @@ def liquid_on_failure(state: ClusterState, layout: LiquidLayout,
                       t: float, node: int) -> None:
     """Process one node failure: erase, decrement slack, keep repair busy.
 
-    A dip below zero latches the halt flag: the safety argument is void from
-    that point on, so no further steps start (the in-flight one finishes).
+    Once the counter has halted no further steps start; the in-flight one
+    finishes.
     """
     state.fail_node(node, t)
     for efis in layout.perObjectEfis.values():
         efis.discard(node)
-    counter.value -= 1
-    if counter.value < counter.minSeen:
-        counter.minSeen = counter.value
-    if counter.value < 0:
-        schedule.halted = True
-    if (schedule.inProgress is None and not schedule.halted
+    counter.on_failure()
+    if (schedule.inProgress is None and not counter.halted
             and math.isfinite(schedule.stepDuration)):
         schedule.inProgress = (t, t + schedule.stepDuration,
                                layout.objectOrder[0])
@@ -212,9 +219,9 @@ def liquid_on_step_complete(state: ClusterState, layout: LiquidLayout,
     if layout.objectOrder[0] != obj:
         raise InvariantViolation("front object changed during a repair step")
     rec = liquid_repair_step(state, layout, t0=t_start, t1=t_end)
-    counter.value = min(counter.value + 1, counter.cap)
+    counter.on_step()
     schedule.inProgress = None
-    if not schedule.halted and counter.value < counter.cap:
+    if not counter.halted and counter.value < counter.cap:
         schedule.inProgress = (t, t + schedule.stepDuration,
                                layout.objectOrder[0])
     return rec

@@ -5,8 +5,10 @@ into one time-ordered loop (completions win ties), runs invariant
 assertions after events, and scores recoverability by fragment census.  A
 trial ends the moment the census goes unrecoverable; metrics (bits moved,
 average and peak read rates, counter minimum) come from the cluster
-meters.  run_experiment fans trials out over independent Philox streams,
-so sequential and pooled execution produce identical reports.
+meters.  Each repairer family has one driver: _LiquidDriver, and
+_AdvancedDriver, whose repairer paces the advanced step chain for both
+failure models.  run_experiment fans trials out over independent Philox
+streams, so sequential and pooled execution produce identical reports.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import advanced_liquid as adv
 from . import bounds, failure_gen, liquid, rng
-from .errors import ConfigError, DecodeError, InvariantViolation
+from .errors import ConfigError, DecodeError
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +50,6 @@ class Scenario:
     period: float = 1.0               # periodic inter-failure spacing
     advancedR: Optional[int] = None   # helper count; derived from beta if None
     stepDuration: Optional[float] = None   # liquid poisson override; inf disables
-    idModel: str = "uniform"
     assertEvery: int = 1              # invariant checks every Kth event
     collectTrace: bool = False
     faultInjection: bool = False      # test hook: corrupt state mid-trial
@@ -112,9 +113,8 @@ def _failures(scenario: Scenario, streamId: int) -> failure_gen.FailureSeq:
     sp = scenario.sysParams
     if scenario.variant == "periodic":
         return failure_gen.gen_periodic(scenario.period, scenario.failureCount,
-                                        scenario.idModel, g, sp.N)
-    return failure_gen.gen_poisson(sp.lam, sp.N, scenario.failureCount, g,
-                                   scenario.idModel)
+                                        g, sp.N)
+    return failure_gen.gen_poisson(sp.lam, sp.N, scenario.failureCount, g)
 
 
 class _LiquidDriver:
@@ -150,7 +150,7 @@ class _LiquidDriver:
                                            self.counter, self.schedule, t)
         except DecodeError as e:
             log.warning("repair stalled at t=%g: %s", t, e)
-            self.schedule.halted = True
+            self.counter.halted = True
             self.schedule.inProgress = None
 
     def recoverable(self) -> bool:
@@ -161,87 +161,34 @@ class _LiquidDriver:
         if self.counter.value >= 0:
             liquid.assert_liquid_invariant(self.layout, self.counter.value)
 
-    def counter_value(self) -> int:
-        return self.counter.value
-
-    def counter_min(self) -> int:
-        return self.counter.minSeen
-
     def inject_fault(self) -> None:
         back = self.layout.objectOrder[-1]
         efis = self.layout.perObjectEfis[back]
         efis.discard(max(efis))
 
 
-class _AdvancedPeriodicDriver:
-    completionKind = "step"
-
+class _AdvancedDriver:
     def __init__(self, scenario: Scenario, streamId: int):
         sp = scenario.sysParams
         r = scenario.advancedR or adv.r_for_target_overhead(sp.N, sp.beta)
         payload = rng.stream(scenario.seed, streamId, rng.SUB_PAYLOAD)
-        self.state, self.layout, self.rotation = adv.advanced_store(
-            sp.N, sp.clen, r, variant="periodic",
-            backend=scenario.codecBackend, payload_rng=payload)
-        self.counter = liquid.RepairCounter.at_cap(1)
-        self.period = scenario.period
-        self.pending: Optional[tuple] = None
-
-    def next_completion(self) -> Optional[float]:
-        return self.pending[1] if self.pending is not None else None
-
-    def on_failure(self, t: float, node: int) -> None:
-        adv.advanced_fail_node(self.state, self.layout, t, node)
-        self.counter.value -= 1
-        self.counter.minSeen = min(self.counter.minSeen, self.counter.value)
-        if self.pending is not None:
-            raise InvariantViolation("periodic steps must not overlap")
-        self.pending = (t, t + self.period / 2.0, node)
-
-    def on_completion(self, t: float) -> None:
-        t0, _, node = self.pending
-        self.pending = None
-        try:
-            adv.advanced_repair_step(self.state, self.layout, self.rotation,
-                                     node, t0=t0, t1=t)
-            self.counter.value = min(self.counter.value + 1, self.counter.cap)
-        except DecodeError as e:
-            log.warning("repair stalled at t=%g: %s", t, e)
-
-    def recoverable(self) -> bool:
-        return adv.recoverable_census(self.layout)
-
-    def check_invariant(self) -> None:
-        need = self.layout.N - 1 if self.pending is not None else self.layout.N
-        adv.assert_advanced_invariant(self.layout, need)
-
-    def counter_value(self) -> int:
-        return self.counter.value
-
-    def counter_min(self) -> int:
-        return self.counter.minSeen
-
-    def inject_fault(self) -> None:
-        self.layout.P[0, 0, 0] = False
-        self.layout.P[1, 0, 0] = False
-
-
-class _AdvancedPoissonDriver:
-    completionKind = "subop"
-
-    def __init__(self, scenario: Scenario, streamId: int):
-        sp = scenario.sysParams
-        r = scenario.advancedR or adv.r_for_target_overhead(sp.N, sp.beta)
-        payload = rng.stream(scenario.seed, streamId, rng.SUB_PAYLOAD)
+        periodic = scenario.variant == "periodic"
+        eps = 0.0 if periodic else scenario.eps.eps
         state, layout, rotation = adv.advanced_store(
-            sp.N, sp.clen, r, variant="poisson", eps=scenario.eps.eps,
+            sp.N, sp.clen, r, variant=scenario.variant, eps=eps,
             backend=scenario.codecBackend, payload_rng=payload)
-        sched = adv.advanced_schedule(
-            liquid.RepairCounter.at_cap(layout.counterCap), "poisson",
-            sp.lam, sp.N, layout.beta, scenario.eps.eps, clen=sp.clen)
-        self.rep = adv.AdvancedPoissonRepairer(state, layout, rotation, sched)
+        if periodic:
+            pace = scenario.period / 2.0    # step lands mid-gap
+            self.completionKind = "step"
+        else:
+            pace = adv.advanced_schedule(
+                liquid.RepairCounter.at_cap(layout.counterCap), "poisson",
+                sp.lam, sp.N, layout.beta, eps, clen=sp.clen)
+            self.completionKind = "subop"
+        self.rep = adv.AdvancedPoissonRepairer(state, layout, rotation, pace)
         self.state = state
         self.layout = layout
+        self.counter = self.rep.counter
 
     def next_completion(self) -> Optional[float]:
         return self.rep.next_completion()
@@ -255,25 +202,17 @@ class _AdvancedPoissonDriver:
         except DecodeError as e:
             log.warning("repair stalled at t=%g: %s", t, e)
             self.rep.subop = None
-            self.rep.halted = True
+            self.counter.halted = True
 
     def recoverable(self) -> bool:
         return adv.recoverable_census(self.layout)
 
     def check_invariant(self) -> None:
-        c = self.rep.counter.value
-        if c >= 0:
-            members = len(adv.census(self.layout).members())
-            if members < self.layout.k + c:
-                raise InvariantViolation(
-                    f"witness set {members} below k + counter = "
-                    f"{self.layout.k + c}")
-
-    def counter_value(self) -> int:
-        return self.rep.counter.value
-
-    def counter_min(self) -> int:
-        return self.rep.counter.minSeen
+        # periodic: cap 1 and k = N-1, so N members between steps, N-1
+        # while one is in flight
+        if self.counter.value >= 0:
+            adv.assert_advanced_invariant(self.layout,
+                                          self.layout.k + self.counter.value)
 
     def inject_fault(self) -> None:
         self.layout.P[0, 0, 0] = False
@@ -283,9 +222,7 @@ class _AdvancedPoissonDriver:
 def _make_driver(scenario: Scenario, streamId: int):
     if scenario.repairer == "liquid":
         return _LiquidDriver(scenario, streamId)
-    if scenario.variant == "periodic":
-        return _AdvancedPeriodicDriver(scenario, streamId)
-    return _AdvancedPoissonDriver(scenario, streamId)
+    return _AdvancedDriver(scenario, streamId)
 
 
 def run_trial(scenario: Scenario, streamId: int) -> TrialResult:
@@ -311,7 +248,7 @@ def run_trial(scenario: Scenario, streamId: int) -> TrialResult:
         events += 1
         last_t = max(last_t, t)
         if trace is not None:
-            trace.append((t, kind, driver.counter_value(), bits_r, bits_w))
+            trace.append((t, kind, driver.counter.value, bits_r, bits_w))
         if scenario.faultInjection and events == _FAULT_AFTER_EVENTS:
             driver.inject_fault()
         if not driver.recoverable():
@@ -353,7 +290,7 @@ def run_trial(scenario: Scenario, streamId: int) -> TrialResult:
                        recoverableThroughout=lost_at is None,
                        firstLossTime=lost_at, totalBitsRead=bits_read,
                        totalBitsWritten=bits_written, avgReadRate=avg,
-                       peakReadRate=peak, counterMin=driver.counter_min(),
+                       peakReadRate=peak, counterMin=driver.counter.minSeen,
                        perStepTrace=trace)
 
 

@@ -11,7 +11,7 @@ from liquidsim.advanced_liquid import (
     AdvancedPoissonRepairer, advanced_fail_node, advanced_repair_step,
     advanced_schedule, advanced_store, assert_advanced_invariant, census,
     check_advanced_sync, generate_helpers, move_helpers, node_used_bits,
-    recoverable_census, r_for_target_overhead, update_helpers, witness_set)
+    recoverable_census, r_for_target_overhead, update_helpers)
 from liquidsim.errors import (ConfigError, DecodeError, InvariantViolation,
                               MissingFragmentError)
 from liquidsim.liquid import RepairCounter
@@ -66,7 +66,7 @@ class TestStore:
 
     def test_store_is_census_clean_and_recoverable(self):
         state, layout, rotation = byte_cluster()
-        assert witness_set(layout).members == frozenset(range(8))
+        assert census(layout).members() == list(range(8))
         assert recoverable_census(layout)
         assert_advanced_invariant(layout)
         check_advanced_sync(state, layout, rotation)
@@ -235,6 +235,42 @@ class TestPeriodicRandomChurn:
         state.assert_capacity()
 
 
+class TestPeriodicThroughRepairer:
+    """The repairer's whole-step event and advanced_repair_step must do the
+    same work on the same store."""
+
+    def test_step_event_matches_synchronous_step(self):
+        sync, paced = byte_cluster(N=8, r=2), byte_cluster(N=8, r=2)
+        for state, _, _ in (sync, paced):
+            state.begin_phase("repair")
+        s_state, s_layout, s_rot = sync
+        p_state, p_layout, p_rot = paced
+        rep = AdvancedPoissonRepairer(p_state, p_layout, p_rot, 0.5)
+        for t, node in ((1.0, 3), (2.0, 3), (3.0, 6)):
+            advanced_fail_node(s_state, s_layout, t, node)
+            want = advanced_repair_step(s_state, s_layout, s_rot, node,
+                                        t0=t, t1=t + 0.5)
+            rep.on_failure(t, node)
+            assert rep.next_completion() == t + 0.5
+            got = rep.on_subop_complete(t + 0.5)
+            assert got == want
+            assert rep.idle and rep.counter.value == 1
+            for name in ("P", "H", "rot"):
+                assert np.array_equal(getattr(p_layout, name),
+                                      getattr(s_layout, name))
+            assert p_rot == s_rot
+            assert p_state.read_log == s_state.read_log
+            check_advanced_sync(p_state, p_layout, p_rot)
+        decode_all_from_primaries(p_state, p_layout, p_rot)
+
+    def test_failure_during_step_violates_contract(self):
+        state, layout, rotation = byte_cluster(N=8, r=2)
+        rep = AdvancedPoissonRepairer(state, layout, rotation, 0.5)
+        rep.on_failure(1.0, 3)
+        with pytest.raises(InvariantViolation):
+            rep.on_failure(1.2, 5)
+
+
 def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0):
     divisor = r * N + r * (r + 1) // 2
     state, layout, rotation = advanced_store(N, divisor, r, variant="poisson",
@@ -289,7 +325,7 @@ class TestPoissonProtocol:
     def test_failure_when_idle_starts_generate_for_target(self):
         state, layout, rotation, rep = poisson_fixture()
         rep.on_failure(1.0, 5)
-        assert rep.stepNode == 5
+        assert rep.chain.node == 5
         sub = rep.subop
         assert sub.kind == "generate" and sub.group == 5
         want = layout.k * layout.r * layout.flen / rep.schedule.rateProof
@@ -347,14 +383,14 @@ class TestPoissonProtocol:
         sub = rep.subop
         t_mid = (sub.t0 + sub.t1) / 2.0
         rep.on_failure(t_mid, 5)                       # target dies mid-step
-        assert rep.futile and rep.subop is sub         # chain not aborted
+        assert rep.chain.futile and rep.subop is sub         # chain not aborted
         rec = None
         while rec is None:
             rec = rep.on_subop_complete(rep.next_completion())
         assert rec.futile
-        assert 5 not in witness_set(layout).members
+        assert 5 not in census(layout).members()
         # oldest broken node is 5 itself, so its repair starts again
-        assert rep.stepNode == 5
+        assert rep.chain.node == 5
 
     def test_counter_net_change_and_cap_clip(self):
         state, layout, rotation, rep = poisson_fixture()
@@ -367,14 +403,14 @@ class TestPoissonProtocol:
         while rec is None:
             rec = rep.on_subop_complete(rep.next_completion())
         assert rep.counter.value == cap - 1            # one completion back
-        assert rep.stepNode == 11                      # next step chained on
+        assert rep.chain.node == 11                      # next step chained on
 
     def test_halt_latches_on_dip(self):
         state, layout, rotation, rep = poisson_fixture()
         cap = rep.counter.cap
         for j in range(cap + 1):
             rep.on_failure(1.0 + j * 1e-6, j)
-        assert rep.halted and rep.counter.minSeen == -1
+        assert rep.counter.halted and rep.counter.minSeen == -1
         assert len(rep.queue) == cap            # step for node 0 in flight
         # the slack is tight: a dip below zero costs real recoverability
         assert not recoverable_census(layout)
@@ -429,4 +465,4 @@ class TestPoissonProtocol:
 
 def self_check(layout, rep, k):
     if rep.counter.value >= 0:
-        assert len(witness_set(layout).members) >= k + rep.counter.value
+        assert len(census(layout).members()) >= k + rep.counter.value

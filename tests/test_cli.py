@@ -1,9 +1,11 @@
 """CLI tests: parsing, exit codes, output files, dump-config round trip."""
 
 import json
+import os
 
 import pytest
 
+from liquidsim import sim_engine
 from liquidsim.cli import dump_config, load_scenario, main
 from liquidsim.sim_engine import CSV_HEADER
 
@@ -164,6 +166,19 @@ class TestCmdRun:
                 == (tmp_path / "j2" / "results.csv").read_bytes())
         assert ((tmp_path / "j1" / "summary.jsonl").read_bytes()
                 == (tmp_path / "j2" / "summary.jsonl").read_bytes())
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["zero", "above_cpus"])
+    def test_jobs_outside_cpu_range_exit_two(self, tmp_path, capsys,
+                                             monkeypatch, extra):
+        def no_pool(*a, **kw):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(sim_engine, "Pool", no_pool)
+        jobs = os.cpu_count() + 1 if extra else 0
+        f = scenario_file(tmp_path, LIQUID_PERIODIC)
+        assert main(["run", "--scenario", str(f), "--out",
+                     str(tmp_path / "o"), "--jobs", str(jobs)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_trace_file_written(self, tmp_path):
         text = LIQUID_PERIODIC.replace("csv = out.csv",

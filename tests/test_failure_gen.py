@@ -7,7 +7,7 @@ from liquidsim.errors import ConfigError
 
 def test_periodic_times():
     r = rng.stream(1, 0, rng.SUB_FAILURE_IDS)
-    seq = failure_gen.gen_periodic(2.5, 4, "uniform", r, N=10)
+    seq = failure_gen.gen_periodic(2.5, 4, r, N=10)
     assert np.allclose(seq.times, [2.5, 5.0, 7.5, 10.0])
     assert seq.times[0] > 0  # time starts at 0, first failure strictly after
 
@@ -15,7 +15,7 @@ def test_periodic_times():
 def test_periodic_rejects_bad_period():
     r = rng.stream(1)
     with pytest.raises(ConfigError):
-        failure_gen.gen_periodic(0.0, 4, "uniform", r, N=10)
+        failure_gen.gen_periodic(0.0, 4, r, N=10)
 
 
 def test_poisson_mean_gap():
@@ -48,76 +48,3 @@ def test_byte_determinism():
 def test_uniform_ids_in_range():
     seq = failure_gen.gen_poisson(1.0, 7, 5000, rng.stream(5))
     assert seq.ids.min() >= 0 and seq.ids.max() < 7
-
-
-def test_distinct_ids_never_repeat():
-    for trial in range(50):
-        r = rng.stream(100 + trial)
-        ids = failure_gen.gen_distinct_ids(30, 25, r)
-        assert len(set(map(int, ids))) == 25
-
-
-def test_distinct_ids_respect_prefix():
-    r = rng.stream(9)
-    ids = failure_gen.gen_distinct_ids(10, 7, r, prefix=[0, 1, 2])
-    assert set(map(int, ids)).isdisjoint({0, 1, 2})
-    with pytest.raises(ConfigError):
-        failure_gen.gen_distinct_ids(10, 8, rng.stream(9), prefix=[0, 1, 2])
-
-
-class TestUseqConstruction:
-    def test_gs_table_strictly_increasing(self):
-        for trial in range(20):
-            ids, gs = failure_gen.gen_useq_from_gseq(20, 10, rng.stream(trial))
-            assert np.all(np.diff(gs) > 0)
-
-    def test_ids_match_gs_structure(self):
-        # id at each gs position must be fresh; ids between must be repeats
-        for trial in range(20):
-            ids, gs = failure_gen.gen_useq_from_gseq(15, 8, rng.stream(1000 + trial))
-            seen = {int(ids[0])}
-            distinct_positions = set(int(g) for g in gs)
-            for pos, node in enumerate(ids[1:], start=1):
-                node = int(node)
-                if pos in distinct_positions:
-                    assert node not in seen
-                else:
-                    assert node in seen
-                seen.add(node)
-
-    def test_length_is_last_gs(self):
-        ids, gs = failure_gen.gen_useq_from_gseq(12, 5, rng.stream(3))
-        assert len(ids) == gs[-1] + 1  # seed failure plus gs[-1] more
-
-    def test_mean_matches_expectation(self):
-        # E[gs_2] for N=10 is 2.3611; construction-level check of the mean
-        from liquidsim.bounds import expected_distinct_failures
-        total, trials = 0, 4000
-        r = rng.stream(77, 0, rng.SUB_GS)
-        for _ in range(trials):
-            _, gs = failure_gen.gen_useq_from_gseq(10, 2, r)
-            total += int(gs[-1])
-        mean = total / trials
-        assert abs(mean / expected_distinct_failures(10, 2) - 1) < 0.05
-
-
-def test_export_and_replay_roundtrip(tmp_path):
-    seq = failure_gen.gen_poisson(2.0, 5, 100, rng.stream(8))
-    path = tmp_path / "failures.txt"
-    failure_gen.export_failures(seq, path)
-    back = failure_gen.load_failures(path, N=5)
-    assert np.array_equal(back.times, seq.times)  # repr round-trips floats
-    assert np.array_equal(back.ids, seq.ids)
-
-
-def test_replay_rejects_bad_lines(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("1.0,0\n2.0,notanode\n")
-    with pytest.raises(ConfigError, match="bad.txt:2"):
-        failure_gen.load_failures(p, N=5)
-    p.write_text("1.0,0\n0.5,1\n")
-    with pytest.raises(ConfigError, match="increasing"):
-        failure_gen.load_failures(p, N=5)
-    p.write_text("1.0,9\n")
-    with pytest.raises(ConfigError, match="outside"):
-        failure_gen.load_failures(p, N=5)

@@ -203,7 +203,7 @@ class TestPoissonProtocol:
         state, lay, counter, sched = poisson_fixture()
         counter.value = 0
         liquid_on_failure(state, lay, counter, sched, t=1.0, node=5)
-        assert counter.value == -1 and sched.halted
+        assert counter.value == -1 and counter.halted
         # in-flight completion still lands but nothing new starts
         sched.inProgress = (0.5, 1.4, lay.objectOrder[0])
         liquid_on_step_complete(state, lay, counter, sched, t=1.4)

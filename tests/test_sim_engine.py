@@ -124,7 +124,7 @@ class TestLiquidPoissonTrial:
         # replay the same failure stream over a plain census of EFI sets
         g = rng.stream(sc.seed, 1, rng.SUB_FAILURE_TIMES)
         seq = failure_gen.gen_poisson(sc.sysParams.lam, sc.sysParams.N, 200,
-                                      g, "uniform")
+                                      g)
         k, cap, count = 14, 2, 4
         sets = {j: set(range(k + cap + j)) for j in range(count)}
         loss = None
