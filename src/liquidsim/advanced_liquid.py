@@ -18,6 +18,11 @@ decrement it, completed steps increment it.  A census of nodes holding
 their full primary complement and exactly the staircase pattern witnesses
 recoverability; it keeps at least k + counter members while the counter
 stays non-negative.
+
+Placement is numpy arrays: a node holds the primaries of a whole group or
+none, so primaries are an (N, N) bool array.  Reads accumulate in an (N,)
+int64 vector per sub-operation.  The fault-injection hook clears the
+staircases of nodes 0 and 1, which fails the census but not recovery.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class AdvancedInvariantWitness:
     helperOk: np.ndarray    # (N,) bool, staircase matches the expected pattern
 
     def members(self) -> list:
-        return [int(x) for x in np.flatnonzero(self.primaryOk & self.helperOk)]
+        return np.flatnonzero(self.primaryOk & self.helperOk).tolist()
 
 
 @dataclass
@@ -106,7 +111,7 @@ class GroupLayout:
     counterCap: int
     codec: erasure.CodecParams
     rot: np.ndarray         # (N,) int64, completed rotations per group
-    P: np.ndarray           # (N, N, r) bool: node holds primary of (group, phys)
+    P: np.ndarray           # (N, N) bool: node holds the primaries of group g
     H: np.ndarray           # (N, r, r) bool: anchor holds helper m of (anchor, phys)
     tri: np.ndarray         # (r, r, r) bool staircase patterns indexed by rot % r
     sources: Optional[dict] = None   # byte backend: (group, phys) -> object bytes
@@ -182,7 +187,7 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
     layout = GroupLayout(N=N, r=r, k=k, flen=flen, clen=clen, beta=beta,
                          variant=variant, counterCap=cap, codec=codec,
                          rot=np.zeros(N, dtype=np.int64),
-                         P=np.ones((N, N, r), dtype=bool),
+                         P=np.ones((N, N), dtype=bool),
                          H=np.tile(tri[0], (N, 1, 1)), tri=tri)
     rotation = EfiRotation(primaryEfis=list(range(N)),
                            helperEfis=list(range(N, N + r)))
@@ -208,22 +213,21 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
     return state, layout, rotation
 
 
-def _pick_primary_sources(layout, group, phys, exclude, need):
-    picked = []
-    for node in np.flatnonzero(layout.P[:, group, phys]):
-        node = int(node)
-        if node == exclude:
-            continue
-        picked.append(node)
-        if len(picked) == need:
-            return picked
-    raise DecodeError(
-        f"object ({group},{phys}) has {len(picked)} primary sources, need {need}")
+def _pick_primary_sources(layout, group, phys, exclude, need) -> np.ndarray:
+    """The first `need` primary holders of the group in ascending node
+    order, skipping exclude; phys only names the object in the error."""
+    holders = layout.P[:, group].nonzero()[0]
+    if exclude is not None:
+        holders = holders[holders != exclude]
+    if len(holders) < need:
+        raise DecodeError(f"object ({group},{phys}) has {len(holders)} "
+                          f"primary sources, need {need}")
+    return holders[:need]
 
 
 def _decode_object(state, layout, rotation, group, phys, srcs):
     frags = {}
-    for m in srcs:
+    for m in srcs.tolist():
         efi = rotation.primaryEfis[m]
         payload = state.nodes[m].fragments.get(((group, phys), efi))
         if payload is None:
@@ -235,44 +239,40 @@ def _decode_object(state, layout, rotation, group, phys, srcs):
     return data
 
 
-def _add_reads(reads, nodes, bits):
-    for m in nodes:
-        reads[m] = reads.get(m, 0) + bits
-
-
 def generate_helpers(state: ClusterState, layout: GroupLayout,
                      rotation: EfiRotation, group: int, *, t=None,
                      collect=None, exclude=None) -> OpCounts:
     """Rebuild the helper staircase for a group at its anchor node.
 
-    Decodes each of the r group objects from k primary fragments and
-    writes helpers 0..j for the object at position j.  Reads accumulate
-    into collect for the caller to meter; with collect=None they are
-    metered here as an impulse at t.
+    Decodes each of the r group objects from k primary fragments (the
+    same k nodes for all of them) and writes helpers 0..j for the object at
+    position j.  Reads accumulate into the (N,) vector collect for the
+    caller to meter; with collect=None they are metered here as an impulse
+    at t.
     """
     if t is None:
         t = state.now
-    reads = {} if collect is None else collect
-    byte = layout.codec.backend == "byte"
-    writes = 0
-    for j in range(layout.r):
-        p = layout.phys_at(group, j)
-        srcs = _pick_primary_sources(layout, group, p, exclude, layout.k)
-        _add_reads(reads, srcs, layout.flen)
-        if byte:
+    r = layout.r
+    reads = np.zeros(layout.N, np.int64) if collect is None else collect
+    srcs = _pick_primary_sources(layout, group, layout.front_phys(group),
+                                 exclude, layout.k)
+    reads[srcs] += r * layout.flen
+    writes = r * (r + 1) // 2
+    if layout.codec.backend == "byte":
+        for j in range(r):
+            p = layout.phys_at(group, j)
             data = _decode_object(state, layout, rotation, group, p, srcs)
             labels = rotation.helperEfis[: j + 1]
             frags = erasure.encode(data, labels, layout.codec)
             for e in labels:
                 state.store_fragment(group, (group, p), e, frags[e],
                                      layout.flen, t=t)
-        layout.H[group, p, : j + 1] = True
-        writes += j + 1
-    if not byte:
+    else:
         state.meter_write_bulk({group: writes * layout.flen}, t=t)
+    layout.H[group] |= layout.tri[layout.rot[group] % r]
     if collect is None:
         state.meter_read_spread(reads, t, t)
-    return OpCounts(layout.k * layout.r, writes)
+    return OpCounts(layout.k * r, writes)
 
 
 def move_helpers(state: ClusterState, layout: GroupLayout,
@@ -288,8 +288,8 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
     if not layout.H[fromNode, :, 0].all():
         raise MissingFragmentError(
             f"node {fromNode} lacks position-0 helpers to donate")
-    reads = {} if collect is None else collect
-    _add_reads(reads, [fromNode], layout.r * layout.flen)
+    reads = np.zeros(layout.N, np.int64) if collect is None else collect
+    reads[fromNode] += layout.r * layout.flen
     donated = rotation.helperEfis[0]
     if layout.codec.backend == "byte":
         for p in range(layout.r):
@@ -303,7 +303,7 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
                 state.delete_fragment(fromNode, obj, donated)
     else:
         state.meter_write_bulk({toNode: layout.r * layout.flen}, t=t)
-    layout.P[toNode, fromNode, :] = True
+    layout.P[toNode, fromNode] = True
     layout.H[fromNode, :, 0] = False
     if collect is None:
         state.meter_read_spread(reads, t, t)
@@ -326,8 +326,8 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
     r = layout.r
     p0 = layout.front_phys(group)
     srcs = _pick_primary_sources(layout, group, p0, exclude, layout.k)
-    reads = {} if collect is None else collect
-    _add_reads(reads, srcs, layout.flen)
+    reads = np.zeros(layout.N, np.int64) if collect is None else collect
+    reads[srcs] += layout.flen
     labels = rotation.new_helper_efis()
     if layout.codec.backend == "byte":
         data = _decode_object(state, layout, rotation, group, p0, srcs)
@@ -337,7 +337,7 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
                                  layout.flen, t=t)
     else:
         state.meter_write_bulk({group: r * layout.flen}, t=t)
-    layout.H[group, :, : r - 1] = layout.H[group, :, 1:].copy()
+    layout.H[group, :, : r - 1] = layout.H[group, :, 1:]
     layout.H[group, :, r - 1] = False
     layout.rot[group] += 1
     layout.H[group, p0, :] = True
@@ -396,7 +396,8 @@ class _StepChain:
         has_front = self.layout.H[group, :, 0].all()
         return ("moveupdate" if has_front else "generate"), group
 
-    def commit(self, kind: str, group: int, t: float, collect: dict) -> None:
+    def commit(self, kind: str, group: int, t: float,
+               collect: np.ndarray) -> None:
         """Run one planned sub-operation at t; reads accumulate in collect."""
         ctx = (self.state, self.layout, self.rotation)
         if kind == "generate":
@@ -408,24 +409,21 @@ class _StepChain:
             self.counts["update"].append(update_helpers(
                 *ctx, group, t=t, collect=collect, exclude=self.node))
 
-    def planned_reads(self, kind: str, group: int) -> dict:
-        """Per-node read bits of a sub-operation, re-derived from the
-        current placement; used only to attribute aborted reads."""
+    def planned_reads(self, kind: str, group: int) -> np.ndarray:
+        """(N,) read bits of a sub-operation, re-derived from the current
+        placement; used only to attribute aborted reads."""
         layout = self.layout
-        reads = {}
+        reads = np.zeros(layout.N, np.int64)
+        per_src = layout.flen
+        if kind == "generate":
+            per_src *= layout.r
+        else:
+            reads[group] += layout.r * layout.flen
         try:
-            if kind == "generate":
-                for j in range(layout.r):
-                    p = layout.phys_at(group, j)
-                    srcs = _pick_primary_sources(layout, group, p,
-                                                 self.node, layout.k)
-                    _add_reads(reads, srcs, layout.flen)
-            else:
-                _add_reads(reads, [group], layout.r * layout.flen)
-                srcs = _pick_primary_sources(layout, group,
-                                             layout.front_phys(group),
-                                             self.node, layout.k)
-                _add_reads(reads, srcs, layout.flen)
+            srcs = _pick_primary_sources(layout, group,
+                                         layout.front_phys(group),
+                                         self.node, layout.k)
+            reads[srcs] += per_src
         except DecodeError:
             log.warning("aborted sub-operation reads under-attributed: "
                         "sources already gone")
@@ -444,13 +442,11 @@ class _StepChain:
     def run(self, t0: float, t1: float) -> AdvancedStepRecord:
         """The whole chain at once: every sub-operation commits at t1 and
         the step's reads are metered as one stream over [t0, t1]."""
-        collect = {}
+        collect = np.zeros(self.layout.N, np.int64)
         for kind, group in iter(self.next_subop, None):
             self.commit(kind, group, t1, collect)
-        self.bitsRead = sum(collect.values())
-        record = self.finish(t1)
-        self.state.meter_read_spread(collect, t0, t1)
-        return record
+        self.bitsRead = self.state.meter_read_spread(collect, t0, t1)
+        return self.finish(t1)
 
 
 def advanced_repair_step(state: ClusterState, layout: GroupLayout,
@@ -471,9 +467,8 @@ def advanced_repair_step(state: ClusterState, layout: GroupLayout,
 
 
 def census(layout: GroupLayout) -> AdvancedInvariantWitness:
-    N, r = layout.N, layout.r
-    primaryOk = layout.P.reshape(N, -1).all(axis=1)
-    expected = layout.tri[layout.rot % r]
+    primaryOk = layout.P.all(axis=1)
+    expected = layout.tri[layout.rot % layout.r]
     helperOk = (layout.H == expected).all(axis=(1, 2))
     return AdvancedInvariantWitness(primaryOk=primaryOk, helperOk=helperOk)
 
@@ -488,19 +483,16 @@ def assert_advanced_invariant(layout: GroupLayout, minimum=None) -> None:
 
 def recoverable_census(layout: GroupLayout) -> bool:
     """True when every object still reaches its decode threshold."""
-    N = layout.N
-    full = layout.P.reshape(N, -1).all(axis=1)
-    if int(full.sum()) >= layout.k:
+    if int(np.count_nonzero(layout.P.all(axis=1))) >= layout.k:
         return True
-    per_object = (layout.P.sum(axis=0, dtype=np.int64)
+    per_object = (layout.P.sum(axis=0, dtype=np.int64)[:, None]
                   + layout.H.sum(axis=2, dtype=np.int64))
     return int(per_object.min()) >= layout.k
 
 
 def node_used_bits(layout: GroupLayout) -> np.ndarray:
-    N = layout.N
-    frags = (layout.P.reshape(N, -1).sum(axis=1, dtype=np.int64)
-             + layout.H.reshape(N, -1).sum(axis=1, dtype=np.int64))
+    frags = (layout.P.sum(axis=1, dtype=np.int64) * layout.r
+             + layout.H.reshape(layout.N, -1).sum(axis=1, dtype=np.int64))
     return frags * layout.flen
 
 
@@ -514,15 +506,11 @@ def check_advanced_sync(state: ClusterState, layout: GroupLayout,
     if layout.codec.backend != "byte":
         return
     for node in range(layout.N):
-        expected = set()
-        for g in range(layout.N):
-            for p in range(layout.r):
-                if layout.P[node, g, p]:
-                    expected.add(((g, p), rotation.primaryEfis[node]))
-        for p in range(layout.r):
-            for m in range(layout.r):
-                if layout.H[node, p, m]:
-                    expected.add(((node, p), rotation.helperEfis[m]))
+        expected = {((g, p), rotation.primaryEfis[node])
+                    for g in np.flatnonzero(layout.P[node]).tolist()
+                    for p in range(layout.r)}
+        expected |= {((node, p), rotation.helperEfis[m])
+                     for p, m in np.argwhere(layout.H[node]).tolist()}
         actual = set(state.nodes[node].fragments)
         if actual != expected:
             raise InvariantViolation(
@@ -657,10 +645,9 @@ class AdvancedPoissonRepairer:
         self.subop = None
         if sub.kind == "step":
             return self._end_step(self.chain.run(sub.t0, t), t)
-        collect = {}
+        collect = np.zeros(self.layout.N, np.int64)
         self.chain.commit(sub.kind, sub.group, t, collect)
-        self.state.meter_read_spread(collect, sub.t0, t)
-        self.chain.bitsRead += sum(collect.values())
+        self.chain.bitsRead += self.state.meter_read_spread(collect, sub.t0, t)
         return self._plan(t)
 
     def _start_step(self, t: float) -> None:
@@ -703,12 +690,6 @@ class AdvancedPoissonRepairer:
         if t <= sub.t0:
             return
         frac = min(1.0, (t - sub.t0) / (sub.t1 - sub.t0))
-        scaled = {}
-        for node, bits in self.chain.planned_reads(sub.kind,
-                                                   sub.group).items():
-            part = int(bits * frac + 0.5)
-            if part:
-                scaled[node] = part
-        if scaled:
-            self.state.meter_read_spread(scaled, sub.t0, t)
-            self.chain.bitsRead += sum(scaled.values())
+        planned = self.chain.planned_reads(sub.kind, sub.group)
+        scaled = (planned * frac + 0.5).astype(np.int64)
+        self.chain.bitsRead += self.state.meter_read_spread(scaled, sub.t0, t)

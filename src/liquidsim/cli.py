@@ -5,7 +5,8 @@ Scenario files are flat INI text.  All randomness flows from the single
 flags reproduces output byte for byte.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 invariant
-violation during a run.
+violation during a run.  Any other exception is a simulator bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -87,12 +88,19 @@ def load_scenario(path) -> tuple:
     lines = _key_lines(text)
     _reject_unknown(cp, lines, str(path))
 
+    def typed(get, section, key, **fallback):
+        try:
+            return get(section, key, **fallback)
+        except ValueError as e:     # a malformed value, not a missing one
+            raise ConfigError(f"{path}:{lines.get((section, key), '?')}: "
+                              f"'{key}' in [{section}]: {e}") from None
+
     if not cp.has_section("system"):
         raise ConfigError(f"{path}: missing [system] section")
-    N = cp.getint("system", "n")
-    clen = cp.getint("system", "clen")
-    vlen = cp.getint("system", "vlen", fallback=0)
-    lam = cp.getfloat("system", "lambda", fallback=0.0)
+    N = typed(cp.getint, "system", "n")
+    clen = typed(cp.getint, "system", "clen")
+    vlen = typed(cp.getint, "system", "vlen", fallback=0)
+    lam = typed(cp.getfloat, "system", "lambda", fallback=0.0)
 
     has_x = cp.has_option("system", "xlen")
     has_b = cp.has_option("system", "beta")
@@ -104,9 +112,9 @@ def load_scenario(path) -> tuple:
     if not has_x and not has_b:
         raise ConfigError(f"{path}: [system] needs 'xlen' or 'beta'")
     if has_x:
-        xlen = cp.getint("system", "xlen")
+        xlen = typed(cp.getint, "system", "xlen")
     else:
-        beta = cp.getfloat("system", "beta")
+        beta = typed(cp.getfloat, "system", "beta")
         if not 0.0 < beta < 1.0:
             raise ConfigError(f"{path}: beta must be in (0, 1)")
         xlen = round((1.0 - beta) * N) * clen
@@ -114,29 +122,26 @@ def load_scenario(path) -> tuple:
 
     kind = cp.get("repairer", "kind", fallback="liquid")
     variant = cp.get("repairer", "variant", fallback="periodic")
-    eps = EpsilonSet(cp.getfloat("repairer", "eps_c", fallback=0.1),
-                     cp.getfloat("repairer", "eps_d", fallback=0.1),
-                     cp.getfloat("repairer", "eps", fallback=0.1))
-    r = (cp.getint("repairer", "r")
-         if cp.has_option("repairer", "r") else None)
-    period = cp.getfloat("repairer", "period", fallback=1.0)
-    step_dur = (cp.getfloat("repairer", "step_duration")
-                if cp.has_option("repairer", "step_duration") else None)
+    eps = EpsilonSet(typed(cp.getfloat, "repairer", "eps_c", fallback=0.1),
+                     typed(cp.getfloat, "repairer", "eps_d", fallback=0.1),
+                     typed(cp.getfloat, "repairer", "eps", fallback=0.1))
+    r = typed(cp.getint, "repairer", "r", fallback=None)
+    period = typed(cp.getfloat, "repairer", "period", fallback=1.0)
+    step_dur = typed(cp.getfloat, "repairer", "step_duration", fallback=None)
 
     backend = cp.get("codec", "backend", fallback="auto")
 
-    failures = cp.getint("run", "failures", fallback=0)
-    trials = cp.getint("run", "trials", fallback=1)
-    seed = cp.getint("run", "seed", fallback=0)
-    peak = (cp.getfloat("run", "peak_window")
-            if cp.has_option("run", "peak_window") else None)
-    assert_every = cp.getint("run", "assert_every", fallback=1)
-    fault = cp.getboolean("run", "fault_injection", fallback=False)
+    failures = typed(cp.getint, "run", "failures", fallback=0)
+    trials = typed(cp.getint, "run", "trials", fallback=1)
+    seed = typed(cp.getint, "run", "seed", fallback=0)
+    peak = typed(cp.getfloat, "run", "peak_window", fallback=None)
+    assert_every = typed(cp.getint, "run", "assert_every", fallback=1)
+    fault = typed(cp.getboolean, "run", "fault_injection", fallback=False)
 
     out = OutputSpec(
         csv=cp.get("output", "csv", fallback="results.csv"),
         summary=cp.get("output", "summary", fallback="summary.jsonl"),
-        trace=cp.getboolean("output", "trace", fallback=False))
+        trace=typed(cp.getboolean, "output", "trace", fallback=False))
 
     scenario = Scenario(sysParams=sp, repairer=kind, variant=variant,
                         codecBackend=backend, eps=eps, failureCount=failures,
@@ -231,7 +236,10 @@ def cmd_run(args) -> int:
 
 
 def _beta_sweep(arg: str) -> int:
-    betas = [float(x) for x in arg.split(",") if x.strip()]
+    try:
+        betas = [float(x) for x in arg.split(",") if x.strip()]
+    except ValueError as e:
+        raise ConfigError(f"--sweep-beta: {e}") from None
     if not betas:
         raise ConfigError("empty sweep list")
     print(f"{'beta':>10} {'readRatio':>14} {'limit 1/(2b)':>14}")
@@ -307,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, configparser.Error, OSError, ValueError) as e:
+    except (ConfigError, configparser.Error, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except InvariantViolation as e:

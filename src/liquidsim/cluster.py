@@ -95,21 +95,25 @@ class ClusterState:
         self.now = max(self.now, t)
         return node.fragments[key]
 
-    def meter_read_spread(self, node_bits, t0: float, t1: float) -> None:
-        """Meter paced reads: node_bits is {nodeId: bits} streamed over [t0, t1].
+    def meter_read_spread(self, node_bits: np.ndarray, t0: float,
+                          t1: float) -> int:
+        """Meter paced reads: node_bits is an (N,) integer vector of bits
+        per node streamed over [t0, t1].  Returns the total metered.
 
         The caller is responsible for fragment presence; this only meters.
         """
         if t1 < t0:
             raise ConfigError("t1 must be >= t0")
-        total = 0
-        for node_id, bits in node_bits.items():
-            self.nodes[node_id].meter.bitsRead += bits
-            total += bits
+        readers = node_bits.nonzero()[0]
+        bits = node_bits[readers].tolist()
+        for node_id, b in zip(readers.tolist(), bits):
+            self.nodes[node_id].meter.bitsRead += b
+        total = sum(bits)
         self.phase_read[self.phase] += total
         if total:
             self.read_log.append((t0, t1, total))
         self.now = max(self.now, t1)
+        return total
 
     def meter_write_bulk(self, node_bits, t: float) -> None:
         """Meter writes without touching fragment storage.

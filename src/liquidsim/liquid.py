@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from . import erasure
 from .cluster import ClusterState
 from .errors import ConfigError, DecodeError, InvariantViolation
@@ -165,7 +167,9 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
         raise DecodeError(
             f"object {obj}: {len(frags)} fragments < k = {layout.k}")
     flen = layout.flen
-    state.meter_read_spread({e: flen for e in frags}, t0, t1)
+    reads = np.zeros(state.N, dtype=np.int64)
+    reads[list(frags)] = flen       # fragment e lives on node e
+    state.meter_read_spread(reads, t0, t1)
 
     if layout.codec.backend == "byte":
         data = erasure.decode(frags, layout.codec)

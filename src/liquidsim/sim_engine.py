@@ -215,8 +215,8 @@ class _AdvancedDriver:
                                           self.layout.k + self.counter.value)
 
     def inject_fault(self) -> None:
-        self.layout.P[0, 0, 0] = False
-        self.layout.P[1, 0, 0] = False
+        self.layout.H[0] = False
+        self.layout.H[1] = False
 
 
 def _make_driver(scenario: Scenario, streamId: int):

@@ -1,9 +1,12 @@
 """Helper-staircase repair: layout, per-op counts, rotation, Poisson driving."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liquidsim import advanced_liquid as adv
 from liquidsim import rng
@@ -38,7 +41,7 @@ def decode_all_from_primaries(state, layout, rotation):
         for p in range(layout.r):
             frags = {}
             for m in range(layout.N):
-                if layout.P[m, g, p]:
+                if layout.P[m, g]:
                     efi = rotation.primaryEfis[m]
                     frags[efi] = state.nodes[m].fragments[((g, p), efi)]
                     if len(frags) == layout.k:
@@ -101,6 +104,60 @@ class TestStore:
     def test_byte_needs_payload_rng(self):
         with pytest.raises(ConfigError):
             advanced_store(8, 19 * 8, 2, backend="byte")
+
+    def test_primary_placement_is_node_by_group(self):
+        _, layout, _ = advanced_store(1000, 246753, 222, backend="symbolic")
+        assert layout.P.shape == (1000, 1000)
+        assert layout.H.shape == (1000, 222, 222)
+
+
+def reference_pick(column, group, phys, exclude, need):
+    """The per-node loop the vectorised pick replaced."""
+    picked = []
+    for node, holds in enumerate(column):
+        if holds and node != exclude:
+            picked.append(node)
+            if len(picked) == need:
+                return picked
+    raise DecodeError(
+        f"object ({group},{phys}) has {len(picked)} primary sources, need {need}")
+
+
+@st.composite
+def pick_cases(draw):
+    N = draw(st.integers(2, 40))
+    column = np.array(draw(st.lists(st.booleans(), min_size=N, max_size=N)))
+    group = draw(st.integers(0, N - 1))
+    P = np.repeat(~column[:, None], N, axis=1)   # other groups: the opposite
+    P[:, group] = column
+    exclude = draw(st.one_of(st.none(), st.integers(0, N - 1)))
+    need = draw(st.integers(1, N))
+    return P, group, draw(st.integers(0, 7)), exclude, need
+
+
+class TestPickPrimarySources:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(pick_cases())
+    def test_matches_reference_loop(self, case):
+        P, group, phys, exclude, need = case
+        layout = SimpleNamespace(P=P)
+        try:
+            want = reference_pick(P[:, group], group, phys, exclude, need)
+        except DecodeError as e:
+            with pytest.raises(DecodeError) as got:
+                adv._pick_primary_sources(layout, group, phys, exclude, need)
+            assert str(got.value) == str(e)
+            return
+        got = adv._pick_primary_sources(layout, group, phys, exclude, need)
+        assert got.tolist() == want
+
+    def test_short_column_message(self):
+        P = np.ones((6, 6), dtype=bool)
+        P[[1, 4], 2] = False
+        with pytest.raises(DecodeError,
+                           match=r"^object \(2,5\) has 3 primary sources, "
+                                 r"need 4$"):
+            adv._pick_primary_sources(SimpleNamespace(P=P), 2, 5, 0, 4)
 
 
 class TestOpCounts:
@@ -180,7 +237,7 @@ class TestStandaloneOps:
         assert counts == (2, 2)
         assert state.nodes[6].usedBits == donor_before - 2 * layout.flen
         assert state.nodes[4].usedBits == target_before + 2 * layout.flen
-        assert layout.P[4, 6, :].all() and not layout.H[6, :, 0].any()
+        assert layout.P[4, 6] and not layout.H[6, :, 0].any()
 
     def test_move_from_freshly_failed_donor_raises(self):
         state, layout, rotation = byte_cluster(N=8, r=2)

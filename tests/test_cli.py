@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from liquidsim import sim_engine
+from liquidsim import cli, sim_engine
 from liquidsim.cli import dump_config, load_scenario, main
+from liquidsim.errors import ConfigError
 from liquidsim.sim_engine import CSV_HEADER
 
 LIQUID_PERIODIC = """\
@@ -134,6 +135,30 @@ class TestCmdRun:
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize("old,new", [
+        ("N = 10", "N = ten"),
+        ("seed = 5", "seed = 5.5"),
+        ("beta = 0.2", "beta = a fifth"),
+        ("[run]", "[run]\nfault_injection = maybe"),
+    ], ids=["int", "int_from_float", "float", "bool"])
+    def test_malformed_value_exit_two(self, tmp_path, capsys, old, new):
+        f = scenario_file(tmp_path, LIQUID_PERIODIC.replace(old, new))
+        key = new.split("=")[0].split("\n")[-1].strip().lower()
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_scenario(f)
+        assert main(["run", "--scenario", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err
+
+    def test_simulator_value_error_is_not_a_config_error(self, tmp_path,
+                                                          monkeypatch):
+        def broken(*a, **kw):
+            raise ValueError("simulator bug")
+        monkeypatch.setattr(sim_engine, "run_experiment", broken)
+        f = scenario_file(tmp_path, LIQUID_PERIODIC)
+        with pytest.raises(ValueError, match="simulator bug"):
+            main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")])
+
     def test_fault_injection_exit_three(self, tmp_path, capsys):
         text = LIQUID_PERIODIC.replace("[run]", "[run]\nfault_injection = on")
         f = scenario_file(tmp_path, text)
@@ -157,7 +182,9 @@ class TestCmdRun:
         assert ((tmp_path / "a" / "results.csv").read_bytes()
                 == (tmp_path / "b" / "results.csv").read_bytes())
 
-    def test_jobs_do_not_change_output(self, tmp_path):
+    def test_jobs_do_not_change_output(self, tmp_path, monkeypatch):
+        # two workers are allowed on any host, one CPU included
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         f = scenario_file(tmp_path, ADVANCED_POISSON)
         for d, jobs in (("j1", "1"), ("j2", "2")):
             assert main(["run", "--scenario", str(f), "--out",
@@ -223,3 +250,7 @@ class TestCmdBounds:
 
     def test_sweep_rejects_out_of_range(self, capsys):
         assert main(["bounds", "--sweep-beta", "0.7"]) == 2
+
+    def test_sweep_rejects_non_number(self, capsys):
+        assert main(["bounds", "--sweep-beta", "0.1,x"]) == 2
+        assert "--sweep-beta" in capsys.readouterr().err

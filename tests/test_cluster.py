@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from liquidsim import erasure, rng
@@ -187,7 +188,7 @@ class TestMeterWindow:
         c.store_fragment(0, "a", 0, b"x", 8, t=0.0)
         for t in range(1, 6):
             c.read_fragment(0, "a", 0, t=float(t))
-        c.meter_read_spread({0: 40}, t0=6.0, t1=8.0)
+        c.meter_read_spread(np.array([40, 0, 0, 0]), t0=6.0, t1=8.0)
         assert sum(b for (_, _, b) in c.read_log) == c.phase_read["repair"]
 
     def test_window_wider_than_span(self):
