@@ -15,14 +15,19 @@ Both failure models run one chain of sub-operations per failure
 whole chain at once, the Poisson variant paces each sub-operation at the
 proof's read rate.  Slack is a counter capped at b (1 periodic): failures
 decrement it, completed steps increment it.  A census of nodes holding
-their full primary complement and exactly the staircase pattern witnesses
+their full primary complement and their full staircase witnesses
 recoverability; it keeps at least k + counter members while the counter
 stays non-negative.
 
 Placement is numpy arrays: a node holds the primaries of a whole group or
-none, so primaries are an (N, N) bool array.  Reads accumulate in an (N,)
-int64 vector per sub-operation.  The fault-injection hook clears the
-staircases of nodes 0 and 1, which fails the census but not recovery.
+none, so primaries are an (N, N) bool array.  An anchor's staircase is one
+integer, helperLo: the anchor holds helper roles helperLo..j of the object
+at position j.  Between events it takes one of three values: 0, the full
+staircase; 1, front helpers donated (a move committed and the update after
+it could not pick its sources); r, no helpers (after a wipe, a failure or
+the fault hook).  Reads accumulate in an (N,) int64 vector per
+sub-operation.  The fault-injection hook drops the staircases of nodes 0
+and 1, which fails the census but not recovery.
 """
 
 from __future__ import annotations
@@ -47,16 +52,6 @@ log = logging.getLogger(__name__)
 class OpCounts(NamedTuple):
     fragmentReads: int
     fragmentWrites: int
-
-
-@dataclass
-class AdvancedInvariantWitness:
-    """Census outcome: which nodes satisfy each storage bullet."""
-    primaryOk: np.ndarray   # (N,) bool, full primary complement present
-    helperOk: np.ndarray    # (N,) bool, staircase matches the expected pattern
-
-    def members(self) -> list:
-        return np.flatnonzero(self.primaryOk & self.helperOk).tolist()
 
 
 @dataclass
@@ -112,8 +107,9 @@ class GroupLayout:
     codec: erasure.CodecParams
     rot: np.ndarray         # (N,) int64, completed rotations per group
     P: np.ndarray           # (N, N) bool: node holds the primaries of group g
-    H: np.ndarray           # (N, r, r) bool: anchor holds helper m of (anchor, phys)
-    tri: np.ndarray         # (r, r, r) bool staircase patterns indexed by rot % r
+    # (N,) int64: anchor g holds helper roles helperLo[g]..j of the object
+    # at position j; 0 full staircase, 1 front helpers donated, r none
+    helperLo: np.ndarray
     sources: Optional[dict] = None   # byte backend: (group, phys) -> object bytes
 
     def front_phys(self, group: int) -> int:
@@ -140,14 +136,6 @@ def r_for_target_overhead(N: int, beta: float) -> int:
     if not 0.0 < beta < 1.0:
         raise ConfigError("beta must be in (0, 1)")
     return max(1, round(2.0 * beta * N / (1.0 - beta)))
-
-
-def _staircase_patterns(r: int) -> np.ndarray:
-    tri = np.zeros((r, r, r), dtype=bool)
-    for v in range(r):
-        for p in range(r):
-            tri[v, p, : (p - v) % r + 1] = True
-    return tri
 
 
 def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
@@ -183,12 +171,11 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
     codec = erasure.make_codec(N + r, k, flen, backend=backend)
 
     state = ClusterState(N=N, capacity=clen)
-    tri = _staircase_patterns(r)
     layout = GroupLayout(N=N, r=r, k=k, flen=flen, clen=clen, beta=beta,
                          variant=variant, counterCap=cap, codec=codec,
                          rot=np.zeros(N, dtype=np.int64),
                          P=np.ones((N, N), dtype=bool),
-                         H=np.tile(tri[0], (N, 1, 1)), tri=tri)
+                         helperLo=np.zeros(N, dtype=np.int64))
     rotation = EfiRotation(primaryEfis=list(range(N)),
                            helperEfis=list(range(N, N + r)))
 
@@ -269,7 +256,7 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
                                      layout.flen, t=t)
     else:
         state.meter_write_bulk({group: writes * layout.flen}, t=t)
-    layout.H[group] |= layout.tri[layout.rot[group] % r]
+    layout.helperLo[group] = 0
     if collect is None:
         state.meter_read_spread(reads, t, t)
     return OpCounts(layout.k * r, writes)
@@ -285,7 +272,7 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
     """
     if t is None:
         t = state.now
-    if not layout.H[fromNode, :, 0].all():
+    if layout.helperLo[fromNode] != 0:
         raise MissingFragmentError(
             f"node {fromNode} lacks position-0 helpers to donate")
     reads = np.zeros(layout.N, np.int64) if collect is None else collect
@@ -304,7 +291,7 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
     else:
         state.meter_write_bulk({toNode: layout.r * layout.flen}, t=t)
     layout.P[toNode, fromNode] = True
-    layout.H[fromNode, :, 0] = False
+    layout.helperLo[fromNode] = 1
     if collect is None:
         state.meter_read_spread(reads, t, t)
     return OpCounts(layout.r, layout.r)
@@ -319,11 +306,14 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
     Requires an in-flight step on rotation: the new back object's helpers
     take the post-step labels, ending with the repaired node's old primary
     label.  The other objects already hold exactly the helpers their new
-    position needs, one label down from where they sat before.
+    position needs, one label down from where they sat before.  An anchor
+    without its staircase (helperLo > 1) has nothing to shift.
     """
     if t is None:
         t = state.now
     r = layout.r
+    if layout.helperLo[group] > 1:
+        raise MissingFragmentError(f"node {group} holds no staircase to update")
     p0 = layout.front_phys(group)
     srcs = _pick_primary_sources(layout, group, p0, exclude, layout.k)
     reads = np.zeros(layout.N, np.int64) if collect is None else collect
@@ -337,10 +327,8 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
                                  layout.flen, t=t)
     else:
         state.meter_write_bulk({group: r * layout.flen}, t=t)
-    layout.H[group, :, : r - 1] = layout.H[group, :, 1:]
-    layout.H[group, :, r - 1] = False
     layout.rot[group] += 1
-    layout.H[group, p0, :] = True
+    layout.helperLo[group] = 0
     if collect is None:
         state.meter_read_spread(reads, t, t)
     return OpCounts(layout.k, r)
@@ -352,14 +340,14 @@ def _wipe_node(state, layout, node) -> None:
     for object_id, efi in list(store.fragments):
         state.delete_fragment(node, object_id, efi)
     layout.P[node] = False
-    layout.H[node] = False
+    layout.helperLo[node] = layout.r
 
 
 def advanced_fail_node(state: ClusterState, layout: GroupLayout, t: float,
                        node: int) -> None:
     state.fail_node(node, t)
     layout.P[node] = False
-    layout.H[node] = False
+    layout.helperLo[node] = layout.r
 
 
 class _StepChain:
@@ -393,7 +381,7 @@ class _StepChain:
         group = len(self.counts["move"])
         if group == self.layout.N:
             return None
-        has_front = self.layout.H[group, :, 0].all()
+        has_front = self.layout.helperLo[group] == 0
         return ("moveupdate" if has_front else "generate"), group
 
     def commit(self, kind: str, group: int, t: float,
@@ -466,19 +454,25 @@ def advanced_repair_step(state: ClusterState, layout: GroupLayout,
     return _StepChain(state, layout, rotation, failedNode, t0).run(t0, t1)
 
 
-def census(layout: GroupLayout) -> AdvancedInvariantWitness:
-    primaryOk = layout.P.all(axis=1)
-    expected = layout.tri[layout.rot % layout.r]
-    helperOk = (layout.H == expected).all(axis=(1, 2))
-    return AdvancedInvariantWitness(primaryOk=primaryOk, helperOk=helperOk)
+def census(layout: GroupLayout) -> list:
+    """Witness members: nodes with every group's primaries and their full
+    staircase."""
+    return np.flatnonzero(layout.P.all(axis=1)
+                          & (layout.helperLo == 0)).tolist()
 
 
 def assert_advanced_invariant(layout: GroupLayout, minimum=None) -> None:
     """Require at least `minimum` witness members (all N by default)."""
-    got = len(census(layout).members())
+    got = len(census(layout))
     need = layout.N if minimum is None else minimum
     if got < need:
         raise InvariantViolation(f"witness set has {got} members, need {need}")
+
+
+def helper_counts(layout: GroupLayout) -> np.ndarray:
+    """(N, r) int64: helpers anchor g holds of object (g, phys)."""
+    position = (np.arange(layout.r) - layout.rot[:, None]) % layout.r
+    return np.maximum(position + 1 - layout.helperLo[:, None], 0)
 
 
 def recoverable_census(layout: GroupLayout) -> bool:
@@ -486,13 +480,13 @@ def recoverable_census(layout: GroupLayout) -> bool:
     if int(np.count_nonzero(layout.P.all(axis=1))) >= layout.k:
         return True
     per_object = (layout.P.sum(axis=0, dtype=np.int64)[:, None]
-                  + layout.H.sum(axis=2, dtype=np.int64))
+                  + helper_counts(layout))
     return int(per_object.min()) >= layout.k
 
 
 def node_used_bits(layout: GroupLayout) -> np.ndarray:
     frags = (layout.P.sum(axis=1, dtype=np.int64) * layout.r
-             + layout.H.reshape(layout.N, -1).sum(axis=1, dtype=np.int64))
+             + helper_counts(layout).sum(axis=1))
     return frags * layout.flen
 
 
@@ -505,12 +499,15 @@ def check_advanced_sync(state: ClusterState, layout: GroupLayout,
     """
     if layout.codec.backend != "byte":
         return
+    counts = helper_counts(layout).tolist()
     for node in range(layout.N):
         expected = {((g, p), rotation.primaryEfis[node])
                     for g in np.flatnonzero(layout.P[node]).tolist()
                     for p in range(layout.r)}
+        lo = int(layout.helperLo[node])
         expected |= {((node, p), rotation.helperEfis[m])
-                     for p, m in np.argwhere(layout.H[node]).tolist()}
+                     for p, c in enumerate(counts[node])
+                     for m in range(lo, lo + c)}
         actual = set(state.nodes[node].fragments)
         if actual != expected:
             raise InvariantViolation(

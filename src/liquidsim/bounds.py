@@ -29,11 +29,11 @@ class SystemParams:
     def __post_init__(self):
         if self.N < 2:
             raise ConfigError("need at least 2 nodes")
-        if self.clen <= 0:
+        if not self.clen > 0:
             raise ConfigError("clen must be positive")
         if not 0 <= self.xlen <= self.N * self.clen:
             raise ConfigError("xlen outside [0, N*clen]")
-        if self.vlen < 0 or self.lam < 0:
+        if not self.vlen >= 0 or not self.lam >= 0:
             raise ConfigError("vlen and lam must be non-negative")
 
     @property

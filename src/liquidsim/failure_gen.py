@@ -26,7 +26,7 @@ class FailureSeq:
 
 
 def gen_periodic(period: float, count: int, rng, N: int) -> FailureSeq:
-    if period <= 0:
+    if not period > 0:
         raise ConfigError("period must be positive")
     times = (np.arange(1, count + 1, dtype=np.float64)) * period
     ids = rng.integers(0, N, size=count, dtype=np.int64)
@@ -35,7 +35,7 @@ def gen_periodic(period: float, count: int, rng, N: int) -> FailureSeq:
 
 def gen_poisson(lam: float, N: int, count: int, rng) -> FailureSeq:
     """Exponential interarrival gaps at aggregate rate lam*N."""
-    if lam <= 0:
+    if not lam > 0:
         raise ConfigError("lam must be positive")
     gaps = rng.exponential(scale=1.0 / (lam * N), size=count)
     times = np.cumsum(gaps)

@@ -59,15 +59,15 @@ class Scenario:
             raise ConfigError(f"unknown repairer {self.repairer!r}")
         if self.variant not in ("periodic", "poisson"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.variant == "poisson" and self.sysParams.lam <= 0:
+        if self.variant == "poisson" and not self.sysParams.lam > 0:
             raise ConfigError("poisson variant needs lam > 0")
         if self.failureCount < 0 or self.trials < 1:
             raise ConfigError("need failureCount >= 0 and trials >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.period <= 0:
+        if not self.period > 0:
             raise ConfigError("period must be positive")
-        if self.peakWindow is not None and self.peakWindow <= 0:
+        if self.peakWindow is not None and not self.peakWindow > 0:
             raise ConfigError("peakWindow must be positive")
         if self.stepDuration is not None and not self.stepDuration > 0:
             raise ConfigError("stepDuration must be positive (inf disables)")
@@ -215,8 +215,7 @@ class _AdvancedDriver:
                                           self.layout.k + self.counter.value)
 
     def inject_fault(self) -> None:
-        self.layout.H[0] = False
-        self.layout.H[1] = False
+        self.layout.helperLo[:2] = self.layout.r
 
 
 def _make_driver(scenario: Scenario, streamId: int):

@@ -121,6 +121,31 @@ def test_criterion_4_advanced_large_n_asymptotics():
           f"write ratio {write_ratio:.4f} in {dt:.1f}s")
 
 
+def test_advanced_asymptotics_at_n_10000():
+    # Criterion 4's check one decade further: N=10^4, r=2222 (beta ~ 0.1),
+    # one periodic failure, symbolic.  Reads and writes within 10% of
+    # (1+2b)/(2b)*clen and (2-b)*clen, b the store's own overhead.
+    N = 10_000
+    r = adv.r_for_target_overhead(N, 0.1)
+    assert r == 2222
+    clen = r * N + r * (r + 1) // 2
+    beta = (r + 3) / (2 * N + r + 1)
+    sp = SystemParams(N=N, clen=clen, xlen=round((1 - beta) * N) * clen)
+    sc = Scenario(sysParams=sp, repairer="advancedLiquid",
+                  variant="periodic", codecBackend="symbolic", advancedR=r,
+                  failureCount=1, seed=17)
+    t0 = time.monotonic()
+    res = run_trial(sc, 0)
+    dt = time.monotonic() - t0
+    assert res.recoverableThroughout
+    read_ratio = res.totalBitsRead / ((1 + 2 * beta) / (2 * beta) * clen)
+    write_ratio = res.totalBitsWritten / ((2 - beta) * clen)
+    assert 0.9 < read_ratio < 1.1
+    assert 0.9 < write_ratio < 1.1
+    print(f"N=10^4: PASS read ratio {read_ratio:.4f}, "
+          f"write ratio {write_ratio:.4f} in {dt:.1f}s")
+
+
 def test_criterion_5_poisson_liquid_structural_safety():
     # N=100, beta=0.2, eps=0.2 (18 objects, slack cap 3), lam*N=1,
     # 100 trials x 1e4 failures.  (a) the counter detector and the census

@@ -2,10 +2,11 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liquidsim import advanced_liquid as adv
@@ -69,7 +70,7 @@ class TestStore:
 
     def test_store_is_census_clean_and_recoverable(self):
         state, layout, rotation = byte_cluster()
-        assert census(layout).members() == list(range(8))
+        assert census(layout) == list(range(8))
         assert recoverable_census(layout)
         assert_advanced_invariant(layout)
         check_advanced_sync(state, layout, rotation)
@@ -108,7 +109,7 @@ class TestStore:
     def test_primary_placement_is_node_by_group(self):
         _, layout, _ = advanced_store(1000, 246753, 222, backend="symbolic")
         assert layout.P.shape == (1000, 1000)
-        assert layout.H.shape == (1000, 222, 222)
+        assert layout.helperLo.shape == (1000,)
 
 
 def reference_pick(column, group, phys, exclude, need):
@@ -184,7 +185,7 @@ class TestOpCounts:
     def test_step_restores_full_invariant(self):
         state, layout, rotation = symbolic_cluster(N=20, r=4)
         advanced_fail_node(state, layout, 1.0, 7)
-        assert len(census(layout).members()) == 19
+        assert len(census(layout)) == 19
         advanced_repair_step(state, layout, rotation, 7, t0=1.0, t1=2.0)
         assert_advanced_invariant(layout)
         assert (node_used_bits(layout) == layout.clen).all()
@@ -224,7 +225,7 @@ class TestStandaloneOps:
         assert counts == (layout.k * 2, 3)
         assert state.phase_read["repair"] == counts.fragmentReads * layout.flen
         assert state.phase_written["repair"] == counts.fragmentWrites * layout.flen
-        assert layout.H[4, :, 0].all()
+        assert layout.helperLo[4] == 0
 
     def test_move_conserves_used_bits(self):
         state, layout, rotation = byte_cluster(N=8, r=2)
@@ -237,7 +238,7 @@ class TestStandaloneOps:
         assert counts == (2, 2)
         assert state.nodes[6].usedBits == donor_before - 2 * layout.flen
         assert state.nodes[4].usedBits == target_before + 2 * layout.flen
-        assert layout.P[4, 6] and not layout.H[6, :, 0].any()
+        assert layout.P[4, 6] and layout.helperLo[6] == 1
 
     def test_move_from_freshly_failed_donor_raises(self):
         state, layout, rotation = byte_cluster(N=8, r=2)
@@ -246,6 +247,14 @@ class TestStandaloneOps:
         rotation.begin_step(4)
         with pytest.raises(MissingFragmentError):
             move_helpers(state, layout, rotation, 6, 4, t=1.3)
+
+    def test_update_on_wiped_anchor_raises(self):
+        state, layout, rotation = byte_cluster(N=8, r=2)
+        advanced_fail_node(state, layout, 1.0, 2)
+        rotation.begin_step(4)
+        with pytest.raises(MissingFragmentError, match="node 2 holds no"):
+            update_helpers(state, layout, rotation, 2, t=1.0)
+        assert layout.helperLo[2] == layout.r and layout.rot[2] == 0
 
     def test_update_requires_in_flight_step(self):
         state, layout, rotation = byte_cluster(N=8, r=2)
@@ -268,6 +277,114 @@ class TestStandaloneOps:
         assert_advanced_invariant(layout)
         check_advanced_sync(state, layout, rotation)
         decode_all_from_primaries(state, layout, rotation)
+
+
+class DenseStaircases:
+    """The (N, r, r) bool model the helperLo integer replaced: H[g, p, m]
+    is True when anchor g holds helper role m of object (g, p)."""
+
+    def __init__(self, N, r):
+        self.r = r
+        self.tri = np.zeros((r, r, r), dtype=bool)
+        for v in range(r):
+            for p in range(r):
+                self.tri[v, p, : (p - v) % r + 1] = True
+        self.H = np.tile(self.tri[0], (N, 1, 1))
+
+    def generate(self, g, rot):
+        self.H[g] |= self.tri[rot % self.r]
+
+    def move(self, g):
+        self.H[g, :, 0] = False
+
+    def update(self, g, p0):
+        self.H[g, :, : self.r - 1] = self.H[g, :, 1:]
+        self.H[g, :, self.r - 1] = False
+        self.H[g, p0, :] = True
+
+    def wipe(self, g):
+        self.H[g] = False
+
+
+def assert_matches_dense(layout, dense):
+    N, r, k = layout.N, layout.r, layout.k
+    roles = np.arange(r)
+    position = (roles[None, :] - layout.rot[:, None]) % r
+    expanded = ((roles >= layout.helperLo[:, None, None])
+                & (roles <= position[:, :, None]))
+    assert np.array_equal(expanded, dense.H)
+    P, H = layout.P, dense.H
+    assert np.array_equal(adv.helper_counts(layout), H.sum(axis=2))
+    intact = (H == dense.tri[layout.rot % r]).all(axis=(1, 2))
+    assert census(layout) == np.flatnonzero(P.all(axis=1) & intact).tolist()
+    per_object = P.sum(axis=0)[:, None] + H.sum(axis=2)
+    assert recoverable_census(layout) == bool(
+        np.count_nonzero(P.all(axis=1)) >= k or per_object.min() >= k)
+    assert np.array_equal(node_used_bits(layout),
+                          (P.sum(axis=1) * r + H.reshape(N, -1).sum(axis=1))
+                          * layout.flen)
+
+
+@st.composite
+def staircase_runs(draw):
+    N = draw(st.integers(2, 12))
+    r = draw(st.integers(1, 6))
+    eps = draw(st.sampled_from([0.0, 0.4, 0.8]))
+    op = st.tuples(st.sampled_from(["fail", "generate", "moveupdate",
+                                    "movestall"]),
+                   st.integers(0, N - 1), st.integers(0, N - 1))
+    return N, r, eps, draw(st.lists(op, max_size=30))
+
+
+class TestStaircaseAgainstDenseModel:
+    """helperLo with rot must expand to exactly the staircases the dense
+    (N, r, r) rules produce, including the front-donated state that only a
+    stalled update leaves behind."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(staircase_runs())
+    def test_ops_match_dense_rules(self, run):
+        N, r, eps, ops = run
+        try:
+            state, layout, _ = symbolic_cluster(
+                N=N, r=r, variant="poisson" if eps else "periodic", eps=eps)
+        except (ConfigError, InvariantViolation):
+            assume(False)
+        dense = DenseStaircases(N, r)
+        assert_matches_dense(layout, dense)
+        for t, (kind, a, b) in enumerate(ops, start=1):
+            rotation = adv.EfiRotation(list(range(N)),
+                                       list(range(N, N + r)), pendingNode=b)
+            ctx = (state, layout, rotation)
+            if kind == "fail":
+                advanced_fail_node(state, layout, float(t), a)
+                dense.wipe(a)
+            elif kind == "generate":
+                try:
+                    generate_helpers(*ctx, a, t=float(t), exclude=b)
+                    dense.generate(a, layout.rot[a])
+                except DecodeError:
+                    pass
+            elif not dense.H[a, :, 0].all():
+                with pytest.raises(MissingFragmentError):
+                    move_helpers(*ctx, a, b, t=float(t))
+            else:
+                move_helpers(*ctx, a, b, t=float(t))
+                dense.move(a)
+                if kind == "movestall":
+                    with mock.patch.object(adv, "_pick_primary_sources",
+                                           side_effect=DecodeError("forced")):
+                        with pytest.raises(DecodeError):
+                            update_helpers(*ctx, a, t=float(t), exclude=b)
+                    assert layout.helperLo[a] == 1
+                else:
+                    p0 = layout.front_phys(a)
+                    try:
+                        update_helpers(*ctx, a, t=float(t), exclude=b)
+                        dense.update(a, p0)
+                    except DecodeError:
+                        pass
+            assert_matches_dense(layout, dense)
 
 
 class TestPeriodicRandomChurn:
@@ -312,7 +429,7 @@ class TestPeriodicThroughRepairer:
             got = rep.on_subop_complete(t + 0.5)
             assert got == want
             assert rep.idle and rep.counter.value == 1
-            for name in ("P", "H", "rot"):
+            for name in ("P", "helperLo", "rot"):
                 assert np.array_equal(getattr(p_layout, name),
                                       getattr(s_layout, name))
             assert p_rot == s_rot
@@ -445,7 +562,7 @@ class TestPoissonProtocol:
         while rec is None:
             rec = rep.on_subop_complete(rep.next_completion())
         assert rec.futile
-        assert 5 not in census(layout).members()
+        assert 5 not in census(layout)
         # oldest broken node is 5 itself, so its repair starts again
         assert rep.chain.node == 5
 
@@ -522,4 +639,4 @@ class TestPoissonProtocol:
 
 def self_check(layout, rep, k):
     if rep.counter.value >= 0:
-        assert len(census(layout).members()) >= k + rep.counter.value
+        assert len(census(layout)) >= k + rep.counter.value

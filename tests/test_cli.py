@@ -150,6 +150,26 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"'{key}'" in err
 
+    @pytest.mark.parametrize("edits,message", [
+        ([("[repairer]", "[repairer]\nperiod = nan")],
+         "period must be positive"),
+        ([("beta = 0.2", "beta = 0.2\nlambda = nan"),
+          ("variant = periodic", "variant = poisson")],
+         "lam must be non-negative"),
+        ([("[run]", "[run]\npeak_window = nan")],
+         "peakWindow must be positive"),
+    ], ids=["period", "lambda", "peak_window"])
+    def test_nan_value_exit_two(self, tmp_path, capsys, edits, message):
+        text = LIQUID_PERIODIC
+        for old, new in edits:
+            text = text.replace(old, new)
+        f = scenario_file(tmp_path, text)
+        assert main(["run", "--scenario", str(f), "--out",
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_simulator_value_error_is_not_a_config_error(self, tmp_path,
                                                           monkeypatch):
         def broken(*a, **kw):

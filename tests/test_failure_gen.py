@@ -14,8 +14,16 @@ def test_periodic_times():
 
 def test_periodic_rejects_bad_period():
     r = rng.stream(1)
-    with pytest.raises(ConfigError):
-        failure_gen.gen_periodic(0.0, 4, r, N=10)
+    for period in (0.0, float("nan")):
+        with pytest.raises(ConfigError):
+            failure_gen.gen_periodic(period, 4, r, N=10)
+
+
+def test_poisson_rejects_bad_rate():
+    r = rng.stream(1)
+    for lam in (0.0, float("nan")):
+        with pytest.raises(ConfigError):
+            failure_gen.gen_poisson(lam, 10, 4, r)
 
 
 def test_poisson_mean_gap():

@@ -213,11 +213,13 @@ class TestFaultInjection:
             run_trial(liquid_periodic(M=10, faultInjection=True), 0)
 
     def test_advanced_periodic_faults(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation,
+                           match="^witness set has 7 members, need 9$"):
             run_trial(advanced_periodic(M=10, faultInjection=True), 0)
 
     def test_advanced_poisson_faults(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation,
+                           match="^witness set has 37 members, need 39$"):
             run_trial(advanced_poisson(M=40, faultInjection=True), 0)
 
 
