@@ -37,7 +37,7 @@ from .bounds import (
     supermartingale_tail,
 )
 from .failure_gen import FailureSeq, gen_periodic, gen_poisson
-from .erasure import CodecParams, decode, encode, make_codec, regenerate
+from .erasure import CodecParams, decode, encode, make_codec
 from .cluster import ClusterState
 from .liquid import (
     LiquidLayout,
@@ -95,7 +95,6 @@ __all__ = [
     "decode",
     "encode",
     "make_codec",
-    "regenerate",
     "ClusterState",
     "LiquidLayout",
     "RepairCounter",

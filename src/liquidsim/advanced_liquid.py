@@ -196,7 +196,8 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
             if node.usedBits != clen:
                 raise InvariantViolation(f"node {nid} stored {node.usedBits} bits")
     else:
-        state.meter_write_bulk({m: clen for m in range(N)}, t=0.0)
+        for m in range(N):
+            state.meter_write_bulk(m, clen, t=0.0)
     return state, layout, rotation
 
 
@@ -255,7 +256,7 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
                 state.store_fragment(group, (group, p), e, frags[e],
                                      layout.flen, t=t)
     else:
-        state.meter_write_bulk({group: writes * layout.flen}, t=t)
+        state.meter_write_bulk(group, writes * layout.flen, t=t)
     layout.helperLo[group] = 0
     if collect is None:
         state.meter_read_spread(reads, t, t)
@@ -289,7 +290,7 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
             if fromNode != toNode:
                 state.delete_fragment(fromNode, obj, donated)
     else:
-        state.meter_write_bulk({toNode: layout.r * layout.flen}, t=t)
+        state.meter_write_bulk(toNode, layout.r * layout.flen, t=t)
     layout.P[toNode, fromNode] = True
     layout.helperLo[fromNode] = 1
     if collect is None:
@@ -326,7 +327,7 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
             state.store_fragment(group, (group, p0), e, frags[e],
                                  layout.flen, t=t)
     else:
-        state.meter_write_bulk({group: r * layout.flen}, t=t)
+        state.meter_write_bulk(group, r * layout.flen, t=t)
     layout.rot[group] += 1
     layout.helperLo[group] = 0
     if collect is None:

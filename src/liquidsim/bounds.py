@@ -33,8 +33,8 @@ class SystemParams:
             raise ConfigError("clen must be positive")
         if not 0 <= self.xlen <= self.N * self.clen:
             raise ConfigError("xlen outside [0, N*clen]")
-        if not self.vlen >= 0 or not self.lam >= 0:
-            raise ConfigError("vlen and lam must be non-negative")
+        if not self.vlen >= 0 or not 0 <= self.lam < math.inf:
+            raise ConfigError("vlen and lam must be non-negative, lam finite")
 
     @property
     def beta(self) -> float:

@@ -1,33 +1,28 @@
-"""Cluster state: node fragment stores, interface meters, census.
+"""Cluster state: node fragment stores and the interface meters.
 
 Meters are the measurement surface of the whole simulator, so their
 semantics are strict: every read and write of fragment data is metered at
-the node interface where it crosses, reads can be spread over an interval
-(paced repairers) or instantaneous, and failing a node erases its data but
-never its meters.  Storer traffic lands in a separate phase bucket so that
-repair-traffic totals stay clean.
+the node interface where it crosses, and failing a node erases its data but
+never its meters.  Three meters are kept: two (N,) vectors of bits read and
+written per node, totals per phase (storer traffic lands in its own phase
+bucket so that repair-traffic totals stay clean), and read_log, which
+records when repair reads happened, spread over an interval for paced
+repairers or as an instant, for the peak-rate window.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, InvariantViolation, MissingFragmentError
 
 
-@dataclass
-class InterfaceMeter:
-    bitsRead: int = 0
-    bitsWritten: int = 0
-
-
 class NodeStore:
     """One node: capacity-bounded map (objectId, efi) -> payload."""
 
-    __slots__ = ("nodeId", "capacity", "fragments", "flens", "usedBits", "meter")
+    __slots__ = ("nodeId", "capacity", "fragments", "flens", "usedBits")
 
     def __init__(self, node_id: int, capacity: int):
         self.nodeId = node_id
@@ -35,7 +30,6 @@ class NodeStore:
         self.fragments: dict = {}
         self.flens: dict = {}
         self.usedBits = 0
-        self.meter = InterfaceMeter()
 
 
 class ClusterState:
@@ -47,12 +41,13 @@ class ClusterState:
         self.nodes = [NodeStore(i, capacity) for i in range(N)]
         self.now = 0.0
         self.phase = "store"
+        # per-node interface meters; failures never reset them
+        self.nodeBitsRead = np.zeros(N, dtype=np.int64)
+        self.nodeBitsWritten = np.zeros(N, dtype=np.int64)
         # phase -> totals; the repair read log feeds the peak-rate window
         self.phase_read: dict = {"store": 0, "repair": 0}
         self.phase_written: dict = {"store": 0, "repair": 0}
         self.read_log: list = []  # (t0, t1, bits) spread entries, t0 == t1 for impulses
-        # objectId -> {efi: set of holder node ids}; census source of truth
-        self.object_index: dict = {}
 
     def begin_phase(self, phase: str) -> None:
         if phase not in self.phase_read:
@@ -65,76 +60,51 @@ class ClusterState:
                        flen: int, t: float) -> None:
         node = self.nodes[node_id]
         key = (object_id, efi)
-        overwrite = key in node.fragments
-        if not overwrite:
+        if key not in node.fragments:
             if node.usedBits + flen > node.capacity:
                 raise CapacityError(
                     f"node {node_id}: {node.usedBits}+{flen} exceeds {node.capacity}")
             node.usedBits += flen
-            holders = self.object_index.setdefault(object_id, {})
-            holders.setdefault(efi, set()).add(node_id)
         elif node.flens[key] != flen:
             raise ConfigError("overwrite must keep fragment length")
         node.fragments[key] = payload
         node.flens[key] = flen
-        node.meter.bitsWritten += flen
+        self.nodeBitsWritten[node_id] += flen
         self.phase_written[self.phase] += flen
         self.now = max(self.now, t)
         if node.usedBits > node.capacity:
             raise InvariantViolation(f"node {node_id} over capacity")
 
-    def read_fragment(self, node_id: int, object_id, efi: int, t: float):
-        node = self.nodes[node_id]
-        key = (object_id, efi)
-        if key not in node.fragments:
-            raise MissingFragmentError((node_id, object_id, efi))
-        flen = node.flens[key]
-        node.meter.bitsRead += flen
-        self.phase_read[self.phase] += flen
-        self.read_log.append((t, t, flen))
-        self.now = max(self.now, t)
-        return node.fragments[key]
-
     def meter_read_spread(self, node_bits: np.ndarray, t0: float,
                           t1: float) -> int:
         """Meter paced reads: node_bits is an (N,) integer vector of bits
-        per node streamed over [t0, t1].  Returns the total metered.
+        per node streamed over [t0, t1], or read at once when t0 == t1.
+        Returns the total metered.
 
         The caller is responsible for fragment presence; this only meters.
         """
         if t1 < t0:
             raise ConfigError("t1 must be >= t0")
-        readers = node_bits.nonzero()[0]
-        bits = node_bits[readers].tolist()
-        for node_id, b in zip(readers.tolist(), bits):
-            self.nodes[node_id].meter.bitsRead += b
-        total = sum(bits)
+        self.nodeBitsRead += node_bits
+        total = int(node_bits.sum())
         self.phase_read[self.phase] += total
         if total:
             self.read_log.append((t0, t1, total))
         self.now = max(self.now, t1)
         return total
 
-    def meter_write_bulk(self, node_bits, t: float) -> None:
-        """Meter writes without touching fragment storage.
+    def meter_write_bulk(self, node_id: int, bits: int, t: float) -> None:
+        """Meter writes to one node without touching fragment storage.
 
         Symbolic placements track fragment presence in their own arrays;
         this keeps the per-node and per-phase write meters honest for them.
         """
-        total = 0
-        for node_id, bits in node_bits.items():
-            self.nodes[node_id].meter.bitsWritten += bits
-            total += bits
-        self.phase_written[self.phase] += total
+        self.nodeBitsWritten[node_id] += bits
+        self.phase_written[self.phase] += bits
         self.now = max(self.now, t)
 
     def fail_node(self, node_id: int, t: float) -> None:
         node = self.nodes[node_id]
-        for (object_id, efi) in node.fragments:
-            holders = self.object_index[object_id]
-            holders[efi].discard(node_id)
-            if not holders[efi]:
-                del holders[efi]
         node.fragments.clear()
         node.flens.clear()
         node.usedBits = 0  # meters intentionally retained
@@ -148,46 +118,8 @@ class ClusterState:
             raise MissingFragmentError((node_id, object_id, efi))
         node.usedBits -= node.flens.pop(key)
         del node.fragments[key]
-        holders = self.object_index[object_id]
-        holders[efi].discard(node_id)
-        if not holders[efi]:
-            del holders[efi]
 
-    # -- census and meters -------------------------------------------------
-
-    def distinct_counts(self) -> dict:
-        return {obj: len(c) for obj, c in self.object_index.items()}
-
-    def recoverable(self, k: int, codec=None, retained=None) -> bool:
-        """Every known object has >= k distinct EFIs.
-
-        With a byte codec and retained source data, additionally decode each
-        object from its stored fragments and bit-compare.
-        """
-        for obj, holders in self.object_index.items():
-            if len(holders) < k:
-                return False
-        if codec is not None and codec.backend == "byte":
-            if retained is None:
-                raise ConfigError("byte census needs retained source data")
-            from . import erasure
-            for obj, source in retained.items():
-                frags = self.gather_fragments(obj, k)
-                if erasure.decode(frags, codec) != source:
-                    raise InvariantViolation(f"object {obj} decodes to wrong bytes")
-        return True
-
-    def gather_fragments(self, object_id, k: int) -> dict:
-        """Up to k distinct-EFI payloads for an object, preferring low EFIs.
-        Bookkeeping access, not metered."""
-        out = {}
-        holders = self.object_index.get(object_id, {})
-        for efi in sorted(holders):
-            if len(out) == k:
-                break
-            node_id = min(holders[efi])  # deterministic pick
-            out[efi] = self.nodes[node_id].fragments[(object_id, efi)]
-        return out
+    # -- audits and windows ------------------------------------------------
 
     def assert_capacity(self) -> None:
         for node in self.nodes:

@@ -146,8 +146,3 @@ def decode(fragments, params: CodecParams):
     used.update(zip(missing, S))
     return b"".join(used[j] for j in range(k))
 
-
-def regenerate(fragments, target_efi: int, params: CodecParams):
-    """Rebuild one fragment from any k others: encode(decode(...), {target})."""
-    obj = decode(fragments, params)
-    return encode(obj, [target_efi], params)[int(target_efi)]

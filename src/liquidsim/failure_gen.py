@@ -7,6 +7,7 @@ happens strictly after 0.  Each failure hits an independent uniform node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class FailureSeq:
 
 
 def gen_periodic(period: float, count: int, rng, N: int) -> FailureSeq:
-    if not period > 0:
-        raise ConfigError("period must be positive")
+    if not 0 < period < math.inf:
+        raise ConfigError("period must be positive and finite")
     times = (np.arange(1, count + 1, dtype=np.float64)) * period
     ids = rng.integers(0, N, size=count, dtype=np.int64)
     return FailureSeq(times=times, ids=ids, N=N)
@@ -35,8 +36,8 @@ def gen_periodic(period: float, count: int, rng, N: int) -> FailureSeq:
 
 def gen_poisson(lam: float, N: int, count: int, rng) -> FailureSeq:
     """Exponential interarrival gaps at aggregate rate lam*N."""
-    if not lam > 0:
-        raise ConfigError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ConfigError("lam must be positive and finite")
     gaps = rng.exponential(scale=1.0 / (lam * N), size=count)
     times = np.cumsum(gaps)
     # a zero-width gap is measure-zero but possible in floats; nudge so the

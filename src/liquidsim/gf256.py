@@ -174,12 +174,3 @@ def inv_matrix(A: np.ndarray) -> np.ndarray:
         a ^= MUL[f[:, None], a[col]]
     return a[:, k:].copy()
 
-
-def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A @ S = B over GF(256); A is (k,k), B is (k,L).
-
-    The solution is unique over a field, so inverting the small A and
-    multiplying through the wide B is byte-identical to eliminating on B
-    directly, and far cheaper when L >> k.
-    """
-    return matmul(inv_matrix(A), B.astype(np.uint8))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -153,6 +153,22 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
     return state, layout
 
 
+def _gather_fragments(state: ClusterState, layout: LiquidLayout, obj) -> dict:
+    """The k lowest-EFI payloads of an object, EFI e from node e.
+    Bookkeeping access, not metered."""
+    efis = sorted(layout.perObjectEfis[obj])[: layout.k]
+    if len(efis) < layout.k:
+        raise DecodeError(
+            f"object {obj}: {len(efis)} fragments < k = {layout.k}")
+    frags = {}
+    for e in efis:
+        stored = state.nodes[e].fragments
+        if (obj, e) not in stored:
+            raise InvariantViolation(f"EFI map out of sync at node {e}")
+        frags[e] = stored[(obj, e)]
+    return frags
+
+
 def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
                        t0: float, t1: float) -> StepRecord:
     """Repair the front object: read k fragments, rewrite what is missing.
@@ -162,10 +178,7 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
     EFIs (source fragments first, cheapest decode).
     """
     obj = layout.objectOrder[0]
-    frags = state.gather_fragments(obj, layout.k)
-    if len(frags) < layout.k:
-        raise DecodeError(
-            f"object {obj}: {len(frags)} fragments < k = {layout.k}")
+    frags = _gather_fragments(state, layout, obj)
     flen = layout.flen
     reads = np.zeros(state.N, dtype=np.int64)
     reads[list(frags)] = flen       # fragment e lives on node e
@@ -243,15 +256,3 @@ def assert_liquid_invariant(layout: LiquidLayout, slack: int) -> None:
             raise InvariantViolation(
                 f"position {j} object {obj}: {have} < "
                 f"{layout.k} + {slack} + {j} fragments")
-
-
-def check_layout_sync(state: ClusterState, layout: LiquidLayout) -> None:
-    """Full cross-check of the layout mirror against cluster ground truth."""
-    for obj, efis in layout.perObjectEfis.items():
-        holders = state.object_index.get(obj, {})
-        if set(holders) != efis:
-            raise InvariantViolation(f"object {obj} EFI mirror out of sync")
-        for e in efis:
-            if holders[e] != {e}:
-                raise InvariantViolation(
-                    f"object {obj} EFI {e} stored off its home node")

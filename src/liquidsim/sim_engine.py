@@ -65,10 +65,10 @@ class Scenario:
             raise ConfigError("need failureCount >= 0 and trials >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
-        if not self.period > 0:
-            raise ConfigError("period must be positive")
-        if self.peakWindow is not None and not self.peakWindow > 0:
-            raise ConfigError("peakWindow must be positive")
+        if not 0 < self.period < math.inf:
+            raise ConfigError("period must be positive and finite")
+        if self.peakWindow is not None and not 0 < self.peakWindow < math.inf:
+            raise ConfigError("peakWindow must be positive and finite")
         if self.stepDuration is not None and not self.stepDuration > 0:
             raise ConfigError("stepDuration must be positive (inf disables)")
         if self.assertEvery < 1:

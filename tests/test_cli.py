@@ -158,7 +158,15 @@ class TestCmdRun:
          "lam must be non-negative"),
         ([("[run]", "[run]\npeak_window = nan")],
          "peakWindow must be positive"),
-    ], ids=["period", "lambda", "peak_window"])
+        ([("[repairer]", "[repairer]\nperiod = inf")],
+         "period must be positive and finite"),
+        ([("beta = 0.2", "beta = 0.2\nlambda = inf"),
+          ("variant = periodic", "variant = poisson")],
+         "lam must be non-negative, lam finite"),
+        ([("[run]", "[run]\npeak_window = inf")],
+         "peakWindow must be positive and finite"),
+    ], ids=["period", "lambda", "peak_window", "period_inf", "lambda_inf",
+            "peak_window_inf"])
     def test_nan_value_exit_two(self, tmp_path, capsys, edits, message):
         text = LIQUID_PERIODIC
         for old, new in edits:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cluster_oracles import holders, recoverable
 from liquidsim import erasure, rng
 from liquidsim.cluster import ClusterState, _CumulativeReads
 from liquidsim.errors import (CapacityError, ConfigError, InvariantViolation,
@@ -13,14 +14,22 @@ def small_cluster(N=4, capacity=100):
     return ClusterState(N=N, capacity=capacity)
 
 
+def at(N, node, bits):
+    """An (N,) read vector with bits at one node."""
+    v = np.zeros(N, dtype=np.int64)
+    v[node] = bits
+    return v
+
+
 class TestStoreReadFail:
     def test_store_and_read(self):
         c = small_cluster()
         c.store_fragment(0, "x0", 3, b"abc", 24, t=0.0)
         assert c.nodes[0].usedBits == 24
-        assert c.read_fragment(0, "x0", 3, t=1.0) == b"abc"
-        assert c.nodes[0].meter.bitsRead == 24
-        assert c.nodes[0].meter.bitsWritten == 24
+        assert c.nodes[0].fragments[("x0", 3)] == b"abc"
+        assert c.meter_read_spread(at(4, 0, 24), 1.0, 1.0) == 24
+        assert c.nodeBitsRead.tolist() == [24, 0, 0, 0]
+        assert c.nodeBitsWritten.tolist() == [24, 0, 0, 0]
 
     def test_capacity_hard_error(self):
         c = small_cluster(capacity=50)
@@ -33,8 +42,8 @@ class TestStoreReadFail:
         c.store_fragment(1, "a", 0, b"x", 16, t=0.0)
         c.store_fragment(1, "a", 0, b"y", 16, t=1.0)
         assert c.nodes[1].usedBits == 16  # unchanged
-        assert c.nodes[1].meter.bitsWritten == 32  # both writes metered
-        assert c.read_fragment(1, "a", 0, t=2.0) == b"y"
+        assert c.nodeBitsWritten[1] == 32  # both writes metered
+        assert c.nodes[1].fragments[("a", 0)] == b"y"
 
     def test_overwrite_length_change_rejected(self):
         c = small_cluster()
@@ -45,18 +54,19 @@ class TestStoreReadFail:
     def test_missing_fragment(self):
         c = small_cluster()
         with pytest.raises(MissingFragmentError):
-            c.read_fragment(0, "nope", 0, t=0.0)
+            c.delete_fragment(0, "nope", 0)
 
     def test_fail_node_erases_data_keeps_meters(self):
         c = small_cluster()
         c.store_fragment(2, "a", 0, b"x", 8, t=0.0)
-        c.read_fragment(2, "a", 0, t=0.5)
+        c.meter_read_spread(at(4, 2, 8), 0.5, 0.5)
         c.fail_node(2, t=1.0)
         assert c.nodes[2].usedBits == 0
         assert not c.nodes[2].fragments
-        assert c.nodes[2].meter.bitsRead == 8  # temporal erasure only
+        assert c.nodeBitsRead[2] == 8  # temporal erasure only
+        assert c.nodeBitsWritten[2] == 8
         with pytest.raises(MissingFragmentError):
-            c.read_fragment(2, "a", 0, t=2.0)
+            c.delete_fragment(2, "a", 0)
 
     def test_node_count_stable(self):
         c = small_cluster(N=4)
@@ -66,10 +76,10 @@ class TestStoreReadFail:
     def test_delete_is_unmetered(self):
         c = small_cluster()
         c.store_fragment(0, "a", 0, b"x", 8, t=0.0)
-        before = c.nodes[0].meter.bitsRead + c.nodes[0].meter.bitsWritten
+        before = (c.nodeBitsRead.copy(), c.nodeBitsWritten.copy())
         c.delete_fragment(0, "a", 0)
-        after = c.nodes[0].meter.bitsRead + c.nodes[0].meter.bitsWritten
-        assert before == after
+        assert np.array_equal(c.nodeBitsRead, before[0])
+        assert np.array_equal(c.nodeBitsWritten, before[1])
         assert c.nodes[0].usedBits == 0
 
 
@@ -77,23 +87,31 @@ class TestMeterExactness:
     def test_meter_counts_exactly_requested(self):
         c = small_cluster(N=8, capacity=10_000)
         g = rng.stream(1)
-        expect_read = {i: 0 for i in range(8)}
-        expect_written = {i: 0 for i in range(8)}
-        stored = []
+        expect_read = [0] * 8
+        expect_written = [0] * 8
         for step in range(300):
             node = int(g.integers(0, 8))
-            if stored and g.random() < 0.5:
-                n2, obj, efi, ln = stored[int(g.integers(0, len(stored)))]
-                c.read_fragment(n2, obj, efi, t=float(step))
-                expect_read[n2] += ln
+            u = g.random()
+            if u < 0.4:
+                reads = g.integers(0, 3, 8) * 8 * g.integers(0, 2, 8)
+                t0 = float(step)
+                assert c.meter_read_spread(reads, t0, t0 + u) == reads.sum()
+                for i in range(8):
+                    expect_read[i] += int(reads[i])
+            elif u < 0.7:
+                ln = 8 * int(g.integers(1, 4))
+                c.meter_write_bulk(node, ln, t=float(step))
+                expect_written[node] += ln
             else:
                 obj, efi, ln = f"o{step}", int(g.integers(0, 5)), 8 * int(g.integers(1, 4))
                 c.store_fragment(node, obj, efi, bytes(ln // 8), ln, t=float(step))
                 expect_written[node] += ln
-                stored.append((node, obj, efi, ln))
-        for i in range(8):
-            assert c.nodes[i].meter.bitsRead == expect_read[i]
-            assert c.nodes[i].meter.bitsWritten == expect_written[i]
+            if g.random() < 0.05:
+                c.fail_node(node, t=float(step))
+        assert c.nodeBitsRead.tolist() == expect_read
+        assert c.nodeBitsWritten.tolist() == expect_written
+        assert c.phase_read["store"] == sum(expect_read)
+        assert c.phase_written["store"] == sum(expect_written)
 
     def test_phase_buckets(self):
         c = small_cluster()
@@ -113,24 +131,31 @@ class TestMeterExactness:
 
 
 class TestCensus:
+    """The node-store oracles the liquid tests check their layouts with."""
+
     def test_distinct_counts(self):
         c = small_cluster()
         c.store_fragment(0, "a", 0, None, 8, t=0.0)
         c.store_fragment(1, "a", 1, None, 8, t=0.0)
         c.store_fragment(2, "a", 1, None, 8, t=0.0)  # duplicate EFI elsewhere
-        assert c.distinct_counts() == {"a": 2}
+        assert holders(c) == {"a": {0: {0}, 1: {1, 2}}}
         c.fail_node(1, t=1.0)
-        assert c.distinct_counts() == {"a": 2}  # node 2 still holds EFI 1
+        assert holders(c) == {"a": {0: {0}, 1: {2}}}  # node 2 still holds EFI 1
+        assert recoverable(c, k=2, objects=["a"])
         c.fail_node(2, t=2.0)
-        assert c.distinct_counts() == {"a": 1}
+        assert holders(c) == {"a": {0: {0}}}
+        assert not recoverable(c, k=2, objects=["a"])
 
     def test_recoverable_structural(self):
         c = small_cluster()
         for e in range(3):
             c.store_fragment(e, "a", e, None, 8, t=0.0)
-        assert c.recoverable(k=3)
+        assert recoverable(c, k=3, objects=["a"])
         c.fail_node(0, t=1.0)
-        assert not c.recoverable(k=3)
+        assert not recoverable(c, k=3, objects=["a"])
+        for e in (1, 2):
+            c.fail_node(e, t=2.0)
+        assert not recoverable(c, k=1, objects=["a"])  # nothing left at all
 
     def test_recoverable_byte_decode(self):
         p = erasure.make_codec(4, 2, 16, backend="byte")
@@ -139,11 +164,11 @@ class TestCensus:
         c = small_cluster()
         for e in range(4):
             c.store_fragment(e, "a", e, frags[e], 16, t=0.0)
-        assert c.recoverable(k=2, codec=p, retained={"a": obj})
+        assert recoverable(c, k=2, objects=["a"], codec=p, retained={"a": obj})
         # corrupt a stored payload; decode census must catch it
         c.nodes[0].fragments[("a", 0)] = b"\xff\xff"
         with pytest.raises(InvariantViolation):
-            c.recoverable(k=2, codec=p, retained={"a": obj})
+            recoverable(c, k=2, objects=["a"], codec=p, retained={"a": obj})
 
 
 class TestMeterWindow:
@@ -152,7 +177,7 @@ class TestMeterWindow:
         c.begin_phase("repair")
         c.store_fragment(0, "a", 0, b"xx", 16, t=0.0)
         for t in (1.0, 2.0, 3.0, 4.0):
-            c.read_fragment(0, "a", 0, t=t)
+            c.meter_read_spread(at(4, 0, 16), t, t)
         bits, written, avg, peak = c.meter_window(0.0, 4.0, window=4.0)
         assert bits == 64
         assert avg == 16.0
@@ -187,7 +212,7 @@ class TestMeterWindow:
         c.begin_phase("repair")
         c.store_fragment(0, "a", 0, b"x", 8, t=0.0)
         for t in range(1, 6):
-            c.read_fragment(0, "a", 0, t=float(t))
+            c.meter_read_spread(at(4, 0, 8), float(t), float(t))
         c.meter_read_spread(np.array([40, 0, 0, 0]), t0=6.0, t1=8.0)
         assert sum(b for (_, _, b) in c.read_log) == c.phase_read["repair"]
 

@@ -103,10 +103,10 @@ class TestField:
             S = g.integers(0, 256, (k, 8)).astype(np.uint8)
             B = gf256.matmul(A, S)
             try:
-                got = gf256.solve(A, B)
+                Ainv = gf256.inv_matrix(A)
             except np.linalg.LinAlgError:
                 continue  # random matrix may be singular; that is fine
-            assert np.array_equal(got, S)
+            assert np.array_equal(gf256.matmul(Ainv, B), S)
         A = g.integers(0, 256, (5, 5)).astype(np.uint8)
         A[3] = A[1]
         with pytest.raises(np.linalg.LinAlgError):
@@ -181,7 +181,8 @@ class TestByteCodec:
         for target in range(10):
             sources = {e: frags[e] for e in range(10) if e != target}
             keep = dict(list(sources.items())[:6])
-            assert erasure.regenerate(keep, target, p) == frags[target]
+            rebuilt = erasure.encode(erasure.decode(keep, p), [target], p)
+            assert rebuilt[target] == frags[target]
 
     def test_wrong_length_fragment(self):
         p = erasure.make_codec(6, 4, 32, backend="byte")

@@ -14,14 +14,14 @@ def test_periodic_times():
 
 def test_periodic_rejects_bad_period():
     r = rng.stream(1)
-    for period in (0.0, float("nan")):
+    for period in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             failure_gen.gen_periodic(period, 4, r, N=10)
 
 
 def test_poisson_rejects_bad_rate():
     r = rng.stream(1)
-    for lam in (0.0, float("nan")):
+    for lam in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             failure_gen.gen_poisson(lam, 10, 4, r)
 

@@ -2,12 +2,13 @@ import math
 
 import pytest
 
+from cluster_oracles import check_layout_sync, recoverable
 from liquidsim import liquid, rng
 from liquidsim.errors import ConfigError, DecodeError, InvariantViolation
 from liquidsim.liquid import (RepairCounter, StepSchedule,
-                              assert_liquid_invariant, check_layout_sync,
-                              liquid_on_failure, liquid_on_step_complete,
-                              liquid_repair_step, liquid_store)
+                              assert_liquid_invariant, liquid_on_failure,
+                              liquid_on_step_complete, liquid_repair_step,
+                              liquid_store)
 
 
 def store_periodic(N=10, beta=0.2, clen=100, backend="symbolic"):
@@ -23,7 +24,7 @@ class TestStore:
         assert lay.perObjectEfis[0] == set(range(9))
         assert len(lay.perObjectEfis[1]) == 10
         assert lay.flen == 50
-        assert state.recoverable(k=8)
+        assert recoverable(state, k=8, objects=lay.perObjectEfis)
         check_layout_sync(state, lay)
 
     def test_fragment_lives_on_matching_node(self):
@@ -112,7 +113,14 @@ class TestRepairStep:
             efis.discard(0)
         liquid_repair_step(state, lay, t0=1.0, t1=2.0)
         assert state.nodes[0].fragments[(0, 0)] == lay.tables[0][0]
-        assert state.recoverable(k=6, codec=lay.codec, retained=lay.sources)
+        assert recoverable(state, k=6, objects=lay.perObjectEfis,
+                           codec=lay.codec, retained=lay.sources)
+
+    def test_efi_map_out_of_sync_raises(self):
+        state, lay = store_periodic(N=10, beta=0.2, clen=100)
+        state.delete_fragment(2, 0, 2)  # layout still lists EFI 2
+        with pytest.raises(InvariantViolation, match="node 2"):
+            liquid_repair_step(state, lay, t0=0.0, t1=1.0)
 
     def test_byte_needs_payload_rng(self):
         with pytest.raises(ConfigError):

@@ -33,8 +33,8 @@ def liquid_poisson(N=20, beta=0.3, clen=1600, M=300, lam=0.05, eps=0.4, **kw):
     return Scenario(**args)
 
 
-def advanced_periodic(N=10, r=2, M=30, **kw):
-    clen = r * N + r * (r + 1) // 2
+def advanced_periodic(N=10, r=2, M=30, clen=None, **kw):
+    clen = clen or r * N + r * (r + 1) // 2
     F = round((r + 3) / (2 * N + r + 1) * N)
     sp = SystemParams(N=N, clen=clen, xlen=N * clen - F * clen + 1)
     args = dict(sysParams=sp, repairer="advancedLiquid", variant="periodic",
@@ -44,8 +44,8 @@ def advanced_periodic(N=10, r=2, M=30, **kw):
     return Scenario(**args)
 
 
-def advanced_poisson(N=40, r=8, eps=0.3, M=150, **kw):
-    clen = r * N + r * (r + 1) // 2
+def advanced_poisson(N=40, r=8, eps=0.3, M=150, clen=None, **kw):
+    clen = clen or r * N + r * (r + 1) // 2
     b = int(eps / 2 * N + 1e-9) + 1
     F = round((r + 1 + 2 * b) / (2 * N + r + 1) * N)
     sp = SystemParams(N=N, clen=clen, xlen=N * clen - F * clen + 1,
@@ -221,6 +221,26 @@ class TestFaultInjection:
         with pytest.raises(InvariantViolation,
                            match="^witness set has 37 members, need 39$"):
             run_trial(advanced_poisson(M=40, faultInjection=True), 0)
+
+
+class TestBackendAgreement:
+    """The byte and symbolic codecs drive identical trials: decoding real
+    payloads changes no placement, meter or event."""
+
+    @pytest.mark.parametrize("make", [
+        lambda **kw: liquid_periodic(N=10, beta=0.2, clen=160, **kw),
+        lambda **kw: liquid_poisson(N=10, beta=0.2, clen=160, lam=0.05,
+                                    eps=0.4, stepDuration=1.0, **kw),
+        lambda **kw: advanced_periodic(N=8, r=2, clen=152, **kw),
+        lambda **kw: advanced_poisson(N=40, r=8, clen=2848, eps=0.9, **kw),
+    ], ids=["liquid_periodic", "liquid_poisson", "advanced_periodic",
+            "advanced_poisson"])
+    def test_byte_matches_symbolic(self, make):
+        for seed in range(6):
+            results = [run_trial(make(M=30, seed=seed, codecBackend=backend), 0)
+                       for backend in ("byte", "symbolic")]
+            assert results[0].perStepTrace
+            assert results[0] == results[1]
 
 
 class TestExperiment:
