@@ -19,15 +19,23 @@ their full primary complement and their full staircase witnesses
 recoverability; it keeps at least k + counter members while the counter
 stays non-negative.
 
-Placement is numpy arrays: a node holds the primaries of a whole group or
-none, so primaries are an (N, N) bool array.  An anchor's staircase is one
-integer, helperLo: the anchor holds helper roles helperLo..j of the object
-at position j.  Between events it takes one of three values: 0, the full
-staircase; 1, front helpers donated (a move committed and the update after
-it could not pick its sources); r, no helpers (after a wipe, a failure or
-the fault hook).  Reads accumulate in an (N,) int64 vector per
-sub-operation.  The fault-injection hook drops the staircases of nodes 0
-and 1, which fails the census but not recovery.
+Placement is (N,) numpy arrays, so one step is O(N) work.  A node holds
+the primaries of a whole group or none, and the groups it holds form one
+run: node n holds groups heldLo[n]..heldHi[n]-1.  Stores start full, a
+wipe or a failure empties the row, and a move extends the target's run by
+its one group.  An anchor's staircase is one integer, helperLo: the anchor
+holds helper roles helperLo..j of the object at position j.  Between
+events it takes one of three values: 0, the full staircase; 1, front
+helpers donated (a move committed and the update after it could not pick
+its sources); r, no helpers (after a wipe, a failure or the fault hook).
+Census, recoverability and used bits are closed forms of these arrays.
+
+A source pick depends only on the group's holder set outside the target,
+which changes at the run ends of other rows or when a row is cleared.  A
+chain keeps its last pick while neither happens, and reads for a repeated
+pick add up as one scalar weight; a periodic step makes one pick, not N.
+The fault-injection hook drops the staircases of nodes 0 and 1, which
+fails the census but not recovery.
 """
 
 from __future__ import annotations
@@ -73,10 +81,13 @@ class EfiRotation:
             raise InvariantViolation("a repair step is already in flight")
         self.pendingNode = node
 
-    def new_helper_efis(self) -> list:
-        """Helper labels once the in-flight step commits."""
+    def require_step(self) -> None:
         if self.pendingNode is None:
             raise InvariantViolation("no repair step in flight")
+
+    def new_helper_efis(self) -> list:
+        """Helper labels once the in-flight step commits."""
+        self.require_step()
         return self.helperEfis[1:] + [self.primaryEfis[self.pendingNode]]
 
     def commit_step(self) -> None:
@@ -106,10 +117,14 @@ class GroupLayout:
     counterCap: int
     codec: erasure.CodecParams
     rot: np.ndarray         # (N,) int64, completed rotations per group
-    P: np.ndarray           # (N, N) bool: node holds the primaries of group g
+    # (N,) int64 each: node n holds the primaries of groups heldLo[n] to
+    # heldHi[n] - 1; an empty row is (0, 0)
+    heldLo: np.ndarray
+    heldHi: np.ndarray
     # (N,) int64: anchor g holds helper roles helperLo[g]..j of the object
     # at position j; 0 full staircase, 1 front helpers donated, r none
     helperLo: np.ndarray
+    rowClears: int = 0      # rows emptied so far; a cached source pick keys on it
     sources: Optional[dict] = None   # byte backend: (group, phys) -> object bytes
 
     def front_phys(self, group: int) -> int:
@@ -174,7 +189,8 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
     layout = GroupLayout(N=N, r=r, k=k, flen=flen, clen=clen, beta=beta,
                          variant=variant, counterCap=cap, codec=codec,
                          rot=np.zeros(N, dtype=np.int64),
-                         P=np.ones((N, N), dtype=bool),
+                         heldLo=np.zeros(N, dtype=np.int64),
+                         heldHi=np.full(N, N, dtype=np.int64),
                          helperLo=np.zeros(N, dtype=np.int64))
     rotation = EfiRotation(primaryEfis=list(range(N)),
                            helperEfis=list(range(N, N + r)))
@@ -204,13 +220,69 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
 def _pick_primary_sources(layout, group, phys, exclude, need) -> np.ndarray:
     """The first `need` primary holders of the group in ascending node
     order, skipping exclude; phys only names the object in the error."""
-    holders = layout.P[:, group].nonzero()[0]
+    held = (layout.heldLo <= group) & (group < layout.heldHi)
     if exclude is not None:
-        holders = holders[holders != exclude]
+        held[exclude] = False
+    holders = np.flatnonzero(held)
     if len(holders) < need:
         raise DecodeError(f"object ({group},{phys}) has {len(holders)} "
                           f"primary sources, need {need}")
     return holders[:need]
+
+
+def _holder_span(layout, group, exclude) -> tuple:
+    """[lo, hi): the groups around `group` whose holders, exclude aside,
+    are the same: no run of another row starts or ends inside."""
+    lo, hi = layout.heldLo, layout.heldHi
+    partial = (lo < hi) & ((lo > 0) | (hi < layout.N))
+    if exclude is not None:
+        partial[exclude] = False
+    cuts = np.concatenate((lo[partial], hi[partial]))
+    return (int(cuts[cuts <= group].max(initial=0)),
+            int(cuts[cuts > group].min(initial=layout.N)))
+
+
+class _Reads:
+    """Read bits of one metering window: an (N,) vector plus the last
+    source pick, whose reads add up as one scalar weight.
+
+    The pick is reused while the group stays inside its holder span and no
+    row has been cleared.  That is exact as long as, between picks, only the
+    excluded row grows, as in a step chain, whose moves all go to its
+    excluded target.
+    """
+
+    def __init__(self, layout: GroupLayout):
+        self.layout = layout
+        self.vector = np.zeros(layout.N, np.int64)
+        self.srcs = None
+        self.weight = 0
+        self.key = None         # (exclude, need, rowClears, lo, hi) of srcs
+
+    def add_sources(self, group, phys, exclude, need, bits) -> np.ndarray:
+        """Pick `need` primary sources of the group and charge each bits."""
+        layout, key = self.layout, self.key
+        if (key is None or key[:3] != (exclude, need, layout.rowClears)
+                or not key[3] <= group < key[4]):
+            self._flush()
+            self.srcs = _pick_primary_sources(layout, group, phys, exclude,
+                                              need)
+            self.key = (exclude, need, layout.rowClears,
+                        *_holder_span(layout, group, exclude))
+        self.weight += bits
+        return self.srcs
+
+    def _flush(self) -> None:
+        if self.weight:
+            self.vector[self.srcs] += self.weight
+            self.weight = 0
+
+    def take(self) -> np.ndarray:
+        """The window's (N,) read vector; the next window starts at zero
+        and keeps the pick."""
+        self._flush()
+        out, self.vector = self.vector, np.zeros(self.layout.N, np.int64)
+        return out
 
 
 def _decode_object(state, layout, rotation, group, phys, srcs):
@@ -234,17 +306,15 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
 
     Decodes each of the r group objects from k primary fragments (the
     same k nodes for all of them) and writes helpers 0..j for the object at
-    position j.  Reads accumulate into the (N,) vector collect for the
-    caller to meter; with collect=None they are metered here as an impulse
-    at t.
+    position j.  Reads accumulate into collect, a _Reads the caller meters;
+    with collect=None they are metered here as an impulse at t.
     """
     if t is None:
         t = state.now
     r = layout.r
-    reads = np.zeros(layout.N, np.int64) if collect is None else collect
-    srcs = _pick_primary_sources(layout, group, layout.front_phys(group),
-                                 exclude, layout.k)
-    reads[srcs] += r * layout.flen
+    reads = _Reads(layout) if collect is None else collect
+    srcs = reads.add_sources(group, layout.front_phys(group), exclude,
+                             layout.k, r * layout.flen)
     writes = r * (r + 1) // 2
     if layout.codec.backend == "byte":
         for j in range(r):
@@ -259,7 +329,7 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
         state.meter_write_bulk(group, writes * layout.flen, t=t)
     layout.helperLo[group] = 0
     if collect is None:
-        state.meter_read_spread(reads, t, t)
+        state.meter_read_spread(reads.take(), t, t)
     return OpCounts(layout.k * r, writes)
 
 
@@ -269,15 +339,28 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
     """Hand every position-0 helper of fromNode's group to toNode, where
     the donated fragments take over the primary role.
 
-    fromNode == toNode relabels in place; the copy is still metered.
+    fromNode == toNode relabels in place; the copy is still metered.  The
+    group joins toNode's run of held groups; a group that would split the
+    run raises InvariantViolation before anything is written.
     """
     if t is None:
         t = state.now
     if layout.helperLo[fromNode] != 0:
         raise MissingFragmentError(
             f"node {fromNode} lacks position-0 helpers to donate")
-    reads = np.zeros(layout.N, np.int64) if collect is None else collect
-    reads[fromNode] += layout.r * layout.flen
+    lo, hi = int(layout.heldLo[toNode]), int(layout.heldHi[toNode])
+    if lo == hi:
+        lo, hi = fromNode, fromNode + 1
+    elif fromNode == hi:
+        hi += 1
+    elif fromNode == lo - 1:
+        lo -= 1
+    elif not lo <= fromNode < hi:
+        raise InvariantViolation(
+            f"node {toNode} holds groups {lo}..{hi - 1}; group {fromNode} "
+            f"would split the run")
+    reads = _Reads(layout) if collect is None else collect
+    reads.vector[fromNode] += layout.r * layout.flen
     donated = rotation.helperEfis[0]
     if layout.codec.backend == "byte":
         for p in range(layout.r):
@@ -291,10 +374,10 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
                 state.delete_fragment(fromNode, obj, donated)
     else:
         state.meter_write_bulk(toNode, layout.r * layout.flen, t=t)
-    layout.P[toNode, fromNode] = True
+    layout.heldLo[toNode], layout.heldHi[toNode] = lo, hi
     layout.helperLo[fromNode] = 1
     if collect is None:
-        state.meter_read_spread(reads, t, t)
+        state.meter_read_spread(reads.take(), t, t)
     return OpCounts(layout.r, layout.r)
 
 
@@ -316,11 +399,11 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
     if layout.helperLo[group] > 1:
         raise MissingFragmentError(f"node {group} holds no staircase to update")
     p0 = layout.front_phys(group)
-    srcs = _pick_primary_sources(layout, group, p0, exclude, layout.k)
-    reads = np.zeros(layout.N, np.int64) if collect is None else collect
-    reads[srcs] += layout.flen
-    labels = rotation.new_helper_efis()
+    reads = _Reads(layout) if collect is None else collect
+    srcs = reads.add_sources(group, p0, exclude, layout.k, layout.flen)
+    rotation.require_step()
     if layout.codec.backend == "byte":
+        labels = rotation.new_helper_efis()
         data = _decode_object(state, layout, rotation, group, p0, srcs)
         frags = erasure.encode(data, labels, layout.codec)
         for e in labels:
@@ -331,8 +414,14 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
     layout.rot[group] += 1
     layout.helperLo[group] = 0
     if collect is None:
-        state.meter_read_spread(reads, t, t)
+        state.meter_read_spread(reads.take(), t, t)
     return OpCounts(layout.k, r)
+
+
+def _clear_row(layout, node) -> None:
+    layout.heldLo[node] = layout.heldHi[node] = 0
+    layout.helperLo[node] = layout.r
+    layout.rowClears += 1
 
 
 def _wipe_node(state, layout, node) -> None:
@@ -340,15 +429,13 @@ def _wipe_node(state, layout, node) -> None:
     store = state.nodes[node]
     for object_id, efi in list(store.fragments):
         state.delete_fragment(node, object_id, efi)
-    layout.P[node] = False
-    layout.helperLo[node] = layout.r
+    _clear_row(layout, node)
 
 
 def advanced_fail_node(state: ClusterState, layout: GroupLayout, t: float,
                        node: int) -> None:
     state.fail_node(node, t)
-    layout.P[node] = False
-    layout.helperLo[node] = layout.r
+    _clear_row(layout, node)
 
 
 class _StepChain:
@@ -358,8 +445,10 @@ class _StepChain:
 
     Each sub-operation is planned from the placement as it stands when the
     previous one committed, so a donor lost mid-step is regenerated before
-    its helpers move.  Creating the chain opens the step on the rotation and
-    wipes the target; finish() commits the labels.
+    its helpers move.  Reads gather in self.reads, which keeps its source
+    pick across sub-operations, and meter() streams them out.  Creating the
+    chain opens the step on the rotation and wipes the target; finish()
+    commits the labels.
     """
 
     def __init__(self, state: ClusterState, layout: GroupLayout,
@@ -372,6 +461,7 @@ class _StepChain:
         self.futile = False         # target failed again mid-step
         self.counts = {"generate": [], "move": [], "update": []}
         self.bitsRead = 0
+        self.reads = _Reads(layout)
         rotation.begin_step(node)
         _wipe_node(state, layout, node)
 
@@ -385,18 +475,22 @@ class _StepChain:
         has_front = self.layout.helperLo[group] == 0
         return ("moveupdate" if has_front else "generate"), group
 
-    def commit(self, kind: str, group: int, t: float,
-               collect: np.ndarray) -> None:
-        """Run one planned sub-operation at t; reads accumulate in collect."""
+    def commit(self, kind: str, group: int, t: float) -> None:
+        """Run one planned sub-operation at t; its reads wait for meter()."""
         ctx = (self.state, self.layout, self.rotation)
         if kind == "generate":
             self.counts["generate"].append(generate_helpers(
-                *ctx, group, t=t, collect=collect, exclude=self.node))
+                *ctx, group, t=t, collect=self.reads, exclude=self.node))
         else:
             self.counts["move"].append(move_helpers(
-                *ctx, group, self.node, t=t, collect=collect))
+                *ctx, group, self.node, t=t, collect=self.reads))
             self.counts["update"].append(update_helpers(
-                *ctx, group, t=t, collect=collect, exclude=self.node))
+                *ctx, group, t=t, collect=self.reads, exclude=self.node))
+
+    def meter(self, t0: float, t1: float) -> None:
+        """Stream the reads committed since the last call over [t0, t1]."""
+        self.bitsRead += self.state.meter_read_spread(self.reads.take(),
+                                                      t0, t1)
 
     def planned_reads(self, kind: str, group: int) -> np.ndarray:
         """(N,) read bits of a sub-operation, re-derived from the current
@@ -431,10 +525,9 @@ class _StepChain:
     def run(self, t0: float, t1: float) -> AdvancedStepRecord:
         """The whole chain at once: every sub-operation commits at t1 and
         the step's reads are metered as one stream over [t0, t1]."""
-        collect = np.zeros(self.layout.N, np.int64)
         for kind, group in iter(self.next_subop, None):
-            self.commit(kind, group, t1, collect)
-        self.bitsRead = self.state.meter_read_spread(collect, t0, t1)
+            self.commit(kind, group, t1)
+        self.meter(t0, t1)
         return self.finish(t1)
 
 
@@ -455,39 +548,49 @@ def advanced_repair_step(state: ClusterState, layout: GroupLayout,
     return _StepChain(state, layout, rotation, failedNode, t0).run(t0, t1)
 
 
+def _full_rows(layout: GroupLayout) -> np.ndarray:
+    return (layout.heldLo == 0) & (layout.heldHi == layout.N)
+
+
+def _witnesses(layout: GroupLayout) -> np.ndarray:
+    return _full_rows(layout) & (layout.helperLo == 0)
+
+
 def census(layout: GroupLayout) -> list:
     """Witness members: nodes with every group's primaries and their full
     staircase."""
-    return np.flatnonzero(layout.P.all(axis=1)
-                          & (layout.helperLo == 0)).tolist()
+    return np.flatnonzero(_witnesses(layout)).tolist()
 
 
 def assert_advanced_invariant(layout: GroupLayout, minimum=None) -> None:
     """Require at least `minimum` witness members (all N by default)."""
-    got = len(census(layout))
+    got = int(np.count_nonzero(_witnesses(layout)))
     need = layout.N if minimum is None else minimum
     if got < need:
         raise InvariantViolation(f"witness set has {got} members, need {need}")
 
 
-def helper_counts(layout: GroupLayout) -> np.ndarray:
-    """(N, r) int64: helpers anchor g holds of object (g, phys)."""
-    position = (np.arange(layout.r) - layout.rot[:, None]) % layout.r
-    return np.maximum(position + 1 - layout.helperLo[:, None], 0)
-
-
 def recoverable_census(layout: GroupLayout) -> bool:
-    """True when every object still reaches its decode threshold."""
-    if int(np.count_nonzero(layout.P.all(axis=1))) >= layout.k:
+    """True when every object still reaches its decode threshold.
+
+    An object of group g has one fragment per holder of g plus its
+    anchor's helpers; the position-0 object has the fewest helpers, one
+    with the full staircase and none otherwise.
+    """
+    N = layout.N
+    if int(np.count_nonzero(_full_rows(layout))) >= layout.k:
         return True
-    per_object = (layout.P.sum(axis=0, dtype=np.int64)[:, None]
-                  + helper_counts(layout))
-    return int(per_object.min()) >= layout.k
+    starts = (np.bincount(layout.heldLo, minlength=N + 1)
+              - np.bincount(layout.heldHi, minlength=N + 1))
+    holders = np.cumsum(starts[:N])
+    return int((holders + (layout.helperLo == 0)).min()) >= layout.k
 
 
 def node_used_bits(layout: GroupLayout) -> np.ndarray:
-    frags = (layout.P.sum(axis=1, dtype=np.int64) * layout.r
-             + helper_counts(layout).sum(axis=1))
+    # r primaries per held group, plus sum_{i <= r - helperLo} i helpers
+    spare = layout.r - layout.helperLo
+    frags = ((layout.heldHi - layout.heldLo) * layout.r
+             + spare * (spare + 1) // 2)
     return frags * layout.flen
 
 
@@ -500,15 +603,14 @@ def check_advanced_sync(state: ClusterState, layout: GroupLayout,
     """
     if layout.codec.backend != "byte":
         return
-    counts = helper_counts(layout).tolist()
+    r = layout.r
     for node in range(layout.N):
+        groups = range(int(layout.heldLo[node]), int(layout.heldHi[node]))
         expected = {((g, p), rotation.primaryEfis[node])
-                    for g in np.flatnonzero(layout.P[node]).tolist()
-                    for p in range(layout.r)}
-        lo = int(layout.helperLo[node])
+                    for g in groups for p in range(r)}
+        lo, rot = int(layout.helperLo[node]), int(layout.rot[node])
         expected |= {((node, p), rotation.helperEfis[m])
-                     for p, c in enumerate(counts[node])
-                     for m in range(lo, lo + c)}
+                     for p in range(r) for m in range(lo, (p - rot) % r + 1)}
         actual = set(state.nodes[node].fragments)
         if actual != expected:
             raise InvariantViolation(
@@ -643,9 +745,8 @@ class AdvancedPoissonRepairer:
         self.subop = None
         if sub.kind == "step":
             return self._end_step(self.chain.run(sub.t0, t), t)
-        collect = np.zeros(self.layout.N, np.int64)
-        self.chain.commit(sub.kind, sub.group, t, collect)
-        self.chain.bitsRead += self.state.meter_read_spread(collect, sub.t0, t)
+        self.chain.commit(sub.kind, sub.group, t)
+        self.chain.meter(sub.t0, t)
         return self._plan(t)
 
     def _start_step(self, t: float) -> None:

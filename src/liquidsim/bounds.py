@@ -125,6 +125,10 @@ def phase_from_overhead(N: int, clen: int, betaPrime: float, vlen: int = 0,
     Chooses xlen so that olen = F*clen, which makes the derived beta' land on
     F/N with no ceiling slack.
     """
+    if N < 1:
+        raise ConfigError(f"N must be >= 1, got {N}")
+    if not math.isfinite(betaPrime):
+        raise ConfigError(f"betaPrime must be finite, got {betaPrime}")
     F = round(betaPrime * N)
     if F < 1:
         raise ConfigError("betaPrime too small for this N")

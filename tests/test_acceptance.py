@@ -121,13 +121,11 @@ def test_criterion_4_advanced_large_n_asymptotics():
           f"write ratio {write_ratio:.4f} in {dt:.1f}s")
 
 
-def test_advanced_asymptotics_at_n_10000():
-    # Criterion 4's check one decade further: N=10^4, r=2222 (beta ~ 0.1),
-    # one periodic failure, symbolic.  Reads and writes within 10% of
-    # (1+2b)/(2b)*clen and (2-b)*clen, b the store's own overhead.
-    N = 10_000
+def _one_periodic_failure(N):
+    """One periodic failure at N, r for beta ~ 0.1, symbolic: read and write
+    ratios to (1+2b)/(2b)*clen and (2-b)*clen, b the store's own overhead,
+    and the trial's wall time."""
     r = adv.r_for_target_overhead(N, 0.1)
-    assert r == 2222
     clen = r * N + r * (r + 1) // 2
     beta = (r + 3) / (2 * N + r + 1)
     sp = SystemParams(N=N, clen=clen, xlen=round((1 - beta) * N) * clen)
@@ -140,9 +138,30 @@ def test_advanced_asymptotics_at_n_10000():
     assert res.recoverableThroughout
     read_ratio = res.totalBitsRead / ((1 + 2 * beta) / (2 * beta) * clen)
     write_ratio = res.totalBitsWritten / ((2 - beta) * clen)
+    return r, read_ratio, write_ratio, dt
+
+
+def test_advanced_asymptotics_at_n_10000():
+    # Criterion 4's check one decade further: N=10^4, r=2222 (beta ~ 0.1),
+    # one periodic failure, reads and writes within 10% of the formulas.
+    r, read_ratio, write_ratio, dt = _one_periodic_failure(10_000)
+    assert r == 2222
     assert 0.9 < read_ratio < 1.1
     assert 0.9 < write_ratio < 1.1
     print(f"N=10^4: PASS read ratio {read_ratio:.4f}, "
+          f"write ratio {write_ratio:.4f} in {dt:.1f}s")
+
+
+def test_advanced_asymptotics_at_n_100000():
+    # Two decades further: N=10^5, r=22222.  A placement or staircase array
+    # of N*N or N*r entries would not fit in memory here, and a step of
+    # O(N^2) work would take minutes.
+    r, read_ratio, write_ratio, dt = _one_periodic_failure(100_000)
+    assert r == 22_222
+    assert 0.9 < read_ratio < 1.1
+    assert 0.9 < write_ratio < 1.1
+    assert dt < 60.0
+    print(f"N=10^5: PASS read ratio {read_ratio:.4f}, "
           f"write ratio {write_ratio:.4f} in {dt:.1f}s")
 
 

@@ -1,5 +1,6 @@
 """Helper-staircase repair: layout, per-op counts, rotation, Poisson driving."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -35,6 +36,11 @@ def symbolic_cluster(N=20, r=4, variant="periodic", eps=0.0):
                           backend="symbolic")
 
 
+def holds(layout, node, group):
+    """True when node holds the primaries of the group."""
+    return bool(layout.heldLo[node] <= group < layout.heldHi[node])
+
+
 def decode_all_from_primaries(state, layout, rotation):
     """Every object must decode to its source using primary fragments only."""
     from liquidsim import erasure
@@ -42,7 +48,7 @@ def decode_all_from_primaries(state, layout, rotation):
         for p in range(layout.r):
             frags = {}
             for m in range(layout.N):
-                if layout.P[m, g]:
+                if holds(layout, m, g):
                     efi = rotation.primaryEfis[m]
                     frags[efi] = state.nodes[m].fragments[((g, p), efi)]
                     if len(frags) == layout.k:
@@ -106,17 +112,30 @@ class TestStore:
         with pytest.raises(ConfigError):
             advanced_store(8, 19 * 8, 2, backend="byte")
 
-    def test_primary_placement_is_node_by_group(self):
-        _, layout, _ = advanced_store(1000, 246753, 222, backend="symbolic")
-        assert layout.P.shape == (1000, 1000)
-        assert layout.helperLo.shape == (1000,)
+    def test_placement_arrays_are_one_dimensional(self):
+        N, r = 2000, r_for_target_overhead(2000, 0.1)
+        _, layout, _ = advanced_store(N, r * N + r * (r + 1) // 2, r,
+                                      backend="symbolic")
+        arrays = {f.name: getattr(layout, f.name)
+                  for f in dataclasses.fields(layout)
+                  if isinstance(getattr(layout, f.name), np.ndarray)}
+        assert {"rot", "heldLo", "heldHi", "helperLo"} <= set(arrays)
+        assert {name: a.shape for name, a in arrays.items()} == {
+            name: (N,) for name in arrays}
+
+
+def expand(layout):
+    """(N, N) bool of the intervals: row n holds groups heldLo..heldHi-1."""
+    groups = np.arange(layout.N)
+    return ((groups >= layout.heldLo[:, None])
+            & (groups < layout.heldHi[:, None]))
 
 
 def reference_pick(column, group, phys, exclude, need):
     """The per-node loop the vectorised pick replaced."""
     picked = []
-    for node, holds in enumerate(column):
-        if holds and node != exclude:
+    for node, held in enumerate(column):
+        if held and node != exclude:
             picked.append(node)
             if len(picked) == need:
                 return picked
@@ -124,41 +143,96 @@ def reference_pick(column, group, phys, exclude, need):
         f"object ({group},{phys}) has {len(picked)} primary sources, need {need}")
 
 
+def assert_pick_matches(column, pick, group, phys, exclude, need):
+    """pick() must return reference_pick's nodes, or raise its DecodeError."""
+    try:
+        want = reference_pick(column, group, phys, exclude, need)
+    except DecodeError as e:
+        with pytest.raises(DecodeError) as got:
+            pick()
+        assert str(got.value) == str(e)
+        raise
+    got = pick()
+    assert got.tolist() == want
+    return got
+
+
+@st.composite
+def interval_rows(draw, N):
+    # one draw per row: two run ends in 0..N, in either order; -1 and -2
+    # give more full rows (code N)
+    codes = np.array(draw(st.lists(st.integers(-2, (N + 1) ** 2 - 1),
+                                   min_size=N, max_size=N)), dtype=np.int64)
+    codes[codes < 0] = N
+    ends = np.sort(np.stack(np.divmod(codes, N + 1), axis=1), axis=1)
+    empty = ends[:, 0] == ends[:, 1]
+    ends[empty] = 0
+    return SimpleNamespace(N=N, heldLo=ends[:, 0].copy(),
+                           heldHi=ends[:, 1].copy())
+
+
 @st.composite
 def pick_cases(draw):
     N = draw(st.integers(2, 40))
-    column = np.array(draw(st.lists(st.booleans(), min_size=N, max_size=N)))
+    layout = draw(interval_rows(N))
     group = draw(st.integers(0, N - 1))
-    P = np.repeat(~column[:, None], N, axis=1)   # other groups: the opposite
-    P[:, group] = column
     exclude = draw(st.one_of(st.none(), st.integers(0, N - 1)))
     need = draw(st.integers(1, N))
-    return P, group, draw(st.integers(0, 7)), exclude, need
+    return layout, group, draw(st.integers(0, 7)), exclude, need
 
 
 class TestPickPrimarySources:
     @settings(max_examples=300, deadline=None, database=None)
     @given(pick_cases())
     def test_matches_reference_loop(self, case):
-        P, group, phys, exclude, need = case
-        layout = SimpleNamespace(P=P)
+        layout, group, phys, exclude, need = case
         try:
-            want = reference_pick(P[:, group], group, phys, exclude, need)
-        except DecodeError as e:
-            with pytest.raises(DecodeError) as got:
-                adv._pick_primary_sources(layout, group, phys, exclude, need)
-            assert str(got.value) == str(e)
-            return
-        got = adv._pick_primary_sources(layout, group, phys, exclude, need)
-        assert got.tolist() == want
+            assert_pick_matches(
+                expand(layout)[:, group],
+                lambda: adv._pick_primary_sources(layout, group, phys,
+                                                  exclude, need),
+                group, phys, exclude, need)
+        except DecodeError:
+            pass
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(pick_cases())
+    def test_holder_span_keeps_the_holder_set(self, case):
+        layout, group, _, exclude, _ = case
+        lo, hi = adv._holder_span(layout, group, exclude)
+        assert 0 <= lo <= group < hi <= layout.N
+        P = expand(layout)
+        if exclude is not None:
+            P[exclude] = False
+        # the same holders across the span, and a change just outside it
+        assert (P[:, lo:hi] == P[:, [group]]).all()
+        for edge in (lo - 1, hi):
+            if 0 <= edge < layout.N:
+                assert not (P[:, edge] == P[:, group]).all()
 
     def test_short_column_message(self):
-        P = np.ones((6, 6), dtype=bool)
-        P[[1, 4], 2] = False
+        # node 1 holds groups 3..5 and node 4 groups 0..1, so neither
+        # holds group 2; node 0 is excluded
+        layout = SimpleNamespace(N=6, heldLo=np.array([0, 3, 0, 0, 0, 0]),
+                                 heldHi=np.array([6, 6, 6, 6, 2, 6]))
+        assert [holds(layout, n, 2) for n in range(6)] == [
+            True, False, True, True, False, True]
         with pytest.raises(DecodeError,
                            match=r"^object \(2,5\) has 3 primary sources, "
                                  r"need 4$"):
-            adv._pick_primary_sources(SimpleNamespace(P=P), 2, 5, 0, 4)
+            adv._pick_primary_sources(layout, 2, 5, 0, 4)
+
+    def test_periodic_step_picks_sources_once(self):
+        state, layout, rotation = symbolic_cluster(N=20, r=4)
+        advanced_fail_node(state, layout, 1.0, 7)
+        with mock.patch.object(adv, "_pick_primary_sources",
+                               wraps=adv._pick_primary_sources) as pick:
+            rec = advanced_repair_step(state, layout, rotation, 7,
+                                       t0=1.0, t1=2.0)
+        # one holder set, the 19 full rows, serves the generate and all
+        # 20 updates
+        assert pick.call_count == 1
+        assert len(rec.counts["update"]) == 20
 
 
 class TestOpCounts:
@@ -238,7 +312,21 @@ class TestStandaloneOps:
         assert counts == (2, 2)
         assert state.nodes[6].usedBits == donor_before - 2 * layout.flen
         assert state.nodes[4].usedBits == target_before + 2 * layout.flen
-        assert layout.P[4, 6] and layout.helperLo[6] == 1
+        assert holds(layout, 4, 6) and layout.helperLo[6] == 1
+
+    def test_move_that_splits_a_run_raises(self):
+        state, layout, rotation = symbolic_cluster(N=8, r=2)
+        advanced_fail_node(state, layout, 1.0, 4)
+        rotation.begin_step(4)
+        move_helpers(state, layout, rotation, 2, 4, t=1.1)
+        move_helpers(state, layout, rotation, 3, 4, t=1.1)
+        assert (layout.heldLo[4], layout.heldHi[4]) == (2, 4)
+        written = state.phase_written[state.phase]
+        with pytest.raises(InvariantViolation, match="split the run"):
+            move_helpers(state, layout, rotation, 6, 4, t=1.2)
+        assert (layout.heldLo[4], layout.heldHi[4]) == (2, 4)
+        assert layout.helperLo[6] == 0
+        assert state.phase_written[state.phase] == written
 
     def test_move_from_freshly_failed_donor_raises(self):
         state, layout, rotation = byte_cluster(N=8, r=2)
@@ -306,16 +394,47 @@ class DenseStaircases:
         self.H[g] = False
 
 
-def assert_matches_dense(layout, dense):
+class DensePlacement:
+    """The (N, N) bool model the held-group intervals replaced: P[n, g] is
+    True when node n holds the primaries of group g."""
+
+    def __init__(self, N):
+        self.P = np.ones((N, N), dtype=bool)
+
+    def clear(self, node):
+        self.P[node] = False
+
+    def splits(self, fromNode, toNode):
+        """Whether holding fromNode's group leaves toNode's row two runs."""
+        row = self.P[toNode].copy()
+        row[fromNode] = True
+        return not one_run(row)
+
+    def move(self, fromNode, toNode):
+        self.P[toNode, fromNode] = True
+
+
+def one_run(row):
+    held = np.flatnonzero(row)
+    return len(held) == 0 or held[-1] - held[0] + 1 == len(held)
+
+
+def expand_staircases(layout):
+    """(N, r, r) bool of helperLo with rot: anchor g holds helper role m of
+    object (g, p)."""
+    roles = np.arange(layout.r)
+    position = (roles[None, :] - layout.rot[:, None]) % layout.r
+    return ((roles >= layout.helperLo[:, None, None])
+            & (roles <= position[:, :, None]))
+
+
+def assert_closed_forms(layout, P, H, intact):
+    """census, recoverable_census and node_used_bits against the dense
+    placement P, staircases H and per-anchor staircase flags."""
     N, r, k = layout.N, layout.r, layout.k
-    roles = np.arange(r)
-    position = (roles[None, :] - layout.rot[:, None]) % r
-    expanded = ((roles >= layout.helperLo[:, None, None])
-                & (roles <= position[:, :, None]))
-    assert np.array_equal(expanded, dense.H)
-    P, H = layout.P, dense.H
-    assert np.array_equal(adv.helper_counts(layout), H.sum(axis=2))
-    intact = (H == dense.tri[layout.rot % r]).all(axis=(1, 2))
+    assert (layout.heldLo <= layout.heldHi).all()
+    assert all(one_run(row) for row in P)
+    assert np.array_equal(expand(layout), P)
     assert census(layout) == np.flatnonzero(P.all(axis=1) & intact).tolist()
     per_object = P.sum(axis=0)[:, None] + H.sum(axis=2)
     assert recoverable_census(layout) == bool(
@@ -323,6 +442,12 @@ def assert_matches_dense(layout, dense):
     assert np.array_equal(node_used_bits(layout),
                           (P.sum(axis=1) * r + H.reshape(N, -1).sum(axis=1))
                           * layout.flen)
+
+
+def assert_matches_dense(layout, dense, place):
+    assert np.array_equal(expand_staircases(layout), dense.H)
+    intact = (dense.H == dense.tri[layout.rot % layout.r]).all(axis=(1, 2))
+    assert_closed_forms(layout, place.P, dense.H, intact)
 
 
 @st.composite
@@ -339,7 +464,8 @@ def staircase_runs(draw):
 class TestStaircaseAgainstDenseModel:
     """helperLo with rot must expand to exactly the staircases the dense
     (N, r, r) rules produce, including the front-donated state that only a
-    stalled update leaves behind."""
+    stalled update leaves behind; heldLo/heldHi must expand to the dense
+    (N, N) placement, and a move that would split a run must raise."""
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(staircase_runs())
@@ -350,8 +476,8 @@ class TestStaircaseAgainstDenseModel:
                 N=N, r=r, variant="poisson" if eps else "periodic", eps=eps)
         except (ConfigError, InvariantViolation):
             assume(False)
-        dense = DenseStaircases(N, r)
-        assert_matches_dense(layout, dense)
+        dense, place = DenseStaircases(N, r), DensePlacement(N)
+        assert_matches_dense(layout, dense, place)
         for t, (kind, a, b) in enumerate(ops, start=1):
             rotation = adv.EfiRotation(list(range(N)),
                                        list(range(N, N + r)), pendingNode=b)
@@ -359,6 +485,7 @@ class TestStaircaseAgainstDenseModel:
             if kind == "fail":
                 advanced_fail_node(state, layout, float(t), a)
                 dense.wipe(a)
+                place.clear(a)
             elif kind == "generate":
                 try:
                     generate_helpers(*ctx, a, t=float(t), exclude=b)
@@ -368,9 +495,13 @@ class TestStaircaseAgainstDenseModel:
             elif not dense.H[a, :, 0].all():
                 with pytest.raises(MissingFragmentError):
                     move_helpers(*ctx, a, b, t=float(t))
+            elif place.splits(a, b):
+                with pytest.raises(InvariantViolation, match="split"):
+                    move_helpers(*ctx, a, b, t=float(t))
             else:
                 move_helpers(*ctx, a, b, t=float(t))
                 dense.move(a)
+                place.move(a, b)
                 if kind == "movestall":
                     with mock.patch.object(adv, "_pick_primary_sources",
                                            side_effect=DecodeError("forced")):
@@ -384,7 +515,95 @@ class TestStaircaseAgainstDenseModel:
                         dense.update(a, p0)
                     except DecodeError:
                         pass
-            assert_matches_dense(layout, dense)
+            assert_matches_dense(layout, dense, place)
+
+
+@st.composite
+def poisson_chains(draw):
+    N = draw(st.integers(6, 40))
+    r = draw(st.integers(1, 4))
+    eps = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    # after the first failure, each op processes some completions, fewer
+    # than a whole chain's N + 1, then fails the step's target, the donor
+    # of the in-flight sub-operation or any node, part way through it
+    victim = st.one_of(st.sampled_from(["target", "donor"]),
+                       st.integers(0, N - 1))
+    op = st.tuples(st.integers(0, N), victim, st.floats(0.0, 1.0))
+    return (N, r, eps, draw(st.integers(0, N - 1)),
+            draw(st.lists(op, min_size=1, max_size=6)))
+
+
+class TestChainAgainstDensePlacement:
+    """Symbolic Poisson chains with donors and targets failing mid-step:
+    after every event the intervals must expand to the dense (N, N)
+    placement, the closed forms must match it, and every source pick the
+    chain uses, reused or fresh, must be reference_pick on the dense model
+    at that moment."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(poisson_chains())
+    def test_chain_events_match_dense_placement(self, run):
+        N, r, eps, first, ops = run
+        try:
+            state, layout, rotation, rep = poisson_fixture(N=N, r=r, eps=eps,
+                                                           lam=1.0 / N)
+        except (ConfigError, InvariantViolation):
+            assume(False)
+        place = DensePlacement(N)
+        picks = []
+        real_move, real_add = adv.move_helpers, adv._Reads.add_sources
+
+        def move(state, layout, rotation, fromNode, toNode, **kw):
+            out = real_move(state, layout, rotation, fromNode, toNode, **kw)
+            place.move(fromNode, toNode)
+            return out
+
+        def add_sources(reads, group, phys, exclude, need, bits):
+            picks.append(group)
+            return assert_pick_matches(
+                place.P[:, group],
+                lambda: real_add(reads, group, phys, exclude, need, bits),
+                group, phys, exclude, need)
+
+        def event(call, *args):
+            chain = rep.chain
+            call(*args)
+            if rep.chain is not None and rep.chain is not chain:
+                place.clear(rep.chain.node)     # a new step wiped its target
+            intact = layout.helperLo == 0
+            assert_closed_forms(layout, place.P,
+                                expand_staircases(layout), intact)
+
+        def fail(t, node):
+            place.clear(node)
+            event(rep.on_failure, t, node)
+
+        def complete(count):
+            for _ in range(count):
+                if rep.subop is None:
+                    return
+                event(rep.on_subop_complete, rep.next_completion())
+
+        with mock.patch.object(adv, "move_helpers", move), \
+                mock.patch.object(adv._Reads, "add_sources", add_sources):
+            try:
+                fail(1.0, first)
+                for count, victim, frac in ops:
+                    complete(count)
+                    sub = rep.subop
+                    if sub is None:
+                        t = state.now + 1.0
+                    else:
+                        t = sub.t0 + frac * (sub.t1 - sub.t0)
+                    if victim == "target":
+                        victim = rep.chain.node if rep.chain else first
+                    elif victim == "donor":
+                        victim = sub.group if sub else first
+                    fail(t, victim)
+                complete(4 * N * N)
+            except DecodeError:
+                pass                # a stall ends the trial, as in sim_engine
+        assert picks
 
 
 class TestPeriodicRandomChurn:
@@ -429,7 +648,7 @@ class TestPeriodicThroughRepairer:
             got = rep.on_subop_complete(t + 0.5)
             assert got == want
             assert rep.idle and rep.counter.value == 1
-            for name in ("P", "helperLo", "rot"):
+            for name in ("heldLo", "heldHi", "helperLo", "rot"):
                 assert np.array_equal(getattr(p_layout, name),
                                       getattr(s_layout, name))
             assert p_rot == s_rot

@@ -263,6 +263,15 @@ class TestCmdBounds:
                      "--beta", "0.5"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_exit_two(self, beta, capsys):
+        assert main(["bounds", "--beta", beta]) == 2
+        assert "betaPrime must be finite" in capsys.readouterr().err
+
+    def test_non_positive_n_exit_two(self, capsys):
+        assert main(["bounds", "--N", "0", "--beta", "0.1"]) == 2
+        assert "N must be >= 1" in capsys.readouterr().err
+
     def test_beta_required_without_sweep(self, capsys):
         assert main(["bounds"]) == 2
 

@@ -242,6 +242,20 @@ class TestBackendAgreement:
             assert results[0].perStepTrace
             assert results[0] == results[1]
 
+    def test_liquid_poisson_agrees_while_repair_keeps_up(self):
+        # the liquid_poisson case above loses data within 2-11 events at
+        # every seed; steps 1000 times shorter than the mean failure gap
+        # keep the counter at cap, so all 30 failures are repaired
+        for seed in range(6):
+            results = [run_trial(liquid_poisson(
+                N=10, beta=0.2, clen=160, lam=0.05, eps=0.4,
+                stepDuration=0.002, M=30, seed=seed,
+                codecBackend=backend), 0) for backend in ("byte", "symbolic")]
+            assert results[0].recoverableThroughout
+            steps = [e for e in results[0].perStepTrace if e[1] == "step"]
+            assert len(steps) == 30
+            assert results[0] == results[1]
+
 
 class TestExperiment:
 
