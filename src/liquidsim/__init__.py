@@ -43,6 +43,7 @@ from .liquid import (
     LiquidLayout,
     RepairCounter,
     StepSchedule,
+    liquid_fail_node,
     liquid_repair_step,
     liquid_store,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "LiquidLayout",
     "RepairCounter",
     "StepSchedule",
+    "liquid_fail_node",
     "liquid_repair_step",
     "liquid_store",
     "AdvancedPoissonRepairer",

@@ -745,8 +745,10 @@ class AdvancedPoissonRepairer:
         self.subop = None
         if sub.kind == "step":
             return self._end_step(self.chain.run(sub.t0, t), t)
-        self.chain.commit(sub.kind, sub.group, t)
-        self.chain.meter(sub.t0, t)
+        try:
+            self.chain.commit(sub.kind, sub.group, t)
+        finally:   # a stalled sub-op still read what it committed
+            self.chain.meter(sub.t0, t)
         return self._plan(t)
 
     def _start_step(self, t: float) -> None:

@@ -1,5 +1,9 @@
 """Cluster state: node fragment stores and the interface meters.
 
+The node stores hold real payloads only: the byte backends of both repairers
+store every fragment there, while the symbolic backends keep placement in
+their own arrays, leave the stores empty and only meter.
+
 Meters are the measurement surface of the whole simulator, so their
 semantics are strict: every read and write of fragment data is metered at
 the node interface where it crosses, and failing a node erases its data but
@@ -94,11 +98,8 @@ class ClusterState:
         return total
 
     def meter_write_bulk(self, node_id: int, bits: int, t: float) -> None:
-        """Meter writes to one node without touching fragment storage.
-
-        Symbolic placements track fragment presence in their own arrays;
-        this keeps the per-node and per-phase write meters honest for them.
-        """
+        """Meter writes to one node without touching fragment storage: the
+        write path of the symbolic backends."""
         self.nodeBitsWritten[node_id] += bits
         self.phase_written[self.phase] += bits
         self.now = max(self.now, t)

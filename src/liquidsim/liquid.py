@@ -9,7 +9,11 @@ counter capped at b: failures decrement it, completed steps increment it,
 and the source is guaranteed recoverable while it stays non-negative.
 
 EFI i of every object lives only at node i, so a node failure erases at most
-one fragment per object and fragment placement never needs a directory.
+one fragment per object, and placement is one (objects, N) bool array: a
+failure clears a column, a step fills a row.  The queue only rotates, so the
+object at position j is (stepsDone + j) % objectCount.  The byte backend
+keeps the payloads in the node stores, which the array must match; the
+symbolic backend stores nothing and only meters.
 """
 
 from __future__ import annotations
@@ -40,11 +44,14 @@ class LiquidLayout:
     counterCap: int         # slack cap b; 1 in the periodic variant
     flen: int               # bits per fragment, clen / objectCount
     codec: erasure.CodecParams
-    objectOrder: list       # position j -> objectId
-    perObjectEfis: dict     # objectId -> set of currently stored EFIs
+    held: np.ndarray        # (objects, N) bool: EFI e of object j at node e
     sources: Optional[dict] = None   # byte backend: objectId -> source bytes
     tables: Optional[dict] = None    # byte backend: objectId -> {efi: payload}
-    stepsDone: int = 0
+    stepsDone: int = 0      # the front object is stepsDone % objectCount
+
+    @property
+    def front(self) -> int:
+        return self.stepsDone % self.objectCount
 
 
 @dataclass
@@ -126,46 +133,34 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
     flen = clen // count
     codec = erasure.make_codec(N, k, flen, backend=backend)
 
+    byte = codec.backend == "byte"
+    if byte and payload_rng is None:
+        raise ConfigError("byte backend needs a payload generator")
     state = ClusterState(N=N, capacity=clen)
+    assert k + cap + count - 1 <= N
+    held = np.arange(N) < (k + cap + np.arange(count))[:, None]
     layout = LiquidLayout(k=k, objectCount=count, counterCap=cap, flen=flen,
-                          codec=codec, objectOrder=list(range(count)),
-                          perObjectEfis={})
-    if codec.backend == "byte":
-        if payload_rng is None:
-            raise ConfigError("byte backend needs a payload generator")
-        layout.sources = {}
-        layout.tables = {}
-
+                          codec=codec, held=held, sources={} if byte else None,
+                          tables={} if byte else None)
+    if not byte:
+        for e, n_objects in enumerate(held.sum(axis=0).tolist()):
+            state.meter_write_bulk(e, n_objects * flen, t=0.0)
+        return state, layout
     for j in range(count):
-        n_frags = k + cap + j
-        assert n_frags <= N
-        if codec.backend == "byte":
-            source = payload_rng.bytes(k * flen // 8)
-            table = erasure.encode(source, range(N), codec)
-            layout.sources[j] = source
-            layout.tables[j] = table
-        else:
-            table = None
-        for e in range(n_frags):
-            payload = table[e] if table is not None else None
-            state.store_fragment(e, j, e, payload, flen, t=0.0)
-        layout.perObjectEfis[j] = set(range(n_frags))
+        layout.sources[j] = source = payload_rng.bytes(k * flen // 8)
+        layout.tables[j] = table = erasure.encode(source, range(N), codec)
+        for e in range(k + cap + j):
+            state.store_fragment(e, j, e, table[e], flen, t=0.0)
     return state, layout
 
 
-def _gather_fragments(state: ClusterState, layout: LiquidLayout, obj) -> dict:
-    """The k lowest-EFI payloads of an object, EFI e from node e.
-    Bookkeeping access, not metered."""
-    efis = sorted(layout.perObjectEfis[obj])[: layout.k]
-    if len(efis) < layout.k:
-        raise DecodeError(
-            f"object {obj}: {len(efis)} fragments < k = {layout.k}")
+def _gather_fragments(state: ClusterState, obj, efis) -> dict:
+    """A byte object's payloads, EFI e from node e.  Not metered."""
     frags = {}
     for e in efis:
-        stored = state.nodes[e].fragments
-        if (obj, e) not in stored:
+        frags[e] = state.nodes[e].fragments.get((obj, e))
+        if frags[e] is None:
             raise InvariantViolation(f"EFI map out of sync at node {e}")
-        frags[e] = stored[(obj, e)]
     return frags
 
 
@@ -177,14 +172,18 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
     set is chosen at completion time from whatever survived, preferring low
     EFIs (source fragments first, cheapest decode).
     """
-    obj = layout.objectOrder[0]
-    frags = _gather_fragments(state, layout, obj)
+    obj = layout.front
+    row = layout.held[obj]
+    efis = np.flatnonzero(row)[: layout.k]
+    if len(efis) < layout.k:
+        raise DecodeError(
+            f"object {obj}: {len(efis)} fragments < k = {layout.k}")
     flen = layout.flen
     reads = np.zeros(state.N, dtype=np.int64)
-    reads[list(frags)] = flen       # fragment e lives on node e
+    reads[efis] = flen       # fragment e lives on node e
     state.meter_read_spread(reads, t0, t1)
-
-    if layout.codec.backend == "byte":
+    if layout.tables is not None:
+        frags = _gather_fragments(state, obj, efis.tolist())
         data = erasure.decode(frags, layout.codec)
         if data != layout.sources[obj]:
             raise InvariantViolation(f"object {obj} decoded to wrong bytes")
@@ -192,21 +191,21 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
             fresh = erasure.encode(data, range(layout.codec.n), layout.codec)
             if fresh != layout.tables[obj]:
                 raise InvariantViolation(f"object {obj} fragment table drift")
-
-    efis = layout.perObjectEfis[obj]
-    written = 0
-    for e in range(layout.codec.n):
-        if e in efis:
-            continue
-        payload = layout.tables[obj][e] if layout.tables is not None else None
-        state.store_fragment(e, obj, e, payload, flen, t=t1)
-        efis.add(e)
-        written += flen
-
-    order = layout.objectOrder
-    order.append(order.pop(0))
+    missing = np.flatnonzero(~row).tolist()
+    for e in missing:
+        if layout.tables is None:
+            state.meter_write_bulk(e, flen, t=t1)
+        else:
+            state.store_fragment(e, obj, e, layout.tables[obj][e], flen, t=t1)
+    row[:] = True
     layout.stepsDone += 1
-    return StepRecord(bitsRead=layout.k * flen, bitsWritten=written)
+    return StepRecord(layout.k * flen, len(missing) * flen)
+
+
+def liquid_fail_node(state: ClusterState, layout: LiquidLayout, t: float,
+                     node: int) -> None:
+    state.fail_node(node, t)
+    layout.held[:, node] = False
 
 
 def liquid_on_failure(state: ClusterState, layout: LiquidLayout,
@@ -217,14 +216,11 @@ def liquid_on_failure(state: ClusterState, layout: LiquidLayout,
     Once the counter has halted no further steps start; the in-flight one
     finishes.
     """
-    state.fail_node(node, t)
-    for efis in layout.perObjectEfis.values():
-        efis.discard(node)
+    liquid_fail_node(state, layout, t, node)
     counter.on_failure()
     if (schedule.inProgress is None and not counter.halted
             and math.isfinite(schedule.stepDuration)):
-        schedule.inProgress = (t, t + schedule.stepDuration,
-                               layout.objectOrder[0])
+        schedule.inProgress = (t, t + schedule.stepDuration, layout.front)
 
 
 def liquid_on_step_complete(state: ClusterState, layout: LiquidLayout,
@@ -233,14 +229,13 @@ def liquid_on_step_complete(state: ClusterState, layout: LiquidLayout,
     if schedule.inProgress is None:
         raise InvariantViolation("completion event with no step in flight")
     t_start, t_end, obj = schedule.inProgress
-    if layout.objectOrder[0] != obj:
+    if layout.front != obj:
         raise InvariantViolation("front object changed during a repair step")
     rec = liquid_repair_step(state, layout, t0=t_start, t1=t_end)
     counter.on_step()
     schedule.inProgress = None
     if not counter.halted and counter.value < counter.cap:
-        schedule.inProgress = (t, t + schedule.stepDuration,
-                               layout.objectOrder[0])
+        schedule.inProgress = (t, t + schedule.stepDuration, layout.front)
     return rec
 
 
@@ -250,9 +245,12 @@ def assert_liquid_invariant(layout: LiquidLayout, slack: int) -> None:
     Callers pass slack=1 at periodic inter-failure instants and the current
     counter value (when non-negative) at Poisson event boundaries.
     """
-    for j, obj in enumerate(layout.objectOrder):
-        have = len(layout.perObjectEfis[obj])
-        if have < layout.k + slack + j:
-            raise InvariantViolation(
-                f"position {j} object {obj}: {have} < "
-                f"{layout.k} + {slack} + {j} fragments")
+    position = np.arange(layout.objectCount)
+    order = (layout.stepsDone + position) % layout.objectCount
+    have = layout.held.sum(axis=1)[order]
+    short = np.flatnonzero(have < layout.k + slack + position)
+    if short.size:
+        j = int(short[0])
+        raise InvariantViolation(
+            f"position {j} object {order[j]}: {have[j]} < "
+            f"{layout.k} + {slack} + {j} fragments")

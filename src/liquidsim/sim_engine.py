@@ -154,17 +154,15 @@ class _LiquidDriver:
             self.schedule.inProgress = None
 
     def recoverable(self) -> bool:
-        counts = (len(e) for e in self.layout.perObjectEfis.values())
-        return min(counts) >= self.layout.k
+        return bool((self.layout.held.sum(axis=1) >= self.layout.k).all())
 
     def check_invariant(self) -> None:
         if self.counter.value >= 0:
             liquid.assert_liquid_invariant(self.layout, self.counter.value)
 
     def inject_fault(self) -> None:
-        back = self.layout.objectOrder[-1]
-        efis = self.layout.perObjectEfis[back]
-        efis.discard(max(efis))
+        back = self.layout.held[self.layout.front - 1]
+        back[np.flatnonzero(back)[-1]] = False
 
 
 class _AdvancedDriver:
@@ -201,7 +199,6 @@ class _AdvancedDriver:
             self.rep.on_subop_complete(t)
         except DecodeError as e:
             log.warning("repair stalled at t=%g: %s", t, e)
-            self.rep.subop = None
             self.counter.halted = True
 
     def recoverable(self) -> bool:

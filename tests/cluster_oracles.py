@@ -1,10 +1,12 @@
 """Test oracles that read the cluster's node stores directly.
 
 The simulator keeps no fragment directory: liquid places EFI e of every
-object at node e, and advanced liquid tracks placement in arrays.  These
+object at node e, and both repairers track placement in arrays.  These
 oracles rebuild the directory from what the nodes actually hold, so tests
 can check the repairers' bookkeeping against ground truth.
 """
+
+import numpy as np
 
 from liquidsim import erasure
 from liquidsim.errors import ConfigError, InvariantViolation
@@ -41,13 +43,14 @@ def recoverable(state, k: int, objects, codec=None, retained=None) -> bool:
 
 
 def check_layout_sync(state, layout) -> None:
-    """A liquid layout's EFI sets match the node stores, EFI e at node e."""
-    directory = holders(state)
-    for obj, efis in layout.perObjectEfis.items():
-        have = directory.get(obj, {})
-        if set(have) != efis:
-            raise InvariantViolation(f"object {obj} EFI mirror out of sync")
-        for e in efis:
-            if have[e] != {e}:
+    """A byte liquid layout's held array matches the directory rebuilt from
+    the node stores, EFI e at node e."""
+    rebuilt = np.zeros_like(layout.held)
+    for obj, efis in holders(state).items():
+        for e, nodes in efis.items():
+            if nodes != {e}:
                 raise InvariantViolation(
                     f"object {obj} EFI {e} stored off its home node")
+            rebuilt[obj, e] = True
+    if not np.array_equal(rebuilt, layout.held):
+        raise InvariantViolation("held array out of sync with node stores")

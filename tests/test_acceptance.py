@@ -11,7 +11,7 @@ import time
 import pytest
 
 from liquidsim import advanced_liquid as adv
-from liquidsim import bounds, erasure, rng
+from liquidsim import bounds, erasure, rng, sim_engine
 from liquidsim.advanced_liquid import OpCounts
 from liquidsim.bounds import EpsilonSet, SystemParams
 from liquidsim.errors import DecodeError
@@ -163,6 +163,32 @@ def test_advanced_asymptotics_at_n_100000():
     assert dt < 60.0
     print(f"N=10^5: PASS read ratio {read_ratio:.4f}, "
           f"write ratio {write_ratio:.4f} in {dt:.1f}s")
+
+
+def test_liquid_periodic_at_n_10000(monkeypatch):
+    # Criterion 2's repairer two decades further, symbolic: N=10^4,
+    # beta=0.1 (k=9000, 1000 objects, 1-bit fragments), 50 periodic
+    # failures with the invariant and the census checked after every event.
+    # Placement is one (objects, N) array, so the node stores stay empty.
+    drivers = []
+    make = sim_engine._make_driver
+    monkeypatch.setattr(sim_engine, "_make_driver",
+                        lambda *a: drivers.append(make(*a)) or drivers[-1])
+    sp = SystemParams(N=10_000, clen=1000, xlen=9000 * 1000)
+    sc = Scenario(sysParams=sp, repairer="liquid", variant="periodic",
+                  codecBackend="symbolic", failureCount=50, seed=2026,
+                  collectTrace=True)
+    t0 = time.monotonic()
+    res = run_trial(sc, 0)
+    dt = time.monotonic() - t0
+    assert res.recoverableThroughout and res.counterMin == 0
+    steps = [e for e in res.perStepTrace if e[1] == "step"]
+    assert len(steps) == 50
+    assert all(e[3] == 9000 for e in steps)       # k * flen on every step
+    assert res.totalBitsRead == 50 * 9000
+    assert all(not node.fragments for node in drivers[0].state.nodes)
+    assert dt < 30.0
+    print(f"liquid N=10^4: PASS 50 steps, reads 9000 each in {dt:.1f}s")
 
 
 def test_criterion_5_poisson_liquid_structural_safety():

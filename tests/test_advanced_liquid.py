@@ -86,6 +86,7 @@ class TestStore:
         state, layout, _ = symbolic_cluster(N=20, r=4)
         assert state.phase_written["store"] == 20 * layout.clen
         assert state.phase_read["store"] == 0
+        assert all(not node.fragments for node in state.nodes)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):
@@ -766,6 +767,25 @@ class TestPoissonProtocol:
         assert sub.kind == "generate" and sub.group == 0
         rep.on_subop_complete(rep.next_completion())
         assert rep.subop.kind == "moveupdate" and rep.subop.group == 0
+
+    def test_stalled_subop_meters_committed_move_reads(self):
+        state, layout, rotation, rep = poisson_fixture()
+        rep.on_failure(1.0, 5)
+        rep.on_subop_complete(rep.next_completion())   # generate for 5
+        sub = rep.subop
+        assert sub.kind == "moveupdate" and sub.group == 0
+        for j, node in enumerate(range(30, 37)):       # halts the counter
+            rep.on_failure(sub.t0 + (j + 1) * 1e-6, node)
+        read0 = state.phase_read["repair"]
+        written0 = state.phase_written["repair"]
+        with pytest.raises(DecodeError):               # update's source pick
+            rep.on_subop_complete(rep.next_completion())
+        assert rep.subop is None
+        # the move committed: its r helper writes and its r reads from the
+        # donor are both metered
+        moved = layout.r * layout.flen
+        assert state.phase_written["repair"] - written0 == moved
+        assert state.phase_read["repair"] - read0 == moved
 
     def test_target_failure_mid_step_is_futile_and_requeued(self):
         state, layout, rotation, rep = poisson_fixture()

@@ -1,37 +1,53 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cluster_oracles import check_layout_sync, recoverable
-from liquidsim import liquid, rng
+from cluster_oracles import check_layout_sync, holders, recoverable
+from liquidsim import liquid, rng, sim_engine
+from liquidsim.bounds import EpsilonSet, SystemParams
 from liquidsim.errors import ConfigError, DecodeError, InvariantViolation
 from liquidsim.liquid import (RepairCounter, StepSchedule,
-                              assert_liquid_invariant, liquid_on_failure,
-                              liquid_on_step_complete, liquid_repair_step,
-                              liquid_store)
+                              assert_liquid_invariant, liquid_fail_node,
+                              liquid_on_failure, liquid_on_step_complete,
+                              liquid_repair_step, liquid_store)
 
 
 def store_periodic(N=10, beta=0.2, clen=100, backend="symbolic"):
     k = round((1 - beta) * N)
-    return liquid_store(k * clen, N, clen, beta, backend=backend)
+    payload = rng.stream(7, substream=rng.SUB_PAYLOAD)
+    return liquid_store(k * clen, N, clen, beta, backend=backend,
+                        payload_rng=payload if backend == "byte" else None)
 
 
 class TestStore:
     def test_staggered_counts(self):
-        state, lay = store_periodic(N=10, beta=0.2)
+        state, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
         assert lay.k == 8 and lay.objectCount == 2
-        assert len(lay.perObjectEfis[0]) == 9
-        assert lay.perObjectEfis[0] == set(range(9))
-        assert len(lay.perObjectEfis[1]) == 10
-        assert lay.flen == 50
-        assert recoverable(state, k=8, objects=lay.perObjectEfis)
+        assert lay.held.shape == (2, 10)
+        assert lay.held[0].tolist() == [True] * 9 + [False]
+        assert lay.held[1].all()
+        assert lay.flen == 80
+        assert recoverable(state, k=8, objects=range(2), codec=lay.codec,
+                           retained=lay.sources)
         check_layout_sync(state, lay)
 
+    def test_placement_is_one_array(self):
+        _, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
+        for field in dataclasses.fields(lay):
+            if field.name in ("sources", "tables"):  # byte payloads
+                continue
+            assert not isinstance(getattr(lay, field.name),
+                                  (dict, set, list)), field.name
+        assert lay.held.dtype == np.bool_ and lay.held.shape == (2, 10)
+
     def test_fragment_lives_on_matching_node(self):
-        state, lay = store_periodic()
-        for obj, efis in lay.perObjectEfis.items():
-            for e in efis:
-                assert (obj, e) in state.nodes[e].fragments
+        state, lay = store_periodic(clen=160, backend="byte")
+        for obj, e in zip(*lay.held.nonzero()):
+            assert (obj, e) in state.nodes[e].fragments
 
     def test_bad_xlen(self):
         with pytest.raises(ConfigError):
@@ -53,9 +69,8 @@ class TestStore:
         assert lay.objectCount == 18
         assert lay.counterCap == 3
         assert lay.flen == 10
-        for j in range(18):
-            assert len(lay.perObjectEfis[j]) == 83 + j
-        assert len(lay.perObjectEfis[17]) == 100  # back object full
+        assert lay.held.sum(axis=1).tolist() == [83 + j for j in range(18)]
+        assert lay.held[17].all()  # back object full
 
     def test_poisson_non_integral_slack_logged(self, caplog):
         import logging
@@ -69,27 +84,43 @@ class TestStore:
         state, lay = store_periodic(N=10, beta=0.2, clen=100)
         assert state.phase_written["store"] == 19 * 50
         assert state.phase_written["repair"] == 0
+        assert state.nodeBitsWritten.tolist() == [100] * 9 + [50]
+        # symbolic placement lives in lay.held alone
+        assert all(not node.fragments for node in state.nodes)
 
 
 class TestRepairStep:
     def test_exact_read_write_counts(self):
+        state, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
+        state.begin_phase("repair")
+        liquid_fail_node(state, lay, 1.0, 3)
+        assert not lay.held[:, 3].any()
+        rec = liquid_repair_step(state, lay, t0=1.0, t1=1.5)
+        assert rec.bitsRead == 8 * 80
+        # front object had 8 fragments left, so 2 rewritten
+        assert rec.bitsWritten == 2 * 80
+        assert state.phase_written["repair"] == 2 * 80
+        assert lay.held[0].all()
+        assert lay.front == 1
+        check_layout_sync(state, lay)
+
+    def test_symbolic_step_meters_without_storing(self):
         state, lay = store_periodic(N=10, beta=0.2, clen=100)
         state.begin_phase("repair")
-        state.fail_node(3, t=1.0)
-        for efis in lay.perObjectEfis.values():
-            efis.discard(3)
+        liquid_fail_node(state, lay, 1.0, 3)
+        before = state.nodeBitsWritten.copy()
         rec = liquid_repair_step(state, lay, t0=1.0, t1=1.5)
-        assert rec.bitsRead == 8 * 50
-        # front object had 8 fragments left, so 2 rewritten
-        assert rec.bitsWritten == 2 * 50
-        assert lay.perObjectEfis[0] == set(range(10))
-        assert lay.objectOrder == [1, 0]
-        check_layout_sync(state, lay)
+        # object 0 lacked EFI 9 from the start and lost EFI 3
+        assert rec.bitsWritten == state.phase_written["repair"] == 2 * 50
+        assert (state.nodeBitsWritten - before).tolist() == (
+            [0] * 3 + [50] + [0] * 5 + [50])
+        assert lay.held[0].all()
+        assert all(not node.fragments for node in state.nodes)
 
     def test_intact_object_writes_nothing(self):
         state, lay = store_periodic(N=10, beta=0.2, clen=100)
         state.begin_phase("repair")
-        lay.objectOrder = [1, 0]  # object 1 starts full
+        lay.stepsDone = 1  # object 1 starts full
         rec = liquid_repair_step(state, lay, t0=0.0, t1=1.0)
         assert rec.bitsRead == 400
         assert rec.bitsWritten == 0
@@ -97,9 +128,7 @@ class TestRepairStep:
     def test_undecodable_raises(self):
         state, lay = store_periodic(N=10, beta=0.2, clen=100)
         for node in range(3):
-            state.fail_node(node, t=1.0)
-            for efis in lay.perObjectEfis.values():
-                efis.discard(node)
+            liquid_fail_node(state, lay, 1.0, node)
         with pytest.raises(DecodeError):
             liquid_repair_step(state, lay, t0=1.0, t1=2.0)
 
@@ -108,17 +137,15 @@ class TestRepairStep:
         state, lay = liquid_store(6 * 16, 8, 16, 0.25, backend="byte",
                                   payload_rng=g)
         state.begin_phase("repair")
-        state.fail_node(0, t=1.0)
-        for efis in lay.perObjectEfis.values():
-            efis.discard(0)
+        liquid_fail_node(state, lay, 1.0, 0)
         liquid_repair_step(state, lay, t0=1.0, t1=2.0)
         assert state.nodes[0].fragments[(0, 0)] == lay.tables[0][0]
-        assert recoverable(state, k=6, objects=lay.perObjectEfis,
+        assert recoverable(state, k=6, objects=range(lay.objectCount),
                            codec=lay.codec, retained=lay.sources)
 
     def test_efi_map_out_of_sync_raises(self):
-        state, lay = store_periodic(N=10, beta=0.2, clen=100)
-        state.delete_fragment(2, 0, 2)  # layout still lists EFI 2
+        state, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
+        state.delete_fragment(2, 0, 2)  # layout still holds EFI 2
         with pytest.raises(InvariantViolation, match="node 2"):
             liquid_repair_step(state, lay, t0=0.0, t1=1.0)
 
@@ -136,29 +163,35 @@ class TestRepairStep:
 class TestPeriodicInvariant:
     def test_invariant_random_failures(self):
         g = rng.stream(11)
-        state, lay = store_periodic(N=20, beta=0.2, clen=40)
+        state, lay = store_periodic(N=20, beta=0.2, clen=32, backend="byte")
         state.begin_phase("repair")
         for m in range(400):
             node = int(g.integers(0, 20))
-            state.fail_node(node, t=float(m + 1))
-            for efis in lay.perObjectEfis.values():
-                efis.discard(node)
+            liquid_fail_node(state, lay, float(m + 1), node)
             rec = liquid_repair_step(state, lay, t0=m + 1, t1=m + 1.5)
-            assert rec.bitsRead == 16 * 10  # exact on every step
-            assert rec.bitsWritten <= 4 * 10
+            assert rec.bitsRead == 16 * 8  # exact on every step
+            assert rec.bitsWritten <= 4 * 8
             assert_liquid_invariant(lay, slack=1)
         check_layout_sync(state, lay)
 
     def test_invariant_assert_fires(self):
         _, lay = store_periodic(N=10, beta=0.2)
-        lay.perObjectEfis[0] = set(range(5))
-        with pytest.raises(InvariantViolation):
+        lay.held[0, 5:] = False
+        with pytest.raises(InvariantViolation,
+                           match=r"^position 0 object 0: 5 < 8 \+ 1 \+ 0 "):
+            assert_liquid_invariant(lay, slack=1)
+        lay.stepsDone = 1      # object 0 now at position 1, still short
+        with pytest.raises(InvariantViolation,
+                           match=r"^position 1 object 0: 5 < 8 \+ 1 \+ 1 "):
             assert_liquid_invariant(lay, slack=1)
 
 
-def poisson_fixture():
-    state, lay = liquid_store(80 * 180, 100, 180, 0.2,
-                              variant="poisson", eps=0.2)
+def poisson_fixture(backend="symbolic"):
+    # 18 objects; 10-bit fragments, or 8-bit ones that bytes can carry
+    clen = 180 if backend == "symbolic" else 144
+    payload = rng.stream(5, substream=rng.SUB_PAYLOAD)
+    state, lay = liquid_store(80 * clen, 100, clen, 0.2, variant="poisson",
+                              eps=0.2, backend=backend, payload_rng=payload)
     state.begin_phase("repair")
     counter = RepairCounter.at_cap(lay.counterCap)
     dur = (1 - 0.1) / 1.0  # lambda*N = 1
@@ -171,7 +204,7 @@ class TestPoissonProtocol:
         state, lay, counter, sched = poisson_fixture()
         liquid_on_failure(state, lay, counter, sched, t=1.0, node=5)
         assert counter.value == 2
-        assert sched.inProgress == (1.0, 1.9, lay.objectOrder[0])
+        assert sched.inProgress == (1.0, 1.9, lay.front)
 
     def test_sequential_steps_only(self):
         state, lay, counter, sched = poisson_fixture()
@@ -186,7 +219,7 @@ class TestPoissonProtocol:
         liquid_on_failure(state, lay, counter, sched, t=1.2, node=6)
         liquid_on_step_complete(state, lay, counter, sched, t=1.9)
         assert counter.value == 2
-        assert sched.inProgress == (1.9, 2.8, lay.objectOrder[0])
+        assert sched.inProgress == (1.9, 2.8, lay.front)
         liquid_on_step_complete(state, lay, counter, sched, t=2.8)
         assert counter.value == 3  # back at cap
         assert sched.inProgress is None
@@ -213,7 +246,7 @@ class TestPoissonProtocol:
         liquid_on_failure(state, lay, counter, sched, t=1.0, node=5)
         assert counter.value == -1 and counter.halted
         # in-flight completion still lands but nothing new starts
-        sched.inProgress = (0.5, 1.4, lay.objectOrder[0])
+        sched.inProgress = (0.5, 1.4, lay.front)
         liquid_on_step_complete(state, lay, counter, sched, t=1.4)
         assert sched.inProgress is None
         liquid_on_failure(state, lay, counter, sched, t=2.0, node=6)
@@ -231,7 +264,7 @@ class TestPoissonProtocol:
 
     def test_ladder_invariant_under_simulated_load(self):
         g = rng.stream(23)
-        state, lay, counter, sched = poisson_fixture()
+        state, lay, counter, sched = poisson_fixture(backend="byte")
         t = 0.0
         losses = 0
         for _ in range(2000):
@@ -247,10 +280,73 @@ class TestPoissonProtocol:
             liquid_on_failure(state, lay, counter, sched, t=t, node=node)
             if counter.value >= 0:
                 assert_liquid_invariant(lay, slack=counter.value)
-            if min(len(e) for e in lay.perObjectEfis.values()) < lay.k:
+            if lay.held.sum(axis=1).min() < lay.k:
                 losses += 1
                 break
         # census loss is only reachable through a counter dip
         if losses:
             assert counter.minSeen < 0
         check_layout_sync(state, lay)
+
+
+@st.composite
+def byte_liquid_runs(draw):
+    """A small byte-backend liquid driver and a random sequence of node
+    failures (ints) and repair steps (None)."""
+    variant = draw(st.sampled_from(["periodic", "poisson"]))
+    N = draw(st.integers(3, 24))
+    r = draw(st.integers(1, min(N - 1, 8)))
+    eps = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    # one-byte fragments for every object count up to r
+    clen = 8 * math.lcm(*range(1, r + 1))
+    sp = SystemParams(N=N, clen=clen, xlen=(N - r) * clen, lam=0.1)
+    scenario = sim_engine.Scenario(
+        sysParams=sp, repairer="liquid", variant=variant,
+        codecBackend="byte", eps=EpsilonSet(0.1, 0.1, eps),
+        seed=draw(st.integers(0, 2 ** 32)))
+    ops = draw(st.lists(st.one_of(st.none(), st.integers(0, N - 1)),
+                        min_size=4, max_size=30))
+    return sim_engine._LiquidDriver(scenario, 0), ops
+
+
+class TestPlacementOracle:
+    """held against the directory rebuilt from the byte node stores."""
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(byte_liquid_runs())
+    def test_held_matches_node_stores(self, run):
+        driver, ops = run
+        state, lay = driver.state, driver.layout
+        k, count = lay.k, lay.objectCount
+        state.begin_phase("repair")
+        steps = 0
+        for t, op in enumerate(ops, start=1):
+            front_has = len(holders(state).get(steps % count, ()))
+            if op is not None:
+                liquid_fail_node(state, lay, float(t), op)
+            elif front_has < k:
+                with pytest.raises(DecodeError):
+                    liquid_repair_step(state, lay, t0=t, t1=t)
+            else:
+                rec = liquid_repair_step(state, lay, t0=t, t1=t)
+                assert rec.bitsRead == k * lay.flen
+                assert rec.bitsWritten == (state.N - front_has) * lay.flen
+                steps += 1
+            check_layout_sync(state, lay)
+            directory = holders(state)
+            assert driver.recoverable() == recoverable(
+                state, k, range(count))
+            have = [len(directory.get((steps + j) % count, ()))
+                    for j in range(count)]
+            for slack in (0, 1):
+                holds = all(h >= k + slack + j for j, h in enumerate(have))
+                try:
+                    assert_liquid_invariant(lay, slack)
+                    assert holds
+                except InvariantViolation:
+                    assert not holds
+        assert lay.stepsDone == steps
+        survivors = [j for j in range(count)
+                     if len(holders(state).get(j, ())) >= k]
+        assert recoverable(state, k, survivors, codec=lay.codec,
+                           retained={j: lay.sources[j] for j in survivors})

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liquidsim import bounds, failure_gen, rng, sim_engine
 from liquidsim.bounds import EpsilonSet, SystemParams
@@ -114,7 +116,30 @@ class TestLiquidPeriodicTrial:
         assert run_trial(sc, 0) == run_trial(sc, 0)
 
 
+@st.composite
+def liquid_poisson_scenarios(draw):
+    N = draw(st.integers(3, 40))
+    r = draw(st.integers(1, min(N - 1, 12)))
+    step = draw(st.one_of(st.none(), st.floats(0.05, 20.0),
+                          st.just(math.inf)))
+    # clen divisible by every object count up to r
+    return liquid_poisson(N=N, beta=r / N, clen=math.lcm(*range(1, r + 1)),
+                          M=draw(st.integers(1, 150)),
+                          lam=draw(st.floats(0.005, 0.2)),
+                          eps=draw(st.floats(0.01, 0.99)), stepDuration=step,
+                          seed=draw(st.integers(0, 2 ** 32)),
+                          collectTrace=False)
+
+
 class TestLiquidPoissonTrial:
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(liquid_poisson_scenarios())
+    def test_loss_implies_counter_dip_across_parameters(self, sc):
+        # the census and the counter detector agree wherever the counter
+        # holds; run_trial raises on any invariant break
+        res = run_trial(sc, 0)
+        assert res.recoverableThroughout or res.counterMin < 0
 
     def test_erosion_oracle_when_repair_disabled(self):
         sc = liquid_poisson(stepDuration=math.inf, M=200)
