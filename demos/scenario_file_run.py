@@ -34,10 +34,7 @@ csv = out.csv
 summary = summary.jsonl
 """
 
-work = Path(tempfile.mkdtemp(prefix="liquidsim_demo_"))
-(work / "scenario.ini").write_text(SCENARIO)
-
-def run(outdir, extra=()):
+def run(work, outdir, extra=()):
     cmd = [sys.executable, "-m", "liquidsim", "run", "--scenario",
            str(work / "scenario.ini"), "--out", str(outdir), *extra]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -45,17 +42,21 @@ def run(outdir, extra=()):
         sys.exit(f"run failed ({proc.returncode}):\n{proc.stderr}")
     return proc
 
-run(work / "a")
-run(work / "b", extra=["--jobs", "2"])
 
-csvA = (work / "a" / "out.csv").read_bytes()
-csvB = (work / "b" / "out.csv").read_bytes()
-print((work / "a" / "out.csv").read_text())
-print("sequential and --jobs 2 CSVs identical:", csvA == csvB)
-assert csvA == csvB
+with tempfile.TemporaryDirectory(prefix="liquidsim_demo_") as tmp:
+    work = Path(tmp)
+    (work / "scenario.ini").write_text(SCENARIO)
+    run(work, work / "a")
+    run(work, work / "b", extra=["--jobs", "2"])
 
-for line in (work / "a" / "summary.jsonl").read_text().splitlines():
-    print(line[:120] + ("..." if len(line) > 120 else ""))
+    csvA = (work / "a" / "out.csv").read_bytes()
+    csvB = (work / "b" / "out.csv").read_bytes()
+    print((work / "a" / "out.csv").read_text())
+    print("sequential and --jobs 2 CSVs identical:", csvA == csvB)
+    assert csvA == csvB
+
+    for line in (work / "a" / "summary.jsonl").read_text().splitlines():
+        print(line[:120] + ("..." if len(line) > 120 else ""))
 
 # bounds for an exabyte-scale system, no simulation involved
 proc = subprocess.run(

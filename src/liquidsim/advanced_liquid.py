@@ -32,14 +32,16 @@ Census, recoverability and used bits are closed forms of these arrays.
 
 A source pick depends only on the group's holder set outside the target,
 which changes at the run ends of other rows or when a row is cleared.  A
-chain keeps its last pick while neither happens, and reads for a repeated
-pick add up as one scalar weight; a periodic step makes one pick, not N.
+chain keeps its last pick while neither happens, and the groups one pick
+serves commit as array ops on a range: a periodic step is a few calls,
+not a loop over the N groups.
 The fault-injection hook drops the staircases of nodes 0 and 1, which
 fails the census but not recovery.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections import deque
@@ -91,12 +93,9 @@ class EfiRotation:
         return self.helperEfis[1:] + [self.primaryEfis[self.pendingNode]]
 
     def commit_step(self) -> None:
-        node = self.pendingNode
-        if node is None:
-            raise InvariantViolation("no repair step in flight")
         donated = self.helperEfis[0]
-        self.helperEfis = self.new_helper_efis()
-        self.primaryEfis[node] = donated
+        self.helperEfis = self.new_helper_efis()    # requires a step in flight
+        self.primaryEfis[self.pendingNode] = donated
         self.pendingNode = None
 
     def assert_distinct(self) -> None:
@@ -130,9 +129,6 @@ class GroupLayout:
     def front_phys(self, group: int) -> int:
         """Physical index of the group's position-0 object."""
         return int(self.rot[group]) % self.r
-
-    def phys_at(self, group: int, position: int) -> int:
-        return (int(self.rot[group]) + position) % self.r
 
 
 @dataclass
@@ -212,8 +208,7 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
             if node.usedBits != clen:
                 raise InvariantViolation(f"node {nid} stored {node.usedBits} bits")
     else:
-        for m in range(N):
-            state.meter_write_bulk(m, clen, t=0.0)
+        state.meter_write_bulk(slice(None), clen, t=0.0)
     return state, layout, rotation
 
 
@@ -246,8 +241,8 @@ class _Reads:
     """Read bits of one metering window: an (N,) vector plus the last
     source pick, whose reads add up as one scalar weight.
 
-    The pick is reused while the group stays inside its holder span and no
-    row has been cleared.  That is exact as long as, between picks, only the
+    The pick serves every group inside its holder span while no row has
+    been cleared.  That is exact as long as, between picks, only the
     excluded row grows, as in a step chain, whose moves all go to its
     excluded target.
     """
@@ -259,18 +254,28 @@ class _Reads:
         self.weight = 0
         self.key = None         # (exclude, need, rowClears, lo, hi) of srcs
 
-    def add_sources(self, group, phys, exclude, need, bits) -> np.ndarray:
-        """Pick `need` primary sources of the group and charge each bits."""
-        layout, key = self.layout, self.key
-        if (key is None or key[:3] != (exclude, need, layout.rowClears)
+    def reach(self, group, exclude, need) -> int:
+        """End of the groups from `group` on the last pick serves, or group."""
+        key = self.key
+        if (key is None or key[:3] != (exclude, need, self.layout.rowClears)
                 or not key[3] <= group < key[4]):
+            return group
+        return key[4]
+
+    def add_sources(self, groups, phys, exclude, need, bits) -> tuple:
+        """Pick `need` primary sources of groups[0] (phys names its object in
+        the error) and charge each bits per group for the leading groups the
+        pick serves; returns the sources and the first group not charged."""
+        layout, group = self.layout, groups.start
+        stop = self.reach(group, exclude, need)
+        if stop == group:
             self._flush()
-            self.srcs = _pick_primary_sources(layout, group, phys, exclude,
-                                              need)
-            self.key = (exclude, need, layout.rowClears,
-                        *_holder_span(layout, group, exclude))
-        self.weight += bits
-        return self.srcs
+            self.srcs = _pick_primary_sources(layout, group, phys, exclude, need)
+            lo, stop = _holder_span(layout, group, exclude)
+            self.key = (exclude, need, layout.rowClears, lo, stop)
+        stop = min(stop, groups.stop)
+        self.weight += bits * (stop - group)
+        return self.srcs, stop
 
     def _flush(self) -> None:
         if self.weight:
@@ -313,12 +318,12 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
         t = state.now
     r = layout.r
     reads = _Reads(layout) if collect is None else collect
-    srcs = reads.add_sources(group, layout.front_phys(group), exclude,
-                             layout.k, r * layout.flen)
+    srcs, _ = reads.add_sources(range(group, group + 1), layout.front_phys(group),
+                                exclude, layout.k, r * layout.flen)
     writes = r * (r + 1) // 2
     if layout.codec.backend == "byte":
         for j in range(r):
-            p = layout.phys_at(group, j)
+            p = (layout.front_phys(group) + j) % r
             data = _decode_object(state, layout, rotation, group, p, srcs)
             labels = rotation.helperEfis[: j + 1]
             frags = erasure.encode(data, labels, layout.codec)
@@ -334,88 +339,96 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
 
 
 def move_helpers(state: ClusterState, layout: GroupLayout,
-                 rotation: EfiRotation, fromNode: int, toNode: int, *,
+                 rotation: EfiRotation, groups: range, toNode: int, *,
                  t=None, collect=None) -> OpCounts:
-    """Hand every position-0 helper of fromNode's group to toNode, where
-    the donated fragments take over the primary role.
+    """Hand every position-0 helper of each group in `groups`, held at the
+    group's anchor node, to toNode, where the donated fragments take over
+    the primary role.  Returns one group's counts.
 
-    fromNode == toNode relabels in place; the copy is still metered.  The
-    group joins toNode's run of held groups; a group that would split the
-    run raises InvariantViolation before anything is written.
+    The group anchored at toNode relabels in place; the copy is still
+    metered.  The groups join toNode's run of held groups; an anchor
+    without its front helpers, or groups that would split the run, raise
+    before anything is written.
     """
     if t is None:
         t = state.now
-    if layout.helperLo[fromNode] != 0:
+    g0, g1 = groups.start, groups.stop
+    lacking = layout.helperLo[g0:g1].nonzero()[0]
+    if lacking.size:
         raise MissingFragmentError(
-            f"node {fromNode} lacks position-0 helpers to donate")
+            f"node {g0 + lacking[0]} lacks position-0 helpers to donate")
     lo, hi = int(layout.heldLo[toNode]), int(layout.heldHi[toNode])
-    if lo == hi:
-        lo, hi = fromNode, fromNode + 1
-    elif fromNode == hi:
-        hi += 1
-    elif fromNode == lo - 1:
-        lo -= 1
-    elif not lo <= fromNode < hi:
+    if lo < hi and not lo - 1 <= g0 <= hi:
         raise InvariantViolation(
-            f"node {toNode} holds groups {lo}..{hi - 1}; group {fromNode} "
+            f"node {toNode} holds groups {lo}..{hi - 1}; group {g0} "
             f"would split the run")
     reads = _Reads(layout) if collect is None else collect
-    reads.vector[fromNode] += layout.r * layout.flen
+    reads.vector[g0:g1] += layout.r * layout.flen
     donated = rotation.helperEfis[0]
     if layout.codec.backend == "byte":
-        for p in range(layout.r):
-            obj = (fromNode, p)
-            payload = state.nodes[fromNode].fragments.get((obj, donated))
+        for obj in itertools.product(groups, range(layout.r)):
+            g = obj[0]
+            payload = state.nodes[g].fragments.get((obj, donated))
             if payload is None:
-                raise InvariantViolation(
-                    f"helper map out of sync at node {fromNode}")
+                raise InvariantViolation(f"helper map out of sync at node {g}")
             state.store_fragment(toNode, obj, donated, payload, layout.flen, t=t)
-            if fromNode != toNode:
-                state.delete_fragment(fromNode, obj, donated)
+            if g != toNode:
+                state.delete_fragment(g, obj, donated)
     else:
-        state.meter_write_bulk(toNode, layout.r * layout.flen, t=t)
-    layout.heldLo[toNode], layout.heldHi[toNode] = lo, hi
-    layout.helperLo[fromNode] = 1
+        state.meter_write_bulk(toNode, len(groups) * layout.r * layout.flen, t=t)
+    layout.heldLo[toNode] = min(lo, g0) if lo < hi else g0
+    layout.heldHi[toNode] = max(hi, g1) if lo < hi else g1
+    layout.helperLo[g0:g1] = 1
     if collect is None:
         state.meter_read_spread(reads.take(), t, t)
     return OpCounts(layout.r, layout.r)
 
 
 def update_helpers(state: ClusterState, layout: GroupLayout,
-                   rotation: EfiRotation, group: int, *, t=None,
+                   rotation: EfiRotation, groups: range, *, t=None,
                    collect=None, exclude=None) -> OpCounts:
-    """Shift the group order by one and rebuild the full helper set for
-    the object that moved to the back.
+    """Shift the order of each group in `groups` by one and rebuild the
+    full helper set for the object that moved to the back.  Returns one
+    group's counts.
 
     Requires an in-flight step on rotation: the new back object's helpers
     take the post-step labels, ending with the repaired node's old primary
     label.  The other objects already hold exactly the helpers their new
     position needs, one label down from where they sat before.  An anchor
-    without its staircase (helperLo > 1) has nothing to shift.
+    without its staircase (helperLo > 1) has nothing to shift.  Groups
+    sharing a source pick commit together; a group short of sources raises
+    DecodeError with the groups before it committed.
     """
     if t is None:
         t = state.now
-    r = layout.r
-    if layout.helperLo[group] > 1:
-        raise MissingFragmentError(f"node {group} holds no staircase to update")
-    p0 = layout.front_phys(group)
-    reads = _Reads(layout) if collect is None else collect
-    srcs = reads.add_sources(group, p0, exclude, layout.k, layout.flen)
+    bare = (layout.helperLo[groups.start:groups.stop] > 1).nonzero()[0]
+    if bare.size:
+        raise MissingFragmentError(
+            f"node {groups.start + bare[0]} holds no staircase to update")
     rotation.require_step()
-    if layout.codec.backend == "byte":
-        labels = rotation.new_helper_efis()
-        data = _decode_object(state, layout, rotation, group, p0, srcs)
-        frags = erasure.encode(data, labels, layout.codec)
-        for e in labels:
-            state.store_fragment(group, (group, p0), e, frags[e],
-                                 layout.flen, t=t)
-    else:
-        state.meter_write_bulk(group, r * layout.flen, t=t)
-    layout.rot[group] += 1
-    layout.helperLo[group] = 0
+    reads = _Reads(layout) if collect is None else collect
+    g = groups.start
+    while g < groups.stop:
+        srcs, end = reads.add_sources(range(g, groups.stop),
+                                      layout.front_phys(g), exclude,
+                                      layout.k, layout.flen)
+        if layout.codec.backend == "byte":
+            labels = rotation.new_helper_efis()
+            for group in range(g, end):
+                p0 = layout.front_phys(group)
+                data = _decode_object(state, layout, rotation, group, p0, srcs)
+                frags = erasure.encode(data, labels, layout.codec)
+                for e in labels:
+                    state.store_fragment(group, (group, p0), e, frags[e],
+                                         layout.flen, t=t)
+        else:
+            state.meter_write_bulk(slice(g, end), layout.r * layout.flen, t=t)
+        layout.rot[g:end] += 1
+        layout.helperLo[g:end] = 0
+        g = end
     if collect is None:
         state.meter_read_spread(reads.take(), t, t)
-    return OpCounts(layout.k, r)
+    return OpCounts(layout.k, layout.r)
 
 
 def _clear_row(layout, node) -> None:
@@ -441,7 +454,9 @@ def advanced_fail_node(state: ClusterState, layout: GroupLayout, t: float,
 class _StepChain:
     """All work of one repair step: the target's own staircase first, then
     per group in ascending order a generate when its position-0 helpers are
-    missing, followed by a move+update.
+    missing, followed by a move+update.  commit() takes a range of groups:
+    run() commits each run of groups between missing staircases at once, a
+    Poisson chain one group per sub-operation.
 
     Each sub-operation is planned from the placement as it stands when the
     previous one committed, so a donor lost mid-step is regenerated before
@@ -460,6 +475,7 @@ class _StepChain:
         self.startTime = t
         self.futile = False         # target failed again mid-step
         self.counts = {"generate": [], "move": [], "update": []}
+        self.fragmentWrites = 0
         self.bitsRead = 0
         self.reads = _Reads(layout)
         rotation.begin_step(node)
@@ -475,17 +491,30 @@ class _StepChain:
         has_front = self.layout.helperLo[group] == 0
         return ("moveupdate" if has_front else "generate"), group
 
-    def commit(self, kind: str, group: int, t: float) -> None:
-        """Run one planned sub-operation at t; its reads wait for meter()."""
+    def commit(self, kind: str, groups: range, t: float) -> None:
+        """Run a planned sub-operation on each of groups at t; the reads
+        wait for meter().  A move+update commits the groups the last source
+        pick serves as one range and a group needing a fresh pick alone, so
+        a stall leaves that group's move committed, as one at a time would."""
         ctx = (self.state, self.layout, self.rotation)
         if kind == "generate":
-            self.counts["generate"].append(generate_helpers(
-                *ctx, group, t=t, collect=self.reads, exclude=self.node))
-        else:
-            self.counts["move"].append(move_helpers(
-                *ctx, group, self.node, t=t, collect=self.reads))
-            self.counts["update"].append(update_helpers(
-                *ctx, group, t=t, collect=self.reads, exclude=self.node))
+            for group in groups:
+                self._tally("generate", 1, generate_helpers(
+                    *ctx, group, t=t, collect=self.reads, exclude=self.node))
+            return
+        g = groups.start
+        while g < groups.stop:
+            served = self.reads.reach(g, self.node, self.layout.k)
+            part = range(g, min(groups.stop, max(served, g + 1)))
+            self._tally("move", len(part), move_helpers(
+                *ctx, part, self.node, t=t, collect=self.reads))
+            self._tally("update", len(part), update_helpers(
+                *ctx, part, t=t, collect=self.reads, exclude=self.node))
+            g = part.stop
+
+    def _tally(self, kind: str, n: int, counts: OpCounts) -> None:
+        self.counts[kind] += [counts] * n
+        self.fragmentWrites += counts.fragmentWrites * n
 
     def meter(self, t0: float, t1: float) -> None:
         """Stream the reads committed since the last call over [t0, t1]."""
@@ -495,38 +524,33 @@ class _StepChain:
     def planned_reads(self, kind: str, group: int) -> np.ndarray:
         """(N,) read bits of a sub-operation, re-derived from the current
         placement; used only to attribute aborted reads."""
-        layout = self.layout
-        reads = np.zeros(layout.N, np.int64)
-        per_src = layout.flen
-        if kind == "generate":
-            per_src *= layout.r
-        else:
-            reads[group] += layout.r * layout.flen
+        layout, reads = self.layout, _Reads(self.layout)
+        per_src = layout.flen * (layout.r if kind == "generate" else 1)
+        if kind != "generate":
+            reads.vector[group] += layout.r * layout.flen
         try:
-            srcs = _pick_primary_sources(layout, group,
-                                         layout.front_phys(group),
-                                         self.node, layout.k)
-            reads[srcs] += per_src
+            reads.add_sources(range(group, group + 1), layout.front_phys(group),
+                              self.node, layout.k, per_src)
         except DecodeError:
             log.warning("aborted sub-operation reads under-attributed: "
                         "sources already gone")
-        return reads
+        return reads.take()
 
     def finish(self, t: float) -> AdvancedStepRecord:
         self.rotation.commit_step()
         self.rotation.assert_distinct()
-        written = sum(c.fragmentWrites for seq in self.counts.values()
-                      for c in seq)
         return AdvancedStepRecord(
-            node=self.node, bitsRead=self.bitsRead,
-            bitsWritten=written * self.layout.flen, counts=self.counts,
+            node=self.node, bitsRead=self.bitsRead, counts=self.counts,
+            bitsWritten=self.fragmentWrites * self.layout.flen,
             futile=self.futile, startTime=self.startTime, endTime=t)
 
     def run(self, t0: float, t1: float) -> AdvancedStepRecord:
         """The whole chain at once: every sub-operation commits at t1 and
         the step's reads are metered as one stream over [t0, t1]."""
         for kind, group in iter(self.next_subop, None):
-            self.commit(kind, group, t1)
+            # up to the next missing staircase; a generate's own is missing
+            missing = np.append(self.layout.helperLo[group:], 1) != 0
+            self.commit(kind, range(group, group + max(1, missing.argmax())), t1)
         self.meter(t0, t1)
         return self.finish(t1)
 
@@ -536,10 +560,11 @@ def advanced_repair_step(state: ClusterState, layout: GroupLayout,
                          t0=None, t1=None) -> AdvancedStepRecord:
     """One full periodic repair step for failedNode, run synchronously.
 
-    Generates the target's own staircase first, then per group (ascending,
-    including the target's own) moves the donated helpers in and updates
-    the staircase.  Reads are metered as one stream over [t0, t1]; writes
-    land at t1.
+    Generates the target's own staircase first, then moves the donated
+    helpers of every group (ascending, including the target's own) in and
+    updates the staircases, as array ops over each run of groups between
+    missing staircases.  Reads are metered as one stream over [t0, t1];
+    writes land at t1.
     """
     if t0 is None:
         t0 = state.now
@@ -746,7 +771,7 @@ class AdvancedPoissonRepairer:
         if sub.kind == "step":
             return self._end_step(self.chain.run(sub.t0, t), t)
         try:
-            self.chain.commit(sub.kind, sub.group, t)
+            self.chain.commit(sub.kind, range(sub.group, sub.group + 1), t)
         finally:   # a stalled sub-op still read what it committed
             self.chain.meter(sub.t0, t)
         return self._plan(t)

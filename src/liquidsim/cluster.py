@@ -97,11 +97,15 @@ class ClusterState:
         self.now = max(self.now, t1)
         return total
 
-    def meter_write_bulk(self, node_id: int, bits: int, t: float) -> None:
-        """Meter writes to one node without touching fragment storage: the
-        write path of the symbolic backends."""
-        self.nodeBitsWritten[node_id] += bits
-        self.phase_written[self.phase] += bits
+    def meter_write_bulk(self, nodes, bits, t: float) -> None:
+        """Meter writes but store nothing (the symbolic write path): bits, one
+        count or one per node, to nodes, an id, a slice or distinct ids."""
+        self.nodeBitsWritten[nodes] += bits
+        if isinstance(bits, np.ndarray):
+            bits = bits.sum()
+        elif not isinstance(nodes, int):    # the same bits to each node
+            bits *= np.size(self.nodeBitsWritten[nodes])
+        self.phase_written[self.phase] += int(bits)
         self.now = max(self.now, t)
 
     def fail_node(self, node_id: int, t: float) -> None:

@@ -143,8 +143,7 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
                           codec=codec, held=held, sources={} if byte else None,
                           tables={} if byte else None)
     if not byte:
-        for e, n_objects in enumerate(held.sum(axis=0).tolist()):
-            state.meter_write_bulk(e, n_objects * flen, t=0.0)
+        state.meter_write_bulk(slice(None), held.sum(axis=0) * flen, t=0.0)
         return state, layout
     for j in range(count):
         layout.sources[j] = source = payload_rng.bytes(k * flen // 8)
@@ -191,11 +190,11 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
             fresh = erasure.encode(data, range(layout.codec.n), layout.codec)
             if fresh != layout.tables[obj]:
                 raise InvariantViolation(f"object {obj} fragment table drift")
-    missing = np.flatnonzero(~row).tolist()
-    for e in missing:
-        if layout.tables is None:
-            state.meter_write_bulk(e, flen, t=t1)
-        else:
+    missing = np.flatnonzero(~row)
+    if layout.tables is None:
+        state.meter_write_bulk(missing, flen, t=t1)
+    else:
+        for e in missing.tolist():
             state.store_fragment(e, obj, e, layout.tables[obj][e], flen, t=t1)
     row[:] = True
     layout.stepsDone += 1
@@ -239,15 +238,17 @@ def liquid_on_step_complete(state: ClusterState, layout: LiquidLayout,
     return rec
 
 
-def assert_liquid_invariant(layout: LiquidLayout, slack: int) -> None:
+def assert_liquid_invariant(layout: LiquidLayout, slack: int,
+                            have=None) -> None:
     """Position-j object must hold >= k + slack + j fragments.
 
     Callers pass slack=1 at periodic inter-failure instants and the current
-    counter value (when non-negative) at Poisson event boundaries.
+    counter value (when non-negative) at Poisson event boundaries; have is
+    layout.held.sum(axis=1) when the caller already counted it.
     """
     position = np.arange(layout.objectCount)
     order = (layout.stepsDone + position) % layout.objectCount
-    have = layout.held.sum(axis=1)[order]
+    have = (layout.held.sum(axis=1) if have is None else have)[order]
     short = np.flatnonzero(have < layout.k + slack + position)
     if short.size:
         j = int(short[0])

@@ -153,12 +153,14 @@ class _LiquidDriver:
             self.counter.halted = True
             self.schedule.inProgress = None
 
-    def recoverable(self) -> bool:
-        return bool((self.layout.held.sum(axis=1) >= self.layout.k).all())
-
-    def check_invariant(self) -> None:
-        if self.counter.value >= 0:
-            liquid.assert_liquid_invariant(self.layout, self.counter.value)
+    def recoverable(self, check: bool = False) -> bool:
+        """Every object keeps k fragments; check asserts the invariant too."""
+        have = self.layout.held.sum(axis=1)
+        if not (have >= self.layout.k).all():
+            return False
+        if check and self.counter.value >= 0:
+            liquid.assert_liquid_invariant(self.layout, self.counter.value, have)
+        return True
 
     def inject_fault(self) -> None:
         back = self.layout.held[self.layout.front - 1]
@@ -201,15 +203,15 @@ class _AdvancedDriver:
             log.warning("repair stalled at t=%g: %s", t, e)
             self.counter.halted = True
 
-    def recoverable(self) -> bool:
-        return adv.recoverable_census(self.layout)
-
-    def check_invariant(self) -> None:
+    def recoverable(self, check: bool = False) -> bool:
+        if not adv.recoverable_census(self.layout):
+            return False
         # periodic: cap 1 and k = N-1, so N members between steps, N-1
         # while one is in flight
-        if self.counter.value >= 0:
+        if check and self.counter.value >= 0:
             adv.assert_advanced_invariant(self.layout,
                                           self.layout.k + self.counter.value)
+        return True
 
     def inject_fault(self) -> None:
         self.layout.helperLo[:2] = self.layout.r
@@ -247,10 +249,8 @@ def run_trial(scenario: Scenario, streamId: int) -> TrialResult:
             trace.append((t, kind, driver.counter.value, bits_r, bits_w))
         if scenario.faultInjection and events == _FAULT_AFTER_EVENTS:
             driver.inject_fault()
-        if not driver.recoverable():
+        if not driver.recoverable(check=events % scenario.assertEvery == 0):
             lost_at = t
-        elif events % scenario.assertEvery == 0:
-            driver.check_invariant()
 
     def run_completions(horizon):
         while lost_at is None:

@@ -36,6 +36,12 @@ def symbolic_cluster(N=20, r=4, variant="periodic", eps=0.0):
                           backend="symbolic")
 
 
+def one(group):
+    """The range of one group, the unit the chain commits in a Poisson
+    sub-operation."""
+    return range(group, group + 1)
+
+
 def holds(layout, node, group):
     """True when node holds the primaries of the group."""
     return bool(layout.heldLo[node] <= group < layout.heldHi[node])
@@ -309,7 +315,7 @@ class TestStandaloneOps:
         generate_helpers(state, layout, rotation, 4, t=1.0, exclude=4)
         donor_before = state.nodes[6].usedBits
         target_before = state.nodes[4].usedBits
-        counts = move_helpers(state, layout, rotation, 6, 4, t=1.1)
+        counts = move_helpers(state, layout, rotation, one(6), 4, t=1.1)
         assert counts == (2, 2)
         assert state.nodes[6].usedBits == donor_before - 2 * layout.flen
         assert state.nodes[4].usedBits == target_before + 2 * layout.flen
@@ -319,12 +325,12 @@ class TestStandaloneOps:
         state, layout, rotation = symbolic_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 4)
         rotation.begin_step(4)
-        move_helpers(state, layout, rotation, 2, 4, t=1.1)
-        move_helpers(state, layout, rotation, 3, 4, t=1.1)
+        move_helpers(state, layout, rotation, one(2), 4, t=1.1)
+        move_helpers(state, layout, rotation, one(3), 4, t=1.1)
         assert (layout.heldLo[4], layout.heldHi[4]) == (2, 4)
         written = state.phase_written[state.phase]
         with pytest.raises(InvariantViolation, match="split the run"):
-            move_helpers(state, layout, rotation, 6, 4, t=1.2)
+            move_helpers(state, layout, rotation, one(6), 4, t=1.2)
         assert (layout.heldLo[4], layout.heldHi[4]) == (2, 4)
         assert layout.helperLo[6] == 0
         assert state.phase_written[state.phase] == written
@@ -335,20 +341,20 @@ class TestStandaloneOps:
         advanced_fail_node(state, layout, 1.2, 6)
         rotation.begin_step(4)
         with pytest.raises(MissingFragmentError):
-            move_helpers(state, layout, rotation, 6, 4, t=1.3)
+            move_helpers(state, layout, rotation, one(6), 4, t=1.3)
 
     def test_update_on_wiped_anchor_raises(self):
         state, layout, rotation = byte_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 2)
         rotation.begin_step(4)
         with pytest.raises(MissingFragmentError, match="node 2 holds no"):
-            update_helpers(state, layout, rotation, 2, t=1.0)
+            update_helpers(state, layout, rotation, one(2), t=1.0)
         assert layout.helperLo[2] == layout.r and layout.rot[2] == 0
 
     def test_update_requires_in_flight_step(self):
         state, layout, rotation = byte_cluster(N=8, r=2)
         with pytest.raises(InvariantViolation):
-            update_helpers(state, layout, rotation, 2, t=1.0)
+            update_helpers(state, layout, rotation, one(2), t=1.0)
 
     def test_update_shifts_group_order(self):
         state, layout, rotation = byte_cluster(N=8, r=3)
@@ -495,24 +501,25 @@ class TestStaircaseAgainstDenseModel:
                     pass
             elif not dense.H[a, :, 0].all():
                 with pytest.raises(MissingFragmentError):
-                    move_helpers(*ctx, a, b, t=float(t))
+                    move_helpers(*ctx, one(a), b, t=float(t))
             elif place.splits(a, b):
                 with pytest.raises(InvariantViolation, match="split"):
-                    move_helpers(*ctx, a, b, t=float(t))
+                    move_helpers(*ctx, one(a), b, t=float(t))
             else:
-                move_helpers(*ctx, a, b, t=float(t))
+                move_helpers(*ctx, one(a), b, t=float(t))
                 dense.move(a)
                 place.move(a, b)
                 if kind == "movestall":
                     with mock.patch.object(adv, "_pick_primary_sources",
                                            side_effect=DecodeError("forced")):
                         with pytest.raises(DecodeError):
-                            update_helpers(*ctx, a, t=float(t), exclude=b)
+                            update_helpers(*ctx, one(a), t=float(t),
+                                           exclude=b)
                     assert layout.helperLo[a] == 1
                 else:
                     p0 = layout.front_phys(a)
                     try:
-                        update_helpers(*ctx, a, t=float(t), exclude=b)
+                        update_helpers(*ctx, one(a), t=float(t), exclude=b)
                         dense.update(a, p0)
                     except DecodeError:
                         pass
@@ -554,17 +561,26 @@ class TestChainAgainstDensePlacement:
         picks = []
         real_move, real_add = adv.move_helpers, adv._Reads.add_sources
 
-        def move(state, layout, rotation, fromNode, toNode, **kw):
-            out = real_move(state, layout, rotation, fromNode, toNode, **kw)
-            place.move(fromNode, toNode)
+        def move(state, layout, rotation, groups, toNode, **kw):
+            out = real_move(state, layout, rotation, groups, toNode, **kw)
+            for group in groups:
+                place.move(group, toNode)
             return out
 
-        def add_sources(reads, group, phys, exclude, need, bits):
+        def add_sources(reads, groups, phys, exclude, need, bits):
+            group, got = groups.start, []
             picks.append(group)
-            return assert_pick_matches(
+            assert_pick_matches(
                 place.P[:, group],
-                lambda: real_add(reads, group, phys, exclude, need, bits),
+                lambda: got.append(real_add(reads, groups, phys, exclude,
+                                            need, bits)) or got[0][0],
                 group, phys, exclude, need)
+            srcs, stop = got[0]
+            # every group charged to the pick must have picked the same
+            for g in range(group + 1, stop):
+                assert reference_pick(place.P[:, g], g, phys, exclude,
+                                      need) == srcs.tolist()
+            return srcs, stop
 
         def event(call, *args):
             chain = rep.chain
@@ -663,6 +679,113 @@ class TestPeriodicThroughRepairer:
         rep.on_failure(1.0, 3)
         with pytest.raises(InvariantViolation):
             rep.on_failure(1.2, 5)
+
+
+def cut_row(state, layout, rotation, node, lo, hi):
+    """Shrink node's row to the groups it holds within lo..hi-1, dropping
+    the other primaries from a byte store, as an interrupted chain leaves a
+    row."""
+    held = range(int(layout.heldLo[node]), int(layout.heldHi[node]))
+    lo, hi = max(lo, held.start), min(hi, held.stop)
+    if layout.codec.backend == "byte":
+        efi = rotation.primaryEfis[node]
+        for g in held:
+            if not lo <= g < hi:
+                for p in range(layout.r):
+                    state.delete_fragment(node, (g, p), efi)
+    layout.heldLo[node], layout.heldHi[node] = (lo, hi) if lo < hi else (0, 0)
+
+
+def drop_staircases(state, layout, rotation, anchors):
+    """The fault hook's damage, helperLo = r, with a byte store's helper
+    fragments deleted to match."""
+    if layout.codec.backend == "byte":
+        for a in anchors:
+            for (obj, efi) in list(state.nodes[a].fragments):
+                if efi in rotation.helperEfis:
+                    state.delete_fragment(a, obj, efi)
+    layout.helperLo[anchors] = layout.r
+
+
+@st.composite
+def periodic_step_cases(draw):
+    N = draw(st.integers(3, 12))
+    # a row cut short, unless it is the target's, leaves some groups with
+    # too few holders: the step stalls at the first pick that falls short
+    cuts = st.tuples(st.integers(0, N - 1), st.integers(0, N),
+                     st.integers(0, N))
+    return SimpleNamespace(
+        N=N, r=draw(st.integers(1, 3)), target=draw(st.integers(0, N - 1)),
+        backend=draw(st.sampled_from(["byte", "symbolic"])),
+        drop=draw(st.booleans()), cuts=draw(st.lists(cuts, max_size=2)))
+
+
+class TestBatchedStepMatchesOneGroupAtATime:
+    """_StepChain.run() commits whole runs of groups as array ops; replaying
+    the step one group per commit, as a Poisson chain does, must leave the
+    same placement, meters, counts and error, stall or not."""
+
+    @staticmethod
+    def build(case):
+        make = byte_cluster if case.backend == "byte" else symbolic_cluster
+        state, layout, rotation = make(N=case.N, r=case.r)
+        state.begin_phase("repair")
+        if case.drop:
+            drop_staircases(state, layout, rotation, [0, 1])
+        for node, a, b in case.cuts:
+            cut_row(state, layout, rotation, node, min(a, b), max(a, b))
+        advanced_fail_node(state, layout, 1.0, case.target)
+        return state, layout, rotation
+
+    @staticmethod
+    def step(state, layout, rotation, target, batched):
+        chain = adv._StepChain(state, layout, rotation, target, 1.0)
+        try:
+            if batched:
+                return chain, chain.run(1.0, 2.0), None
+            for kind, group in iter(chain.next_subop, None):
+                chain.commit(kind, one(group), 2.0)
+            chain.meter(1.0, 2.0)
+            return chain, chain.finish(2.0), None
+        except DecodeError as e:
+            return chain, None, str(e)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(periodic_step_cases())
+    def test_run_matches_single_group_commits(self, case):
+        runs = []
+        for batched in (True, False):
+            state, layout, rotation = self.build(case)
+            chain, rec, err = self.step(state, layout, rotation, case.target,
+                                        batched)
+            runs.append((state, layout, chain, rec, err))
+            if err is None:
+                check_advanced_sync(state, layout, rotation)
+        (bs, bl, bc, brec, berr), (ss, sl, sc, srec, serr) = runs
+        assert berr == serr and brec == srec
+        for name in ("heldLo", "heldHi", "helperLo", "rot"):
+            assert np.array_equal(getattr(bl, name), getattr(sl, name)), name
+        for name in ("nodeBitsRead", "nodeBitsWritten"):
+            assert np.array_equal(getattr(bs, name), getattr(ss, name)), name
+        assert (bs.phase_read, bs.phase_written) == (ss.phase_read,
+                                                     ss.phase_written)
+        assert bs.read_log == ss.read_log
+        assert bc.counts == sc.counts
+        assert [n.fragments for n in bs.nodes] == [n.fragments
+                                                   for n in ss.nodes]
+
+    def test_stall_leaves_the_short_group_moved(self):
+        # node 2's row ends before group 5: groups 0..4 keep their N - 1
+        # holders besides target 3, group 5 is one short of k = N - 1
+        case = SimpleNamespace(N=8, r=2, target=3, backend="symbolic",
+                               drop=False, cuts=[(2, 0, 5)])
+        state, layout, rotation = self.build(case)
+        chain, rec, err = self.step(state, layout, rotation, 3, True)
+        assert rec is None and err.startswith("object (5,")
+        assert layout.helperLo.tolist() == [0] * 5 + [1, 0, 0]
+        assert (layout.heldLo[3], layout.heldHi[3]) == (0, 6)
+        assert len(chain.counts["move"]) == 6
+        assert len(chain.counts["update"]) == 5
 
 
 def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0):
