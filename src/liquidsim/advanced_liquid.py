@@ -237,6 +237,21 @@ def _holder_span(layout, group, exclude) -> tuple:
             int(cuts[cuts > group].min(initial=layout.N)))
 
 
+def _at(groups: range):
+    """numpy index of a range of groups: the group itself for one group,
+    whose element access costs a tenth of a one-element slice's."""
+    return groups.start if len(groups) == 1 else slice(groups.start, groups.stop)
+
+
+def _first_above(values: np.ndarray, groups: range, floor: int):
+    """First group in groups whose value exceeds floor, None if none does."""
+    idx = _at(groups)
+    if isinstance(idx, int):
+        return idx if values[idx] > floor else None
+    over = np.flatnonzero(values[idx] > floor)
+    return groups.start + int(over[0]) if over.size else None
+
+
 class _Reads:
     """Read bits of one metering window: an (N,) vector plus the last
     source pick, whose reads add up as one scalar weight.
@@ -290,18 +305,23 @@ class _Reads:
         return out
 
 
-def _decode_object(state, layout, rotation, group, phys, srcs):
+def _rebuild_helpers(state, layout, rotation, group, phys, srcs, labels, t):
+    """Decode object (group, phys) from the primaries at srcs, compare it
+    with its source and store its fragments for labels at the anchor; the
+    decode and the re-encode are one product."""
+    obj = (group, phys)
     frags = {}
     for m in srcs.tolist():
         efi = rotation.primaryEfis[m]
-        payload = state.nodes[m].fragments.get(((group, phys), efi))
+        payload = state.nodes[m].fragments.get((obj, efi))
         if payload is None:
             raise InvariantViolation(f"primary map out of sync at node {m}")
         frags[efi] = payload
-    data = erasure.decode(frags, layout.codec)
-    if data != layout.sources[(group, phys)]:
+    data, helpers = erasure.decode_encode(frags, labels, layout.codec)
+    if data != layout.sources[obj]:
         raise InvariantViolation(f"decode mismatch for object ({group},{phys})")
-    return data
+    for e in labels:
+        state.store_fragment(group, obj, e, helpers[e], layout.flen, t=t)
 
 
 def generate_helpers(state: ClusterState, layout: GroupLayout,
@@ -324,12 +344,8 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
     if layout.codec.backend == "byte":
         for j in range(r):
             p = (layout.front_phys(group) + j) % r
-            data = _decode_object(state, layout, rotation, group, p, srcs)
-            labels = rotation.helperEfis[: j + 1]
-            frags = erasure.encode(data, labels, layout.codec)
-            for e in labels:
-                state.store_fragment(group, (group, p), e, frags[e],
-                                     layout.flen, t=t)
+            _rebuild_helpers(state, layout, rotation, group, p, srcs,
+                             rotation.helperEfis[: j + 1], t)
     else:
         state.meter_write_bulk(group, writes * layout.flen, t=t)
     layout.helperLo[group] = 0
@@ -353,17 +369,17 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
     if t is None:
         t = state.now
     g0, g1 = groups.start, groups.stop
-    lacking = layout.helperLo[g0:g1].nonzero()[0]
-    if lacking.size:
+    lacking = _first_above(layout.helperLo, groups, 0)
+    if lacking is not None:
         raise MissingFragmentError(
-            f"node {g0 + lacking[0]} lacks position-0 helpers to donate")
+            f"node {lacking} lacks position-0 helpers to donate")
     lo, hi = int(layout.heldLo[toNode]), int(layout.heldHi[toNode])
     if lo < hi and not lo - 1 <= g0 <= hi:
         raise InvariantViolation(
             f"node {toNode} holds groups {lo}..{hi - 1}; group {g0} "
             f"would split the run")
     reads = _Reads(layout) if collect is None else collect
-    reads.vector[g0:g1] += layout.r * layout.flen
+    reads.vector[_at(groups)] += layout.r * layout.flen
     donated = rotation.helperEfis[0]
     if layout.codec.backend == "byte":
         for obj in itertools.product(groups, range(layout.r)):
@@ -378,7 +394,7 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
         state.meter_write_bulk(toNode, len(groups) * layout.r * layout.flen, t=t)
     layout.heldLo[toNode] = min(lo, g0) if lo < hi else g0
     layout.heldHi[toNode] = max(hi, g1) if lo < hi else g1
-    layout.helperLo[g0:g1] = 1
+    layout.helperLo[_at(groups)] = 1
     if collect is None:
         state.meter_read_spread(reads.take(), t, t)
     return OpCounts(layout.r, layout.r)
@@ -401,10 +417,9 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
     """
     if t is None:
         t = state.now
-    bare = (layout.helperLo[groups.start:groups.stop] > 1).nonzero()[0]
-    if bare.size:
-        raise MissingFragmentError(
-            f"node {groups.start + bare[0]} holds no staircase to update")
+    bare = _first_above(layout.helperLo, groups, 1)
+    if bare is not None:
+        raise MissingFragmentError(f"node {bare} holds no staircase to update")
     rotation.require_step()
     reads = _Reads(layout) if collect is None else collect
     g = groups.start
@@ -412,19 +427,16 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
         srcs, end = reads.add_sources(range(g, groups.stop),
                                       layout.front_phys(g), exclude,
                                       layout.k, layout.flen)
+        done = _at(range(g, end))
         if layout.codec.backend == "byte":
             labels = rotation.new_helper_efis()
             for group in range(g, end):
-                p0 = layout.front_phys(group)
-                data = _decode_object(state, layout, rotation, group, p0, srcs)
-                frags = erasure.encode(data, labels, layout.codec)
-                for e in labels:
-                    state.store_fragment(group, (group, p0), e, frags[e],
-                                         layout.flen, t=t)
+                _rebuild_helpers(state, layout, rotation, group,
+                                 layout.front_phys(group), srcs, labels, t)
         else:
-            state.meter_write_bulk(slice(g, end), layout.r * layout.flen, t=t)
-        layout.rot[g:end] += 1
-        layout.helperLo[g:end] = 0
+            state.meter_write_bulk(done, layout.r * layout.flen, t=t)
+        layout.rot[done] += 1
+        layout.helperLo[done] = 0
         g = end
     if collect is None:
         state.meter_read_spread(reads.take(), t, t)
@@ -573,12 +585,13 @@ def advanced_repair_step(state: ClusterState, layout: GroupLayout,
     return _StepChain(state, layout, rotation, failedNode, t0).run(t0, t1)
 
 
-def _full_rows(layout: GroupLayout) -> np.ndarray:
+def full_rows(layout: GroupLayout) -> np.ndarray:
+    """(N,) bool: nodes holding every group's primaries."""
     return (layout.heldLo == 0) & (layout.heldHi == layout.N)
 
 
-def _witnesses(layout: GroupLayout) -> np.ndarray:
-    return _full_rows(layout) & (layout.helperLo == 0)
+def _witnesses(layout: GroupLayout, full=None) -> np.ndarray:
+    return (full_rows(layout) if full is None else full) & (layout.helperLo == 0)
 
 
 def census(layout: GroupLayout) -> list:
@@ -587,23 +600,28 @@ def census(layout: GroupLayout) -> list:
     return np.flatnonzero(_witnesses(layout)).tolist()
 
 
-def assert_advanced_invariant(layout: GroupLayout, minimum=None) -> None:
-    """Require at least `minimum` witness members (all N by default)."""
-    got = int(np.count_nonzero(_witnesses(layout)))
+def assert_advanced_invariant(layout: GroupLayout, minimum=None,
+                              full=None) -> None:
+    """Require at least `minimum` witness members (all N by default); full
+    is full_rows(layout) when the caller already has it."""
+    got = int(np.count_nonzero(_witnesses(layout, full)))
     need = layout.N if minimum is None else minimum
     if got < need:
         raise InvariantViolation(f"witness set has {got} members, need {need}")
 
 
-def recoverable_census(layout: GroupLayout) -> bool:
-    """True when every object still reaches its decode threshold.
+def recoverable_census(layout: GroupLayout, full=None) -> bool:
+    """True when every object still reaches its decode threshold; full is
+    full_rows(layout) when the caller already has it.
 
     An object of group g has one fragment per holder of g plus its
     anchor's helpers; the position-0 object has the fewest helpers, one
     with the full staircase and none otherwise.
     """
     N = layout.N
-    if int(np.count_nonzero(_full_rows(layout))) >= layout.k:
+    if full is None:
+        full = full_rows(layout)
+    if int(np.count_nonzero(full)) >= layout.k:
         return True
     starts = (np.bincount(layout.heldLo, minlength=N + 1)
               - np.bincount(layout.heldHi, minlength=N + 1))

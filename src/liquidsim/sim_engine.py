@@ -204,13 +204,14 @@ class _AdvancedDriver:
             self.counter.halted = True
 
     def recoverable(self, check: bool = False) -> bool:
-        if not adv.recoverable_census(self.layout):
+        full = adv.full_rows(self.layout)
+        if not adv.recoverable_census(self.layout, full):
             return False
         # periodic: cap 1 and k = N-1, so N members between steps, N-1
         # while one is in flight
         if check and self.counter.value >= 0:
-            adv.assert_advanced_invariant(self.layout,
-                                          self.layout.k + self.counter.value)
+            adv.assert_advanced_invariant(
+                self.layout, self.layout.k + self.counter.value, full)
         return True
 
     def inject_fault(self) -> None:

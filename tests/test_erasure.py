@@ -1,11 +1,15 @@
 import logging
 import shutil
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liquidsim import erasure, gf256, rng
+from liquidsim import erasure, gf256, rng, sim_engine
+from liquidsim.bounds import EpsilonSet, SystemParams
 from liquidsim.errors import ConfigError, DecodeError
 
 HAVE_CC = shutil.which("cc") is not None
@@ -40,6 +44,30 @@ def _matmul_cases(seed):
         # the same product on strided views: G transposed, X every other column
         Xwide = g.integers(0, 256, (k, 2 * L)).astype(np.uint8)
         yield np.asfortranarray(G), Xwide[:, ::2]
+
+
+def _oracle_decode(fragments, params):
+    """The uncached decode: one inv_matrix solve for every call that needs
+    parity, the stacked [parity; source] rows in one product."""
+    k, fb = params.k, params.flen_bytes
+    efis = sorted(fragments)
+    have = [e for e in efis if e < k]
+    par = [e for e in efis if e >= k][: k - len(have)]
+    chunks = {j: fragments[j] for j in have}
+    if par:
+        missing = [j for j in range(k) if j not in chunks]
+        Gp = erasure.generator_rows(params, par)
+        Minv = gf256.inv_matrix(Gp[:, missing])
+        C = np.concatenate([Minv, gf256.matmul(Minv, Gp[:, have])], axis=1)
+        stacked = b"".join(fragments[e] for e in par + have)
+        S = gf256.matmul(C, np.frombuffer(stacked, np.uint8).reshape(k, fb))
+        chunks.update((j, row.tobytes()) for j, row in zip(missing, S))
+    return b"".join(chunks[j] for j in range(k))
+
+
+def _clear_matrix_caches():
+    erasure._decode_matrix.cache_clear()
+    erasure._source_rows.cache_clear()
 
 
 class TestField:
@@ -200,6 +228,127 @@ class TestByteCodec:
         p = erasure.make_codec(6, 4, 32, backend="byte")
         with pytest.raises(ConfigError):
             erasure.encode(bytes(15), [0], p)
+
+
+@st.composite
+def fused_cases(draw):
+    """(params, object, k-subset of EFIs, EFIs to re-encode), source and
+    parity EFIs mixed."""
+    n = draw(st.integers(1, 64))
+    k = draw(st.integers(1, n))
+    fb = draw(st.integers(1, 8))
+    subset = draw(st.permutations(range(n)))[:k]
+    efis = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    obj = bytes(rng.stream(seed).integers(0, 256, k * fb).astype(np.uint8))
+    return erasure.make_codec(n, k, 8 * fb, backend="byte"), obj, subset, efis
+
+
+class TestFusedDecode:
+    """decode_encode against encode(oracle decode): the cached matrices
+    and the one product must give the uncached path's bytes."""
+
+    @staticmethod
+    def check(case):
+        p, obj, subset, efis = case
+        given_frags = erasure.encode(obj, subset, p)
+        want = _oracle_decode(given_frags, p)
+        assert want == obj
+        data, frags = erasure.decode_encode(given_frags, efis, p)
+        assert data == want
+        assert frags == erasure.encode(want, efis, p)
+        assert erasure.decode(given_frags, p) == want
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(fused_cases())
+    def test_matches_oracle(self, case):
+        self.check(case)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(fused_cases())
+    def test_matches_oracle_on_numpy_kernel(self, case):
+        with mock.patch.object(gf256, "_lib", None), \
+                mock.patch.object(gf256, "KERNEL", "numpy"):
+            _clear_matrix_caches()      # build the matrices on numpy too
+            try:
+                self.check(case)
+            finally:
+                _clear_matrix_caches()
+
+    def test_cached_matrix_is_read_only(self):
+        for efis in ((), (1, 9)):
+            slots, missing, M = erasure._decode_matrix(10, 6, (0, 2, 3),
+                                                       (7, 8, 9), efis)
+            assert (slots, missing) == ((0, 7, 2, 3, 8, 9), (1, 4, 5))
+            assert M.shape == (3 + len(efis), 6)
+            with pytest.raises(ValueError):
+                M[0] ^= 1
+
+    def test_efis_validated(self):
+        p = erasure.make_codec(6, 4, 32, backend="byte")
+        frags = erasure.encode(bytes(16), range(6), p)
+        for bad in (6, -1):
+            with pytest.raises(ConfigError):
+                erasure.decode_encode({e: frags[e] for e in (0, 1, 4, 5)},
+                                      [bad], p)
+
+    def test_symbolic(self):
+        p = erasure.make_codec(6, 4, 32, backend="symbolic")
+        assert erasure.decode_encode({e: None for e in range(4)}, [5], p) == (
+            None, {5: None})
+        with pytest.raises(DecodeError):
+            erasure.decode_encode({e: None for e in range(3)}, [5], p)
+
+
+class TestMatrixCache:
+    def test_poisson_byte_trial_solves_once_per_key(self, monkeypatch):
+        # the advanced-poisson-byte benchmark's parameters: N = 40, r = 8,
+        # eps = 0.9, 32-byte fragments, 18 failures
+        N, r, eps, flen = 40, 8, 0.9, 256
+        clen = flen * (r * N + r * (r + 1) // 2)
+        cap = int(eps / 2 * N) + 1
+        sc = sim_engine.Scenario(
+            sysParams=SystemParams(N=N, clen=clen, xlen=(N - cap) * clen,
+                                   lam=1.0 / N),
+            repairer="advancedLiquid", variant="poisson", codecBackend="byte",
+            eps=EpsilonSet(0.1, 0.1, eps), advancedR=r, failureCount=18,
+            seed=5)
+        solves, keys, decodes = [], set(), [0]
+        inv, fused = gf256.inv_matrix, erasure.decode_encode
+
+        def counted_inv(A):
+            solves.append(A.shape)
+            return inv(A)
+
+        def keyed(fragments, efis, params):
+            used = sorted(fragments)[: params.k]
+            if used[-1] >= params.k:        # a decode that needs parity
+                decodes[0] += 1
+                keys.add(tuple(used))
+            return fused(fragments, efis, params)
+
+        monkeypatch.setattr(gf256, "inv_matrix", counted_inv)
+        monkeypatch.setattr(erasure, "decode_encode", keyed)
+        _clear_matrix_caches()
+        res = sim_engine.run_trial(sc, 0)
+        assert res.recoverableThroughout
+        assert 0 < len(solves) <= len(keys)
+        assert decodes[0] > 20 * len(solves)    # one solve each, uncached
+
+    def test_cache_stays_bounded(self):
+        n, k = 12, 4
+        p = erasure.make_codec(n, k, 16, backend="byte")
+        obj = bytes(range(k * 2))
+        frags = erasure.encode(obj, range(n), p)
+        _clear_matrix_caches()
+        subsets = list(combinations(range(n), k))
+        assert len(subsets) > erasure.MATRIX_CACHE_SIZE
+        for subset in subsets:
+            data, _ = erasure.decode_encode({e: frags[e] for e in subset},
+                                            [n - 1], p)
+            assert data == obj
+        for cache in (erasure._decode_matrix, erasure._source_rows):
+            assert cache.cache_info().currsize == erasure.MATRIX_CACHE_SIZE
 
 
 class TestSymbolicCodec:
