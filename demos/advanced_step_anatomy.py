@@ -8,7 +8,7 @@ rotation at the end is pure bookkeeping, so no surviving fragment is
 rewritten when the roles shift.
 """
 
-from liquidsim import ClusterState, advanced_fail_node, advanced_repair_step
+from liquidsim import advanced_fail_node, advanced_repair_step
 from liquidsim import advanced_store
 
 N = 10

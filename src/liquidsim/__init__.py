@@ -7,15 +7,18 @@ The package has three layers:
   ``failure_gen`` (counter-based seeded failure schedules);
 * repair algorithms: ``liquid`` (single rotating repair queue) and
   ``advanced_liquid`` (grouped layout with helper fragments, lower read rate);
-* the harness: ``cluster`` (metered node stores), ``sim_engine`` (event loop,
-  trials, experiments, CSV/JSON reporting) and ``cli`` (scenario-file runner).
+* the harness: ``cluster`` (the per-node interface meters), ``sim_engine``
+  (event loop, trials, experiments, CSV/JSON reporting) and ``cli``
+  (scenario-file runner).
+
+Each repairer keeps placement, and on the byte backend the payloads, in its
+own numpy arrays.
 
 Most callers only need :class:`Scenario` plus :func:`run_experiment`, or the
 ``liquidsim`` console script.
 """
 
 from .errors import (
-    CapacityError,
     ConfigError,
     DecodeError,
     InvariantViolation,
@@ -71,7 +74,6 @@ from .sim_engine import (
 )
 
 __all__ = [
-    "CapacityError",
     "ConfigError",
     "DecodeError",
     "InvariantViolation",

@@ -30,6 +30,15 @@ helpers donated (a move committed and the update after it could not pick
 its sources); r, no helpers (after a wipe, a failure or the fault hook).
 Census, recoverability and used bits are closed forms of these arrays.
 
+The byte backend holds its payloads in arrays indexed by object (group,
+phys) and physical label: the sources, the fragments, and owner, the node
+holding each fragment or -1.  owner is written where fragments are
+written, moved or erased, never derived from placement, so
+check_advanced_sync can compare the two.  A move is an owner update, with
+no payload copy; a wipe or a failure sets the node's owner entries to -1
+and zeroes their payloads, so a decode that reads one fails its comparison
+with the source.
+
 A source pick depends only on the group's holder set outside the target,
 which changes at the run ends of other rows or when a row is cleared.  A
 chain keeps its last pick while neither happens, and the groups one pick
@@ -41,7 +50,6 @@ fails the census but not recovery.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from collections import deque
@@ -124,7 +132,13 @@ class GroupLayout:
     # at position j; 0 full staircase, 1 front helpers donated, r none
     helperLo: np.ndarray
     rowClears: int = 0      # rows emptied so far; a cached source pick keys on it
-    sources: Optional[dict] = None   # byte backend: (group, phys) -> object bytes
+    # byte backend, by object (group, phys) and physical label: sources
+    # (N, r, k, flen_bytes) and frags (N, r, N + r, flen_bytes) uint8, and
+    # owner (N, r, N + r), the node holding each fragment or -1; frags is
+    # zero where owner is -1
+    sources: Optional[np.ndarray] = None
+    frags: Optional[np.ndarray] = None
+    owner: Optional[np.ndarray] = None
 
     def front_phys(self, group: int) -> int:
         """Physical index of the group's position-0 object."""
@@ -181,7 +195,9 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
         raise InvariantViolation("helper count exceeds what the overhead buys")
     codec = erasure.make_codec(N + r, k, flen, backend=backend)
 
-    state = ClusterState(N=N, capacity=clen)
+    if codec.backend == "byte" and payload_rng is None:
+        raise ConfigError("byte backend needs payload_rng")
+    state = ClusterState(N)
     layout = GroupLayout(N=N, r=r, k=k, flen=flen, clen=clen, beta=beta,
                          variant=variant, counterCap=cap, codec=codec,
                          rot=np.zeros(N, dtype=np.int64),
@@ -190,25 +206,21 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
                          helperLo=np.zeros(N, dtype=np.int64))
     rotation = EfiRotation(primaryEfis=list(range(N)),
                            helperEfis=list(range(N, N + r)))
-
+    state.meter_write_bulk(slice(None), clen, t=0.0)
     if codec.backend == "byte":
-        if payload_rng is None:
-            raise ConfigError("byte backend needs payload_rng")
-        layout.sources = {}
-        for g in range(N):
-            for p in range(r):
-                src = payload_rng.bytes(k * flen // 8)
-                layout.sources[(g, p)] = src
-                frags = erasure.encode(src, range(N + p + 1), codec)
-                for m in range(N):
-                    state.store_fragment(m, (g, p), m, frags[m], flen, t=0.0)
-                for e in range(N, N + p + 1):
-                    state.store_fragment(g, (g, p), e, frags[e], flen, t=0.0)
-        for nid, node in enumerate(state.nodes):
-            if node.usedBits != clen:
-                raise InvariantViolation(f"node {nid} stored {node.usedBits} bits")
-    else:
-        state.meter_write_bulk(slice(None), clen, t=0.0)
+        fb = codec.flen_bytes
+        layout.sources = np.frombuffer(
+            b"".join(payload_rng.bytes(k * fb) for _ in range(N * r)),
+            np.uint8).reshape(N, r, k, fb)
+        layout.frags = frags = np.zeros((N, r, N + r, fb), dtype=np.uint8)
+        frags[:, :, :k] = layout.sources
+        layout.owner = owner = np.full((N, r, N + r), -1, dtype=np.int64)
+        owner[:, :, :N] = np.arange(N)      # primary label m at node m
+        for p in range(r):
+            owner[:, p, N:N + p + 1] = np.arange(N)[:, None]  # at the anchor
+            for g in range(N):
+                _, frags[g, p, k:N + p + 1] = erasure.decode_encode(
+                    frags[g, p], range(k), range(k, N + p + 1), codec)
     return state, layout, rotation
 
 
@@ -305,23 +317,21 @@ class _Reads:
         return out
 
 
-def _rebuild_helpers(state, layout, rotation, group, phys, srcs, labels, t):
+def _rebuild_helpers(layout, rotation, group, phys, srcs, labels) -> None:
     """Decode object (group, phys) from the primaries at srcs, compare it
-    with its source and store its fragments for labels at the anchor; the
+    with its source and write its fragments for labels at the anchor; the
     decode and the re-encode are one product."""
-    obj = (group, phys)
-    frags = {}
-    for m in srcs.tolist():
-        efi = rotation.primaryEfis[m]
-        payload = state.nodes[m].fragments.get((obj, efi))
-        if payload is None:
-            raise InvariantViolation(f"primary map out of sync at node {m}")
-        frags[efi] = payload
-    data, helpers = erasure.decode_encode(frags, labels, layout.codec)
-    if data != layout.sources[obj]:
+    read = [rotation.primaryEfis[m] for m in srcs.tolist()]
+    stray = layout.owner[group, phys, read] != srcs
+    if stray.any():
+        raise InvariantViolation(
+            f"primary map out of sync at node {srcs[stray.argmax()]}")
+    data, helpers = erasure.decode_encode(layout.frags[group, phys], read,
+                                          labels, layout.codec)
+    if not np.array_equal(data, layout.sources[group, phys]):
         raise InvariantViolation(f"decode mismatch for object ({group},{phys})")
-    for e in labels:
-        state.store_fragment(group, obj, e, helpers[e], layout.flen, t=t)
+    layout.frags[group, phys, labels] = helpers
+    layout.owner[group, phys, labels] = group
 
 
 def generate_helpers(state: ClusterState, layout: GroupLayout,
@@ -344,10 +354,9 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
     if layout.codec.backend == "byte":
         for j in range(r):
             p = (layout.front_phys(group) + j) % r
-            _rebuild_helpers(state, layout, rotation, group, p, srcs,
-                             rotation.helperEfis[: j + 1], t)
-    else:
-        state.meter_write_bulk(group, writes * layout.flen, t=t)
+            _rebuild_helpers(layout, rotation, group, p, srcs,
+                             rotation.helperEfis[: j + 1])
+    state.meter_write_bulk(group, writes * layout.flen, t=t)
     layout.helperLo[group] = 0
     if collect is None:
         state.meter_read_spread(reads.take(), t, t)
@@ -364,7 +373,8 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
     The group anchored at toNode relabels in place; the copy is still
     metered.  The groups join toNode's run of held groups; an anchor
     without its front helpers, or groups that would split the run, raise
-    before anything is written.
+    before anything is written.  A byte move only changes the fragments'
+    owner.
     """
     if t is None:
         t = state.now
@@ -378,20 +388,16 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
         raise InvariantViolation(
             f"node {toNode} holds groups {lo}..{hi - 1}; group {g0} "
             f"would split the run")
+    if layout.codec.backend == "byte":
+        owner = layout.owner[g0:g1, :, rotation.helperEfis[0]]
+        stray = owner != np.arange(g0, g1)[:, None]
+        if stray.any():
+            raise InvariantViolation("helper map out of sync at node "
+                                     f"{g0 + stray.any(axis=1).argmax()}")
+        owner[...] = toNode
     reads = _Reads(layout) if collect is None else collect
     reads.vector[_at(groups)] += layout.r * layout.flen
-    donated = rotation.helperEfis[0]
-    if layout.codec.backend == "byte":
-        for obj in itertools.product(groups, range(layout.r)):
-            g = obj[0]
-            payload = state.nodes[g].fragments.get((obj, donated))
-            if payload is None:
-                raise InvariantViolation(f"helper map out of sync at node {g}")
-            state.store_fragment(toNode, obj, donated, payload, layout.flen, t=t)
-            if g != toNode:
-                state.delete_fragment(g, obj, donated)
-    else:
-        state.meter_write_bulk(toNode, len(groups) * layout.r * layout.flen, t=t)
+    state.meter_write_bulk(toNode, len(groups) * layout.r * layout.flen, t=t)
     layout.heldLo[toNode] = min(lo, g0) if lo < hi else g0
     layout.heldHi[toNode] = max(hi, g1) if lo < hi else g1
     layout.helperLo[_at(groups)] = 1
@@ -431,10 +437,9 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
         if layout.codec.backend == "byte":
             labels = rotation.new_helper_efis()
             for group in range(g, end):
-                _rebuild_helpers(state, layout, rotation, group,
-                                 layout.front_phys(group), srcs, labels, t)
-        else:
-            state.meter_write_bulk(done, layout.r * layout.flen, t=t)
+                _rebuild_helpers(layout, rotation, group,
+                                 layout.front_phys(group), srcs, labels)
+        state.meter_write_bulk(done, layout.r * layout.flen, t=t)
         layout.rot[done] += 1
         layout.helperLo[done] = 0
         g = end
@@ -444,17 +449,14 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
 
 
 def _clear_row(layout, node) -> None:
+    """Empty the node's row and staircase and zero the payloads it held."""
     layout.heldLo[node] = layout.heldHi[node] = 0
     layout.helperLo[node] = layout.r
     layout.rowClears += 1
-
-
-def _wipe_node(state, layout, node) -> None:
-    # formatting the replacement is free; only repair traffic is metered
-    store = state.nodes[node]
-    for object_id, efi in list(store.fragments):
-        state.delete_fragment(node, object_id, efi)
-    _clear_row(layout, node)
+    if layout.owner is not None:
+        gone = layout.owner == node
+        layout.owner[gone] = -1
+        layout.frags[gone] = 0
 
 
 def advanced_fail_node(state: ClusterState, layout: GroupLayout, t: float,
@@ -491,7 +493,8 @@ class _StepChain:
         self.bitsRead = 0
         self.reads = _Reads(layout)
         rotation.begin_step(node)
-        _wipe_node(state, layout, node)
+        # formatting the replacement is free; only repair traffic is metered
+        _clear_row(layout, node)
 
     def next_subop(self) -> Optional[tuple]:
         """(kind, group) of the next sub-operation, None once all are done."""
@@ -639,26 +642,45 @@ def node_used_bits(layout: GroupLayout) -> np.ndarray:
 
 def check_advanced_sync(state: ClusterState, layout: GroupLayout,
                         rotation: EfiRotation) -> None:
-    """Cross-check the byte store against the placement arrays.
+    """Cross-check the byte owner array against the placement arrays: each
+    node's fragments must add up to node_used_bits within clen, owner must
+    be what heldLo, heldHi, helperLo, rot and the labels give, and an empty
+    slot must hold zeroes.
 
     Only meaningful between steps, when labels are committed; symbolic
     layouts have nothing to compare.
     """
-    if layout.codec.backend != "byte":
+    owner = layout.owner
+    if owner is None:
         return
-    r = layout.r
-    for node in range(layout.N):
-        groups = range(int(layout.heldLo[node]), int(layout.heldHi[node]))
-        expected = {((g, p), rotation.primaryEfis[node])
-                    for g in groups for p in range(r)}
-        lo, rot = int(layout.helperLo[node]), int(layout.rot[node])
-        expected |= {((node, p), rotation.helperEfis[m])
-                     for p in range(r) for m in range(lo, (p - rot) % r + 1)}
-        actual = set(state.nodes[node].fragments)
-        if actual != expected:
-            raise InvariantViolation(
-                f"node {node}: store and placement arrays disagree "
-                f"({len(actual)} vs {len(expected)} fragments)")
+    N, r = layout.N, layout.r
+    used = np.bincount(owner[owner >= 0], minlength=N) * layout.flen
+    want = node_used_bits(layout)
+    off = np.flatnonzero((used > layout.clen) | (used != want))
+    if off.size:
+        n = off[0]
+        raise InvariantViolation(
+            f"node {n} holds {used[n]} bits, placement says {want[n]} "
+            f"of capacity {layout.clen}")
+    expected = np.full_like(owner, -1)
+    groups = np.arange(N)
+    node, group = np.nonzero((groups >= layout.heldLo[:, None])
+                             & (groups < layout.heldHi[:, None]))
+    expected[group, :, np.asarray(rotation.primaryEfis)[node]] = node[:, None]
+    roles = np.arange(r)
+    position = (roles - layout.rot[:, None]) % r        # (group, phys)
+    anchor, phys, role = np.nonzero(
+        (roles >= layout.helperLo[:, None, None])
+        & (roles <= position[:, :, None]))
+    expected[anchor, phys, np.asarray(rotation.helperEfis)[role]] = anchor
+    off = np.argwhere(owner != expected)
+    if off.size:
+        g, p, e = off[0]
+        raise InvariantViolation(
+            f"node {max(owner[g, p, e], expected[g, p, e])}: owner and "
+            f"placement arrays disagree on object ({g},{p}) label {e}")
+    if layout.frags[owner < 0].any():
+        raise InvariantViolation("an empty slot holds data")
 
 
 @dataclass(frozen=True)

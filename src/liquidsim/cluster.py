@@ -1,8 +1,9 @@
-"""Cluster state: node fragment stores and the interface meters.
+"""Cluster state: the interface meters and the clock.
 
-The node stores hold real payloads only: the byte backends of both repairers
-store every fragment there, while the symbolic backends keep placement in
-their own arrays, leave the stores empty and only meter.
+ClusterState holds no fragment data.  Placement lives in each repairer's
+own arrays, and so do the byte backends' payloads: uint8 arrays indexed by
+fragment id that a node failure zeroes, as the paper's replacement node
+starts out zeroed.  The symbolic backends hold no payloads at all.
 
 Meters are the measurement surface of the whole simulator, so their
 semantics are strict: every read and write of fragment data is metered at
@@ -20,29 +21,14 @@ import bisect
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, InvariantViolation, MissingFragmentError
-
-
-class NodeStore:
-    """One node: capacity-bounded map (objectId, efi) -> payload."""
-
-    __slots__ = ("nodeId", "capacity", "fragments", "flens", "usedBits")
-
-    def __init__(self, node_id: int, capacity: int):
-        self.nodeId = node_id
-        self.capacity = capacity
-        self.fragments: dict = {}
-        self.flens: dict = {}
-        self.usedBits = 0
+from .errors import ConfigError
 
 
 class ClusterState:
-    def __init__(self, N: int, capacity: int):
-        if N < 1 or capacity <= 0:
-            raise ConfigError("need N >= 1 and positive capacity")
+    def __init__(self, N: int):
+        if N < 1:
+            raise ConfigError("need N >= 1")
         self.N = N
-        self.capacity = capacity
-        self.nodes = [NodeStore(i, capacity) for i in range(N)]
         self.now = 0.0
         self.phase = "store"
         # per-node interface meters; failures never reset them
@@ -58,26 +44,7 @@ class ClusterState:
             raise ConfigError(f"unknown phase {phase!r}")
         self.phase = phase
 
-    # -- mutation ---------------------------------------------------------
-
-    def store_fragment(self, node_id: int, object_id, efi: int, payload,
-                       flen: int, t: float) -> None:
-        node = self.nodes[node_id]
-        key = (object_id, efi)
-        if key not in node.fragments:
-            if node.usedBits + flen > node.capacity:
-                raise CapacityError(
-                    f"node {node_id}: {node.usedBits}+{flen} exceeds {node.capacity}")
-            node.usedBits += flen
-        elif node.flens[key] != flen:
-            raise ConfigError("overwrite must keep fragment length")
-        node.fragments[key] = payload
-        node.flens[key] = flen
-        self.nodeBitsWritten[node_id] += flen
-        self.phase_written[self.phase] += flen
-        self.now = max(self.now, t)
-        if node.usedBits > node.capacity:
-            raise InvariantViolation(f"node {node_id} over capacity")
+    # -- metering ---------------------------------------------------------
 
     def meter_read_spread(self, node_bits: np.ndarray, t0: float,
                           t1: float) -> int:
@@ -98,8 +65,8 @@ class ClusterState:
         return total
 
     def meter_write_bulk(self, nodes, bits, t: float) -> None:
-        """Meter writes but store nothing (the symbolic write path): bits, one
-        count or one per node, to nodes, an id, a slice or distinct ids."""
+        """Meter writes: bits, one count or one per node, to nodes, an id, a
+        slice or distinct ids.  The payloads, if any, are the caller's."""
         self.nodeBitsWritten[nodes] += bits
         if isinstance(bits, np.ndarray):
             bits = bits.sum()
@@ -109,31 +76,11 @@ class ClusterState:
         self.now = max(self.now, t)
 
     def fail_node(self, node_id: int, t: float) -> None:
-        node = self.nodes[node_id]
-        node.fragments.clear()
-        node.flens.clear()
-        node.usedBits = 0  # meters intentionally retained
+        """A node failure: its meters stay, and its data, which the
+        repairer holds, is the repairer's to erase."""
         self.now = max(self.now, t)
 
-    def delete_fragment(self, node_id: int, object_id, efi: int) -> None:
-        """Free a slot without metering; moving data meters only the copy."""
-        node = self.nodes[node_id]
-        key = (object_id, efi)
-        if key not in node.fragments:
-            raise MissingFragmentError((node_id, object_id, efi))
-        node.usedBits -= node.flens.pop(key)
-        del node.fragments[key]
-
-    # -- audits and windows ------------------------------------------------
-
-    def assert_capacity(self) -> None:
-        for node in self.nodes:
-            if node.usedBits > node.capacity:
-                raise InvariantViolation(f"node {node.nodeId} over capacity")
-            expect = sum(node.flens.values())
-            if node.usedBits != expect:
-                raise InvariantViolation(
-                    f"node {node.nodeId} usedBits {node.usedBits} != sum {expect}")
+    # -- windows ----------------------------------------------------------
 
     def meter_window(self, t0: float, t1: float, window: float | None = None):
         """(bitsRead, bitsWritten, avgReadRate, peakReadRate) over [t0, t1].

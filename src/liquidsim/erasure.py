@@ -17,9 +17,12 @@ A byte decode gathers k fragments in object order and multiplies them by
 one coefficient matrix, built once per EFI set and kept read-only in a
 bounded LRU cache (MATRIX_CACHE_SIZE entries): a repair chain decodes many
 objects from the same EFI set, so the matrix inversion runs once per set.
-decode_encode appends the generator rows of the fragments to re-encode, so
-advanced repair decodes an object and encodes its new fragments in the
-same product.
+decode_encode works on an object's fragments as one (n, flen_bytes) uint8
+array indexed by EFI, the form the repairers hold them in, and builds the
+object in the gathered buffer.  It appends the generator rows of the
+fragments to re-encode, so repair decodes an object and encodes its new
+fragments in the same product.  decode and encode take and give
+{efi: payload} dicts of bytes.
 """
 
 from __future__ import annotations
@@ -107,17 +110,18 @@ def encode(object_data, efis, params: CodecParams):
             raise ConfigError(f"EFI {e} outside [0, {params.n})")
     if params.backend == "symbolic":
         return {e: None for e in efis}
-    X = _as_matrix(object_data, params)
-    out = {}
-    src = [e for e in efis if e < params.k]
-    par = [e for e in efis if e >= params.k]
-    for e in src:
-        out[e] = X[e].tobytes()
-    if par:
-        rows = gf256.matmul(generator_rows(params, par), X)
-        for i, e in enumerate(par):
-            out[e] = rows[i].tobytes()
-    return out
+    frags = np.zeros((params.n, params.flen_bytes), dtype=np.uint8)
+    frags[: params.k] = _as_matrix(object_data, params)
+    _, rows = decode_encode(frags, range(params.k), efis, params)
+    return {e: row.tobytes() for e, row in zip(efis, rows)}
+
+
+def _first_k(read, k: int) -> list:
+    """The k lowest EFIs of read, the ones a decode uses."""
+    labels = sorted(map(int, read))
+    if len(labels) < k:
+        raise DecodeError(f"need {k} fragments, have {len(labels)}")
+    return labels[:k]
 
 
 def decode(fragments, params: CodecParams):
@@ -126,45 +130,44 @@ def decode(fragments, params: CodecParams):
     fragments is {efi: payload}.  Raises DecodeError when fewer than k are
     given.  Symbolic backend returns None on success.
     """
-    return decode_encode(fragments, (), params)[0]
-
-
-def decode_encode(fragments, efis, params: CodecParams):
-    """(object, {efi: payload}): decode as decode() does and encode the
-    fragments of efis, both in one product with a cached matrix.
-
-    Equal to (decode(fragments), encode(decode(fragments), efis)).
-    """
-    labels = sorted(map(int, fragments))
-    k = params.k
-    if len(labels) < k:
-        raise DecodeError(f"need {k} fragments, have {len(labels)}")
+    labels = _first_k(fragments, params.k)
     if params.backend == "symbolic":
-        return None, encode(None, efis, params)
+        return None
+    fb = params.flen_bytes
+    frags = np.zeros((params.n, fb), dtype=np.uint8)
+    for e in labels:
+        if len(fragments[e]) != fb:
+            raise DecodeError(f"fragment {e} has wrong length")
+        frags[e] = np.frombuffer(fragments[e], np.uint8)
+    return decode_encode(frags, labels, (), params)[0].tobytes()
+
+
+def decode_encode(frags, read, efis, params: CodecParams):
+    """(object, fragments): decode from the k lowest EFIs of read and
+    encode the fragments of efis, both in one product with a cached matrix.
+
+    frags is the object's (n, flen_bytes) uint8 array indexed by EFI; only
+    the rows read are looked at.  The object comes back as a (k,
+    flen_bytes) array and the fragments as a (len(efis), flen_bytes) one.
+    Symbolic backend: frags is unused and both are None.
+    """
+    k = params.k
+    labels = _first_k(read, k)
+    if params.backend == "symbolic":
+        return None, None
     # systematic preference: source rows are used as they are, and the
     # first parity rows stand in for the missing source chunks
-    split = bisect.bisect_left(labels, k, 0, k)
-    efis = tuple(efis)
+    split = bisect.bisect_left(labels, k)
     slots, missing, M = _decode_matrix(params.n, k, tuple(labels[:split]),
-                                       tuple(labels[split:k]), efis)
-    parts = [fragments[e] for e in slots]
-    fb = params.flen_bytes
-    if set(map(len, parts)) != {fb}:
-        bad = next(e for e, frag in zip(slots, parts) if len(frag) != fb)
-        raise DecodeError(f"fragment {bad} has wrong length")
-    out = {}
-    if len(M):
-        # S has the missing chunks, then the fragments of efis; the gathered
-        # rows are freed before the object is joined, so that one
-        # object-sized buffer is live at a time: two freed together get
-        # trimmed back to the OS and fault in again on the next decode
-        gathered = b"".join(parts)
-        S = gf256.matmul(M, np.frombuffer(gathered, np.uint8).reshape(k, fb))
-        del gathered
-        for j, row in zip(missing, S):    # in place of the stand-in parity
-            parts[j] = row
-        out = {e: row.tobytes() for e, row in zip(efis, S[len(missing):])}
-    return b"".join(parts), out
+                                       tuple(labels[split:]), tuple(efis))
+    # the gathered rows, in object order; the missing chunks replace their
+    # stand-in parity rows in place, so this one buffer becomes the object
+    obj = frags[list(slots)]
+    if not len(M):
+        return obj, obj[:0]
+    S = gf256.matmul(M, obj)
+    obj[list(missing)] = S[: len(missing)]
+    return obj, S[len(missing):]
 
 
 @functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)

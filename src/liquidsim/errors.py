@@ -11,10 +11,6 @@ class ConfigError(ValueError):
     pass
 
 
-class CapacityError(RuntimeError):
-    """A write would exceed a node's capacity."""
-
-
 class MissingFragmentError(KeyError):
     """Read of a fragment that is not stored."""
 

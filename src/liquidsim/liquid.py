@@ -11,9 +11,14 @@ and the source is guaranteed recoverable while it stays non-negative.
 EFI i of every object lives only at node i, so a node failure erases at most
 one fragment per object, and placement is one (objects, N) bool array: a
 failure clears a column, a step fills a row.  The queue only rotates, so the
-object at position j is (stepsDone + j) % objectCount.  The byte backend
-keeps the payloads in the node stores, which the array must match; the
-symbolic backend stores nothing and only meters.
+object at position j is (stepsDone + j) % objectCount.
+
+The byte backend keeps two (objects, N, flen_bytes) uint8 arrays beside
+held: code, the reference codeword of every object, whose first k rows are
+its source, and frags, what the nodes hold.  A failure zeroes the node's
+column of frags; a step decodes from frags, compares with code and copies
+its missing rows back from code.  The symbolic backend holds no payloads
+and only meters.
 """
 
 from __future__ import annotations
@@ -45,8 +50,10 @@ class LiquidLayout:
     flen: int               # bits per fragment, clen / objectCount
     codec: erasure.CodecParams
     held: np.ndarray        # (objects, N) bool: EFI e of object j at node e
-    sources: Optional[dict] = None   # byte backend: objectId -> source bytes
-    tables: Optional[dict] = None    # byte backend: objectId -> {efi: payload}
+    # byte backend, (objects, N, flen_bytes) uint8 each: the codewords, and
+    # the node contents, zero where held is False
+    code: Optional[np.ndarray] = None
+    frags: Optional[np.ndarray] = None
     stepsDone: int = 0      # the front object is stepsDone % objectCount
 
     @property
@@ -136,31 +143,24 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
     byte = codec.backend == "byte"
     if byte and payload_rng is None:
         raise ConfigError("byte backend needs a payload generator")
-    state = ClusterState(N=N, capacity=clen)
+    state = ClusterState(N)
     assert k + cap + count - 1 <= N
     held = np.arange(N) < (k + cap + np.arange(count))[:, None]
     layout = LiquidLayout(k=k, objectCount=count, counterCap=cap, flen=flen,
-                          codec=codec, held=held, sources={} if byte else None,
-                          tables={} if byte else None)
-    if not byte:
-        state.meter_write_bulk(slice(None), held.sum(axis=0) * flen, t=0.0)
-        return state, layout
-    for j in range(count):
-        layout.sources[j] = source = payload_rng.bytes(k * flen // 8)
-        layout.tables[j] = table = erasure.encode(source, range(N), codec)
-        for e in range(k + cap + j):
-            state.store_fragment(e, j, e, table[e], flen, t=0.0)
+                          codec=codec, held=held)
+    state.meter_write_bulk(slice(None), held.sum(axis=0) * flen, t=0.0)
+    if byte:
+        fb = codec.flen_bytes
+        layout.code = code = np.zeros((count, N, fb), dtype=np.uint8)
+        for j in range(count):
+            # a row per draw: object-sized draws, freed at once, would be
+            # trimmed back to the OS and fault in again for the next object
+            for e in range(k):
+                code[j, e] = np.frombuffer(payload_rng.bytes(fb), np.uint8)
+            _, code[j, k:] = erasure.decode_encode(code[j], range(k),
+                                                   range(k, N), codec)
+        layout.frags = code * held[:, :, None]
     return state, layout
-
-
-def _gather_fragments(state: ClusterState, obj, efis) -> dict:
-    """A byte object's payloads, EFI e from node e.  Not metered."""
-    frags = {}
-    for e in efis:
-        frags[e] = state.nodes[e].fragments.get((obj, e))
-        if frags[e] is None:
-            raise InvariantViolation(f"EFI map out of sync at node {e}")
-    return frags
 
 
 def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
@@ -181,21 +181,20 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
     reads = np.zeros(state.N, dtype=np.int64)
     reads[efis] = flen       # fragment e lives on node e
     state.meter_read_spread(reads, t0, t1)
-    if layout.tables is not None:
-        frags = _gather_fragments(state, obj, efis.tolist())
-        data = erasure.decode(frags, layout.codec)
-        if data != layout.sources[obj]:
-            raise InvariantViolation(f"object {obj} decoded to wrong bytes")
-        if layout.stepsDone % 100 == 0:
-            fresh = erasure.encode(data, range(layout.codec.n), layout.codec)
-            if fresh != layout.tables[obj]:
-                raise InvariantViolation(f"object {obj} fragment table drift")
     missing = np.flatnonzero(~row)
-    if layout.tables is None:
-        state.meter_write_bulk(missing, flen, t=t1)
-    else:
-        for e in missing.tolist():
-            state.store_fragment(e, obj, e, layout.tables[obj][e], flen, t=t1)
+    if layout.code is not None:
+        k, code = layout.k, layout.code[obj]
+        # every 100th step re-encodes the parity in the same product
+        check = range(k, layout.codec.n) if layout.stepsDone % 100 == 0 else ()
+        data, fresh = erasure.decode_encode(layout.frags[obj], efis, check,
+                                            layout.codec)
+        data ^= code[:k]    # compared in place: one object-sized buffer
+        if data.any():
+            raise InvariantViolation(f"object {obj} decoded to wrong bytes")
+        if not np.array_equal(fresh, code[k:k + len(check)]):
+            raise InvariantViolation(f"object {obj} codeword drift")
+        layout.frags[obj, missing] = code[missing]
+    state.meter_write_bulk(missing, flen, t=t1)
     row[:] = True
     layout.stepsDone += 1
     return StepRecord(layout.k * flen, len(missing) * flen)
@@ -205,6 +204,8 @@ def liquid_fail_node(state: ClusterState, layout: LiquidLayout, t: float,
                      node: int) -> None:
     state.fail_node(node, t)
     layout.held[:, node] = False
+    if layout.frags is not None:
+        layout.frags[:, node] = 0
 
 
 def liquid_on_failure(state: ClusterState, layout: LiquidLayout,

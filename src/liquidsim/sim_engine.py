@@ -73,6 +73,9 @@ class Scenario:
             raise ConfigError("stepDuration must be positive (inf disables)")
         if self.assertEvery < 1:
             raise ConfigError("assertEvery must be >= 1")
+        if self.advancedR is not None and self.advancedR < 1:
+            raise ConfigError(
+                f"advancedR (r) must be >= 1, got {self.advancedR}")
 
 
 @dataclass
@@ -170,7 +173,9 @@ class _LiquidDriver:
 class _AdvancedDriver:
     def __init__(self, scenario: Scenario, streamId: int):
         sp = scenario.sysParams
-        r = scenario.advancedR or adv.r_for_target_overhead(sp.N, sp.beta)
+        r = scenario.advancedR
+        if r is None:
+            r = adv.r_for_target_overhead(sp.N, sp.beta)
         payload = rng.stream(scenario.seed, streamId, rng.SUB_PAYLOAD)
         periodic = scenario.variant == "periodic"
         eps = 0.0 if periodic else scenario.eps.eps

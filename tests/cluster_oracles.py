@@ -1,56 +1,38 @@
-"""Test oracles that read the cluster's node stores directly.
+"""Test oracles that read the byte payload arrays directly.
 
-The simulator keeps no fragment directory: liquid places EFI e of every
-object at node e, and both repairers track placement in arrays.  These
-oracles rebuild the directory from what the nodes actually hold, so tests
-can check the repairers' bookkeeping against ground truth.
+Liquid's held is bookkeeping over the node contents in frags; these
+oracles check it against the payloads themselves: a held fragment equals
+its codeword row, an unheld one is zero, and an object decodes, through the
+dict-based decode, from what its nodes hold to its source.  For advanced
+liquid, owned_bits counts what the owner array gives each node.
 """
 
 import numpy as np
 
 from liquidsim import erasure
-from liquidsim.errors import ConfigError, InvariantViolation
+from liquidsim.errors import InvariantViolation
 
 
-def holders(state) -> dict:
-    """objectId -> {efi: set of node ids holding it}."""
-    out: dict = {}
-    for node in state.nodes:
-        for obj, efi in node.fragments:
-            out.setdefault(obj, {}).setdefault(efi, set()).add(node.nodeId)
-    return out
+def check_liquid_payloads(layout) -> None:
+    """held => frags == code, and not held => the row is zero."""
+    off = (layout.frags != layout.code * layout.held[:, :, None]).any(axis=2)
+    if off.any():
+        obj, e = np.argwhere(off)[0]
+        raise InvariantViolation(f"object {obj} EFI {e} out of sync with held")
 
 
-def recoverable(state, k: int, objects, codec=None, retained=None) -> bool:
-    """Every one of objects has >= k distinct EFIs stored somewhere.
-
-    With a byte codec and retained source data, additionally decode each
-    retained object from its k lowest stored EFIs and bit-compare.
-    """
-    directory = holders(state)
-    if any(len(directory.get(obj, ())) < k for obj in objects):
-        return False
-    if codec is not None and codec.backend == "byte":
-        if retained is None:
-            raise ConfigError("byte census needs retained source data")
-        for obj, source in retained.items():
-            have = directory[obj]
-            frags = {e: state.nodes[min(have[e])].fragments[(obj, e)]
-                     for e in sorted(have)[:k]}
-            if erasure.decode(frags, codec) != source:
-                raise InvariantViolation(f"object {obj} decodes to wrong bytes")
-    return True
+def decodes(layout, objects) -> None:
+    """Every one of objects decodes from the k lowest EFIs its nodes hold
+    to the source rows of its codeword."""
+    for obj in objects:
+        frags = {int(e): layout.frags[obj, e].tobytes()
+                 for e in np.flatnonzero(layout.held[obj])}
+        if (erasure.decode(frags, layout.codec)
+                != layout.code[obj, :layout.k].tobytes()):
+            raise InvariantViolation(f"object {obj} decodes to wrong bytes")
 
 
-def check_layout_sync(state, layout) -> None:
-    """A byte liquid layout's held array matches the directory rebuilt from
-    the node stores, EFI e at node e."""
-    rebuilt = np.zeros_like(layout.held)
-    for obj, efis in holders(state).items():
-        for e, nodes in efis.items():
-            if nodes != {e}:
-                raise InvariantViolation(
-                    f"object {obj} EFI {e} stored off its home node")
-            rebuilt[obj, e] = True
-    if not np.array_equal(rebuilt, layout.held):
-        raise InvariantViolation("held array out of sync with node stores")
+def owned_bits(layout):
+    """(N,) bits each node holds by an advanced byte layout's owner array."""
+    owner = layout.owner
+    return np.bincount(owner[owner >= 0], minlength=layout.N) * layout.flen

@@ -169,7 +169,8 @@ def test_liquid_periodic_at_n_10000(monkeypatch):
     # Criterion 2's repairer two decades further, symbolic: N=10^4,
     # beta=0.1 (k=9000, 1000 objects, 1-bit fragments), 50 periodic
     # failures with the invariant and the census checked after every event.
-    # Placement is one (objects, N) array, so the node stores stay empty.
+    # Placement is one (objects, N) array, and the symbolic run holds no
+    # payloads.
     drivers = []
     make = sim_engine._make_driver
     monkeypatch.setattr(sim_engine, "_make_driver",
@@ -186,7 +187,7 @@ def test_liquid_periodic_at_n_10000(monkeypatch):
     assert len(steps) == 50
     assert all(e[3] == 9000 for e in steps)       # k * flen on every step
     assert res.totalBitsRead == 50 * 9000
-    assert all(not node.fragments for node in drivers[0].state.nodes)
+    assert drivers[0].layout.frags is None
     assert dt < 30.0
     print(f"liquid N=10^4: PASS 50 steps, reads 9000 each in {dt:.1f}s")
 

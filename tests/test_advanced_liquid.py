@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cluster_oracles import owned_bits
 from liquidsim import advanced_liquid as adv
 from liquidsim import rng
 from liquidsim.advanced_liquid import (
@@ -48,7 +49,8 @@ def holds(layout, node, group):
 
 
 def decode_all_from_primaries(state, layout, rotation):
-    """Every object must decode to its source using primary fragments only."""
+    """Every object must decode to its source using primary fragments only,
+    each one owned by the node holding the group."""
     from liquidsim import erasure
     for g in range(layout.N):
         for p in range(layout.r):
@@ -56,10 +58,12 @@ def decode_all_from_primaries(state, layout, rotation):
             for m in range(layout.N):
                 if holds(layout, m, g):
                     efi = rotation.primaryEfis[m]
-                    frags[efi] = state.nodes[m].fragments[((g, p), efi)]
+                    assert layout.owner[g, p, efi] == m
+                    frags[efi] = layout.frags[g, p, efi].tobytes()
                     if len(frags) == layout.k:
                         break
-            assert erasure.decode(frags, layout.codec) == layout.sources[(g, p)]
+            assert (erasure.decode(frags, layout.codec)
+                    == layout.sources[g, p].tobytes())
 
 
 class TestStore:
@@ -75,10 +79,11 @@ class TestStore:
     def test_per_node_fragment_count_fills_capacity(self):
         state, layout, rotation = byte_cluster(N=8, r=2)
         want = 8 * 2 + 3                 # N*r primaries + r(r+1)/2 helpers
-        for node in state.nodes:
-            assert len(node.fragments) == want
-            assert node.usedBits == layout.clen
+        owner = layout.owner
+        assert np.bincount(owner[owner >= 0]).tolist() == [want] * 8
+        assert (owned_bits(layout) == layout.clen).all()
         assert (node_used_bits(layout) == layout.clen).all()
+        assert state.nodeBitsWritten.tolist() == [layout.clen] * 8
 
     def test_store_is_census_clean_and_recoverable(self):
         state, layout, rotation = byte_cluster()
@@ -92,7 +97,8 @@ class TestStore:
         state, layout, _ = symbolic_cluster(N=20, r=4)
         assert state.phase_written["store"] == 20 * layout.clen
         assert state.phase_read["store"] == 0
-        assert all(not node.fragments for node in state.nodes)
+        assert layout.sources is None and layout.frags is None
+        assert layout.owner is None
 
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):
@@ -291,8 +297,29 @@ class TestOpCounts:
         advanced_repair_step(state, layout, rotation, 5, t0=1.0, t1=2.0)
         check_advanced_sync(state, layout, rotation)
         decode_all_from_primaries(state, layout, rotation)
-        for node in state.nodes:
-            assert node.usedBits == layout.clen
+        assert (owned_bits(layout) == layout.clen).all()
+
+    def test_wiped_slot_fails_the_next_repair(self):
+        # a slot that placement still counts as held, zeroed or dropped
+        # from owner: the step reads it and must raise
+        cases = (("payload", r"decode mismatch for object \(5,"),
+                 ("owner", "primary map out of sync at node 0"),
+                 ("helper", "helper map out of sync at node 2"))
+        for wipe, message in cases:
+            state, layout, rotation = byte_cluster(N=8, r=2)
+            advanced_fail_node(state, layout, 1.0, 5)
+            label = rotation.primaryEfis[0]
+            assert (layout.owner[5, :, label] == 0).all()
+            if wipe == "payload":       # the generate for 5 decodes from it
+                assert layout.frags[5, :, label].any()
+                layout.frags[5, :, label] = 0
+            elif wipe == "owner":
+                layout.owner[5, :, label] = -1
+            else:                       # helperLo[2] still says held
+                layout.owner[2, 0, rotation.helperEfis[0]] = -1
+            with pytest.raises(InvariantViolation, match=message):
+                advanced_repair_step(state, layout, rotation, 5,
+                                     t0=1.0, t1=2.0)
 
 
 class TestStandaloneOps:
@@ -313,12 +340,14 @@ class TestStandaloneOps:
         advanced_fail_node(state, layout, 1.0, 4)
         rotation.begin_step(4)
         generate_helpers(state, layout, rotation, 4, t=1.0, exclude=4)
-        donor_before = state.nodes[6].usedBits
-        target_before = state.nodes[4].usedBits
+        frags = layout.frags.copy()
+        donor_before, target_before = owned_bits(layout)[[6, 4]]
         counts = move_helpers(state, layout, rotation, one(6), 4, t=1.1)
         assert counts == (2, 2)
-        assert state.nodes[6].usedBits == donor_before - 2 * layout.flen
-        assert state.nodes[4].usedBits == target_before + 2 * layout.flen
+        assert owned_bits(layout)[6] == donor_before - 2 * layout.flen
+        assert owned_bits(layout)[4] == target_before + 2 * layout.flen
+        assert (layout.owner[6, :, rotation.helperEfis[0]] == 4).all()
+        assert np.array_equal(layout.frags, frags)      # no payload copy
         assert holds(layout, 4, 6) and layout.helperLo[6] == 1
 
     def test_move_that_splits_a_run_raises(self):
@@ -642,7 +671,6 @@ class TestPeriodicRandomChurn:
             assert_advanced_invariant(layout)
             assert (node_used_bits(layout) == layout.clen).all()
         rotation.assert_distinct()
-        state.assert_capacity()
 
 
 class TestPeriodicThroughRepairer:
@@ -681,29 +709,29 @@ class TestPeriodicThroughRepairer:
             rep.on_failure(1.2, 5)
 
 
+def drop(layout, groups, labels):
+    """Empty the byte slots of the groups' objects at labels."""
+    if layout.owner is not None:
+        slots = np.ix_(groups, range(layout.r), labels)
+        layout.owner[slots] = -1
+        layout.frags[slots] = 0
+
+
 def cut_row(state, layout, rotation, node, lo, hi):
     """Shrink node's row to the groups it holds within lo..hi-1, dropping
-    the other primaries from a byte store, as an interrupted chain leaves a
-    row."""
+    the other primaries from the byte arrays, as an interrupted chain
+    leaves a row."""
     held = range(int(layout.heldLo[node]), int(layout.heldHi[node]))
     lo, hi = max(lo, held.start), min(hi, held.stop)
-    if layout.codec.backend == "byte":
-        efi = rotation.primaryEfis[node]
-        for g in held:
-            if not lo <= g < hi:
-                for p in range(layout.r):
-                    state.delete_fragment(node, (g, p), efi)
+    drop(layout, [g for g in held if not lo <= g < hi],
+         [rotation.primaryEfis[node]])
     layout.heldLo[node], layout.heldHi[node] = (lo, hi) if lo < hi else (0, 0)
 
 
 def drop_staircases(state, layout, rotation, anchors):
-    """The fault hook's damage, helperLo = r, with a byte store's helper
-    fragments deleted to match."""
-    if layout.codec.backend == "byte":
-        for a in anchors:
-            for (obj, efi) in list(state.nodes[a].fragments):
-                if efi in rotation.helperEfis:
-                    state.delete_fragment(a, obj, efi)
+    """The fault hook's damage, helperLo = r, with the byte helper slots
+    emptied to match."""
+    drop(layout, anchors, rotation.helperEfis)
     layout.helperLo[anchors] = layout.r
 
 
@@ -771,8 +799,9 @@ class TestBatchedStepMatchesOneGroupAtATime:
                                                      ss.phase_written)
         assert bs.read_log == ss.read_log
         assert bc.counts == sc.counts
-        assert [n.fragments for n in bs.nodes] == [n.fragments
-                                                   for n in ss.nodes]
+        if case.backend == "byte":
+            assert np.array_equal(bl.frags, sl.frags)
+            assert np.array_equal(bl.owner, sl.owner)
 
     def test_stall_leaves_the_short_group_moved(self):
         # node 2's row ends before group 5: groups 0..4 keep their N - 1

@@ -1,9 +1,15 @@
 """CLI tests: parsing, exit codes, output files, dump-config round trip."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liquidsim import cli, sim_engine
 from liquidsim.cli import dump_config, load_scenario, main
@@ -178,6 +184,18 @@ class TestCmdRun:
         assert err.startswith("config error:") and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("r", ["0", "-2"])
+    def test_non_positive_r_exit_two(self, tmp_path, capsys, r):
+        # r = 0 once fell back to the r derived from beta, silently
+        f = scenario_file(tmp_path,
+                          ADVANCED_POISSON.replace("r = 4", f"r = {r}"))
+        for extra in ([], ["--dump-config"]):
+            assert main(["run", "--scenario", str(f), "--out",
+                         str(tmp_path / "o"), *extra]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and f"got {r}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_simulator_value_error_is_not_a_config_error(self, tmp_path,
                                                           monkeypatch):
         def broken(*a, **kw):
@@ -291,3 +309,61 @@ class TestCmdBounds:
     def test_sweep_rejects_non_number(self, capsys):
         assert main(["bounds", "--sweep-beta", "0.1,x"]) == 2
         assert "--sweep-beta" in capsys.readouterr().err
+
+
+def set_key(text, section, key, value):
+    """text with key in [section] set to value, the key or the section
+    added when absent."""
+    lines = text.splitlines()
+    head = f"[{section}]"
+    if head not in lines:
+        lines += ["", head]
+    start = lines.index(head) + 1
+    end = next((i for i in range(start, len(lines))
+                if lines[i].startswith("[")), len(lines))
+    for i in range(start, end):
+        if lines[i].split("=")[0].strip().lower() == key:
+            lines[i] = f"{key} = {value}"
+            break
+    else:
+        lines.insert(start, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+# small valid scenarios: N <= 20, 5 failures, one trial
+FUZZ_BASES = [text.replace("failures = 20", "failures = 5")
+              .replace("failures = 60", "failures = 5")
+              .replace("trials = 2", "trials = 1")
+              for text in (LIQUID_PERIODIC, ADVANCED_POISSON)]
+
+BAD_VALUES = st.one_of(
+    st.sampled_from(["0", "0.0", "nan", "-nan", "inf", "-inf", "1e400",
+                     "ten", "", "bogus", "unknownRepairer", "0x10"]),
+    st.integers(-10 ** 6, -1).map(str),
+    st.floats(-1e6, -1e-9).map(repr))
+
+
+@st.composite
+def bad_scenarios(draw):
+    """A small valid scenario with one schema key set to a bad value."""
+    section = draw(st.sampled_from(sorted(cli._SCHEMA)))
+    key = draw(st.sampled_from(sorted(cli._SCHEMA[section])))
+    return set_key(draw(st.sampled_from(FUZZ_BASES)), section, key,
+                   draw(BAD_VALUES))
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(bad_scenarios())
+    def test_bad_value_exits_zero_or_two(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.ini"
+            path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["run", "--scenario", str(path), "--out",
+                             str(Path(tmp) / "out")])
+        assert code in (0, 2), (code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("config error:")

@@ -1,17 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
-from cluster_oracles import holders, recoverable
-from liquidsim import erasure, rng
+from cluster_oracles import check_liquid_payloads, decodes, owned_bits
+from liquidsim import advanced_liquid as adv
+from liquidsim import liquid, rng
 from liquidsim.cluster import ClusterState, _CumulativeReads
-from liquidsim.errors import (CapacityError, ConfigError, InvariantViolation,
-                              MissingFragmentError)
+from liquidsim.errors import DecodeError, InvariantViolation
 
 
-def small_cluster(N=4, capacity=100):
-    return ClusterState(N=N, capacity=capacity)
+def small_cluster(N=4):
+    return ClusterState(N=N)
 
 
 def at(N, node, bits):
@@ -21,71 +19,112 @@ def at(N, node, bits):
     return v
 
 
+def byte_liquid(N=10, beta=0.2, clen=160):
+    k = round((1 - beta) * N)
+    payload = rng.stream(7, substream=rng.SUB_PAYLOAD)
+    return liquid.liquid_store(k * clen, N, clen, beta, backend="byte",
+                               payload_rng=payload)
+
+
+def byte_advanced(N=8, r=2):
+    # one-byte fragments: clen is the divisor r*N + r(r+1)/2 times 8 bits
+    return adv.advanced_store(N, (r * N + r * (r + 1) // 2) * 8, r,
+                              backend="byte",
+                              payload_rng=rng.stream(11, 0, rng.SUB_PAYLOAD))
+
+
 class TestStoreReadFail:
+    """ClusterState meters writes and reads; the payloads live in the
+    repairers' arrays, which a failure zeroes and a wipe frees unmetered."""
+
     def test_store_and_read(self):
         c = small_cluster()
-        c.store_fragment(0, "x0", 3, b"abc", 24, t=0.0)
-        assert c.nodes[0].usedBits == 24
-        assert c.nodes[0].fragments[("x0", 3)] == b"abc"
+        c.meter_write_bulk(0, 24, t=0.0)
         assert c.meter_read_spread(at(4, 0, 24), 1.0, 1.0) == 24
         assert c.nodeBitsRead.tolist() == [24, 0, 0, 0]
         assert c.nodeBitsWritten.tolist() == [24, 0, 0, 0]
+        assert c.now == 1.0
+        # a byte store meters every fragment it puts in frags
+        state, lay = byte_liquid()
+        assert state.nodeBitsWritten.tolist() == (
+            lay.held.sum(axis=0) * lay.flen).tolist()
+        check_liquid_payloads(lay)
 
     def test_capacity_hard_error(self):
-        c = small_cluster(capacity=50)
-        c.store_fragment(0, "a", 0, b"x", 30, t=0.0)
-        with pytest.raises(CapacityError):
-            c.store_fragment(0, "b", 0, b"y", 30, t=0.0)
+        state, layout, rotation = byte_advanced()
+        adv.check_advanced_sync(state, layout, rotation)
+        # object (3, 0) keeps helper label N only; give node 5 label N + 1
+        layout.owner[3, 0, layout.N + 1] = 5
+        with pytest.raises(InvariantViolation,
+                           match=f"^node 5 holds {layout.clen + layout.flen} "
+                                 f"bits, placement says {layout.clen} of "
+                                 f"capacity {layout.clen}$"):
+            adv.check_advanced_sync(state, layout, rotation)
 
     def test_overwrite_same_slot(self):
-        c = small_cluster()
-        c.store_fragment(1, "a", 0, b"x", 16, t=0.0)
-        c.store_fragment(1, "a", 0, b"y", 16, t=1.0)
-        assert c.nodes[1].usedBits == 16  # unchanged
-        assert c.nodeBitsWritten[1] == 32  # both writes metered
-        assert c.nodes[1].fragments[("a", 0)] == b"y"
-
-    def test_overwrite_length_change_rejected(self):
-        c = small_cluster()
-        c.store_fragment(1, "a", 0, b"xx", 16, t=0.0)
-        with pytest.raises(ConfigError):
-            c.store_fragment(1, "a", 0, b"y", 8, t=1.0)
+        # regenerating a whole staircase rewrites its slots in place: used
+        # bits and payloads stay, and every write is metered again
+        state, layout, rotation = byte_advanced()
+        frags, owner = layout.frags.copy(), layout.owner.copy()
+        written = state.nodeBitsWritten.copy()
+        counts = adv.generate_helpers(state, layout, rotation, 2, t=1.0)
+        assert counts.fragmentWrites == 3
+        assert (state.nodeBitsWritten - written).tolist() == (
+            [0, 0, 3 * layout.flen] + [0] * 5)
+        assert np.array_equal(layout.frags, frags)
+        assert np.array_equal(layout.owner, owner)
+        assert (owned_bits(layout) == layout.clen).all()
+        adv.check_advanced_sync(state, layout, rotation)
 
     def test_missing_fragment(self):
-        c = small_cluster()
-        with pytest.raises(MissingFragmentError):
-            c.delete_fragment(0, "nope", 0)
+        # the donor no longer holds a helper its staircase promises
+        state, layout, rotation = byte_advanced()
+        adv.advanced_fail_node(state, layout, 1.0, 4)
+        rotation.begin_step(4)
+        layout.owner[6, 1, rotation.helperEfis[0]] = -1
+        written = state.nodeBitsWritten.copy()
+        with pytest.raises(InvariantViolation,
+                           match="helper map out of sync at node 6"):
+            adv.move_helpers(state, layout, rotation, range(6, 7), 4, t=1.1)
+        assert (layout.heldLo[4], layout.heldHi[4]) == (0, 0)
+        assert (layout.owner[6, 0, rotation.helperEfis[0]] == 6)
+        assert np.array_equal(state.nodeBitsWritten, written)
 
     def test_fail_node_erases_data_keeps_meters(self):
-        c = small_cluster()
-        c.store_fragment(2, "a", 0, b"x", 8, t=0.0)
-        c.meter_read_spread(at(4, 2, 8), 0.5, 0.5)
-        c.fail_node(2, t=1.0)
-        assert c.nodes[2].usedBits == 0
-        assert not c.nodes[2].fragments
-        assert c.nodeBitsRead[2] == 8  # temporal erasure only
-        assert c.nodeBitsWritten[2] == 8
-        with pytest.raises(MissingFragmentError):
-            c.delete_fragment(2, "a", 0)
+        state, lay = byte_liquid()
+        state.meter_read_spread(at(10, 2, 8), 0.5, 0.5)
+        written = state.nodeBitsWritten.copy()
+        liquid.liquid_fail_node(state, lay, 1.0, 2)
+        assert not lay.held[:, 2].any() and not lay.frags[:, 2].any()
+        assert lay.frags[:, 3].any()
+        check_liquid_payloads(lay)
+        assert state.nodeBitsRead[2] == 8  # temporal erasure only
+        assert np.array_equal(state.nodeBitsWritten, written)
 
-    def test_node_count_stable(self):
-        c = small_cluster(N=4)
-        c.fail_node(3, t=0.0)
-        assert len(c.nodes) == 4
+        state, layout, rotation = byte_advanced()
+        written = state.nodeBitsWritten.copy()
+        assert (layout.owner == 2).any()
+        adv.advanced_fail_node(state, layout, 1.0, 2)
+        assert not (layout.owner == 2).any()
+        assert not layout.frags[layout.owner < 0].any()
+        assert owned_bits(layout)[2] == 0
+        assert np.array_equal(state.nodeBitsWritten, written)
+        assert state.now == 1.0
 
     def test_delete_is_unmetered(self):
-        c = small_cluster()
-        c.store_fragment(0, "a", 0, b"x", 8, t=0.0)
-        before = (c.nodeBitsRead.copy(), c.nodeBitsWritten.copy())
-        c.delete_fragment(0, "a", 0)
-        assert np.array_equal(c.nodeBitsRead, before[0])
-        assert np.array_equal(c.nodeBitsWritten, before[1])
-        assert c.nodes[0].usedBits == 0
+        # a step's wipe of its target frees the slots without metering
+        state, layout, rotation = byte_advanced()
+        before = (state.nodeBitsRead.copy(), state.nodeBitsWritten.copy())
+        adv._StepChain(state, layout, rotation, 3, 1.0)
+        assert not (layout.owner == 3).any()
+        assert owned_bits(layout)[3] == adv.node_used_bits(layout)[3] == 0
+        assert np.array_equal(state.nodeBitsRead, before[0])
+        assert np.array_equal(state.nodeBitsWritten, before[1])
 
 
 class TestMeterExactness:
     def test_meter_counts_exactly_requested(self):
-        c = small_cluster(N=8, capacity=10_000)
+        c = small_cluster(N=8)
         g = rng.stream(1)
         expect_read = [0] * 8
         expect_written = [0] * 8
@@ -103,9 +142,18 @@ class TestMeterExactness:
                 c.meter_write_bulk(node, ln, t=float(step))
                 expect_written[node] += ln
             else:
-                obj, efi, ln = f"o{step}", int(g.integers(0, 5)), 8 * int(g.integers(1, 4))
-                c.store_fragment(node, obj, efi, bytes(ln // 8), ln, t=float(step))
-                expect_written[node] += ln
+                # one count to each of distinct ids, or one count per node
+                nodes = g.permutation(8)[: int(g.integers(0, 4))]
+                ln = 8 * int(g.integers(1, 4))
+                if u < 0.85:
+                    c.meter_write_bulk(nodes, ln, t=float(step))
+                    for i in nodes.tolist():
+                        expect_written[i] += ln
+                else:
+                    bits = g.integers(0, 3, 8) * 8
+                    c.meter_write_bulk(slice(None), bits, t=float(step))
+                    for i in range(8):
+                        expect_written[i] += int(bits[i])
             if g.random() < 0.05:
                 c.fail_node(node, t=float(step))
         assert c.nodeBitsRead.tolist() == expect_read
@@ -115,67 +163,65 @@ class TestMeterExactness:
 
     def test_phase_buckets(self):
         c = small_cluster()
-        c.store_fragment(0, "a", 0, b"x", 8, t=0.0)
+        c.meter_write_bulk(0, 8, t=0.0)
         c.begin_phase("repair")
-        c.store_fragment(0, "a", 1, b"y", 8, t=1.0)
+        c.meter_write_bulk(0, 8, t=1.0)
         assert c.phase_written["store"] == 8
         assert c.phase_written["repair"] == 8
 
     def test_capacity_audit(self):
-        c = small_cluster()
-        c.store_fragment(0, "a", 0, b"x", 8, t=0.0)
-        c.assert_capacity()
-        c.nodes[0].usedBits += 1  # corrupt deliberately
-        with pytest.raises(InvariantViolation):
-            c.assert_capacity()
+        state, layout, rotation = byte_advanced()
+        adv.check_advanced_sync(state, layout, rotation)
+        layout.owner[0, 1, 5] = -1  # node 5 loses a primary, unnoticed
+        with pytest.raises(InvariantViolation,
+                           match=f"^node 5 holds {layout.clen - layout.flen} "
+                                 f"bits, placement says {layout.clen} "):
+            adv.check_advanced_sync(state, layout, rotation)
 
 
 class TestCensus:
-    """The node-store oracles the liquid tests check their layouts with."""
+    """Liquid's held-fragment census against the byte payload oracles."""
 
     def test_distinct_counts(self):
-        c = small_cluster()
-        c.store_fragment(0, "a", 0, None, 8, t=0.0)
-        c.store_fragment(1, "a", 1, None, 8, t=0.0)
-        c.store_fragment(2, "a", 1, None, 8, t=0.0)  # duplicate EFI elsewhere
-        assert holders(c) == {"a": {0: {0}, 1: {1, 2}}}
-        c.fail_node(1, t=1.0)
-        assert holders(c) == {"a": {0: {0}, 1: {2}}}  # node 2 still holds EFI 1
-        assert recoverable(c, k=2, objects=["a"])
-        c.fail_node(2, t=2.0)
-        assert holders(c) == {"a": {0: {0}}}
-        assert not recoverable(c, k=2, objects=["a"])
+        # EFI e of every object lives at node e: a failure takes at most
+        # one fragment of each object, and the same node again takes none
+        state, lay = byte_liquid()
+        assert lay.held.sum(axis=1).tolist() == [9, 10]
+        liquid.liquid_fail_node(state, lay, 1.0, 9)
+        assert lay.held.sum(axis=1).tolist() == [9, 9]
+        liquid.liquid_fail_node(state, lay, 2.0, 9)
+        liquid.liquid_fail_node(state, lay, 2.0, 0)
+        assert lay.held.sum(axis=1).tolist() == [8, 8]
+        check_liquid_payloads(lay)
 
     def test_recoverable_structural(self):
-        c = small_cluster()
-        for e in range(3):
-            c.store_fragment(e, "a", e, None, 8, t=0.0)
-        assert recoverable(c, k=3, objects=["a"])
-        c.fail_node(0, t=1.0)
-        assert not recoverable(c, k=3, objects=["a"])
-        for e in (1, 2):
-            c.fail_node(e, t=2.0)
-        assert not recoverable(c, k=1, objects=["a"])  # nothing left at all
+        state, lay = byte_liquid()
+        for node in (0, 1):
+            liquid.liquid_fail_node(state, lay, 1.0, node)
+        assert lay.held.sum(axis=1).tolist() == [7, 8]   # k = 8
+        with pytest.raises(DecodeError):
+            liquid.liquid_repair_step(state, lay, t0=1.0, t1=2.0)
+        decodes(lay, [1])
+        lay.stepsDone = 1
+        liquid.liquid_repair_step(state, lay, t0=1.0, t1=2.0)
+        check_liquid_payloads(lay)
 
     def test_recoverable_byte_decode(self):
-        p = erasure.make_codec(4, 2, 16, backend="byte")
-        obj = b"\x01\x02\x03\x04"
-        frags = erasure.encode(obj, range(4), p)
-        c = small_cluster()
-        for e in range(4):
-            c.store_fragment(e, "a", e, frags[e], 16, t=0.0)
-        assert recoverable(c, k=2, objects=["a"], codec=p, retained={"a": obj})
-        # corrupt a stored payload; decode census must catch it
-        c.nodes[0].fragments[("a", 0)] = b"\xff\xff"
-        with pytest.raises(InvariantViolation):
-            recoverable(c, k=2, objects=["a"], codec=p, retained={"a": obj})
+        state, lay = byte_liquid()
+        decodes(lay, range(lay.objectCount))
+        # corrupt a held payload; both oracles must catch it
+        lay.frags[0, 0] ^= 0xFF
+        with pytest.raises(InvariantViolation, match="object 0 EFI 0"):
+            check_liquid_payloads(lay)
+        with pytest.raises(InvariantViolation, match="object 0 decodes"):
+            decodes(lay, range(lay.objectCount))
 
 
 class TestMeterWindow:
     def test_avg_rate(self):
         c = small_cluster()
         c.begin_phase("repair")
-        c.store_fragment(0, "a", 0, b"xx", 16, t=0.0)
+        c.meter_write_bulk(0, 16, t=0.0)
         for t in (1.0, 2.0, 3.0, 4.0):
             c.meter_read_spread(at(4, 0, 16), t, t)
         bits, written, avg, peak = c.meter_window(0.0, 4.0, window=4.0)
@@ -210,7 +256,7 @@ class TestMeterWindow:
     def test_read_log_sums_to_total(self):
         c = small_cluster()
         c.begin_phase("repair")
-        c.store_fragment(0, "a", 0, b"x", 8, t=0.0)
+        c.meter_write_bulk(0, 8, t=0.0)
         for t in range(1, 6):
             c.meter_read_spread(at(4, 0, 8), float(t), float(t))
         c.meter_read_spread(np.array([40, 0, 0, 0]), t0=6.0, t1=8.0)

@@ -65,6 +65,14 @@ def _oracle_decode(fragments, params):
     return b"".join(chunks[j] for j in range(k))
 
 
+def _as_array(fragments, params):
+    """{efi: payload} as the (n, flen_bytes) array decode_encode reads."""
+    out = np.zeros((params.n, params.flen_bytes), dtype=np.uint8)
+    for e, payload in fragments.items():
+        out[e] = np.frombuffer(payload, np.uint8)
+    return out
+
+
 def _clear_matrix_caches():
     erasure._decode_matrix.cache_clear()
     erasure._source_rows.cache_clear()
@@ -254,9 +262,14 @@ class TestFusedDecode:
         given_frags = erasure.encode(obj, subset, p)
         want = _oracle_decode(given_frags, p)
         assert want == obj
-        data, frags = erasure.decode_encode(given_frags, efis, p)
-        assert data == want
-        assert frags == erasure.encode(want, efis, p)
+        given = _as_array(given_frags, p)
+        before = given.copy()
+        data, frags = erasure.decode_encode(given, subset, efis, p)
+        assert np.array_equal(given, before)    # built in its own buffer
+        assert data.shape == (p.k, p.flen_bytes) and data.tobytes() == want
+        assert frags.shape == (len(efis), p.flen_bytes)
+        assert ({e: row.tobytes() for e, row in zip(efis, frags)}
+                == erasure.encode(want, efis, p))
         assert erasure.decode(given_frags, p) == want
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -286,18 +299,16 @@ class TestFusedDecode:
 
     def test_efis_validated(self):
         p = erasure.make_codec(6, 4, 32, backend="byte")
-        frags = erasure.encode(bytes(16), range(6), p)
+        frags = _as_array(erasure.encode(bytes(16), range(6), p), p)
         for bad in (6, -1):
             with pytest.raises(ConfigError):
-                erasure.decode_encode({e: frags[e] for e in (0, 1, 4, 5)},
-                                      [bad], p)
+                erasure.decode_encode(frags, (0, 1, 4, 5), [bad], p)
 
     def test_symbolic(self):
         p = erasure.make_codec(6, 4, 32, backend="symbolic")
-        assert erasure.decode_encode({e: None for e in range(4)}, [5], p) == (
-            None, {5: None})
+        assert erasure.decode_encode(None, range(4), [5], p) == (None, None)
         with pytest.raises(DecodeError):
-            erasure.decode_encode({e: None for e in range(3)}, [5], p)
+            erasure.decode_encode(None, range(3), [5], p)
 
 
 class TestMatrixCache:
@@ -320,12 +331,12 @@ class TestMatrixCache:
             solves.append(A.shape)
             return inv(A)
 
-        def keyed(fragments, efis, params):
-            used = sorted(fragments)[: params.k]
+        def keyed(frags, read, efis, params):
+            used = sorted(read)[: params.k]
             if used[-1] >= params.k:        # a decode that needs parity
                 decodes[0] += 1
                 keys.add(tuple(used))
-            return fused(fragments, efis, params)
+            return fused(frags, read, efis, params)
 
         monkeypatch.setattr(gf256, "inv_matrix", counted_inv)
         monkeypatch.setattr(erasure, "decode_encode", keyed)
@@ -339,14 +350,13 @@ class TestMatrixCache:
         n, k = 12, 4
         p = erasure.make_codec(n, k, 16, backend="byte")
         obj = bytes(range(k * 2))
-        frags = erasure.encode(obj, range(n), p)
+        frags = _as_array(erasure.encode(obj, range(n), p), p)
         _clear_matrix_caches()
         subsets = list(combinations(range(n), k))
         assert len(subsets) > erasure.MATRIX_CACHE_SIZE
         for subset in subsets:
-            data, _ = erasure.decode_encode({e: frags[e] for e in subset},
-                                            [n - 1], p)
-            assert data == obj
+            data, _ = erasure.decode_encode(frags, subset, [n - 1], p)
+            assert data.tobytes() == obj
         for cache in (erasure._decode_matrix, erasure._source_rows):
             assert cache.cache_info().currsize == erasure.MATRIX_CACHE_SIZE
 

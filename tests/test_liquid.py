@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cluster_oracles import check_layout_sync, holders, recoverable
+from cluster_oracles import check_liquid_payloads, decodes
 from liquidsim import liquid, rng, sim_engine
+from liquidsim.advanced_liquid import advanced_store
 from liquidsim.bounds import EpsilonSet, SystemParams
 from liquidsim.errors import ConfigError, DecodeError, InvariantViolation
 from liquidsim.liquid import (RepairCounter, StepSchedule,
@@ -31,23 +32,37 @@ class TestStore:
         assert lay.held[0].tolist() == [True] * 9 + [False]
         assert lay.held[1].all()
         assert lay.flen == 80
-        assert recoverable(state, k=8, objects=range(2), codec=lay.codec,
-                           retained=lay.sources)
-        check_layout_sync(state, lay)
+        check_liquid_payloads(lay)
+        decodes(lay, range(2))
 
     def test_placement_is_one_array(self):
-        _, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
-        for field in dataclasses.fields(lay):
-            if field.name in ("sources", "tables"):  # byte payloads
-                continue
-            assert not isinstance(getattr(lay, field.name),
-                                  (dict, set, list)), field.name
-        assert lay.held.dtype == np.bool_ and lay.held.shape == (2, 10)
+        for backend in ("byte", "symbolic"):
+            _, lay = store_periodic(N=10, beta=0.2, clen=160, backend=backend)
+            for field in dataclasses.fields(lay):
+                assert not isinstance(getattr(lay, field.name),
+                                      (dict, set, list)), field.name
+            assert lay.held.dtype == np.bool_ and lay.held.shape == (2, 10)
+            if backend == "byte":
+                for a in (lay.code, lay.frags):
+                    assert a.dtype == np.uint8 and a.shape == (2, 10, 10)
+            else:
+                assert lay.code is None and lay.frags is None
+            # the advanced layout too: placement and payloads are arrays
+            _, group_lay, _ = advanced_store(
+                8, 19 * 8, 2, backend=backend,
+                payload_rng=rng.stream(7, substream=rng.SUB_PAYLOAD))
+            for field in dataclasses.fields(group_lay):
+                assert not isinstance(getattr(group_lay, field.name),
+                                      (dict, set, list)), field.name
 
     def test_fragment_lives_on_matching_node(self):
         state, lay = store_periodic(clen=160, backend="byte")
-        for obj, e in zip(*lay.held.nonzero()):
-            assert (obj, e) in state.nodes[e].fragments
+        before = lay.frags.copy()
+        liquid_fail_node(state, lay, 1.0, 4)
+        # EFI e of every object lives at node e: the failure zeroes column 4
+        assert not lay.frags[:, 4].any()
+        assert np.array_equal(np.delete(lay.frags, 4, axis=1),
+                              np.delete(before, 4, axis=1))
 
     def test_bad_xlen(self):
         with pytest.raises(ConfigError):
@@ -86,7 +101,7 @@ class TestStore:
         assert state.phase_written["repair"] == 0
         assert state.nodeBitsWritten.tolist() == [100] * 9 + [50]
         # symbolic placement lives in lay.held alone
-        assert all(not node.fragments for node in state.nodes)
+        assert lay.code is None and lay.frags is None
 
 
 class TestRepairStep:
@@ -102,7 +117,7 @@ class TestRepairStep:
         assert state.phase_written["repair"] == 2 * 80
         assert lay.held[0].all()
         assert lay.front == 1
-        check_layout_sync(state, lay)
+        check_liquid_payloads(lay)
 
     def test_symbolic_step_meters_without_storing(self):
         state, lay = store_periodic(N=10, beta=0.2, clen=100)
@@ -115,7 +130,7 @@ class TestRepairStep:
         assert (state.nodeBitsWritten - before).tolist() == (
             [0] * 3 + [50] + [0] * 5 + [50])
         assert lay.held[0].all()
-        assert all(not node.fragments for node in state.nodes)
+        assert lay.frags is None
 
     def test_intact_object_writes_nothing(self):
         state, lay = store_periodic(N=10, beta=0.2, clen=100)
@@ -139,14 +154,25 @@ class TestRepairStep:
         state.begin_phase("repair")
         liquid_fail_node(state, lay, 1.0, 0)
         liquid_repair_step(state, lay, t0=1.0, t1=2.0)
-        assert state.nodes[0].fragments[(0, 0)] == lay.tables[0][0]
-        assert recoverable(state, k=6, objects=range(lay.objectCount),
-                           codec=lay.codec, retained=lay.sources)
+        assert np.array_equal(lay.frags[0, 0], lay.code[0, 0])
+        check_liquid_payloads(lay)
+        decodes(lay, range(lay.objectCount))
 
     def test_efi_map_out_of_sync_raises(self):
         state, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
-        state.delete_fragment(2, 0, 2)  # layout still holds EFI 2
-        with pytest.raises(InvariantViolation, match="node 2"):
+        assert lay.held[0, 2] and lay.frags[0, 2].any()
+        lay.frags[0, 2] = 0  # wiped, but held still counts EFI 2
+        with pytest.raises(InvariantViolation,
+                           match="object 0 decoded to wrong bytes"):
+            liquid_repair_step(state, lay, t0=0.0, t1=1.0)
+
+    def test_codeword_drift_raises(self):
+        # step 0 re-encodes the parity and compares it with code; EFI 9
+        # is neither held nor read
+        state, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
+        lay.code[0, 9, 0] ^= 1
+        with pytest.raises(InvariantViolation,
+                           match="object 0 codeword drift"):
             liquid_repair_step(state, lay, t0=0.0, t1=1.0)
 
     def test_byte_needs_payload_rng(self):
@@ -172,7 +198,7 @@ class TestPeriodicInvariant:
             assert rec.bitsRead == 16 * 8  # exact on every step
             assert rec.bitsWritten <= 4 * 8
             assert_liquid_invariant(lay, slack=1)
-        check_layout_sync(state, lay)
+        check_liquid_payloads(lay)
 
     def test_invariant_assert_fires(self):
         _, lay = store_periodic(N=10, beta=0.2)
@@ -286,7 +312,7 @@ class TestPoissonProtocol:
         # census loss is only reachable through a counter dip
         if losses:
             assert counter.minSeen < 0
-        check_layout_sync(state, lay)
+        check_liquid_payloads(lay)
 
 
 @st.composite
@@ -310,34 +336,39 @@ def byte_liquid_runs(draw):
 
 
 class TestPlacementOracle:
-    """held against the directory rebuilt from the byte node stores."""
+    """held and the byte payloads against a directory of EFI sets kept
+    beside them by the store and repair rules, EFI e at node e."""
 
     @settings(max_examples=120, deadline=None, database=None)
     @given(byte_liquid_runs())
     def test_held_matches_node_stores(self, run):
         driver, ops = run
         state, lay = driver.state, driver.layout
-        k, count = lay.k, lay.objectCount
+        k, count, N = lay.k, lay.objectCount, state.N
+        directory = [set(range(k + lay.counterCap + j)) for j in range(count)]
         state.begin_phase("repair")
         steps = 0
         for t, op in enumerate(ops, start=1):
-            front_has = len(holders(state).get(steps % count, ()))
+            front = directory[steps % count]
             if op is not None:
                 liquid_fail_node(state, lay, float(t), op)
-            elif front_has < k:
+                for efis in directory:
+                    efis.discard(op)
+            elif len(front) < k:
                 with pytest.raises(DecodeError):
                     liquid_repair_step(state, lay, t0=t, t1=t)
             else:
                 rec = liquid_repair_step(state, lay, t0=t, t1=t)
                 assert rec.bitsRead == k * lay.flen
-                assert rec.bitsWritten == (state.N - front_has) * lay.flen
+                assert rec.bitsWritten == (N - len(front)) * lay.flen
+                front.update(range(N))
                 steps += 1
-            check_layout_sync(state, lay)
-            directory = holders(state)
-            assert driver.recoverable() == recoverable(
-                state, k, range(count))
-            have = [len(directory.get((steps + j) % count, ()))
-                    for j in range(count)]
+            assert [set(np.flatnonzero(row).tolist())
+                    for row in lay.held] == directory
+            check_liquid_payloads(lay)
+            assert driver.recoverable() == all(
+                len(efis) >= k for efis in directory)
+            have = [len(directory[(steps + j) % count]) for j in range(count)]
             for slack in (0, 1):
                 holds = all(h >= k + slack + j for j, h in enumerate(have))
                 try:
@@ -346,7 +377,4 @@ class TestPlacementOracle:
                 except InvariantViolation:
                     assert not holds
         assert lay.stepsDone == steps
-        survivors = [j for j in range(count)
-                     if len(holders(state).get(j, ())) >= k]
-        assert recoverable(state, k, survivors, codec=lay.codec,
-                           retained={j: lay.sources[j] for j in survivors})
+        decodes(lay, [j for j in range(count) if len(directory[j]) >= k])
