@@ -13,11 +13,15 @@ next failure finds the staircases ready again.
 Both failure models run one chain of sub-operations per failure
 (_StepChain) and differ only in pacing: the periodic variant commits the
 whole chain at once, the Poisson variant paces each sub-operation at the
-proof's read rate.  Slack is a counter capped at b (1 periodic): failures
-decrement it, completed steps increment it.  A census of nodes holding
-their full primary complement and their full staircase witnesses
-recoverability; it keeps at least k + counter members while the counter
-stays non-negative.
+proof's read rate.  The Poisson repairer still commits the sub-operations
+due before the next failure in one call, as ranges of groups, and keeps
+one event and one read_log entry per sub-operation (AdvancedPoissonRepairer
+says why its census checks can wait for the end of the call).
+
+Slack is a counter capped at b (1 periodic): failures decrement it,
+completed steps increment it.  A census of nodes holding their full
+primary complement and their full staircase witnesses recoverability; it
+keeps at least k + counter members while the counter stays non-negative.
 
 Placement is (N,) numpy arrays, so one step is O(N) work.  A node holds
 the primaries of a whole group or none, and the groups it holds form one
@@ -42,8 +46,10 @@ with the source.
 A source pick depends only on the group's holder set outside the target,
 which changes at the run ends of other rows or when a row is cleared.  A
 chain keeps its last pick while neither happens, and the groups one pick
-serves commit as array ops on a range: a periodic step is a few calls,
-not a loop over the N groups.
+serves commit as array ops on a range: a step is a few calls, not a loop
+over the N groups.  Their objects read the same labels, so on the byte
+backend one GF(256) product decodes and re-encodes them all, and the
+store build encodes every object in one product.
 The fault-injection hook drops the staircases of nodes 0 and 1, which
 fails the census but not recovery.
 """
@@ -209,18 +215,25 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
     state.meter_write_bulk(slice(None), clen, t=0.0)
     if codec.backend == "byte":
         fb = codec.flen_bytes
-        layout.sources = np.frombuffer(
-            b"".join(payload_rng.bytes(k * fb) for _ in range(N * r)),
-            np.uint8).reshape(N, r, k, fb)
+        # payload_rng.bytes(k * fb) per object, drawn at once: bytes() takes
+        # whole 32-bit words from the stream and drops the spare bytes
+        words = -(-k * fb // 4)
+        layout.sources = payload_rng.integers(
+            0, 2 ** 32, (N * r, words), dtype=np.uint32).astype("<u4").view(
+                np.uint8)[:, :k * fb].reshape(N, r, k, fb)
         layout.frags = frags = np.zeros((N, r, N + r, fb), dtype=np.uint8)
         frags[:, :, :k] = layout.sources
         layout.owner = owner = np.full((N, r, N + r), -1, dtype=np.int64)
         owner[:, :, :N] = np.arange(N)      # primary label m at node m
-        for p in range(r):
-            owner[:, p, N:N + p + 1] = np.arange(N)[:, None]  # at the anchor
-            for g in range(N):
-                _, frags[g, p, k:N + p + 1] = erasure.decode_encode(
-                    frags[g, p], range(k), range(k, N + p + 1), codec)
+        # the object at position p holds labels up to N + p: its parity
+        # primaries, then helpers N..N + p at its anchor
+        keep = np.arange(k, N + r) <= N + np.arange(r)[:, None]  # (p, label-k)
+        owner[:, :, N:] = np.where(keep[:, N - k:],
+                                   np.arange(N)[:, None, None], -1)
+        # every object encodes from its source rows: one product for all
+        _, coded = erasure.decode_encode(frags.reshape(N * r, N + r, fb),
+                                         range(k), range(k, N + r), codec)
+        frags[:, :, k:] = coded.reshape(N, r, N + r - k, fb) * keep[:, :, None]
     return state, layout, rotation
 
 
@@ -317,21 +330,32 @@ class _Reads:
         return out
 
 
-def _rebuild_helpers(layout, rotation, group, phys, srcs, labels) -> None:
-    """Decode object (group, phys) from the primaries at srcs, compare it
-    with its source and write its fragments for labels at the anchor; the
-    decode and the re-encode are one product."""
+def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
+                     width) -> None:
+    """Decode objects (groups[i], phys[i]) from the primaries at srcs,
+    compare each with its source and write its fragments for the first
+    width[i] of labels at its anchor.  The objects read the same labels,
+    so one product decodes and re-encodes them all.  The first object
+    whose primaries' owner or decode is off raises, with the objects
+    before it written, as a rebuild one object at a time would.
+    """
     read = [rotation.primaryEfis[m] for m in srcs.tolist()]
-    stray = layout.owner[group, phys, read] != srcs
-    if stray.any():
-        raise InvariantViolation(
-            f"primary map out of sync at node {srcs[stray.argmax()]}")
-    data, helpers = erasure.decode_encode(layout.frags[group, phys], read,
+    stray = layout.owner[groups[:, None], phys[:, None], read] != srcs
+    data, helpers = erasure.decode_encode(layout.frags[groups, phys], read,
                                           labels, layout.codec)
-    if not np.array_equal(data, layout.sources[group, phys]):
-        raise InvariantViolation(f"decode mismatch for object ({group},{phys})")
-    layout.frags[group, phys, labels] = helpers
-    layout.owner[group, phys, labels] = group
+    wrong = (data != layout.sources[groups, phys]).any(axis=(1, 2))
+    bad = np.flatnonzero(stray.any(axis=1) | wrong)
+    done = bad[0] if bad.size else len(groups)
+    obj, role = np.nonzero(np.arange(len(labels)) < width[:done, None])
+    slots = groups[obj], phys[obj], np.asarray(labels)[role]
+    layout.frags[slots] = helpers[obj, role]
+    layout.owner[slots] = groups[obj]
+    if bad.size and stray[done].any():
+        raise InvariantViolation(
+            f"primary map out of sync at node {srcs[stray[done].argmax()]}")
+    if bad.size:
+        raise InvariantViolation(
+            f"decode mismatch for object ({groups[done]},{phys[done]})")
 
 
 def generate_helpers(state: ClusterState, layout: GroupLayout,
@@ -351,11 +375,10 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
     srcs, _ = reads.add_sources(range(group, group + 1), layout.front_phys(group),
                                 exclude, layout.k, r * layout.flen)
     writes = r * (r + 1) // 2
-    if layout.codec.backend == "byte":
-        for j in range(r):
-            p = (layout.front_phys(group) + j) % r
-            _rebuild_helpers(layout, rotation, group, p, srcs,
-                             rotation.helperEfis[: j + 1])
+    if layout.codec.backend == "byte":     # position j takes helpers 0..j
+        _rebuild_helpers(layout, rotation, np.full(r, group),
+                         (layout.front_phys(group) + np.arange(r)) % r, srcs,
+                         rotation.helperEfis, np.arange(1, r + 1))
     state.meter_write_bulk(group, writes * layout.flen, t=t)
     layout.helperLo[group] = 0
     if collect is None:
@@ -435,10 +458,11 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
                                       layout.k, layout.flen)
         done = _at(range(g, end))
         if layout.codec.backend == "byte":
-            labels = rotation.new_helper_efis()
-            for group in range(g, end):
-                _rebuild_helpers(layout, rotation, group,
-                                 layout.front_phys(group), srcs, labels)
+            objs = np.arange(g, end)
+            _rebuild_helpers(layout, rotation, objs,
+                             layout.rot[objs] % layout.r, srcs,
+                             rotation.new_helper_efis(),
+                             np.full(end - g, layout.r))
         state.meter_write_bulk(done, layout.r * layout.flen, t=t)
         layout.rot[done] += 1
         layout.helperLo[done] = 0
@@ -531,10 +555,12 @@ class _StepChain:
         self.counts[kind] += [counts] * n
         self.fragmentWrites += counts.fragmentWrites * n
 
-    def meter(self, t0: float, t1: float) -> None:
-        """Stream the reads committed since the last call over [t0, t1]."""
+    def meter(self, t0: float, t1: float, split=None) -> None:
+        """Stream the reads committed since the last call over [t0, t1];
+        split, as ClusterState.meter_read_spread takes it, logs them as
+        one entry per sub-operation."""
         self.bitsRead += self.state.meter_read_spread(self.reads.take(),
-                                                      t0, t1)
+                                                      t0, t1, split)
 
     def planned_reads(self, kind: str, group: int) -> np.ndarray:
         """(N,) read bits of a sub-operation, re-derived from the current
@@ -762,6 +788,23 @@ class AdvancedPoissonRepairer:
     the chain: the finished step leaves the target outside the witness
     census, the counter still ticks up at completion, and the node queues
     again.
+
+    Sub-operation durations are fixed (bits / rateProof), so the ones due
+    before the next failure are known in advance, and given that failure's
+    time as a horizon, on_subop_complete commits the step's due
+    sub-operations in one call, each run of move+updates as one range.  It
+    still makes one event, one read_log entry and one trace row of each:
+    self.done gives their end times and bits.  A census check after each
+    of them is implied by checks before and after the call.  Between
+    failures nothing is erased: a generate adds a staircase, a move+update
+    adds its group to the target's row and restores its anchor's
+    staircase, and the counter stays put.  So within a step the witness
+    count, every group's holder count and every staircase can only grow.
+    A step's end breaks this: the counter ticks up, and the next step
+    wipes its target's row, which a futile step may have refilled.  A
+    stall breaks it too: the group's front helpers moved without an update.
+    The call therefore stops after the step's last sub-operation or a
+    stall, and that event is checked in full.
     """
 
     def __init__(self, state: ClusterState, layout: GroupLayout,
@@ -774,6 +817,9 @@ class AdvancedPoissonRepairer:
         self.queue = deque()
         self.chain: Optional[_StepChain] = None
         self.subop: Optional[_SubOp] = None
+        # (end times, read bits, written bits) of the sub-operations the
+        # last on_subop_complete committed, oldest first; None for a step
+        self.done: Optional[tuple] = None
 
     @property
     def idle(self) -> bool:
@@ -798,9 +844,12 @@ class AdvancedPoissonRepairer:
         elif self.chain is None and not self.counter.halted:
             self._start_step(t)
 
-    def on_subop_complete(self, t: float) -> Optional[AdvancedStepRecord]:
-        """Commit the due event; returns the step record when the whole
-        chain just finished."""
+    def on_subop_complete(self, t: float, horizon: Optional[float] = None
+                          ) -> Optional[AdvancedStepRecord]:
+        """Commit the due event, and with a horizon the step's later
+        sub-operations due at or before it; returns the step record when
+        the whole chain just finished.  A stalled sub-operation still
+        meters what it committed, and raises DecodeError."""
         sub = self.subop
         if sub is None:
             raise InvariantViolation("no sub-operation in flight")
@@ -808,13 +857,73 @@ class AdvancedPoissonRepairer:
             raise InvariantViolation(
                 f"completion at {t}, schedule says {sub.t1}")
         self.subop = None
+        self.done = None
         if sub.kind == "step":
             return self._end_step(self.chain.run(sub.t0, t), t)
+        generate, groups, ends = self._due(sub, t, horizon)
+        self._commit_due(sub.t0, generate, groups, ends)
+        return self._plan(float(ends[-1]))
+
+    def _duration(self, generate: bool) -> float:
+        layout = self.layout
+        if generate:
+            bits = layout.k * layout.r * layout.flen
+        else:
+            bits = (layout.r + layout.k) * layout.flen
+        return self.schedule.subop_duration(bits)
+
+    def _due(self, sub: _SubOp, t: float, horizon: Optional[float]) -> tuple:
+        """(generate, groups, ends): the kind (True for a generate), group
+        and end time of sub, due at t, and with a horizon of the step's
+        later sub-operations due at or before it, in chain order."""
+        first = sub.kind == "generate"
+        if horizon is None:
+            return np.array([first]), np.array([sub.group]), np.array([t])
+        layout = self.layout
+        m = len(self.chain.counts["move"]) + (not first)  # first group after sub
+        # each later group: a generate where its front helpers are
+        # missing, then its move+update
+        missing = layout.helperLo[m:] != 0
+        if first:
+            missing[sub.group - m] = False          # sub stages them
+        per = 1 + missing
+        moves = np.cumsum(per)          # each move+update's index, sub at 0
+        generate = np.zeros(1 + len(per) + int(missing.sum()), dtype=bool)
+        generate[0] = first
+        generate[moves[missing] - 1] = True
+        groups = np.concatenate(([sub.group],
+                                 np.repeat(np.arange(m, layout.N), per)))
+        # sequential adds, as one sub-operation at a time plans them
+        ends = np.concatenate(([t], np.where(
+            generate[1:], self._duration(True), self._duration(False))))
+        ends = ends.cumsum()
+        n = max(1, int(ends.searchsorted(horizon, side="right")))
+        return generate[:n], groups[:n], ends[:n]
+
+    def _commit_due(self, t0: float, generate, groups, ends) -> None:
+        """Commit the planned sub-operations in order, each run of
+        move+updates as one range, and meter their reads as one log entry
+        each; a stall ends them at the stalled one."""
+        chain, layout = self.chain, self.layout
+        counts = chain.counts
+        before = len(counts["generate"]) + len(counts["update"])
+        starts = np.flatnonzero(np.concatenate(
+            ([True], generate[1:] | generate[:-1]))).tolist()
+        times = ends.tolist()
         try:
-            self.chain.commit(sub.kind, range(sub.group, sub.group + 1), t)
-        finally:   # a stalled sub-op still read what it committed
-            self.chain.meter(sub.t0, t)
-        return self._plan(t)
+            for a, b in zip(starts, starts[1:] + [len(generate)]):
+                chain.commit("generate" if generate[a] else "moveupdate",
+                             range(groups[a], groups[b - 1] + 1), times[b - 1])
+        finally:
+            last = min(len(counts["generate"]) + len(counts["update"])
+                       - before, len(generate) - 1)
+            k, r, flen = layout.k, layout.r, layout.flen
+            gen = generate[:last + 1]
+            reads = np.where(gen, k * r * flen, (r + k) * flen)
+            writes = np.where(gen, r * (r + 1) // 2 * flen, 2 * r * flen)
+            self.done = ends[:last + 1], reads, writes
+            chain.meter(t0, times[last],
+                        (ends[:last], reads[:last]) if last else None)
 
     def _start_step(self, t: float) -> None:
         if not self.queue:
@@ -833,13 +942,8 @@ class AdvancedPoissonRepairer:
         if nxt is None:
             return self._end_step(self.chain.finish(t), t)
         kind, group = nxt
-        layout = self.layout
-        if kind == "generate":
-            bits = layout.k * layout.r * layout.flen
-        else:
-            bits = (layout.r + layout.k) * layout.flen
         self.subop = _SubOp(kind, group, t,
-                            t + self.schedule.subop_duration(bits))
+                            t + self._duration(kind == "generate"))
         return None
 
     def _end_step(self, record: AdvancedStepRecord,

@@ -12,7 +12,9 @@ never its meters.  Three meters are kept: two (N,) vectors of bits read and
 written per node, totals per phase (storer traffic lands in its own phase
 bucket so that repair-traffic totals stay clean), and read_log, which
 records when repair reads happened, spread over an interval for paced
-repairers or as an instant, for the peak-rate window.
+repairers or as an instant, for the peak-rate window.  The log is kept as
+numpy columns and the window's cumulative curve is built from them with
+array ops, because a paced repairer logs one entry per sub-operation.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class ClusterState:
         # phase -> totals; the repair read log feeds the peak-rate window
         self.phase_read: dict = {"store": 0, "repair": 0}
         self.phase_written: dict = {"store": 0, "repair": 0}
-        self.read_log: list = []  # (t0, t1, bits) spread entries, t0 == t1 for impulses
+        self.read_log = ReadLog()
 
     def begin_phase(self, phase: str) -> None:
         if phase not in self.phase_read:
@@ -47,20 +49,27 @@ class ClusterState:
     # -- metering ---------------------------------------------------------
 
     def meter_read_spread(self, node_bits: np.ndarray, t0: float,
-                          t1: float) -> int:
+                          t1: float, split=None) -> int:
         """Meter paced reads: node_bits is an (N,) integer vector of bits
         per node streamed over [t0, t1], or read at once when t0 == t1.
         Returns the total metered.
 
-        The caller is responsible for fragment presence; this only meters.
+        split, (ends, bits) arrays, cuts the stream into consecutive log
+        entries: bits[i] up to ends[i], the rest from ends[-1] to t1.  The
+        caller is responsible for fragment presence; this only meters.
         """
         if t1 < t0:
             raise ConfigError("t1 must be >= t0")
         self.nodeBitsRead += node_bits
         total = int(node_bits.sum())
         self.phase_read[self.phase] += total
-        if total:
-            self.read_log.append((t0, t1, total))
+        if split is None:
+            self.read_log.add(t0, t1, total)
+        else:
+            ends, bits = split
+            self.read_log.add(np.concatenate(([t0], ends)),
+                              np.concatenate((ends, [t1])),
+                              np.concatenate((bits, [total - bits.sum()])))
         self.now = max(self.now, t1)
         return total
 
@@ -100,72 +109,173 @@ class ClusterState:
         return bits_read, self.phase_written["repair"], avg, peak
 
 
+class ReadLog:
+    """Repair reads by time, as growing columns: entry i streams bits[i]
+    over [t0[i], t1[i]], or reads them at once when t0 == t1.  Iterating
+    yields (t0, t1, bits) tuples."""
+
+    def __init__(self):
+        self._t0 = np.empty(16)
+        self._t1 = np.empty(16)
+        self._bits = np.empty(16, dtype=np.int64)
+        self._n = 0
+
+    def add(self, t0, t1, bits) -> None:
+        """Append one entry, or equal-length arrays of them; an entry of no
+        bits is left out."""
+        n = self._n
+        if isinstance(bits, np.ndarray):
+            keep = bits != 0
+            t0, t1, bits = t0[keep], t1[keep], bits[keep]
+            m = len(bits)
+        elif bits:
+            m = 1
+        else:
+            return
+        if n + m > len(self._bits):
+            size = max(2 * len(self._bits), n + m)
+            for name in ("_t0", "_t1", "_bits"):
+                col = getattr(self, name)
+                setattr(self, name, np.resize(col, size))
+        self._t0[n:n + m] = t0
+        self._t1[n:n + m] = t1
+        self._bits[n:n + m] = bits
+        self._n = n + m
+
+    def columns(self) -> tuple:
+        """(t0, t1, bits) views of the entries in log order."""
+        n = self._n
+        return self._t0[:n], self._t1[:n], self._bits[:n]
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return zip(*(col.tolist() for col in self.columns()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReadLog):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in
+                   zip(self.columns(), other.columns()))
+
+
+# below this many entries a Python walk of the log builds the curve faster
+# than numpy's per-call cost allows
+_SMALL_LOG = 64
+
+
 class _CumulativeReads:
     """Piecewise-linear cumulative read curve with impulse jumps.
 
     Spread entries contribute linearly over [s0, s1]; impulses (s0 == s1)
     jump the curve.  open(t) excludes an impulse at exactly t, closed(t)
     includes it, so closed(a+w) - open(a) is the closed-window [a, a+w] sum.
+
+    The curve is built from log, a ReadLog or (s0, s1, bits) tuples, with
+    the float additions of a walk through the log: each time's slope
+    changes and jumps sum in log order, and the curve accumulates in time
+    order.  A long log takes array ops that add in that same order.  At
+    each time t[j], curve[2j] is the value after its jump and curve[2j - 1]
+    the value before it; slope[j] holds on [t[j], t[j + 1]).
     """
 
     def __init__(self, log):
-        events: dict = {}
+        if isinstance(log, ReadLog):
+            cols = log.columns()
+        else:
+            cols = np.array(list(log), dtype=float).reshape(-1, 3).T
+        build = _walk if len(cols[0]) < _SMALL_LOG else _sweep
+        self.t, self.curve, self.slope = build(*cols)
 
-        def ev(t):
-            return events.setdefault(t, [0.0, 0.0])  # [slope delta, jump]
-
-        for (s0, s1, bits) in log:
-            if s1 > s0:
-                rate = bits / (s1 - s0)
-                ev(s0)[0] += rate
-                ev(s1)[0] -= rate
-            else:
-                ev(s0)[1] += bits
-        self.t = sorted(events)
-        self.before = []  # value approaching t[j] from the left
-        self.after = []   # value after the jump at t[j]
-        self.slope = []   # slope on [t[j], t[j+1])
-        c = 0.0
-        s = 0.0
-        prev = None
-        for tj in self.t:
-            if prev is not None:
-                c += s * (tj - prev)
-            self.before.append(c)
-            c += events[tj][1]
-            self.after.append(c)
-            s += events[tj][0]
-            self.slope.append(s)
-            prev = tj
-
-    def _locate(self, t: float) -> int:
-        return bisect.bisect_right(self.t, t) - 1
+    def _at(self, a: float, closed: bool) -> float:
+        t, curve = self.t, self.curve
+        j = bisect.bisect_right(t, a) - 1
+        if j < 0 or (a == t[0] and not closed):
+            return 0.0
+        if t[j] == a and not closed:
+            return float(curve[2 * j - 1])
+        return float(curve[2 * j] + self.slope[j] * (a - t[j]))
 
     def open(self, t: float) -> float:
-        if not self.t or t <= self.t[0]:
-            return 0.0
-        j = self._locate(t)
-        if self.t[j] == t:
-            return self.before[j]
-        return self.after[j] + self.slope[j] * (t - self.t[j])
+        return self._at(t, False)
 
     def closed(self, t: float) -> float:
-        if not self.t or t < self.t[0]:
-            return 0.0
-        j = self._locate(t)
-        return self.after[j] + self.slope[j] * (t - self.t[j])
+        return self._at(t, True)
 
     def peak(self, t0: float, t1: float, w: float) -> float:
+        """The largest closed(a + w) - open(a) over a in [t0, t1 - w],
+        taken at the times where it can change, over w."""
         hi = max(t0, t1 - w)
-        cand = set([t0, hi])
-        for tj in self.t:
-            if t0 <= tj <= hi:
-                cand.add(tj)
-            if t0 <= tj - w <= hi:
-                cand.add(tj - w)
-        best = 0.0
-        for a in cand:
-            got = self.closed(a + w) - self.open(a)
-            if got > best:
-                best = got
-        return best / w
+        t, curve, slope = (np.asarray(col) for col in
+                           (self.t, self.curve, self.slope))
+        if not len(t):
+            return 0.0
+        a = np.concatenate(([t0, hi], t, t - w))
+        a = a[(t0 <= a) & (a <= hi)]
+        b = a + w
+        j = np.maximum(t.searchsorted(b, side="right") - 1, 0)
+        closed = np.where(b < t[0], 0.0, curve[2 * j] + slope[j] * (b - t[j]))
+        j = np.maximum(t.searchsorted(a, side="right") - 1, 0)
+        open_ = np.where(t[j] == a, curve[2 * j - 1],
+                         curve[2 * j] + slope[j] * (a - t[j]))
+        open_[a <= t[0]] = 0.0
+        return max(0.0, float((closed - open_).max())) / w
+
+
+def _walk(s0, s1, bits) -> tuple:
+    """(t, curve, slope) as lists, walking the log in Python."""
+    events: dict = {}
+    for a, b, n in zip(s0.tolist(), s1.tolist(), bits.tolist()):
+        if b > a:
+            rate = n / (b - a)
+            events.setdefault(a, [0.0, 0.0])[0] += rate
+            events.setdefault(b, [0.0, 0.0])[0] -= rate
+        else:
+            events.setdefault(a, [0.0, 0.0])[1] += n
+    t = sorted(events)
+    curve, slope = [], []
+    c = s = 0.0
+    for j, tj in enumerate(t):
+        if j:
+            c += s * (tj - t[j - 1])
+            curve.append(c)
+        c += events[tj][1]
+        curve.append(c)
+        s += events[tj][0]
+        slope.append(s)
+    curve += curve[-1:]
+    return t, curve, slope
+
+
+def _sweep(s0, s1, bits, chunk: int = 1 << 16) -> tuple:
+    """_walk's curve with array ops: np.add.at sums each time's slope
+    changes and jumps in log order, a chunk of the log at a time, and
+    cumsum adds sequentially."""
+    t = np.concatenate((s0, s1))
+    t.sort()
+    fresh = np.ones(len(t), dtype=bool)
+    fresh[1:] = t[1:] != t[:-1]
+    t = t[fresh]
+    del fresh
+    curve = np.zeros(2 * len(t))   # jump at t[j], then the rise to t[j + 1]
+    for i in range(0, len(bits), chunk):
+        a, b, n = s0[i:i + chunk], s1[i:i + chunk], bits[i:i + chunk]
+        spread = b > a
+        rate = n[spread] / (b[spread] - a[spread])
+        # +rate at s0 and -rate at s1, entry by entry
+        at = np.empty(2 * len(rate), dtype=np.intp)
+        at[0::2], at[1::2] = t.searchsorted(a[spread]), t.searchsorted(b[spread])
+        bend = np.empty(2 * len(rate))
+        bend[0::2], bend[1::2] = rate, -rate
+        np.add.at(curve, 2 * at + 1, bend)
+        np.add.at(curve, 2 * t.searchsorted(a[~spread]),
+                  n[~spread].astype(float))
+    slope = curve[1::2].cumsum()
+    rise = np.diff(t)
+    rise *= slope[:-1]
+    curve[1:-1:2] = rise
+    del rise
+    curve[-1:] = 0.0
+    curve.cumsum(out=curve)
+    return t, curve, slope

@@ -21,8 +21,9 @@ decode_encode works on an object's fragments as one (n, flen_bytes) uint8
 array indexed by EFI, the form the repairers hold them in, and builds the
 object in the gathered buffer.  It appends the generator rows of the
 fragments to re-encode, so repair decodes an object and encodes its new
-fragments in the same product.  decode and encode take and give
-{efi: payload} dicts of bytes.
+fragments in the same product, and it takes a stack of objects read at
+the same EFIs, which then share that product too.  decode and encode take
+and give {efi: payload} dicts of bytes.
 """
 
 from __future__ import annotations
@@ -146,9 +147,11 @@ def decode_encode(frags, read, efis, params: CodecParams):
     """(object, fragments): decode from the k lowest EFIs of read and
     encode the fragments of efis, both in one product with a cached matrix.
 
-    frags is the object's (n, flen_bytes) uint8 array indexed by EFI; only
-    the rows read are looked at.  The object comes back as a (k,
-    flen_bytes) array and the fragments as a (len(efis), flen_bytes) one.
+    frags is the object's (n, flen_bytes) uint8 array indexed by EFI, or a
+    (G, n, flen_bytes) stack of G objects read at the same EFIs, which
+    share the matrix and so the product; only the rows read are looked
+    at.  The object comes back as a (k, flen_bytes) array and the fragments
+    as a (len(efis), flen_bytes) one, with the stack's G axis in front.
     Symbolic backend: frags is unused and both are None.
     """
     k = params.k
@@ -162,12 +165,15 @@ def decode_encode(frags, read, efis, params: CodecParams):
                                        tuple(labels[split:]), tuple(efis))
     # the gathered rows, in object order; the missing chunks replace their
     # stand-in parity rows in place, so this one buffer becomes the object
-    obj = frags[list(slots)]
+    obj = frags[..., list(slots), :]
     if not len(M):
-        return obj, obj[:0]
-    S = gf256.matmul(M, obj)
-    obj[list(missing)] = S[: len(missing)]
-    return obj, S[len(missing):]
+        return obj, obj[..., :0, :]
+    # a stack's objects sit side by side in the product's columns
+    cols = obj.swapaxes(0, -2)
+    S = gf256.matmul(M, cols.reshape(k, -1)).reshape(
+        (len(M),) + cols.shape[1:]).swapaxes(0, -2)
+    obj[..., list(missing), :] = S[..., : len(missing), :]
+    return obj, S[..., len(missing):, :]
 
 
 @functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)

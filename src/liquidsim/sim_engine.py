@@ -9,6 +9,13 @@ meters.  Each repairer family has one driver: _LiquidDriver, and
 _AdvancedDriver, whose repairer paces the advanced step chain for both
 failure models.  run_experiment fans trials out over independent Philox
 streams, so sequential and pooled execution produce identical reports.
+
+A driver has next_completion(), on_failure(t, node), recoverable(check)
+and on_completion(t, horizon).  on_completion commits the completion due
+at t and may commit later ones due at or before horizon, the next
+failure's time, when the census can only grow over them; it then returns
+their (end times, read bits, written bits), and each still counts as one
+event with its own trace row, checked only if it is the run's last.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from multiprocessing import Pool
 from typing import Optional
 
@@ -24,7 +32,7 @@ import numpy as np
 
 from . import advanced_liquid as adv
 from . import bounds, failure_gen, liquid, rng
-from .errors import ConfigError, DecodeError
+from .errors import ConfigError, DecodeError, InvariantViolation
 
 log = logging.getLogger(__name__)
 
@@ -147,7 +155,8 @@ class _LiquidDriver:
         liquid.liquid_on_failure(self.state, self.layout, self.counter,
                                  self.schedule, t, node)
 
-    def on_completion(self, t: float) -> None:
+    def on_completion(self, t: float, horizon=None) -> None:
+        """The step due at t; liquid commits one completion per call."""
         try:
             liquid.liquid_on_step_complete(self.state, self.layout,
                                            self.counter, self.schedule, t)
@@ -201,12 +210,29 @@ class _AdvancedDriver:
     def on_failure(self, t: float, node: int) -> None:
         self.rep.on_failure(t, node)
 
-    def on_completion(self, t: float) -> None:
+    def on_completion(self, t: float, horizon=None) -> Optional[tuple]:
+        """The completion due at t and, given a horizon, the step's later
+        sub-operations due by then; returns the repairer's done, their
+        (end times, read bits, written bits), None for a periodic step.
+
+        run_trial checks only a run's last event: the census grows over
+        the others (AdvancedPoissonRepairer), so their checks pass if the
+        invariant holds at the start.  When it does not, a check due
+        inside the run could fail, so the run is the due event alone.
+        """
+        if horizon is not None and self.completionKind == "subop" \
+                and self.counter.value >= 0:
+            try:
+                adv.assert_advanced_invariant(
+                    self.layout, self.layout.k + self.counter.value)
+            except InvariantViolation:
+                horizon = None
         try:
-            self.rep.on_subop_complete(t)
+            self.rep.on_subop_complete(t, horizon)
         except DecodeError as e:
             log.warning("repair stalled at t=%g: %s", t, e)
             self.counter.halted = True
+        return self.rep.done
 
     def recoverable(self, check: bool = False) -> bool:
         full = adv.full_rows(self.layout)
@@ -232,9 +258,10 @@ def _make_driver(scenario: Scenario, streamId: int):
 def run_trial(scenario: Scenario, streamId: int) -> TrialResult:
     """One deterministic trial; pure function of (scenario, streamId).
 
-    Completions due at or before a failure's timestamp are processed first.
-    After the last failure the schedule drains (no new failures arrive, so
-    the pending work is finite), which keeps per-failure totals exact.
+    Completions due at or before a failure's timestamp are processed first,
+    a driver's run of them at a time.  After the last failure the schedule
+    drains (no new failures arrive, so the pending work is finite), which
+    keeps per-failure totals exact.
     """
     driver = _make_driver(scenario, streamId)
     seq = _failures(scenario, streamId)
@@ -259,15 +286,31 @@ def run_trial(scenario: Scenario, streamId: int) -> TrialResult:
             lost_at = t
 
     def run_completions(horizon):
+        nonlocal events
+        kind = driver.completionKind
         while lost_at is None:
             t_c = driver.next_completion()
             if t_c is None or t_c > horizon:
                 break
             before_r = state.phase_read["repair"]
             before_w = state.phase_written["repair"]
-            driver.on_completion(t_c)
-            post_event(t_c, driver.completionKind,
-                       state.phase_read["repair"] - before_r,
+            counter = driver.counter.value
+            # the fault hook fires between two events: no runs before it
+            hook = scenario.faultInjection and events < _FAULT_AFTER_EVENTS
+            done = driver.on_completion(t_c, None if hook else horizon)
+            if done is not None:
+                # every event of the run but the last passes its checks
+                ends, reads, writes = done
+                n = len(ends) - 1
+                events += n
+                if trace is not None:
+                    trace.extend(zip(ends[:n].tolist(), repeat(kind),
+                                     repeat(counter), reads[:n].tolist(),
+                                     writes[:n].tolist()))
+                before_r += int(reads[:n].sum())
+                before_w += int(writes[:n].sum())
+                t_c = float(ends[n])
+            post_event(t_c, kind, state.phase_read["repair"] - before_r,
                        state.phase_written["repair"] - before_w)
 
     fi = 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cluster_oracles import owned_bits
 from liquidsim import advanced_liquid as adv
-from liquidsim import rng
+from liquidsim import erasure, rng
 from liquidsim.advanced_liquid import (
     AdvancedPoissonRepairer, advanced_fail_node, advanced_repair_step,
     advanced_schedule, advanced_store, assert_advanced_invariant, census,
@@ -124,6 +124,30 @@ class TestStore:
     def test_byte_needs_payload_rng(self):
         with pytest.raises(ConfigError):
             advanced_store(8, 19 * 8, 2, backend="byte")
+
+    @pytest.mark.parametrize("N,r,flen", [(8, 2, 8), (7, 3, 8), (5, 2, 24),
+                                          (12, 4, 16)])
+    def test_store_matches_one_object_at_a_time(self, N, r, flen):
+        # the payload draw and the one product that encodes every object
+        # against payload_rng.bytes and decode_encode per object
+        state, layout, rotation = byte_cluster(N=N, r=r) if flen == 8 else \
+            advanced_store(N, (r * N + r * (r + 1) // 2) * flen, r,
+                           backend="byte",
+                           payload_rng=rng.stream(11, 0, rng.SUB_PAYLOAD))
+        k, fb = layout.k, layout.codec.flen_bytes
+        draw = rng.stream(11, 0, rng.SUB_PAYLOAD)
+        for g in range(N):
+            for p in range(r):
+                src = np.frombuffer(draw.bytes(k * fb), np.uint8)
+                assert layout.sources[g, p].tobytes() == src.tobytes()
+                frags = np.zeros((N + r, fb), np.uint8)
+                frags[:k] = layout.sources[g, p]
+                _, coded = erasure.decode_encode(frags, range(k),
+                                                 range(k, N + p + 1),
+                                                 layout.codec)
+                frags[k:N + p + 1] = coded
+                assert np.array_equal(layout.frags[g, p], frags)
+        check_advanced_sync(state, layout, rotation)
 
     def test_placement_arrays_are_one_dimensional(self):
         N, r = 2000, r_for_target_overhead(2000, 0.1)
@@ -817,6 +841,86 @@ class TestBatchedStepMatchesOneGroupAtATime:
         assert len(chain.counts["update"]) == 5
 
 
+def rebuild_one_at_a_time(layout, rotation, groups, phys, srcs, labels,
+                          width):
+    """The rebuild _rebuild_helpers batches, one object per decode."""
+    read = [rotation.primaryEfis[m] for m in srcs.tolist()]
+    for g, p, w in zip(groups.tolist(), phys.tolist(), width.tolist()):
+        stray = layout.owner[g, p, read] != srcs
+        if stray.any():
+            raise InvariantViolation(
+                f"primary map out of sync at node {srcs[stray.argmax()]}")
+        data, helpers = erasure.decode_encode(layout.frags[g, p], read,
+                                              labels[:w], layout.codec)
+        if not np.array_equal(data, layout.sources[g, p]):
+            raise InvariantViolation(f"decode mismatch for object ({g},{p})")
+        layout.frags[g, p, labels[:w]] = helpers
+        layout.owner[g, p, labels[:w]] = g
+
+
+@st.composite
+def rebuild_cases(draw):
+    N = draw(st.integers(3, 12))
+    r = draw(st.integers(1, 4))
+    staircase = draw(st.booleans())     # a generate's shape, else an update's
+    if staircase:
+        group = draw(st.integers(0, N - 1))
+        groups, phys = np.full(r, group), np.arange(r)
+        width = np.arange(1, r + 1)
+    else:
+        lo = draw(st.integers(0, N - 1))
+        groups = np.arange(lo, draw(st.integers(lo + 1, N)))
+        phys = np.array(draw(st.lists(st.integers(0, r - 1),
+                                      min_size=len(groups),
+                                      max_size=len(groups))))
+        width = np.full(len(groups), r)
+    # up to two objects get a primary zeroed or dropped from owner
+    wipes = draw(st.lists(st.tuples(st.integers(0, len(groups) - 1),
+                                    st.sampled_from(["payload", "owner"])),
+                          max_size=2))
+    return SimpleNamespace(N=N, r=r, groups=groups, phys=phys, width=width,
+                           wipes=wipes, seed=draw(st.integers(0, 99)),
+                           skip=draw(st.integers(0, N - 1)))
+
+
+class TestBatchedRebuild:
+    """_rebuild_helpers decodes and re-encodes objects read at the same
+    labels in one product; per-object decode_encode must write the same
+    bytes and owners, and raise the same error after the same writes."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(rebuild_cases())
+    def test_matches_per_object_decodes(self, case):
+        runs = []
+        for rebuild in (adv._rebuild_helpers, rebuild_one_at_a_time):
+            state, layout, rotation = byte_cluster(N=case.N, r=case.r,
+                                                   seed=case.seed)
+            labels = rotation.helperEfis
+            drop(layout, range(case.N), labels)   # so every write shows
+            # sources: the first k nodes but one
+            srcs = np.delete(np.arange(case.N), case.skip % case.N)[:layout.k]
+            for i, wipe in case.wipes:
+                g, p = case.groups[i], case.phys[i]
+                label = rotation.primaryEfis[srcs[-1]]
+                if wipe == "payload":
+                    layout.frags[g, p, label] = 0
+                else:
+                    layout.owner[g, p, label] = -1
+            try:
+                rebuild(layout, rotation, case.groups, case.phys, srcs,
+                        labels, case.width)
+                err = None
+            except InvariantViolation as e:
+                err = str(e)
+            runs.append((layout, err))
+        (bl, berr), (sl, serr) = runs
+        assert berr == serr
+        if any(wipe == "owner" for _, wipe in case.wipes):
+            assert berr is not None
+        assert np.array_equal(bl.frags, sl.frags)
+        assert np.array_equal(bl.owner, sl.owner)
+
+
 def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0):
     divisor = r * N + r * (r + 1) // 2
     state, layout, rotation = advanced_store(N, divisor, r, variant="poisson",
@@ -1007,6 +1111,40 @@ class TestPoissonProtocol:
             self_check(layout, rep, k)
         if lost:
             assert rep.counter.minSeen < 0   # loss only after a dip
+
+    @pytest.mark.parametrize("wipe", ["payload", "primary", "helper"])
+    def test_wiped_slot_inside_a_run(self, wipe):
+        # a slot damaged in the middle of the run the next call commits:
+        # the run raises what one sub-operation per call raises, naming the
+        # same node or object (the range's later moves may have committed;
+        # the trial ends there either way)
+        messages = []
+        for coalesce in (True, False):
+            state, layout, rotation = byte_cluster(N=8, r=2, variant="poisson",
+                                                   eps=0.3)
+            sched = advanced_schedule(RepairCounter.at_cap(layout.counterCap),
+                                      "poisson", 1.0 / 8, 8, layout.beta, 0.3,
+                                      clen=layout.clen)
+            rep = AdvancedPoissonRepairer(state, layout, rotation, sched)
+            state.begin_phase("repair")
+            rep.on_failure(1.0, 5)
+            rep.on_subop_complete(rep.next_completion())   # generate for 5
+            front, label = layout.front_phys(4), rotation.primaryEfis[0]
+            if wipe == "payload":
+                layout.frags[4, front, label] = 0
+            elif wipe == "primary":
+                layout.owner[4, front, label] = -1
+            else:
+                layout.owner[4, front, rotation.helperEfis[0]] = -1
+            with pytest.raises(InvariantViolation) as err:
+                while True:
+                    rep.on_subop_complete(rep.next_completion(),
+                                          math.inf if coalesce else None)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == {
+            "payload": "decode mismatch for object (4,0)",
+            "primary": "primary map out of sync at node 0",
+            "helper": "helper map out of sync at node 4"}[wipe]
 
     def test_byte_poisson_round_trip(self):
         N, r, eps = 8, 2, 0.3

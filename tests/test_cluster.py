@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_oracles import check_liquid_payloads, decodes, owned_bits
 from liquidsim import advanced_liquid as adv
-from liquidsim import liquid, rng
-from liquidsim.cluster import ClusterState, _CumulativeReads
+from liquidsim import cluster, liquid, rng
+from liquidsim.cluster import ClusterState, ReadLog, _CumulativeReads
 from liquidsim.errors import DecodeError, InvariantViolation
 
 
@@ -266,3 +268,85 @@ class TestMeterWindow:
         cum = _CumulativeReads([(0.0, 0.0, 30.0)])
         # degenerate: window wider than the data span dilutes the rate
         assert cum.peak(0.0, 1.0, 10.0) == pytest.approx(3.0)
+
+
+@st.composite
+def read_logs(draw):
+    """Logs as paced repairers write them: spreads back to back or
+    overlapping, aborted ones ending early, and impulses, some sharing
+    times; long enough to take the array path."""
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(["next", "next", "overlap", "impulse"]),
+        st.integers(1, 10 ** 9), st.floats(0.0, 1.0),
+        st.sampled_from([0.1, 1 / 3, 0.25, 2.0])),
+        max_size=3 * cluster._SMALL_LOG))
+    entries, t = [], 0.0
+    for shape, bits, back, length in steps:
+        if shape == "impulse":
+            s0 = round(t * back, 1)
+            entries.append((s0, s0, bits))
+            continue
+        s0 = t if shape == "next" else t * back
+        entries.append((s0, s0 + length, bits))
+        t = max(t, s0 + length)
+    return entries
+
+
+class TestReadLog:
+    def test_columns_iteration_and_equality(self):
+        log = ReadLog()
+        log.add(0.0, 1.0, 5)
+        log.add(1.0, 1.0, 0)                # no bits: left out
+        log.add(np.array([1.0, 2.0, 2.0]), np.array([2.0, 2.0, 3.0]),
+                np.array([7, 0, 9]))
+        assert len(log) == 3
+        assert list(log) == [(0.0, 1.0, 5), (1.0, 2.0, 7), (2.0, 3.0, 9)]
+        assert (1.0, 2.0, 7) in log
+        other = ReadLog()
+        for entry in log:
+            other.add(*entry)
+        assert other == log
+        other.add(3.0, 3.0, 1)
+        assert other != log
+
+    def test_grows_past_its_first_block(self):
+        log = ReadLog()
+        for i in range(100):
+            log.add(float(i), float(i + 1), i + 1)
+        log.add(np.arange(100.0, 200.0), np.arange(101.0, 201.0),
+                np.arange(101, 201))
+        t0, t1, bits = log.columns()
+        assert len(log) == 200 and bits.tolist() == list(range(1, 201))
+        assert (t1 - t0 == 1.0).all()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(read_logs(), st.sampled_from([1, 5, 1 << 16]))
+    def test_sweep_matches_walk_bit_for_bit(self, entries, chunk):
+        # the golden CSVs pin avg and peak rates, so the array build must
+        # make the Python walk's float additions in the same order
+        log = ReadLog()
+        for entry in entries:
+            log.add(*entry)
+        walk = cluster._walk(*log.columns())
+        for a, b in zip(walk, cluster._sweep(*log.columns(), chunk=chunk)):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(read_logs(), st.floats(0.05, 3.0))
+    def test_queries_match_reference_walk(self, entries, w):
+        # closed/open/peak against a direct evaluation of the walk
+        cum = _CumulativeReads(entries)
+        t, curve, slope = map(np.asarray, cluster._walk(*np.array(
+            entries, dtype=float).reshape(-1, 3).T))
+        for a in [0.0] + [e[0] for e in entries] + [e[1] for e in entries]:
+            j = int(np.searchsorted(t, a, side="right")) - 1
+            closed = 0.0 if j < 0 else curve[2 * j] + slope[j] * (a - t[j])
+            assert cum.closed(a) == closed
+            if j >= 0 and t[j] == a:
+                assert cum.open(a) == (curve[2 * j - 1] if j else 0.0)
+        if entries:
+            end = max(e[1] for e in entries)
+            cand = [0.0] + [c for c in np.concatenate((t, t - w))
+                            if 0.0 <= c <= max(0.0, end - w)]
+            best = max(cum.closed(c + w) - cum.open(c) for c in cand)
+            assert cum.peak(0.0, end, w) == max(0.0, best) / w

@@ -288,6 +288,24 @@ class TestFusedDecode:
             finally:
                 _clear_matrix_caches()
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(fused_cases(), st.integers(1, 5))
+    def test_stack_matches_one_object_at_a_time(self, case, G):
+        # G objects read at the same EFIs share the matrix and the product
+        p, obj, subset, efis = case
+        rows = np.frombuffer(obj, np.uint8).reshape(p.k, p.flen_bytes)
+        stack = np.stack([_as_array(erasure.encode((rows ^ g).tobytes(),
+                                                   range(p.n), p), p)
+                          for g in range(G)])
+        data, frags = erasure.decode_encode(stack, subset, efis, p)
+        assert data.shape == (G, p.k, p.flen_bytes)
+        assert frags.shape == (G, len(efis), p.flen_bytes)
+        for g in range(G):
+            one = erasure.decode_encode(stack[g], subset, efis, p)
+            assert np.array_equal(data[g], one[0])
+            assert np.array_equal(frags[g], one[1])
+            assert np.array_equal(data[g], rows ^ g)
+
     def test_cached_matrix_is_read_only(self):
         for efis in ((), (1, 9)):
             slots, missing, M = erasure._decode_matrix(10, 6, (0, 2, 3),
@@ -333,8 +351,9 @@ class TestMatrixCache:
 
         def keyed(frags, read, efis, params):
             used = sorted(read)[: params.k]
-            if used[-1] >= params.k:        # a decode that needs parity
-                decodes[0] += 1
+            if used[-1] >= params.k:        # decodes that need parity,
+                # one per object of a stack
+                decodes[0] += len(frags) if frags.ndim == 3 else 1
                 keys.add(tuple(used))
             return fused(frags, read, efis, params)
 

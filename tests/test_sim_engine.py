@@ -1,15 +1,21 @@
 """Trial driver tests: metering exactness, census oracles, determinism."""
 
 import json
+import logging
 import math
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from liquidsim import advanced_liquid as adv
 from liquidsim import bounds, failure_gen, rng, sim_engine
 from liquidsim.bounds import EpsilonSet, SystemParams
-from liquidsim.errors import ConfigError, InvariantViolation
+from liquidsim.errors import (ConfigError, InvariantViolation,
+                              MissingFragmentError)
 from liquidsim.sim_engine import (CSV_HEADER, Scenario, TrialResult,
                                   monte_carlo_gs, result_row, run_experiment,
                                   run_trial, summary_lines, write_csv,
@@ -229,6 +235,108 @@ class TestAdvancedPoissonTrial:
     def test_determinism(self):
         sc = advanced_poisson(M=80)
         assert run_trial(sc, 1) == run_trial(sc, 1)
+
+
+@st.composite
+def coalesce_cases(draw):
+    """Small advanced Poisson trials, failing up to ten times as fast as
+    the repair is paced for, so donors and targets fail mid-run and the
+    counter dips into stalls and losses."""
+    N = draw(st.integers(6, 24))
+    r = draw(st.integers(1, 4))
+    eps = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    backend = draw(st.sampled_from(["byte", "symbolic"]))
+    speed = draw(st.sampled_from([0.3, 1.0, 3.0, 10.0]))
+    flen = 8 if backend == "byte" else 1
+    sc = advanced_poisson(
+        N=N, r=r, eps=eps, M=draw(st.integers(1, 40)),
+        clen=(r * N + r * (r + 1) // 2) * flen, codecBackend=backend,
+        seed=draw(st.integers(0, 2 ** 16)),
+        assertEvery=draw(st.sampled_from([1, 2, 3, 5])),
+        faultInjection=draw(st.sampled_from([False, False, True])))
+    sp = sc.sysParams
+    return Scenario(**{**sc.__dict__, "sysParams": SystemParams(
+        N=sp.N, clen=sp.clen, xlen=sp.xlen, lam=speed / N)})
+
+
+def traced_trial(sc, coalesce, trial=0):
+    """run_trial's outcome (result, or the exception's type and message),
+    the driver it ran and the repairer calls it made; without coalesce the
+    driver completes one sub-operation per call."""
+    drivers, calls = [], [0]
+    make = sim_engine._make_driver
+    complete = adv.AdvancedPoissonRepairer.on_subop_complete
+
+    def capture(*args):
+        drivers.append(make(*args))
+        return drivers[-1]
+
+    def one_call(rep, t, horizon=None):
+        calls[0] += 1
+        return complete(rep, t, horizon if coalesce else None)
+
+    with mock.patch.object(sim_engine, "_make_driver", capture), \
+            mock.patch.object(adv.AdvancedPoissonRepairer,
+                              "on_subop_complete", one_call):
+        try:
+            out = run_trial(sc, trial)
+        except (InvariantViolation, MissingFragmentError) as e:
+            out = (type(e), str(e))     # the fault hook's damage
+    return SimpleNamespace(out=out, driver=drivers[0] if drivers else None,
+                           calls=calls[0])
+
+
+def assert_same_trial(a, b):
+    assert a.out == b.out
+    if a.driver is None:
+        return
+    sa, sb = a.driver.state, b.driver.state
+    for name in ("nodeBitsRead", "nodeBitsWritten"):
+        assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
+    assert (sa.phase_read, sa.phase_written) == (sb.phase_read, sb.phase_written)
+    assert sa.read_log == sb.read_log
+    la, lb = a.driver.layout, b.driver.layout
+    for name in ("heldLo", "heldHi", "helperLo", "rot", "frags", "owner"):
+        x, y = getattr(la, name), getattr(lb, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+class TestCoalescedRunsMatchOneAtATime:
+    """Between failures the driver commits each step's due sub-operations
+    in one repairer call, with one event, trace row and read_log entry per
+    sub-operation; replaying every trial one sub-operation per call must
+    give the same result, trace included, meters, log and byte arrays,
+    stall, loss, fault hook and assertEvery alike."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(coalesce_cases())
+    def test_trial_matches_single_subop_calls(self, sc):
+        runs = [traced_trial(sc, coalesce) for coalesce in (True, False)]
+        assume(runs[0].driver is not None)     # the store took the params
+        assert_same_trial(*runs)
+        assert runs[0].calls <= runs[1].calls
+
+    @pytest.mark.parametrize("every", [1, 2, 3, 4, 6, 9])
+    def test_fault_hook_with_sparse_checks(self, every):
+        # the hook drops two staircases at event 3; later runs must not
+        # skip a check that one sub-operation per call would fail
+        sc = advanced_poisson(M=40, faultInjection=True, assertEvery=every)
+        for trial in range(3):
+            assert_same_trial(*(traced_trial(sc, c, trial)
+                                 for c in (True, False)))
+
+    @pytest.mark.parametrize("backend", ["byte", "symbolic"])
+    def test_stalling_trials_match(self, backend, caplog):
+        # the golden abort-stall scenario, whose trials 0 and 4 stall
+        sc = advanced_poisson(N=30, r=6, M=200, eps=0.2, seed=23,
+                              clen=(6 * 30 + 21) * 8, codecBackend=backend)
+        with caplog.at_level(logging.WARNING, logger="liquidsim.sim_engine"):
+            for trial in (0, 4):
+                runs = [traced_trial(sc, c, trial) for c in (True, False)]
+                assert_same_trial(*runs)
+                assert runs[0].calls < runs[1].calls / 4     # runs coalesced
+        assert sum("repair stalled" in r.getMessage()
+                   for r in caplog.records) == 4
 
 
 class TestFaultInjection:
