@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -209,6 +210,8 @@ def _write_trace(path, results) -> None:
 
 
 def cmd_run(args) -> int:
+    # "%(message)s" keeps warnings as they print with no handler configured
+    logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
     most = os.cpu_count() or 1
     if not 1 <= args.jobs <= most:
         raise ConfigError(f"--jobs must be in [1, {most}], got {args.jobs}")
@@ -293,6 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for trials")
     p_run.add_argument("--dump-config", action="store_true",
                        help="echo the parsed scenario and exit")
+    p_run.add_argument("--log-level", default="warning",
+                       choices=("warning", "info", "debug"),
+                       help="log messages at this level and above to stderr "
+                            "(info names the GF(256) kernel)")
     p_run.set_defaults(func=cmd_run)
 
     p_b = sub.add_parser("bounds", help="evaluate the bound report")

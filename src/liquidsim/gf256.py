@@ -2,13 +2,19 @@
 
 Field is GF(2^8) with polynomial 0x11D, generator 2.  The hot path is
 matmul(G, X): multiply a coefficient matrix into a byte matrix, used by
-encode and decode.  It runs a C kernel (gf256_kernel.c, AVX2 split-nibble
-lookup where the CPU has it, else a scalar table lookup) that is built with
-the system ``cc`` at the first product and cached per user under
-``~/.cache/liquidsim``, keyed by a hash of the source and the compiler
-flags.  Without a compiler, or when the build fails, matmul logs that once
-and runs _matmul_numpy, the reference every compiled kernel must match byte
-for byte.  KERNEL names the kernel matmul runs once it has resolved.
+encode and decode.  It runs a C kernel from gf256_kernel.c, which picks one
+of its entry points (C_KERNELS) once, at load, from the CPU's flags:
+``gfni`` where the CPU has GFNI and AVX2 (one vgf2p8affineqb per
+coefficient, the 8x8 bit matrices of multiplication built from MUL; 4
+output rows x 64 bytes per pass over X, in column panels), else ``avx2``
+(split-nibble vpshufb lookup, row by row), else ``scalar`` (a table lookup
+per byte).  The kernel is built with the system ``cc`` at the first product
+and cached per user under ``~/.cache/liquidsim``, keyed by a hash of the
+source and the compiler flags; a compiler that rejects the GFNI code builds
+the other two.  Without a compiler, or when the build fails, matmul logs
+that once and runs _matmul_numpy, the reference every compiled kernel must
+match byte for byte.  KERNEL names the kernel matmul runs once it has
+resolved, and is logged at info level.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ def _matmul_numpy(G: np.ndarray, X: np.ndarray) -> np.ndarray:
 _SOURCE = Path(__file__).with_name("gf256_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
-KERNEL = None  # "avx2", "scalar" or "numpy", set at the first matmul
+C_KERNELS = ("scalar", "avx2", "gfni")  # the gf_matmul_* entry points
+KERNEL = None  # one of C_KERNELS or "numpy", set at the first matmul
 _lib = None
 
 
@@ -95,9 +102,13 @@ def _build() -> Path:
     fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
     os.close(fd)
     try:
-        done = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
-                              capture_output=True, text=True)
-        if done.returncode:
+        # a compiler that cannot build the GFNI kernel still builds the others
+        for extra in ((), ("-DGF_NO_GFNI",)):
+            done = subprocess.run([cc, *_CFLAGS, *extra, "-o", tmp, str(_SOURCE)],
+                                  capture_output=True, text=True)
+            if not done.returncode:
+                break
+        else:
             raise OSError(f"cc exited {done.returncode}: {done.stderr.strip()}")
         os.replace(tmp, target)
     finally:
@@ -117,8 +128,8 @@ def _load():
         return
     args = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
             ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
-    for name in ("gf_matmul", "gf_matmul_scalar", "gf_matmul_avx2"):
-        if hasattr(lib, name):  # no gf_matmul_avx2 off x86
+    for name in ("gf_matmul", *(f"gf_matmul_{k}" for k in C_KERNELS)):
+        if hasattr(lib, name):  # no avx2 off x86, no gfni without compiler support
             getattr(lib, name).argtypes = args
             getattr(lib, name).restype = None
     lib.gf_init.argtypes = [ctypes.c_void_p]

@@ -1,34 +1,50 @@
 /* GF(256) matrix product out = G * X, the hot path of encode and decode.
  *
  * The field tables come from gf256.py through gf_init, so this file holds
- * no field definition of its own.  Two row kernels compute o ^= c * x:
+ * no field definition of its own.  Three kernels compute the product:
  *
- *   scalar  one 256-entry product-table lookup per byte
- *   avx2    split-nibble lookup: c*x = c*(x & 15) ^ c*(x >> 4 << 4), each
- *           half one 16-entry vpshufb table, 32 bytes at a time (Plank,
- *           Greenan & Miller, "Screaming Fast Galois Field Arithmetic Using
- *           Intel SIMD Instructions", FAST '13)
+ *   scalar  row by row, o ^= c * x with one 256-entry product-table lookup
+ *           per byte
+ *   avx2    the same rows with a split-nibble lookup: c*x = c*(x & 15) ^
+ *           c*(x >> 4 << 4), each half one 16-entry vpshufb table, 32 bytes
+ *           at a time (Plank, Greenan & Miller, "Screaming Fast Galois Field
+ *           Arithmetic Using Intel SIMD Instructions", FAST '13)
+ *   gfni    multiplying by c is linear over GF(2), so it is one 8x8 bit
+ *           matrix, applied to 32 bytes by one vgf2p8affineqb.  The product
+ *           is register-blocked: 8 ymm accumulators hold 4 output rows x 64
+ *           bytes, so each load of X feeds 4 rows and out is written once,
+ *           not read and written once per input row.  Column panels of
+ *           GF_PANEL bytes are the outer loop, so a panel of X stays in
+ *           cache across the row blocks.  Columns past the last 64-byte
+ *           block take one 32-byte step, and the last L % 32 the scalar rows.
  *
- * gf_matmul picks one at run time from the CPU's flags, so the object is
- * built without -march and may be shared between hosts.
+ * gf_init picks the kernel once from the CPU's flags: gfni where the CPU has
+ * GFNI and AVX2, else avx2, else scalar.  gf_matmul runs that choice and
+ * gf_kernel names it.  The object is built without -march and may be shared
+ * between hosts; a compiler without GFNI support (or -DGF_NO_GFNI) builds
+ * the other two.
  */
 
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
+#if (defined(__x86_64__) || defined(__i386__)) && !defined(GF_NO_GFNI) && \
+    (defined(__clang__) ? __clang_major__ >= 12 : __GNUC__ >= 9)
+#define GF_GFNI 1
+#endif
+
+typedef void (*matmul_fn)(const uint8_t *G, size_t m, size_t k,
+                          const uint8_t *X, size_t L, uint8_t *out);
+
+void gf_matmul_scalar(const uint8_t *, size_t, size_t,
+                      const uint8_t *, size_t, uint8_t *);
+
 static uint8_t MUL[256][256];
 static uint8_t NIB[256][32]; /* c * i and c * (i << 4) for i < 16 */
-
-void gf_init(const uint8_t *mul)
-{
-    memcpy(MUL, mul, sizeof MUL);
-    for (int c = 0; c < 256; c++)
-        for (int i = 0; i < 16; i++) {
-            NIB[c][i] = MUL[c][i];
-            NIB[c][16 + i] = MUL[c][i << 4];
-        }
-}
+static uint64_t AFF[256];    /* bit matrix of x -> c * x, vgf2p8affineqb form */
+static struct { matmul_fn fn; const char *name; } KERNEL = {
+    gf_matmul_scalar, "scalar"};
 
 typedef void (*row_fn)(uint8_t *o, const uint8_t *x, size_t L, uint8_t c);
 
@@ -39,23 +55,24 @@ static void row_scalar(uint8_t *o, const uint8_t *x, size_t L, uint8_t c)
         o[t] ^= lut[x[t]];
 }
 
-/* G is (m, k) and X is (k, L), both C-contiguous; out is (m, L). */
+/* G is (m, k) and X is (k, L), both C-contiguous; out is (m, L).  Only the
+ * columns from t0 on are computed. */
 static void matmul(row_fn row, const uint8_t *G, size_t m, size_t k,
-                   const uint8_t *X, size_t L, uint8_t *out)
+                   const uint8_t *X, size_t L, uint8_t *out, size_t t0)
 {
     for (size_t i = 0; i < m; i++) {
-        uint8_t *o = out + i * L;
-        memset(o, 0, L);
+        uint8_t *o = out + i * L + t0;
+        memset(o, 0, L - t0);
         for (size_t j = 0; j < k; j++)
             if (G[i * k + j])
-                row(o, X + j * L, L, G[i * k + j]);
+                row(o, X + j * L + t0, L - t0, G[i * k + j]);
     }
 }
 
 void gf_matmul_scalar(const uint8_t *G, size_t m, size_t k,
                       const uint8_t *X, size_t L, uint8_t *out)
 {
-    matmul(row_scalar, G, m, k, X, L, out);
+    matmul(row_scalar, G, m, k, X, L, out, 0);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -84,33 +101,154 @@ static void row_avx2(uint8_t *o, const uint8_t *x, size_t L, uint8_t c)
 void gf_matmul_avx2(const uint8_t *G, size_t m, size_t k,
                     const uint8_t *X, size_t L, uint8_t *out)
 {
-    matmul(row_avx2, G, m, k, X, L, out);
-}
-
-static int have_avx2(void)
-{
-    return __builtin_cpu_supports("avx2");
-}
-#else
-static int have_avx2(void)
-{
-    return 0;
+    matmul(row_avx2, G, m, k, X, L, out, 0);
 }
 #endif
 
+#ifdef GF_GFNI
+#define GF_PANEL 2048 /* columns per panel, a multiple of 64 */
+
+/* acc ^= c * x for the 32 bytes of x, A = AFF[c] broadcast */
+#define GF_MAC(acc, x, A) \
+    (acc) = _mm256_xor_si256((acc), _mm256_gf2p8affine_epi64_epi8((x), (A), 0))
+#define GF_COEF(r) _mm256_set1_epi64x((long long)AFF[G[(r) * k + j]])
+#define GF_STORE(r, t, acc) _mm256_storeu_si256((__m256i *)(out + (r) * L + (t)), (acc))
+
+/* Rows 0..R-1 of G times X into columns t0..t1 of out, t1 - t0 a multiple
+ * of 32: 64-byte blocks, then at most one 32-byte block.  R is a constant at
+ * each call, so the branches on it fold away and the accumulators stay in
+ * registers. */
+__attribute__((target("avx2,gfni"), always_inline))
+static inline void rows_gfni(const int R, const uint8_t *G, size_t k,
+                             const uint8_t *X, size_t L, uint8_t *out,
+                             size_t t0, size_t t1)
+{
+    size_t t = t0;
+    for (; t + 64 <= t1; t += 64) {
+        __m256i a0 = _mm256_setzero_si256(), a1 = a0, b0 = a0, b1 = a0,
+                c0 = a0, c1 = a0, d0 = a0, d1 = a0;
+        const uint8_t *x = X + t;
+        for (size_t j = 0; j < k; j++, x += L) {
+            const __m256i x0 = _mm256_loadu_si256((const __m256i *)x);
+            const __m256i x1 = _mm256_loadu_si256((const __m256i *)(x + 32));
+            /* the one new line of this row in the next block: with k rows
+             * in flight the hardware prefetcher loses track (this saves
+             * about 12 % at (8, 90, 12500) on a 2-vCPU Xeon) */
+            _mm_prefetch((const char *)x + 127, _MM_HINT_T0);
+            __m256i A = GF_COEF(0);
+            GF_MAC(a0, x0, A);
+            GF_MAC(a1, x1, A);
+            if (R > 1) {
+                A = GF_COEF(1);
+                GF_MAC(b0, x0, A);
+                GF_MAC(b1, x1, A);
+            }
+            if (R > 2) {
+                A = GF_COEF(2);
+                GF_MAC(c0, x0, A);
+                GF_MAC(c1, x1, A);
+            }
+            if (R > 3) {
+                A = GF_COEF(3);
+                GF_MAC(d0, x0, A);
+                GF_MAC(d1, x1, A);
+            }
+        }
+        GF_STORE(0, t, a0);
+        GF_STORE(0, t + 32, a1);
+        if (R > 1) {
+            GF_STORE(1, t, b0);
+            GF_STORE(1, t + 32, b1);
+        }
+        if (R > 2) {
+            GF_STORE(2, t, c0);
+            GF_STORE(2, t + 32, c1);
+        }
+        if (R > 3) {
+            GF_STORE(3, t, d0);
+            GF_STORE(3, t + 32, d1);
+        }
+    }
+    if (t < t1) {
+        __m256i a0 = _mm256_setzero_si256(), b0 = a0, c0 = a0, d0 = a0;
+        const uint8_t *x = X + t;
+        for (size_t j = 0; j < k; j++, x += L) {
+            const __m256i x0 = _mm256_loadu_si256((const __m256i *)x);
+            GF_MAC(a0, x0, GF_COEF(0));
+            if (R > 1)
+                GF_MAC(b0, x0, GF_COEF(1));
+            if (R > 2)
+                GF_MAC(c0, x0, GF_COEF(2));
+            if (R > 3)
+                GF_MAC(d0, x0, GF_COEF(3));
+        }
+        GF_STORE(0, t, a0);
+        if (R > 1)
+            GF_STORE(1, t, b0);
+        if (R > 2)
+            GF_STORE(2, t, c0);
+        if (R > 3)
+            GF_STORE(3, t, d0);
+    }
+}
+
+__attribute__((target("avx2,gfni")))
+void gf_matmul_gfni(const uint8_t *G, size_t m, size_t k,
+                    const uint8_t *X, size_t L, uint8_t *out)
+{
+    const size_t Lv = L & ~(size_t)31; /* the columns the vector steps cover */
+    for (size_t t0 = 0; t0 < Lv; t0 += GF_PANEL) {
+        const size_t t1 = Lv - t0 < GF_PANEL ? Lv : t0 + GF_PANEL;
+        size_t i = 0;
+        for (; i + 4 <= m; i += 4)
+            rows_gfni(4, G + i * k, k, X, L, out + i * L, t0, t1);
+        switch (m - i) {
+        case 3: rows_gfni(3, G + i * k, k, X, L, out + i * L, t0, t1); break;
+        case 2: rows_gfni(2, G + i * k, k, X, L, out + i * L, t0, t1); break;
+        case 1: rows_gfni(1, G + i * k, k, X, L, out + i * L, t0, t1); break;
+        }
+    }
+    if (Lv < L)
+        matmul(row_scalar, G, m, k, X, L, out, Lv);
+}
+#endif
+
+void gf_init(const uint8_t *mul)
+{
+    memcpy(MUL, mul, sizeof MUL);
+    for (int c = 0; c < 256; c++) {
+        for (int i = 0; i < 16; i++) {
+            NIB[c][i] = MUL[c][i];
+            NIB[c][16 + i] = MUL[c][i << 4];
+        }
+        /* bit i of c*x is the parity of x AND byte 7-i: bit j of that byte
+         * is bit i of c * 2^j, the image of x's bit j */
+        AFF[c] = 0;
+        for (int i = 0; i < 8; i++)
+            for (int j = 0; j < 8; j++)
+                AFF[c] |= (uint64_t)(MUL[c][1 << j] >> i & 1) << (8 * (7 - i) + j);
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("avx2")) {
+        KERNEL.fn = gf_matmul_avx2;
+        KERNEL.name = "avx2";
+#ifdef GF_GFNI
+        if (__builtin_cpu_supports("gfni")) {
+            KERNEL.fn = gf_matmul_gfni;
+            KERNEL.name = "gfni";
+        }
+#endif
+    }
+#endif
+}
+
 const char *gf_kernel(void)
 {
-    return have_avx2() ? "avx2" : "scalar";
+    return KERNEL.name;
 }
 
 void gf_matmul(const uint8_t *G, size_t m, size_t k,
                const uint8_t *X, size_t L, uint8_t *out)
 {
-#if defined(__x86_64__) || defined(__i386__)
-    if (have_avx2()) {
-        gf_matmul_avx2(G, m, k, X, L, out);
-        return;
-    }
-#endif
-    gf_matmul_scalar(G, m, k, X, L, out);
+    KERNEL.fn(G, m, k, X, L, out);
 }

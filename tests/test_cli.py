@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -130,6 +133,41 @@ class TestCmdRun:
         assert len(lines) == 3
         assert (tmp_path / "o" / "summary.jsonl").exists()
         assert "trials=2" in capsys.readouterr().out
+
+    def _run_fresh(self, tmp_path, *flags):
+        """`liquidsim run` on a byte scenario in a fresh interpreter: the
+        log configuration is per process, and in this one pytest's log
+        capture already holds the root logger."""
+        text = LIQUID_PERIODIC.replace("[run]", "[codec]\nbackend = byte\n\n[run]")
+        f = scenario_file(tmp_path, text)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                          env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "liquidsim", "run", "--scenario", str(f),
+             "--out", str(tmp_path / "o"), *flags],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.skipif(shutil.which("cc") is None,
+                        reason="no C compiler: the numpy kernel warns instead")
+    def test_log_level_info_names_gf_kernel(self, tmp_path):
+        proc = self._run_fresh(tmp_path, "--log-level", "info")
+        assert proc.returncode == 0, proc.stderr
+        assert "GF(256) kernel: " in proc.stderr
+        assert "trials=2" in proc.stdout
+
+    def test_default_log_level_prints_no_info(self, tmp_path):
+        proc = self._run_fresh(tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "GF(256) kernel: " not in proc.stderr
+
+    def test_unknown_log_level_exit_two(self, tmp_path, capsys):
+        f = scenario_file(tmp_path, LIQUID_PERIODIC)
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--scenario", str(f), "--log-level", "verbose"])
+        assert err.value.code == 2
+        assert "--log-level" in capsys.readouterr().err
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         text = LIQUID_PERIODIC.replace("beta = 0.2", "beta = 0.2\nxlen = 1280")

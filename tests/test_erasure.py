@@ -1,4 +1,6 @@
+import ctypes
 import logging
+import os
 import shutil
 from itertools import combinations
 from unittest import mock
@@ -26,14 +28,29 @@ def _cpu_flags():
     return set()
 
 
+# the CPU flags each C entry point needs to run
+_KERNEL_FLAGS = {"scalar": set(), "avx2": {"avx2"}, "gfni": {"avx2", "gfni"}}
+
+
+def _runnable(kernel):
+    return _KERNEL_FLAGS[kernel] <= _cpu_flags()
+
+
 def _matmul_cases(seed):
     """Random (G, X) pairs over the shapes a compiled kernel can get wrong:
     widths off the 32-byte vector step and L = 1, k = 1, all-zero and
-    sparse coefficient rows, and non-contiguous operands."""
+    sparse coefficient rows, and non-contiguous operands.  For the gfni
+    kernel's blocking: m on and off its 4-row blocks, L on and off its
+    32- and 64-byte steps and across its 2048-byte column panels, and the
+    liquid decode shape."""
     g = rng.stream(seed)
     shapes = [(7, 13, 640), (8, 82, 1250), (3, 5, 1), (4, 1, 77), (1, 1, 31),
               (5, 9, 33)]
     shapes += [tuple(int(v) for v in g.integers(1, (10, 20, 200))) for _ in range(20)]
+    shapes += [(m, int(g.integers(1, 12)), L) for m in (4, 5, 8, 9)
+               for L in (31, 32, 33, 63, 64, 65, 127, 128, 129)]
+    shapes += [(5, 7, 2047), (6, 3, 2048 + 64 + 32 + 3), (9, 4, 2 * 2048 + 96),
+               (8, 90, 12500)]
     for m, k, L in shapes:
         G = g.integers(0, 256, (m, k)).astype(np.uint8)
         G[0] = 0
@@ -104,13 +121,15 @@ class TestField:
         for G, X in _matmul_cases(2):
             assert np.array_equal(gf256.matmul(G, X), gf256._matmul_numpy(G, X))
         if HAVE_CC:
-            assert gf256.KERNEL in ("avx2", "scalar")
+            assert gf256.KERNEL in gf256.C_KERNELS
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
     @pytest.mark.parametrize("kernel", [
         "scalar",
         pytest.param("avx2", marks=pytest.mark.skipif(
-            "avx2" not in _cpu_flags(), reason="CPU lacks AVX2")),
+            not _runnable("avx2"), reason="CPU lacks AVX2")),
+        pytest.param("gfni", marks=pytest.mark.skipif(
+            not _runnable("gfni"), reason="CPU lacks GFNI or AVX2")),
     ])
     def test_c_entry_points_agree(self, kernel):
         gf256.matmul(np.ones((1, 1), np.uint8), np.ones((1, 1), np.uint8))
@@ -118,6 +137,35 @@ class TestField:
         for G, X in _matmul_cases(3):
             assert np.array_equal(gf256._c_matmul(entry, G, X),
                                   gf256._matmul_numpy(G, X))
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
+    @pytest.mark.skipif(not _cpu_flags(), reason="no CPU flags to check against")
+    def test_dispatch_follows_cpu_flags(self):
+        gf256.matmul(np.ones((1, 1), np.uint8), np.ones((1, 1), np.uint8))
+        want = next(k for k in ("gfni", "avx2", "scalar") if _runnable(k))
+        assert gf256.KERNEL == want
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
+    def test_build_without_gfni_support(self, tmp_path, monkeypatch):
+        # a compiler that rejects the GFNI kernel still builds the others
+        real, bindir = shutil.which("cc"), tmp_path / "bin"
+        bindir.mkdir()
+        (bindir / "cc").write_text(
+            '#!/bin/sh\ncase " $* " in *" -DGF_NO_GFNI "*) exec '
+            f'"{real}" "$@";; esac\nexit 1\n')
+        (bindir / "cc").chmod(0o755)
+        monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.setenv("HOME", str(tmp_path))      # an empty build cache
+        built = gf256._build()
+        lib = ctypes.CDLL(str(built))
+        assert not hasattr(lib, "gf_matmul_gfni")
+        assert hasattr(lib, "gf_matmul_scalar")
+        monkeypatch.setattr(gf256, "_build", lambda: built)
+        monkeypatch.setattr(gf256, "KERNEL", None)
+        monkeypatch.setattr(gf256, "_lib", None)
+        for G, X in _matmul_cases(5):
+            assert np.array_equal(gf256.matmul(G, X), gf256._matmul_numpy(G, X))
+        assert gf256.KERNEL == ("avx2" if _runnable("avx2") else "scalar")
 
     def test_numpy_fallback_when_build_fails(self, monkeypatch, caplog):
         def no_compiler():
@@ -410,3 +458,57 @@ class TestSymbolicCodec:
             except DecodeError:
                 sym_ok = False
             assert byte_ok == sym_ok == (m >= k)
+
+
+def _kernel_scenarios():
+    """A liquid periodic and an advanced Poisson byte run whose products
+    cover 1 to 13 rows, widths off the 32- and 64-byte steps and across a
+    2048-byte column panel."""
+    liquid_clen = 8 * 6 * 2107
+    r, N = 5, 16
+    adv_clen = 8 * 37 * (r * N + r * (r + 1) // 2)
+    b = int(0.9 / 2 * N + 1e-9) + 1
+    F = round((r + 1 + 2 * b) / (2 * N + r + 1) * N)
+    return {
+        "liquid-periodic": sim_engine.Scenario(
+            sysParams=SystemParams(N=20, clen=liquid_clen, xlen=14 * liquid_clen),
+            repairer="liquid", variant="periodic", codecBackend="byte",
+            failureCount=12, seed=7, collectTrace=True),
+        "advanced-poisson": sim_engine.Scenario(
+            sysParams=SystemParams(N=N, clen=adv_clen,
+                                   xlen=N * adv_clen - F * adv_clen + 1,
+                                   lam=1.0 / N),
+            repairer="advancedLiquid", variant="poisson", codecBackend="byte",
+            eps=EpsilonSet(0.1, 0.1, 0.9), advancedR=r, failureCount=8,
+            seed=23, collectTrace=True),
+    }
+
+
+class TestKernelIndependence:
+    """A whole byte run does not depend on which kernel computes the
+    products: each runnable C entry point and the numpy kernel give the
+    same TrialResult, trace included."""
+
+    @pytest.mark.parametrize("name", sorted(_kernel_scenarios()))
+    def test_trial_result_same_on_every_kernel(self, name, monkeypatch):
+        sc = _kernel_scenarios()[name]
+        gf256.matmul(np.ones((1, 1), np.uint8), np.ones((1, 1), np.uint8))
+        routes = {"numpy": gf256._matmul_numpy}
+        for kernel in gf256.C_KERNELS:
+            entry = getattr(gf256._lib, f"gf_matmul_{kernel}", None)
+            if entry is not None and _runnable(kernel):
+                routes[kernel] = (lambda G, X, e=entry: gf256._c_matmul(e, G, X))
+        results = {}
+        for kernel, route in routes.items():
+            monkeypatch.setattr(gf256, "matmul", route)
+            _clear_matrix_caches()          # the decode matrices on this kernel too
+            try:
+                results[kernel] = sim_engine.run_trial(sc, 0)
+            finally:
+                _clear_matrix_caches()
+        if HAVE_CC:
+            assert {"numpy", "scalar"} <= set(results)
+        assert results["numpy"].recoverableThroughout
+        assert results["numpy"].perStepTrace
+        for kernel, res in results.items():
+            assert res == results["numpy"], kernel
