@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--log-level", default="warning",
                        choices=("warning", "info", "debug"),
                        help="log messages at this level and above to stderr "
-                            "(info names the GF(256) kernel)")
+                            "(info names the GF(256) kernel, debug also "
+                            "the object it is loaded from)")
     p_run.set_defaults(func=cmd_run)
 
     p_b = sub.add_parser("bounds", help="evaluate the bound report")

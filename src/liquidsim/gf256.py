@@ -11,10 +11,12 @@ output rows x 64 bytes per pass over X, in column panels), else ``avx2``
 per byte).  The kernel is built with the system ``cc`` at the first product
 and cached per user under ``~/.cache/liquidsim``, keyed by a hash of the
 source and the compiler flags; a compiler that rejects the GFNI code builds
-the other two.  Without a compiler, or when the build fails, matmul logs
-that once and runs _matmul_numpy, the reference every compiled kernel must
-match byte for byte.  KERNEL names the kernel matmul runs once it has
-resolved, and is logged at info level.
+the other two, with a warning, into an object that is not reused.  Without
+a compiler, or when the build fails, matmul logs that once and runs
+_matmul_numpy, the reference every compiled kernel must match byte for
+byte.  KERNEL names the kernel matmul runs once it has resolved, and is
+logged at info level; the path of the object it was loaded from is logged
+at debug level.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ def _build() -> Path:
 
     Concurrent first builds (pool workers) each compile to a temporary
     file and rename it into place, so a reader never sees a partial object.
+    A compiler that cannot build the GFNI kernel still builds the others,
+    with a warning, into a ``_nogfni`` object that is never looked up: each
+    load tries the full build again, so a later one that succeeds is used.
     """
     import hashlib  # here, so that a run with no byte codec never loads them
     import subprocess
@@ -98,18 +103,24 @@ def _build() -> Path:
     cc = shutil.which("cc")
     if cc is None:
         raise OSError("no C compiler 'cc' on PATH")
+
+    def compile_to(out, *extra):
+        done = subprocess.run([cc, *_CFLAGS, *extra, "-o", out, str(_SOURCE)],
+                              capture_output=True, text=True)
+        if done.returncode:
+            raise OSError(f"cc exited {done.returncode}: {done.stderr.strip()}")
+
     cache.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
     os.close(fd)
     try:
-        # a compiler that cannot build the GFNI kernel still builds the others
-        for extra in ((), ("-DGF_NO_GFNI",)):
-            done = subprocess.run([cc, *_CFLAGS, *extra, "-o", tmp, str(_SOURCE)],
-                                  capture_output=True, text=True)
-            if not done.returncode:
-                break
-        else:
-            raise OSError(f"cc exited {done.returncode}: {done.stderr.strip()}")
+        try:
+            compile_to(tmp)
+        except OSError as exc:
+            log.warning("GF(256) GFNI kernel not built (%s); building the "
+                        "avx2 and scalar kernels only", exc)
+            target = target.with_name(f"{target.stem}_nogfni.so")
+            compile_to(tmp, "-DGF_NO_GFNI")
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
@@ -121,7 +132,8 @@ def _load():
     """Resolve KERNEL: load the C kernel, or fall back to numpy."""
     global KERNEL, _lib
     try:
-        lib = ctypes.CDLL(str(_build()))
+        path = _build()
+        lib = ctypes.CDLL(str(path))
     except (OSError, RuntimeError) as exc:  # RuntimeError: no home directory
         log.warning("GF(256) C kernel unavailable (%s); using the numpy kernel", exc)
         KERNEL = "numpy"
@@ -140,6 +152,7 @@ def _load():
     _lib = lib
     KERNEL = lib.gf_kernel().decode()
     log.info("GF(256) kernel: %s", KERNEL)
+    log.debug("GF(256) kernel object: %s", path)
 
 
 def _c_matmul(entry, G: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -21,16 +21,15 @@
  * gf_init picks the kernel once from the CPU's flags: gfni where the CPU has
  * GFNI and AVX2, else avx2, else scalar.  gf_matmul runs that choice and
  * gf_kernel names it.  The object is built without -march and may be shared
- * between hosts; a compiler without GFNI support (or -DGF_NO_GFNI) builds
- * the other two.
+ * between hosts; -DGF_NO_GFNI builds the other two, for a compiler that
+ * cannot build the GFNI kernel (gf256.py retries with it).
  */
 
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
-#if (defined(__x86_64__) || defined(__i386__)) && !defined(GF_NO_GFNI) && \
-    (defined(__clang__) ? __clang_major__ >= 12 : __GNUC__ >= 9)
+#if (defined(__x86_64__) || defined(__i386__)) && !defined(GF_NO_GFNI)
 #define GF_GFNI 1
 #endif
 

@@ -155,7 +155,16 @@ class TestCmdRun:
         proc = self._run_fresh(tmp_path, "--log-level", "info")
         assert proc.returncode == 0, proc.stderr
         assert "GF(256) kernel: " in proc.stderr
+        assert "GF(256) kernel object: " not in proc.stderr
         assert "trials=2" in proc.stdout
+
+    @pytest.mark.skipif(shutil.which("cc") is None,
+                        reason="no C compiler: the numpy kernel warns instead")
+    def test_log_level_debug_names_gf_kernel_object(self, tmp_path):
+        proc = self._run_fresh(tmp_path, "--log-level", "debug")
+        assert proc.returncode == 0, proc.stderr
+        assert "GF(256) kernel: " in proc.stderr
+        assert "GF(256) kernel object: " in proc.stderr
 
     def test_default_log_level_prints_no_info(self, tmp_path):
         proc = self._run_fresh(tmp_path)

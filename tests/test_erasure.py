@@ -146,17 +146,22 @@ class TestField:
         assert gf256.KERNEL == want
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
-    def test_build_without_gfni_support(self, tmp_path, monkeypatch):
-        # a compiler that rejects the GFNI kernel still builds the others
-        real, bindir = shutil.which("cc"), tmp_path / "bin"
+    def test_build_without_gfni_support(self, tmp_path, monkeypatch, caplog):
+        # a compiler that rejects the GFNI kernel still builds the others,
+        # says why, and does not keep a later full build from being used
+        path, real, bindir = os.environ["PATH"], shutil.which("cc"), tmp_path / "bin"
         bindir.mkdir()
         (bindir / "cc").write_text(
             '#!/bin/sh\ncase " $* " in *" -DGF_NO_GFNI "*) exec '
-            f'"{real}" "$@";; esac\nexit 1\n')
+            f'"{real}" "$@";; esac\necho "no gfni here" >&2\nexit 1\n')
         (bindir / "cc").chmod(0o755)
-        monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{path}")
         monkeypatch.setenv("HOME", str(tmp_path))      # an empty build cache
-        built = gf256._build()
+        with caplog.at_level(logging.WARNING, logger="liquidsim.gf256"):
+            built = gf256._build()
+        assert "no gfni here" in caplog.text
+        monkeypatch.setenv("PATH", path)
+        assert gf256._build().name != built.name       # not the cached object
         lib = ctypes.CDLL(str(built))
         assert not hasattr(lib, "gf_matmul_gfni")
         assert hasattr(lib, "gf_matmul_scalar")
