@@ -18,8 +18,8 @@ clen = 2300                 # divisor r*N + r(r+1)/2 = 23 divides this
 state, layout, rotation = advanced_store(N, clen, r, backend="symbolic")
 flen = clen // (r * N + r * (r + 1) // 2)
 print(f"N={N} r={r} flen={flen} bits")
-print(f"primary labels before: {rotation.primaryEfis}")
-print(f"helper labels before:  {rotation.helperEfis}")
+print(f"primary labels before: {rotation.primaryEfis.tolist()}")
+print(f"helper labels before:  {rotation.helperEfis.tolist()}")
 print()
 
 state.begin_phase("repair")
@@ -47,8 +47,8 @@ print()
 
 # after the commit every group's front helper label has become node 4's
 # primary label and the old primary label joined the back of the queue
-print(f"primary labels after:  {rotation.primaryEfis}")
-print(f"helper labels after:   {rotation.helperEfis}")
+print(f"primary labels after:  {rotation.primaryEfis.tolist()}")
+print(f"helper labels after:   {rotation.helperEfis.tolist()}")
 print()
 
 # At this N the grouped repairer reads MORE than plain liquid repair: the

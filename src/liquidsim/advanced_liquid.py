@@ -33,6 +33,9 @@ events it takes one of three values: 0, the full staircase; 1, front
 helpers donated (a move committed and the update after it could not pick
 its sources); r, no helpers (after a wipe, a failure or the fault hook).
 Census, recoverability and used bits are closed forms of these arrays.
+The fragment labels are one (N + r,) permutation array too (EfiRotation):
+a step's commit moves two labels and shifts the r helper labels, and the
+check that they still form a permutation is O(N), without a sort.
 
 The byte backend holds its payloads in arrays indexed by object (group,
 phys) and physical label: the sources, the fragments, and owner, the node
@@ -78,19 +81,27 @@ class OpCounts(NamedTuple):
     fragmentWrites: int
 
 
-@dataclass
 class EfiRotation:
     """Physical fragment labels currently serving the N primary and r
     helper roles.
 
-    Fragments are keyed by physical label, so a completed repair step
-    relabels by list surgery alone: the donated front helper label becomes
-    the repaired node's primary label, and that node's old primary label
-    joins the back of the helper list.
+    labels is one (N + r,) int64 permutation: node n's primary label at n,
+    then the helper labels in order; primaryEfis and helperEfis are views
+    of it.  Fragments are keyed by physical label, so a completed repair
+    step only moves labels: the donated front helper label becomes the
+    repaired node's primary label, and that node's old primary label joins
+    the back of the helpers.
     """
-    primaryEfis: list
-    helperEfis: list
-    pendingNode: Optional[int] = None
+
+    def __init__(self, primaryEfis, helperEfis,
+                 pendingNode: Optional[int] = None):
+        self.N = N = len(primaryEfis)
+        self.labels = np.concatenate((np.asarray(primaryEfis, np.int64),
+                                      np.asarray(helperEfis, np.int64)))
+        # views: commit_step writes labels in place
+        self.primaryEfis, self.helperEfis = self.labels[:N], self.labels[N:]
+        self.pendingNode = pendingNode
+        self._post = None       # new_helper_efis of the step in flight
 
     def begin_step(self, node: int) -> None:
         if self.pendingNode is not None:
@@ -102,19 +113,30 @@ class EfiRotation:
             raise InvariantViolation("no repair step in flight")
 
     def new_helper_efis(self) -> list:
-        """Helper labels once the in-flight step commits."""
+        """Helper labels once the in-flight step commits, as Python ints,
+        the form decode-matrix caches key on; built once per step."""
         self.require_step()
-        return self.helperEfis[1:] + [self.primaryEfis[self.pendingNode]]
+        if self._post is None:
+            self._post = self.labels[self.N + 1:].tolist()
+            self._post.append(int(self.labels[self.pendingNode]))
+        return self._post
 
     def commit_step(self) -> None:
-        donated = self.helperEfis[0]
-        self.helperEfis = self.new_helper_efis()    # requires a step in flight
-        self.primaryEfis[self.pendingNode] = donated
-        self.pendingNode = None
+        self.require_step()
+        labels, node, N = self.labels, self.pendingNode, self.N
+        donated, old = labels[N], labels[node]
+        labels[N:-1] = labels[N + 1:]
+        labels[-1] = old
+        labels[node] = donated
+        self.pendingNode = self._post = None
 
     def assert_distinct(self) -> None:
-        labels = self.primaryEfis + self.helperEfis
-        if sorted(labels) != list(range(len(labels))):
+        """Every label lies in [0, N + r) and none repeats: O(N), no sort."""
+        labels, n = self.labels, len(self.labels)
+        seen = np.zeros(n, dtype=bool)
+        if labels.min() >= 0 and labels.max() < n:
+            seen[labels] = True
+        if not seen.all():
             raise InvariantViolation("labels are not a permutation of 0..n-1")
 
 
@@ -175,6 +197,8 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
 
     Every node gets N*r primary fragments plus the r(r+1)/2 helper
     staircase for its own group, filling capacity clen exactly.
+    payload_rng is a numpy Generator, or a function returning one that is
+    called only when the codec resolves to byte.
     """
     if N < 2 or r < 1:
         raise ConfigError("need N >= 2 and r >= 1")
@@ -210,10 +234,11 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
                          heldLo=np.zeros(N, dtype=np.int64),
                          heldHi=np.full(N, N, dtype=np.int64),
                          helperLo=np.zeros(N, dtype=np.int64))
-    rotation = EfiRotation(primaryEfis=list(range(N)),
-                           helperEfis=list(range(N, N + r)))
+    rotation = EfiRotation(np.arange(N), np.arange(N, N + r))
     state.meter_write_bulk(slice(None), clen, t=0.0)
     if codec.backend == "byte":
+        if callable(payload_rng):
+            payload_rng = payload_rng()
         fb = codec.flen_bytes
         # payload_rng.bytes(k * fb) per object, drawn at once: bytes() takes
         # whole 32-bit words from the stream and drops the spare bytes
@@ -339,7 +364,7 @@ def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
     whose primaries' owner or decode is off raises, with the objects
     before it written, as a rebuild one object at a time would.
     """
-    read = [rotation.primaryEfis[m] for m in srcs.tolist()]
+    read = rotation.primaryEfis[srcs].tolist()
     stray = layout.owner[groups[:, None], phys[:, None], read] != srcs
     data, helpers = erasure.decode_encode(layout.frags[groups, phys], read,
                                           labels, layout.codec)
@@ -378,7 +403,7 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
     if layout.codec.backend == "byte":     # position j takes helpers 0..j
         _rebuild_helpers(layout, rotation, np.full(r, group),
                          (layout.front_phys(group) + np.arange(r)) % r, srcs,
-                         rotation.helperEfis, np.arange(1, r + 1))
+                         rotation.helperEfis.tolist(), np.arange(1, r + 1))
     state.meter_write_bulk(group, writes * layout.flen, t=t)
     layout.helperLo[group] = 0
     if collect is None:
@@ -692,13 +717,13 @@ def check_advanced_sync(state: ClusterState, layout: GroupLayout,
     groups = np.arange(N)
     node, group = np.nonzero((groups >= layout.heldLo[:, None])
                              & (groups < layout.heldHi[:, None]))
-    expected[group, :, np.asarray(rotation.primaryEfis)[node]] = node[:, None]
+    expected[group, :, rotation.primaryEfis[node]] = node[:, None]
     roles = np.arange(r)
     position = (roles - layout.rot[:, None]) % r        # (group, phys)
     anchor, phys, role = np.nonzero(
         (roles >= layout.helperLo[:, None, None])
         & (roles <= position[:, :, None]))
-    expected[anchor, phys, np.asarray(rotation.helperEfis)[role]] = anchor
+    expected[anchor, phys, rotation.helperEfis[role]] = anchor
     off = np.argwhere(owner != expected)
     if off.size:
         g, p, e = off[0]

@@ -10,7 +10,9 @@ carries a flag for that instead of silently truncating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -78,6 +80,13 @@ class BoundReport:
     asymptoticRatio: float
     capacity: float
     vacuous: bool
+
+    def summary(self) -> dict:
+        """The fields in order, with gammaTable replaced by gammaTableLen at
+        the end: what the run summary and `liquidsim bounds` print."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["gammaTableLen"] = len(d.pop("gammaTable"))
+        return d
 
 
 def lni(zeta: float) -> float:
@@ -149,10 +158,12 @@ def core_bounds(phase: PhaseParams, clen: int, eps: EpsilonSet):
     N = round(F / phase.betaPrime)
     eps_c = eps.epsC
     two_f = 2 * F
-    gamma = tuple(
-        (1.0 - eps_c) * i * (N - (i + 1) / 2) * clen / (two_f - 1)
-        for i in range(1, two_f)
-    )
+    # the scalar formula (1 - eps_c) * i * (N - (i + 1) / 2) * clen / (2F - 1)
+    # as array ops in the same order; i, N and 2F - 1 convert to doubles
+    # exactly, clen rounds as Python's int * float rounds it
+    i = np.arange(1, two_f, dtype=np.float64)
+    gamma = tuple(((1.0 - eps_c) * i * (N - (i + 1) / 2) * float(clen)
+                   / (two_f - 1)).tolist())
     delta_core = 2 * F * math.exp(-eps_c * eps_c * F / 4 + eps_c)
     core_rate = (1.0 - eps_c) * (1.0 - phase.betaPrime) * clen / (2 * phase.betaPrime)
     return gamma, delta_core, core_rate

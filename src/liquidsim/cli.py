@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -267,11 +267,9 @@ def cmd_bounds(args) -> int:
     eps = EpsilonSet(args.eps_c, args.eps_d, args.eps)
     rep = bounds.poisson_bounds(sys_p, phase, eps)
 
-    d = asdict(rep)
-    d["gammaTableLen"] = len(d.pop("gammaTable"))
     table = {"N": sys_p.N, "clen": sys_p.clen, "xlen": sys_p.xlen,
              "olen": phase.olen, "F": phase.F, "betaPrime": phase.betaPrime,
-             "M": phase.M, **d}
+             "M": phase.M, **rep.summary()}
     for name, value in table.items():
         print(f"{name:<22} {value!r}")
     print(json.dumps(sim_engine.json_safe(table), sort_keys=True))

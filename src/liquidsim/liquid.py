@@ -106,6 +106,8 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
     xlen must equal (1-beta)*N*clen.  The object at queue position j starts
     with exactly k + b0 + j fragments (EFIs 0..), where b0 is the counter cap
     (1 for periodic), so the repair invariant holds with equality from t=0.
+    payload_rng is a numpy Generator, or a function returning one that is
+    called only when the codec resolves to byte.
     """
     if clen < 1:
         raise ConfigError("clen must be positive")
@@ -150,6 +152,8 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
                           codec=codec, held=held)
     state.meter_write_bulk(slice(None), held.sum(axis=0) * flen, t=0.0)
     if byte:
+        if callable(payload_rng):
+            payload_rng = payload_rng()
         fb = codec.flen_bytes
         layout.code = code = np.zeros((count, N, fb), dtype=np.uint8)
         for j in range(count):

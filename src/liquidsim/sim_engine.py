@@ -20,10 +20,11 @@ event with its own trace row, checked only if it is the run's last.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import repeat
 from multiprocessing import Pool
 from typing import Optional
@@ -128,16 +129,22 @@ def _failures(scenario: Scenario, streamId: int) -> failure_gen.FailureSeq:
     return failure_gen.gen_poisson(sp.lam, sp.N, scenario.failureCount, g)
 
 
+def _payload(scenario: Scenario, streamId: int):
+    """The trial's payload stream, which the store builds only when its
+    codec resolves to byte ("auto" resolves in erasure.make_codec)."""
+    return functools.partial(rng.stream, scenario.seed, streamId,
+                             rng.SUB_PAYLOAD)
+
+
 class _LiquidDriver:
     completionKind = "step"
 
     def __init__(self, scenario: Scenario, streamId: int):
         sp = scenario.sysParams
-        payload = rng.stream(scenario.seed, streamId, rng.SUB_PAYLOAD)
         self.state, self.layout = liquid.liquid_store(
             sp.xlen, sp.N, sp.clen, sp.beta, variant=scenario.variant,
             eps=scenario.eps.eps, backend=scenario.codecBackend,
-            payload_rng=payload)
+            payload_rng=_payload(scenario, streamId))
         self.counter = liquid.RepairCounter.at_cap(self.layout.counterCap)
         if scenario.variant == "periodic":
             dur = scenario.period / 2.0    # step lands mid-gap
@@ -185,12 +192,12 @@ class _AdvancedDriver:
         r = scenario.advancedR
         if r is None:
             r = adv.r_for_target_overhead(sp.N, sp.beta)
-        payload = rng.stream(scenario.seed, streamId, rng.SUB_PAYLOAD)
         periodic = scenario.variant == "periodic"
         eps = 0.0 if periodic else scenario.eps.eps
         state, layout, rotation = adv.advanced_store(
             sp.N, sp.clen, r, variant=scenario.variant, eps=eps,
-            backend=scenario.codecBackend, payload_rng=payload)
+            backend=scenario.codecBackend,
+            payload_rng=_payload(scenario, streamId))
         if periodic:
             pace = scenario.period / 2.0    # step lands mid-gap
             self.completionKind = "step"
@@ -454,10 +461,9 @@ def summary_lines(report: ExperimentReport) -> list:
     }
     lines = [json.dumps(json_safe(agg), sort_keys=True)]
     if report.boundReport is not None:
-        d = asdict(report.boundReport)
-        d["gammaTableLen"] = len(d.pop("gammaTable"))
-        lines.append(json.dumps(json_safe({"boundReport": d}),
-                                sort_keys=True))
+        lines.append(json.dumps(
+            json_safe({"boundReport": report.boundReport.summary()}),
+            sort_keys=True))
     return lines
 
 

@@ -200,6 +200,38 @@ def test_advanced_poisson_at_n_10000(monkeypatch):
           f"{read_ratio:.4f} in {dt:.1f}s")
 
 
+def test_advanced_poisson_at_n_100000(monkeypatch):
+    # The same chain a decade further: N=10^5, 20 symbolic failures,
+    # eps=0.2, r=22222 from beta ~ 0.1 (store beta 0.19), about 2*10^6
+    # sub-operations.  Reads per failure over (1+2b)/(2b)*clen measured
+    # 1.631 at this seed; the band is 3 % each way.
+    drivers = []
+    make = sim_engine._make_driver
+    monkeypatch.setattr(sim_engine, "_make_driver",
+                        lambda *a: drivers.append(make(*a)) or drivers[-1])
+    N, M, eps = 100_000, 20, 0.2
+    r = adv.r_for_target_overhead(N, 0.1)
+    clen = r * N + r * (r + 1) // 2
+    cap = int(eps / 2 * N + 1e-9) + 1
+    beta = (r + 1 + 2 * cap) / (2 * N + r + 1)
+    sp = SystemParams(N=N, clen=clen, xlen=round((1 - beta) * N) * clen,
+                      lam=1.0 / N)
+    sc = Scenario(sysParams=sp, repairer="advancedLiquid", variant="poisson",
+                  codecBackend="symbolic", eps=EpsilonSet(0.1, 0.1, eps),
+                  advancedR=r, failureCount=M, seed=3)
+    t0 = time.monotonic()
+    res = run_trial(sc, 0)
+    dt = time.monotonic() - t0
+    assert r == 22222 and drivers[0].layout.beta == beta
+    assert res.recoverableThroughout
+    read_ratio = res.totalBitsRead / M / ((1 + 2 * beta) / (2 * beta) * clen)
+    assert 1.631 / 1.03 < read_ratio < 1.631 * 1.03
+    assert len(drivers[0].state.read_log) > 0.99 * M * N
+    assert dt < 60.0
+    print(f"advanced Poisson N=10^5: PASS {M} failures, read ratio "
+          f"{read_ratio:.4f} in {dt:.1f}s")
+
+
 def test_liquid_periodic_at_n_10000(monkeypatch):
     # Criterion 2's repairer two decades further, symbolic: N=10^4,
     # beta=0.1 (k=9000, 1000 objects, 1-bit fragments), 50 periodic

@@ -73,8 +73,8 @@ class TestStore:
         assert layout.beta == pytest.approx(23 / 221)
         assert layout.flen == 1          # clen was exactly the divisor 2210
         assert layout.clen == 2210
-        assert rotation.primaryEfis == list(range(100))
-        assert rotation.helperEfis == list(range(100, 120))
+        assert rotation.primaryEfis.tolist() == list(range(100))
+        assert rotation.helperEfis.tolist() == list(range(100, 120))
 
     def test_per_node_fragment_count_fills_capacity(self):
         state, layout, rotation = byte_cluster(N=8, r=2)
@@ -159,6 +159,59 @@ class TestStore:
         assert {"rot", "heldLo", "heldHi", "helperLo"} <= set(arrays)
         assert {name: a.shape for name, a in arrays.items()} == {
             name: (N,) for name in arrays}
+
+
+class TestEfiRotation:
+    """The labels are one permutation array; primaryEfis and helperEfis are
+    views of it, and assert_distinct checks it in full."""
+
+    @pytest.mark.parametrize("primaries, helpers", [
+        ([0, 1, 2, 1, 4], [5, 6, 7]),       # a repeated primary label
+        ([0, 1, 2, 3, 4], [5, 7, 7]),       # a repeated helper label
+        ([0, 1, 2, 3, 4], [5, 6, 0]),       # a helper repeating a primary
+        ([0, 1, -1, 3, 4], [5, 6, 7]),      # a negative label
+        ([0, 1, 2, 3, 4], [5, 6, -1]),      # -1 where N + r - 1 belongs
+        ([0, 1, 2, 3, 4], [5, 6, 8]),       # a label >= N + r
+        ([0, 1, 2, 3, 4], [5, 6, 800]),
+    ])
+    def test_assert_distinct_rejects(self, primaries, helpers):
+        rotation = adv.EfiRotation(primaries, helpers)
+        with pytest.raises(InvariantViolation, match="not a permutation"):
+            rotation.assert_distinct()
+
+    def test_built_from_lists_with_views(self):
+        rotation = adv.EfiRotation([3, 0, 4, 1, 2], [7, 5, 6])
+        rotation.assert_distinct()
+        assert rotation.labels.dtype == np.int64
+        assert rotation.primaryEfis.tolist() == [3, 0, 4, 1, 2]
+        assert rotation.helperEfis.tolist() == [7, 5, 6]
+        rotation.labels[[2, 6]] = rotation.labels[[6, 2]]
+        assert rotation.primaryEfis[2] == 5 and rotation.helperEfis[1] == 4
+
+    def test_commit_moves_front_helper_in_and_old_label_back(self):
+        rotation = adv.EfiRotation([3, 0, 4, 1, 2], [7, 5, 6])
+        rotation.begin_step(2)
+        post = rotation.new_helper_efis()
+        assert post == [5, 6, 4]
+        assert all(type(e) is int for e in post)    # decode-matrix cache keys
+        assert rotation.new_helper_efis() is post   # built once per step
+        rotation.commit_step()
+        assert rotation.pendingNode is None
+        assert rotation.primaryEfis.tolist() == [3, 0, 7, 1, 2]
+        assert rotation.helperEfis.tolist() == post
+        rotation.assert_distinct()
+        rotation.begin_step(0)
+        assert rotation.new_helper_efis() == [6, 4, 3]
+        rotation.commit_step()
+        assert rotation.labels.tolist() == [5, 0, 7, 1, 2, 6, 4, 3]
+
+    def test_commit_needs_a_step_and_works_with_one_helper(self):
+        rotation = adv.EfiRotation([0, 1], [2])
+        with pytest.raises(InvariantViolation, match="no repair step"):
+            rotation.commit_step()
+        rotation.begin_step(1)
+        rotation.commit_step()
+        assert rotation.labels.tolist() == [0, 2, 1]
 
 
 def expand(layout):
@@ -307,7 +360,8 @@ class TestOpCounts:
         advanced_fail_node(state, layout, 1.0, 7)
         advanced_repair_step(state, layout, rotation, 7, t0=1.0, t1=2.0)
         assert rotation.primaryEfis[7] == 20      # donated front helper label
-        assert rotation.helperEfis == [21, 22, 23, 7]
+        assert rotation.helperEfis.tolist() == [21, 22, 23, 7]
+        assert rotation.primaryEfis.tolist() == [*range(7), 20, *range(8, 20)]
 
     def test_reads_spread_over_step_window(self):
         state, layout, rotation = symbolic_cluster(N=20, r=4)
@@ -720,7 +774,8 @@ class TestPeriodicThroughRepairer:
             for name in ("heldLo", "heldHi", "helperLo", "rot"):
                 assert np.array_equal(getattr(p_layout, name),
                                       getattr(s_layout, name))
-            assert p_rot == s_rot
+            assert np.array_equal(p_rot.labels, s_rot.labels)
+            assert p_rot.pendingNode is s_rot.pendingNode is None
             assert p_state.read_log == s_state.read_log
             check_advanced_sync(p_state, p_layout, p_rot)
         decode_all_from_primaries(p_state, p_layout, p_rot)

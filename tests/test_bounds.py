@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import random
+import struct
 
 import pytest
 
@@ -142,8 +145,48 @@ class TestCoreBounds:
             assert a >= b - 1e-9  # allowance per failure never increases
         assert per_failure[-1] >= rate - 1e-9
 
+    def test_gamma_table_matches_scalar_formula_bit_for_bit(self):
+        # the scalar generator expression the table was first built with is
+        # the oracle; clen past 2**53 rounds when it meets a double
+        def oracle(phase, clen, eps_c):
+            F = phase.F
+            N = round(F / phase.betaPrime)
+            two_f = 2 * F
+            return tuple(
+                (1.0 - eps_c) * i * (N - (i + 1) / 2) * clen / (two_f - 1)
+                for i in range(1, two_f))
+
+        def bits(values):
+            return [struct.pack("<d", v) for v in values]
+
+        g = random.Random(14)
+        for _ in range(300):
+            N = g.randrange(3, 3000)
+            clen = g.choice([g.randrange(1, 10 ** 6),
+                             g.randrange(2 ** 53, 2 ** 60 + 2),
+                             2 ** 60 + 1])
+            beta_prime = g.uniform(1.0 / N, 0.49)
+            eps_c = g.choice([0.0, 0.1, g.random()])
+            try:
+                _, phase = bounds.phase_from_overhead(N, clen, beta_prime)
+            except ConfigError:
+                continue
+            gamma, _, _ = bounds.core_bounds(phase, clen, EpsilonSet(epsC=eps_c))
+            assert all(type(v) is float for v in gamma)
+            assert bits(gamma) == bits(oracle(phase, clen, eps_c))
+
 
 class TestPoissonBounds:
+    def test_summary_is_asdict_without_gamma_table(self):
+        # the form the run summary and `liquidsim bounds` print: the fields
+        # in order, gammaTable replaced by its length at the end
+        sys_p, phase = bounds.phase_from_overhead(1000, 10 ** 6, 0.1, lam=1e-3)
+        rep = bounds.poisson_bounds(sys_p, phase, EpsilonSet())
+        want = dataclasses.asdict(rep)
+        want["gammaTableLen"] = len(want.pop("gammaTable"))
+        assert list(rep.summary().items()) == list(want.items())
+        assert rep.summary()["gammaTableLen"] == 2 * phase.F - 1
+
     def test_capacity_balance_point(self):
         assert bounds.capacity(5.0, 5.0, 10, 100) == 0.5 * 10 * 100
 

@@ -237,6 +237,40 @@ class TestAdvancedPoissonTrial:
         assert run_trial(sc, 1) == run_trial(sc, 1)
 
 
+class TestPayloadStream:
+    """A trial builds its payload stream only when its codec resolves to
+    byte, "auto" included."""
+
+    @pytest.mark.parametrize("make, backend, resolved", [
+        (lambda **kw: liquid_periodic(clen=160, **kw), "symbolic", "symbolic"),
+        (lambda **kw: liquid_periodic(clen=168, **kw), "auto", "symbolic"),
+        (lambda **kw: liquid_periodic(clen=160, **kw), "auto", "byte"),
+        (lambda **kw: liquid_periodic(clen=160, **kw), "byte", "byte"),
+        (lambda **kw: advanced_periodic(N=8, r=2, clen=152, **kw),
+         "symbolic", "symbolic"),
+        (lambda **kw: advanced_periodic(N=8, r=2, clen=19, **kw),
+         "auto", "symbolic"),
+        (lambda **kw: advanced_poisson(clen=2848, eps=0.9, **kw),
+         "auto", "byte"),
+        (lambda **kw: advanced_periodic(N=8, r=2, clen=152, **kw),
+         "byte", "byte"),
+    ])
+    def test_payload_stream_only_for_byte(self, monkeypatch, make, backend,
+                                          resolved):
+        drivers, substreams = [], []
+        make_driver, stream = sim_engine._make_driver, rng.stream
+        monkeypatch.setattr(sim_engine, "_make_driver",
+                            lambda *a: drivers.append(make_driver(*a))
+                            or drivers[-1])
+        monkeypatch.setattr(rng, "stream", lambda *a: substreams.append(a[2])
+                            or stream(*a))
+        res = run_trial(make(M=5, codecBackend=backend), 0)
+        assert res.recoverableThroughout
+        assert drivers[0].layout.codec.backend == resolved
+        assert substreams.count(rng.SUB_PAYLOAD) == (resolved == "byte")
+        assert rng.SUB_FAILURE_TIMES in substreams
+
+
 @st.composite
 def coalesce_cases(draw):
     """Small advanced Poisson trials, failing up to ten times as fast as
