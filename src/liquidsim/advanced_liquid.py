@@ -256,8 +256,8 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
         owner[:, :, N:] = np.where(keep[:, N - k:],
                                    np.arange(N)[:, None, None], -1)
         # every object encodes from its source rows: one product for all
-        _, coded = erasure.decode_encode(frags.reshape(N * r, N + r, fb),
-                                         range(k), range(k, N + r), codec)
+        coded = erasure.decode_encode(frags.reshape(N * r, N + r, fb),
+                                      range(k), range(k, N + r), codec)
         frags[:, :, k:] = coded.reshape(N, r, N + r - k, fb) * keep[:, :, None]
     return state, layout, rotation
 
@@ -366,9 +366,9 @@ def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
     """
     read = rotation.primaryEfis[srcs].tolist()
     stray = layout.owner[groups[:, None], phys[:, None], read] != srcs
-    data, helpers = erasure.decode_encode(layout.frags[groups, phys], read,
-                                          labels, layout.codec)
-    wrong = (data != layout.sources[groups, phys]).any(axis=(1, 2))
+    objs = layout.frags[groups, phys]       # a copy, decoded in place
+    helpers = erasure.decode_encode(objs, read, labels, layout.codec)
+    wrong = (objs[:, :layout.k] != layout.sources[groups, phys]).any((1, 2))
     bad = np.flatnonzero(stray.any(axis=1) | wrong)
     done = bad[0] if bad.size else len(groups)
     obj, role = np.nonzero(np.arange(len(labels)) < width[:done, None])
@@ -615,8 +615,9 @@ class _StepChain:
         the step's reads are metered as one stream over [t0, t1]."""
         for kind, group in iter(self.next_subop, None):
             # up to the next missing staircase; a generate's own is missing
-            missing = np.append(self.layout.helperLo[group:], 1) != 0
-            self.commit(kind, range(group, group + max(1, missing.argmax())), t1)
+            lacking = self.layout.helperLo[group:] != 0
+            run = lacking.argmax() if lacking.any() else len(lacking)
+            self.commit(kind, range(group, group + max(1, run)), t1)
         self.meter(t0, t1)
         return self.finish(t1)
 

@@ -2,21 +2,22 @@
 
 Field is GF(2^8) with polynomial 0x11D, generator 2.  The hot path is
 matmul(G, X): multiply a coefficient matrix into a byte matrix, used by
-encode and decode.  It runs a C kernel from gf256_kernel.c, which picks one
-of its entry points (C_KERNELS) once, at load, from the CPU's flags:
-``gfni`` where the CPU has GFNI and AVX2 (one vgf2p8affineqb per
-coefficient, the 8x8 bit matrices of multiplication built from MUL; 4
-output rows x 64 bytes per pass over X, in column panels), else ``avx2``
-(split-nibble vpshufb lookup, row by row), else ``scalar`` (a table lookup
-per byte).  The kernel is built with the system ``cc`` at the first product
-and cached per user under ``~/.cache/liquidsim``, keyed by a hash of the
-source and the compiler flags; a compiler that rejects the GFNI code builds
-the other two, with a warning, into an object that is not reused.  Without
-a compiler, or when the build fails, matmul logs that once and runs
-_matmul_numpy, the reference every compiled kernel must match byte for
-byte.  KERNEL names the kernel matmul runs once it has resolved, and is
-logged at info level; the path of the object it was loaded from is logged
-at debug level.
+encode and decode (erasure solves its decode matrices in closed form from
+LOG and EXP, so no matrix inverse lives here).  It runs a C kernel from
+gf256_kernel.c, which picks one of its entry points (C_KERNELS) once, at
+load, from the CPU's flags: ``gfni`` where the CPU has GFNI and AVX2 (one
+vgf2p8affineqb per coefficient, the 8x8 bit matrices of multiplication
+built from MUL; 4 output rows x 64 bytes per pass over X, in column
+panels), else ``avx2`` (split-nibble vpshufb lookup, row by row), else
+``scalar`` (a table lookup per byte).  The kernel is built with the system
+``cc`` at the first product and cached per user under
+``~/.cache/liquidsim``, keyed by a hash of the source and the compiler
+flags; a compiler that rejects the GFNI code builds the other two, with a
+warning, into an object that is not reused.  Without a compiler, or when
+the build fails, matmul logs that once and runs _matmul_numpy, the
+reference every compiled kernel must match byte for byte.  KERNEL names the
+kernel matmul runs once it has resolved, and is logged at info level; the
+path of the object it was loaded from is logged at debug level.
 """
 
 from __future__ import annotations
@@ -174,27 +175,4 @@ def matmul(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     if _lib is None:
         return _matmul_numpy(G, X)
     return _c_matmul(_lib.gf_matmul, G, X)
-
-
-def inv_matrix(A: np.ndarray) -> np.ndarray:
-    """Inverse of a square GF(256) matrix by Gauss-Jordan on [A | I].
-
-    Each pivot clears its column in every other row with one table lookup
-    over the whole augmented matrix.
-    """
-    k = A.shape[0]
-    a = np.concatenate([np.asarray(A, dtype=np.uint8),
-                        np.eye(k, dtype=np.uint8)], axis=1)
-    for col in range(k):
-        nz = np.flatnonzero(a[col:, col])
-        if not nz.size:
-            raise np.linalg.LinAlgError("singular matrix over GF(256)")
-        piv = col + int(nz[0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        a[col] = MUL[INV[a[col, col]], a[col]]
-        f = a[:, col].copy()
-        f[col] = 0
-        a ^= MUL[f[:, None], a[col]]
-    return a[:, k:].copy()
 

@@ -16,9 +16,11 @@ object at position j is (stepsDone + j) % objectCount.
 The byte backend keeps two (objects, N, flen_bytes) uint8 arrays beside
 held: code, the reference codeword of every object, whose first k rows are
 its source, and frags, what the nodes hold.  A failure zeroes the node's
-column of frags; a step decodes from frags, compares with code and copies
-its missing rows back from code.  The symbolic backend holds no payloads
-and only meters.
+column of frags.  A step decodes in place: the product reads the object's
+rows of frags where they lie and writes its missing source rows there,
+then frags[:k] is compared with code[:k] and the missing parity rows are
+copied back from code.  The symbolic backend holds no payloads and only
+meters.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
             # trimmed back to the OS and fault in again for the next object
             for e in range(k):
                 code[j, e] = np.frombuffer(payload_rng.bytes(fb), np.uint8)
-            _, code[j, k:] = erasure.decode_encode(code[j], range(k),
-                                                   range(k, N), codec)
+            code[j, k:] = erasure.decode_encode(code[j], range(k),
+                                                range(k, N), codec)
         layout.frags = code * held[:, :, None]
     return state, layout
 
@@ -187,17 +189,17 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
     state.meter_read_spread(reads, t0, t1)
     missing = np.flatnonzero(~row)
     if layout.code is not None:
-        k, code = layout.k, layout.code[obj]
+        k, code, frags = layout.k, layout.code[obj], layout.frags[obj]
         # every 100th step re-encodes the parity in the same product
         check = range(k, layout.codec.n) if layout.stepsDone % 100 == 0 else ()
-        data, fresh = erasure.decode_encode(layout.frags[obj], efis, check,
-                                            layout.codec)
-        data ^= code[:k]    # compared in place: one object-sized buffer
-        if data.any():
+        fresh = erasure.decode_encode(frags, efis, check, layout.codec)
+        words = np.uint32 if layout.codec.flen_bytes % 4 == 0 else np.uint8
+        if not np.array_equal(frags[:k].view(words), code[:k].view(words)):
             raise InvariantViolation(f"object {obj} decoded to wrong bytes")
         if not np.array_equal(fresh, code[k:k + len(check)]):
             raise InvariantViolation(f"object {obj} codeword drift")
-        layout.frags[obj, missing] = code[missing]
+        parity = missing[np.searchsorted(missing, k):]
+        frags[parity] = code[parity]
     state.meter_write_bulk(missing, flen, t=t1)
     row[:] = True
     layout.stepsDone += 1

@@ -142,10 +142,8 @@ class TestStore:
                 assert layout.sources[g, p].tobytes() == src.tobytes()
                 frags = np.zeros((N + r, fb), np.uint8)
                 frags[:k] = layout.sources[g, p]
-                _, coded = erasure.decode_encode(frags, range(k),
-                                                 range(k, N + p + 1),
-                                                 layout.codec)
-                frags[k:N + p + 1] = coded
+                frags[k:N + p + 1] = erasure.decode_encode(
+                    frags, range(k), range(k, N + p + 1), layout.codec)
                 assert np.array_equal(layout.frags[g, p], frags)
         check_advanced_sync(state, layout, rotation)
 
@@ -905,9 +903,9 @@ def rebuild_one_at_a_time(layout, rotation, groups, phys, srcs, labels,
         if stray.any():
             raise InvariantViolation(
                 f"primary map out of sync at node {srcs[stray.argmax()]}")
-        data, helpers = erasure.decode_encode(layout.frags[g, p], read,
-                                              labels[:w], layout.codec)
-        if not np.array_equal(data, layout.sources[g, p]):
+        obj = layout.frags[g, p].copy()
+        helpers = erasure.decode_encode(obj, read, labels[:w], layout.codec)
+        if not np.array_equal(obj[:layout.k], layout.sources[g, p]):
             raise InvariantViolation(f"decode mismatch for object ({g},{p})")
         layout.frags[g, p, labels[:w]] = helpers
         layout.owner[g, p, labels[:w]] = g

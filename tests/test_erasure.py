@@ -63,23 +63,29 @@ def _matmul_cases(seed):
         yield np.asfortranarray(G), Xwide[:, ::2]
 
 
-def _oracle_decode(fragments, params):
-    """The uncached decode: one inv_matrix solve for every call that needs
-    parity, the stacked [parity; source] rows in one product."""
-    k, fb = params.k, params.flen_bytes
-    efis = sorted(fragments)
-    have = [e for e in efis if e < k]
-    par = [e for e in efis if e >= k][: k - len(have)]
-    chunks = {j: fragments[j] for j in have}
-    if par:
-        missing = [j for j in range(k) if j not in chunks]
-        Gp = erasure.generator_rows(params, par)
-        Minv = gf256.inv_matrix(Gp[:, missing])
-        C = np.concatenate([Minv, gf256.matmul(Minv, Gp[:, have])], axis=1)
-        stacked = b"".join(fragments[e] for e in par + have)
-        S = gf256.matmul(C, np.frombuffer(stacked, np.uint8).reshape(k, fb))
-        chunks.update((j, row.tobytes()) for j, row in zip(missing, S))
-    return b"".join(chunks[j] for j in range(k))
+def inv_matrix(A: np.ndarray) -> np.ndarray:
+    """Inverse of a square GF(256) matrix by Gauss-Jordan on [A | I], the
+    oracle for erasure's closed-form solve.
+
+    Each pivot clears its column in every other row with one table lookup
+    over the whole augmented matrix.
+    """
+    k = A.shape[0]
+    MUL, INV = gf256.MUL, gf256.INV
+    a = np.concatenate([np.asarray(A, dtype=np.uint8),
+                        np.eye(k, dtype=np.uint8)], axis=1)
+    for col in range(k):
+        nz = np.flatnonzero(a[col:, col])
+        if not nz.size:
+            raise np.linalg.LinAlgError("singular matrix over GF(256)")
+        piv = col + int(nz[0])
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+        a[col] = MUL[INV[a[col, col]], a[col]]
+        f = a[:, col].copy()
+        f[col] = 0
+        a ^= MUL[f[:, None], a[col]]
+    return a[:, k:].copy()
 
 
 def _as_array(fragments, params):
@@ -93,6 +99,76 @@ def _as_array(fragments, params):
 def _clear_matrix_caches():
     erasure._decode_matrix.cache_clear()
     erasure._source_rows.cache_clear()
+
+
+def _gather_decode(frags, read, efis, params):
+    """The uncached gather decode of one (n, flen_bytes) object: (object,
+    fragments of efis).  The k lowest EFIs of read are gathered, the known
+    source rows taken out of the stand-in parity rows, and the rest solved
+    by inv_matrix, all on the numpy kernel."""
+    k, mm = params.k, gf256._matmul_numpy
+    labels = sorted(read)[:k]
+    have = [e for e in labels if e < k]
+    par = [e for e in labels if e >= k]
+    missing = [j for j in range(k) if j not in have]
+    gen = erasure._generator(params.n, k)
+    obj = np.zeros((k, params.flen_bytes), dtype=np.uint8)
+    obj[have] = frags[have]
+    if par:
+        known = mm(gen[np.ix_(par, have)], frags[have])
+        obj[missing] = mm(inv_matrix(gen[np.ix_(par, missing)]),
+                          frags[par] ^ known)
+    return obj, mm(gen[list(efis)], obj)
+
+
+@st.composite
+def in_place_cases(draw):
+    """(params, G, read, efis, seed): a read set of at least k EFIs, random,
+    holding every source row or parity rows only; widths off the 4-byte
+    word; k = 1; G objects in a (G, n, flen_bytes) stack, or one object
+    when G is None."""
+    n = draw(st.integers(1, 48))
+    k = draw(st.just(1) | st.integers(1, n))
+    perm = draw(st.permutations(range(n)))
+    parity = [e for e in perm if e >= k]
+    extra = draw(st.integers(0, n - k))
+    kind = draw(st.sampled_from(("random", "no missing", "all parity")))
+    if kind == "no missing":
+        read = list(range(k)) + parity[:extra]
+    elif kind == "all parity" and len(parity) >= k:
+        read = parity[: k + extra]
+    else:
+        read = perm[: k + extra]
+    fb = draw(st.integers(1, 9))
+    G = draw(st.none() | st.integers(1, 3))
+    efis = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return erasure.make_codec(n, k, 8 * fb, backend="byte"), G, read, efis, seed
+
+
+def _check_in_place(case):
+    """decode_encode on a stack whose unread rows hold garbage: the source
+    rows come back as the object, the other rows untouched, and the
+    fragments as the gather oracle's."""
+    p, G, read, efis, seed = case
+    g = rng.stream(seed)
+    objs = g.integers(0, 256, (G or 1, p.k, p.flen_bytes), dtype=np.uint8)
+    gen = erasure._generator(p.n, p.k)
+    code = np.stack([gf256._matmul_numpy(gen, o) for o in objs])
+    unread = np.setdiff1d(range(p.n), read)
+    code[:, unread] = g.integers(0, 256, (len(objs), len(unread), p.flen_bytes),
+                                 dtype=np.uint8)
+    frags = code.copy() if G else code[0].copy()
+    out = erasure.decode_encode(frags, read, efis, p)
+    if G is None:
+        frags, out = frags[None], out[None]
+    assert out.shape == (len(objs), len(efis), p.flen_bytes)
+    for i, obj in enumerate(objs):
+        want, enc = _gather_decode(code[i], read, efis, p)
+        assert np.array_equal(want, obj)
+        assert np.array_equal(frags[i, : p.k], obj)
+        assert np.array_equal(frags[i, p.k:], code[i, p.k:])
+        assert np.array_equal(out[i], enc)
 
 
 class TestField:
@@ -192,14 +268,14 @@ class TestField:
             S = g.integers(0, 256, (k, 8)).astype(np.uint8)
             B = gf256.matmul(A, S)
             try:
-                Ainv = gf256.inv_matrix(A)
+                Ainv = inv_matrix(A)
             except np.linalg.LinAlgError:
                 continue  # random matrix may be singular; that is fine
             assert np.array_equal(gf256.matmul(Ainv, B), S)
         A = g.integers(0, 256, (5, 5)).astype(np.uint8)
         A[3] = A[1]
         with pytest.raises(np.linalg.LinAlgError):
-            gf256.inv_matrix(A)
+            inv_matrix(A)
 
 
 class TestCodecConstruction:
@@ -307,19 +383,20 @@ def fused_cases(draw):
 
 class TestFusedDecode:
     """decode_encode against encode(oracle decode): the cached matrices
-    and the one product must give the uncached path's bytes."""
+    and the one product must give the uncached gather decode's bytes."""
 
     @staticmethod
     def check(case):
         p, obj, subset, efis = case
         given_frags = erasure.encode(obj, subset, p)
-        want = _oracle_decode(given_frags, p)
-        assert want == obj
         given = _as_array(given_frags, p)
+        want = _gather_decode(given, subset, (), p)[0].tobytes()
+        assert want == obj
         before = given.copy()
-        data, frags = erasure.decode_encode(given, subset, efis, p)
-        assert np.array_equal(given, before)    # built in its own buffer
-        assert data.shape == (p.k, p.flen_bytes) and data.tobytes() == want
+        frags = erasure.decode_encode(given, subset, efis, p)
+        # decoded in place: the source rows hold the object, parity is as given
+        assert given[: p.k].tobytes() == want
+        assert np.array_equal(given[p.k:], before[p.k:])
         assert frags.shape == (len(efis), p.flen_bytes)
         assert ({e: row.tobytes() for e, row in zip(efis, frags)}
                 == erasure.encode(want, efis, p))
@@ -341,6 +418,11 @@ class TestFusedDecode:
             finally:
                 _clear_matrix_caches()
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(in_place_cases())
+    def test_in_place_matches_gather_oracle(self, case):
+        _check_in_place(case)
+
     @settings(max_examples=100, deadline=None, database=None)
     @given(fused_cases(), st.integers(1, 5))
     def test_stack_matches_one_object_at_a_time(self, case, G):
@@ -350,23 +432,30 @@ class TestFusedDecode:
         stack = np.stack([_as_array(erasure.encode((rows ^ g).tobytes(),
                                                    range(p.n), p), p)
                           for g in range(G)])
-        data, frags = erasure.decode_encode(stack, subset, efis, p)
-        assert data.shape == (G, p.k, p.flen_bytes)
+        stack[:, np.setdiff1d(range(p.n), subset)] = 0     # erased
+        before = stack.copy()
+        frags = erasure.decode_encode(stack, subset, efis, p)
         assert frags.shape == (G, len(efis), p.flen_bytes)
         for g in range(G):
-            one = erasure.decode_encode(stack[g], subset, efis, p)
-            assert np.array_equal(data[g], one[0])
-            assert np.array_equal(frags[g], one[1])
-            assert np.array_equal(data[g], rows ^ g)
+            one = before[g].copy()
+            assert np.array_equal(frags[g],
+                                  erasure.decode_encode(one, subset, efis, p))
+            assert np.array_equal(stack[g], one)
+            assert np.array_equal(stack[g, : p.k], rows ^ g)
 
     def test_cached_matrix_is_read_only(self):
         for efis in ((), (1, 9)):
-            slots, missing, M = erasure._decode_matrix(10, 6, (0, 2, 3),
-                                                       (7, 8, 9), efis)
-            assert (slots, missing) == ((0, 7, 2, 3, 8, 9), (1, 4, 5))
-            assert M.shape == (3 + len(efis), 6)
+            missing, M = erasure._decode_matrix(10, 6, (0, 2, 3), (7, 8, 9),
+                                                efis)
+            assert missing == (1, 4, 5)
+            # a column per fragment row up to the highest read, zero where
+            # the row is not read
+            assert M.shape == (3 + len(efis), 10)
+            assert not M[:, [1, 4, 5, 6]].any()
             with pytest.raises(ValueError):
                 M[0] ^= 1
+        missing, M = erasure._decode_matrix(10, 6, (0, 1, 3, 4, 5), (7,), ())
+        assert missing == (2,) and M.shape == (1, 8)
 
     def test_efis_validated(self):
         p = erasure.make_codec(6, 4, 32, backend="byte")
@@ -377,7 +466,7 @@ class TestFusedDecode:
 
     def test_symbolic(self):
         p = erasure.make_codec(6, 4, 32, backend="symbolic")
-        assert erasure.decode_encode(None, range(4), [5], p) == (None, None)
+        assert erasure.decode_encode(None, range(4), [5], p) is None
         with pytest.raises(DecodeError):
             erasure.decode_encode(None, range(3), [5], p)
 
@@ -396,11 +485,11 @@ class TestMatrixCache:
             eps=EpsilonSet(0.1, 0.1, eps), advancedR=r, failureCount=18,
             seed=5)
         solves, keys, decodes = [], set(), [0]
-        inv, fused = gf256.inv_matrix, erasure.decode_encode
+        inv, fused = erasure._cauchy_inverse, erasure.decode_encode
 
-        def counted_inv(A):
-            solves.append(A.shape)
-            return inv(A)
+        def counted_inv(x, y):
+            solves.append(len(x))
+            return inv(x, y)
 
         def keyed(frags, read, efis, params):
             used = sorted(read)[: params.k]
@@ -410,7 +499,7 @@ class TestMatrixCache:
                 keys.add(tuple(used))
             return fused(frags, read, efis, params)
 
-        monkeypatch.setattr(gf256, "inv_matrix", counted_inv)
+        monkeypatch.setattr(erasure, "_cauchy_inverse", counted_inv)
         monkeypatch.setattr(erasure, "decode_encode", keyed)
         _clear_matrix_caches()
         res = sim_engine.run_trial(sc, 0)
@@ -427,10 +516,31 @@ class TestMatrixCache:
         subsets = list(combinations(range(n), k))
         assert len(subsets) > erasure.MATRIX_CACHE_SIZE
         for subset in subsets:
-            data, _ = erasure.decode_encode(frags, subset, [n - 1], p)
-            assert data.tobytes() == obj
+            one = frags.copy()
+            erasure.decode_encode(one, subset, [n - 1], p)
+            assert one[:k].tobytes() == obj
         for cache in (erasure._decode_matrix, erasure._source_rows):
             assert cache.cache_info().currsize == erasure.MATRIX_CACHE_SIZE
+
+
+class TestClosedFormSolve:
+    def test_matches_gauss_jordan(self):
+        # G[par][:, missing] for parity rows par and source columns
+        # missing, at n up to 256, including the largest square blocks
+        g = rng.stream(13)
+        sizes = [(2, 1), (256, 1), (256, 128), (256, 255), (255, 127),
+                 (20, 6)]
+        sizes += [(int(n), int(g.integers(1, n)))
+                  for n in g.integers(2, 257, 30)]
+        for n, k in sizes:
+            gen = erasure._generator(n, k)
+            top = min(k, n - k)
+            for m in (1, top, *g.integers(1, top + 1, 6)):
+                par = sorted(g.choice(np.arange(k, n), m, replace=False).tolist())
+                missing = sorted(g.choice(k, m, replace=False).tolist())
+                assert np.array_equal(
+                    erasure._cauchy_inverse(par, missing),
+                    inv_matrix(gen[np.ix_(par, missing)])), (n, k, par, missing)
 
 
 class TestSymbolicCodec:
@@ -494,17 +604,22 @@ class TestKernelIndependence:
     products: each runnable C entry point and the numpy kernel give the
     same TrialResult, trace included."""
 
-    @pytest.mark.parametrize("name", sorted(_kernel_scenarios()))
-    def test_trial_result_same_on_every_kernel(self, name, monkeypatch):
-        sc = _kernel_scenarios()[name]
+    @staticmethod
+    def routes():
+        """{kernel: matmul} for numpy and each runnable C entry point."""
         gf256.matmul(np.ones((1, 1), np.uint8), np.ones((1, 1), np.uint8))
         routes = {"numpy": gf256._matmul_numpy}
         for kernel in gf256.C_KERNELS:
             entry = getattr(gf256._lib, f"gf_matmul_{kernel}", None)
             if entry is not None and _runnable(kernel):
                 routes[kernel] = (lambda G, X, e=entry: gf256._c_matmul(e, G, X))
+        return routes
+
+    @pytest.mark.parametrize("name", sorted(_kernel_scenarios()))
+    def test_trial_result_same_on_every_kernel(self, name, monkeypatch):
+        sc = _kernel_scenarios()[name]
         results = {}
-        for kernel, route in routes.items():
+        for kernel, route in self.routes().items():
             monkeypatch.setattr(gf256, "matmul", route)
             _clear_matrix_caches()          # the decode matrices on this kernel too
             try:
@@ -517,3 +632,23 @@ class TestKernelIndependence:
         assert results["numpy"].perStepTrace
         for kernel, res in results.items():
             assert res == results["numpy"], kernel
+
+    @pytest.mark.parametrize("kernel", [
+        "numpy",
+        pytest.param("scalar", marks=pytest.mark.skipif(
+            not HAVE_CC, reason="no C compiler 'cc' on PATH")),
+        pytest.param("avx2", marks=pytest.mark.skipif(
+            not (HAVE_CC and _runnable("avx2")), reason="no AVX2 kernel")),
+        pytest.param("gfni", marks=pytest.mark.skipif(
+            not (HAVE_CC and _runnable("gfni")), reason="no GFNI kernel")),
+    ])
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(case=in_place_cases())
+    def test_in_place_decode_on_every_kernel(self, kernel, case):
+        route = self.routes()[kernel]
+        _clear_matrix_caches()          # the decode matrices on this kernel too
+        try:
+            with mock.patch.object(gf256, "matmul", route):
+                _check_in_place(case)
+        finally:
+            _clear_matrix_caches()

@@ -175,6 +175,43 @@ class TestRepairStep:
                            match="object 0 codeword drift"):
             liquid_repair_step(state, lay, t0=0.0, t1=1.0)
 
+    # one flipped byte must fail the step, over both word views of the
+    # compare: 10-byte fragments (uint8) and 12-byte ones (uint32)
+    @pytest.mark.parametrize("clen", [160, 192])
+    def test_flipped_byte_in_held_source_row_raises(self, clen):
+        # a parity node fails, so no source row is decoded: only the
+        # compare of the held rows sees the flip
+        state, lay = store_periodic(N=10, beta=0.2, clen=clen, backend="byte")
+        liquid_fail_node(state, lay, 1.0, 8)
+        lay.frags[0, 5, -1] ^= 0x80
+        with pytest.raises(InvariantViolation,
+                           match="object 0 decoded to wrong bytes"):
+            liquid_repair_step(state, lay, t0=1.0, t1=2.0)
+
+    @pytest.mark.parametrize("clen", [160, 192])
+    def test_flipped_byte_in_stand_in_parity_row_raises(self, clen):
+        # object 0 holds EFIs 0..8 of 10 with k = 8; after node 3 fails,
+        # parity row 8 stands in for source row 3
+        state, lay = store_periodic(N=10, beta=0.2, clen=clen, backend="byte")
+        liquid_fail_node(state, lay, 1.0, 3)
+        lay.frags[0, 8, 1] ^= 1
+        with pytest.raises(InvariantViolation,
+                           match="object 0 decoded to wrong bytes"):
+            liquid_repair_step(state, lay, t0=1.0, t1=2.0)
+
+    @pytest.mark.parametrize("clen", [160, 192])
+    def test_flipped_parity_byte_on_hundredth_step_raises(self, clen):
+        state, lay = store_periodic(N=10, beta=0.2, clen=clen, backend="byte")
+        for step in range(100):
+            liquid_fail_node(state, lay, step, step % 10)
+            liquid_repair_step(state, lay, t0=step, t1=step + 0.5)
+        check_liquid_payloads(lay)
+        obj = lay.front
+        lay.code[obj, 9, -1] ^= 4        # a parity row the step does not read
+        with pytest.raises(InvariantViolation,
+                           match=f"object {obj} codeword drift"):
+            liquid_repair_step(state, lay, t0=100.0, t1=100.5)
+
     def test_byte_needs_payload_rng(self):
         with pytest.raises(ConfigError):
             liquid_store(6 * 16, 8, 16, 0.25, backend="byte")
