@@ -38,21 +38,26 @@ a step's commit moves two labels and shifts the r helper labels, and the
 check that they still form a permutation is O(N), without a sort.
 
 The byte backend holds its payloads in arrays indexed by object (group,
-phys) and physical label: the sources, the fragments, and owner, the node
-holding each fragment or -1.  owner is written where fragments are
-written, moved or erased, never derived from placement, so
-check_advanced_sync can compare the two.  A move is an owner update, with
-no payload copy; a wipe or a failure sets the node's owner entries to -1
-and zeroes their payloads, so a decode that reads one fails its comparison
-with the source.
+phys) and physical label: code, every object's read-only reference
+codeword, whose first k labels are its source, frags, what the nodes
+hold, and owner, the node holding each fragment or -1.  owner is written
+where fragments are written, moved or erased, never derived from
+placement, so check_advanced_sync can compare the two, and a held slot of
+frags must equal code.  A rebuild only decodes: it decodes each object in
+place from the primaries it reads, compares the source rows with code,
+and copies the helpers it writes from code, as liquid's steps copy their
+parity.  A move is an owner update, with no payload copy; a wipe or a
+failure sets the node's owner entries to -1 and zeroes their payloads, so
+a decode that reads one fails its comparison with the source.
 
 A source pick depends only on the group's holder set outside the target,
 which changes at the run ends of other rows or when a row is cleared.  A
 chain keeps its last pick while neither happens, and the groups one pick
 serves commit as array ops on a range: a step is a few calls, not a loop
 over the N groups.  Their objects read the same labels, so on the byte
-backend one GF(256) product decodes and re-encodes them all, and the
-store build encodes every object in one product.
+backend one GF(256) product decodes them all, with the decode matrix of
+that label set alone, and the store build encodes every object's whole
+codeword in one product.
 The fault-injection hook drops the staircases of nodes 0 and 1, which
 fails the census but not recovery.
 """
@@ -113,8 +118,8 @@ class EfiRotation:
             raise InvariantViolation("no repair step in flight")
 
     def new_helper_efis(self) -> list:
-        """Helper labels once the in-flight step commits, as Python ints,
-        the form decode-matrix caches key on; built once per step."""
+        """Helper labels once the in-flight step commits, as a list of
+        Python ints; built once per step."""
         self.require_step()
         if self._post is None:
             self._post = self.labels[self.N + 1:].tolist()
@@ -160,11 +165,12 @@ class GroupLayout:
     # at position j; 0 full staircase, 1 front helpers donated, r none
     helperLo: np.ndarray
     rowClears: int = 0      # rows emptied so far; a cached source pick keys on it
-    # byte backend, by object (group, phys) and physical label: sources
-    # (N, r, k, flen_bytes) and frags (N, r, N + r, flen_bytes) uint8, and
-    # owner (N, r, N + r), the node holding each fragment or -1; frags is
-    # zero where owner is -1
-    sources: Optional[np.ndarray] = None
+    # byte backend, by object (group, phys) and physical label: code, the
+    # read-only codewords, whose first k labels are the source, and frags,
+    # what the nodes hold, (N, r, N + r, flen_bytes) uint8 each, and owner
+    # (N, r, N + r), the node holding each fragment or -1; frags is code
+    # where owner is not -1 and zero where it is
+    code: Optional[np.ndarray] = None
     frags: Optional[np.ndarray] = None
     owner: Optional[np.ndarray] = None
 
@@ -239,26 +245,26 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
     if codec.backend == "byte":
         if callable(payload_rng):
             payload_rng = payload_rng()
-        fb = codec.flen_bytes
+        n, fb = N + r, codec.flen_bytes
+        layout.code = code = np.empty((N, r, n, fb), dtype=np.uint8)
         # payload_rng.bytes(k * fb) per object, drawn at once: bytes() takes
         # whole 32-bit words from the stream and drops the spare bytes
         words = -(-k * fb // 4)
-        layout.sources = payload_rng.integers(
+        code[:, :, :k] = payload_rng.integers(
             0, 2 ** 32, (N * r, words), dtype=np.uint32).astype("<u4").view(
                 np.uint8)[:, :k * fb].reshape(N, r, k, fb)
-        layout.frags = frags = np.zeros((N, r, N + r, fb), dtype=np.uint8)
-        frags[:, :, :k] = layout.sources
-        layout.owner = owner = np.full((N, r, N + r), -1, dtype=np.int64)
+        # every object encodes from its source rows: one product for all
+        code[:, :, k:] = erasure.decode_encode(
+            code.reshape(N * r, n, fb), range(k), range(k, n),
+            codec).reshape(N, r, n - k, fb)
+        code.setflags(write=False)
+        layout.owner = owner = np.full((N, r, n), -1, dtype=np.int64)
         owner[:, :, :N] = np.arange(N)      # primary label m at node m
         # the object at position p holds labels up to N + p: its parity
         # primaries, then helpers N..N + p at its anchor
-        keep = np.arange(k, N + r) <= N + np.arange(r)[:, None]  # (p, label-k)
-        owner[:, :, N:] = np.where(keep[:, N - k:],
-                                   np.arange(N)[:, None, None], -1)
-        # every object encodes from its source rows: one product for all
-        coded = erasure.decode_encode(frags.reshape(N * r, N + r, fb),
-                                      range(k), range(k, N + r), codec)
-        frags[:, :, k:] = coded.reshape(N, r, N + r - k, fb) * keep[:, :, None]
+        keep = np.arange(N, n) <= N + np.arange(r)[:, None]     # (p, label-N)
+        owner[:, :, N:] = np.where(keep, np.arange(N)[:, None, None], -1)
+        layout.frags = code * (owner >= 0)[..., None]
     return state, layout, rotation
 
 
@@ -358,23 +364,33 @@ class _Reads:
 def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
                      width) -> None:
     """Decode objects (groups[i], phys[i]) from the primaries at srcs,
-    compare each with its source and write its fragments for the first
-    width[i] of labels at its anchor.  The objects read the same labels,
-    so one product decodes and re-encodes them all.  The first object
+    compare each with its source and copy its fragments for the first
+    width[i] of labels at its anchor from its codeword.  The objects read
+    the same labels, so one product decodes them all.  The first object
     whose primaries' owner or decode is off raises, with the objects
     before it written, as a rebuild one object at a time would.
+
+    Objects are flat rows group * r + phys of the (N * r, N + r) views and
+    slots flat rows object * (N + r) + label of the payload views.
     """
-    read = rotation.primaryEfis[srcs].tolist()
-    stray = layout.owner[groups[:, None], phys[:, None], read] != srcs
-    objs = layout.frags[groups, phys]       # a copy, decoded in place
-    helpers = erasure.decode_encode(objs, read, labels, layout.codec)
-    wrong = (objs[:, :layout.k] != layout.sources[groups, phys]).any((1, 2))
+    n, fb, k = layout.codec.n, layout.codec.flen_bytes, layout.k
+    rows = groups * layout.r + phys
+    read = rotation.primaryEfis[srcs]
+    owner = layout.owner.reshape(-1)
+    stray = owner[rows[:, None] * n + read] != srcs
+    objs = layout.frags.reshape(-1, n, fb)[rows]    # a copy, decoded in place
+    erasure.decode_encode(objs, read.tolist(), (), layout.codec)
+    wrong = (objs[:, :k] != layout.code.reshape(-1, n, fb)[rows, :k]).any((1, 2))
     bad = np.flatnonzero(stray.any(axis=1) | wrong)
-    done = bad[0] if bad.size else len(groups)
-    obj, role = np.nonzero(np.arange(len(labels)) < width[:done, None])
-    slots = groups[obj], phys[obj], np.asarray(labels)[role]
-    layout.frags[slots] = helpers[obj, role]
-    layout.owner[slots] = groups[obj]
+    done = bad[0] if bad.size else len(rows)
+    labels = np.asarray(labels)
+    if (width[:done] == len(labels)).all():
+        slots, anchors = rows[:done, None] * n + labels, groups[:done, None]
+    else:
+        obj, role = np.nonzero(np.arange(len(labels)) < width[:done, None])
+        slots, anchors = rows[obj] * n + labels[role], groups[obj]
+    layout.frags.reshape(-1, fb)[slots] = layout.code.reshape(-1, fb)[slots]
+    owner[slots] = anchors
     if bad.size and stray[done].any():
         raise InvariantViolation(
             f"primary map out of sync at node {srcs[stray[done].argmax()]}")
@@ -403,7 +419,7 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
     if layout.codec.backend == "byte":     # position j takes helpers 0..j
         _rebuild_helpers(layout, rotation, np.full(r, group),
                          (layout.front_phys(group) + np.arange(r)) % r, srcs,
-                         rotation.helperEfis.tolist(), np.arange(1, r + 1))
+                         rotation.helperEfis, np.arange(1, r + 1))
     state.meter_write_bulk(group, writes * layout.flen, t=t)
     layout.helperLo[group] = 0
     if collect is None:
@@ -503,9 +519,10 @@ def _clear_row(layout, node) -> None:
     layout.helperLo[node] = layout.r
     layout.rowClears += 1
     if layout.owner is not None:
-        gone = layout.owner == node
-        layout.owner[gone] = -1
-        layout.frags[gone] = 0
+        owner = layout.owner.reshape(-1)
+        gone = np.flatnonzero(owner == node)
+        owner[gone] = -1
+        layout.frags.reshape(-1, layout.codec.flen_bytes)[gone] = 0
 
 
 def advanced_fail_node(state: ClusterState, layout: GroupLayout, t: float,
@@ -696,8 +713,8 @@ def check_advanced_sync(state: ClusterState, layout: GroupLayout,
                         rotation: EfiRotation) -> None:
     """Cross-check the byte owner array against the placement arrays: each
     node's fragments must add up to node_used_bits within clen, owner must
-    be what heldLo, heldHi, helperLo, rot and the labels give, and an empty
-    slot must hold zeroes.
+    be what heldLo, heldHi, helperLo, rot and the labels give, a held slot
+    must hold its codeword's fragment and an empty slot zeroes.
 
     Only meaningful between steps, when labels are committed; symbolic
     layouts have nothing to compare.
@@ -731,7 +748,10 @@ def check_advanced_sync(state: ClusterState, layout: GroupLayout,
         raise InvariantViolation(
             f"node {max(owner[g, p, e], expected[g, p, e])}: owner and "
             f"placement arrays disagree on object ({g},{p}) label {e}")
-    if layout.frags[owner < 0].any():
+    held = owner >= 0
+    if (layout.frags[held] != layout.code[held]).any():
+        raise InvariantViolation("a held slot differs from its codeword")
+    if layout.frags[~held].any():
         raise InvariantViolation("an empty slot holds data")
 
 

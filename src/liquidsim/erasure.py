@@ -22,11 +22,14 @@ as one (n, flen_bytes) uint8 array indexed by EFI, the form the repairers
 hold them in.  The matrix's columns lie on that array's rows, zero for the
 rows not read and trimmed at the highest row read, so the product reads the
 fragments where they lie, and the decoded source chunks are written into
-the caller's array, in the rows they belong in.  The generator rows of the
-fragments to re-encode are appended, so repair decodes an object and
-encodes its new fragments in the same product, and a stack of objects read
-at the same EFIs shares that product too.  decode and encode take and give
-{efi: payload} dicts of bytes.
+the caller's array, in the rows they belong in.  A stack of objects read
+at the same EFIs shares that product.  The generator rows of fragments to
+re-encode can be appended, so one product also encodes them; the
+repairers' steps do not ask for any, as they copy rebuilt fragments from
+the reference codewords they store.  What still re-encodes is the store
+builds (every object, from its source rows), liquid's check of every
+100th step (its parity, against the stored codeword) and encode.  decode
+and encode take and give {efi: payload} dicts of bytes.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ def decode_all_from_primaries(state, layout, rotation):
                     if len(frags) == layout.k:
                         break
             assert (erasure.decode(frags, layout.codec)
-                    == layout.sources[g, p].tobytes())
+                    == layout.code[g, p, :layout.k].tobytes())
 
 
 class TestStore:
@@ -97,7 +97,7 @@ class TestStore:
         state, layout, _ = symbolic_cluster(N=20, r=4)
         assert state.phase_written["store"] == 20 * layout.clen
         assert state.phase_read["store"] == 0
-        assert layout.sources is None and layout.frags is None
+        assert layout.code is None and layout.frags is None
         assert layout.owner is None
 
     def test_divisibility_enforced(self):
@@ -139,13 +139,31 @@ class TestStore:
         for g in range(N):
             for p in range(r):
                 src = np.frombuffer(draw.bytes(k * fb), np.uint8)
-                assert layout.sources[g, p].tobytes() == src.tobytes()
+                assert layout.code[g, p, :k].tobytes() == src.tobytes()
                 frags = np.zeros((N + r, fb), np.uint8)
-                frags[:k] = layout.sources[g, p]
-                frags[k:N + p + 1] = erasure.decode_encode(
-                    frags, range(k), range(k, N + p + 1), layout.codec)
+                frags[:k] = layout.code[g, p, :k]
+                frags[k:] = erasure.decode_encode(
+                    frags, range(k), range(k, N + r), layout.codec)
+                assert np.array_equal(layout.code[g, p], frags)
+                frags[N + p + 1:] = 0       # helpers past its position
                 assert np.array_equal(layout.frags[g, p], frags)
         check_advanced_sync(state, layout, rotation)
+
+    def test_codeword_is_read_only(self):
+        _, layout, _ = byte_cluster()
+        with pytest.raises(ValueError, match="read-only"):
+            layout.code[0, 0, 0, 0] ^= 1
+        with pytest.raises(ValueError, match="read-only"):
+            layout.code.reshape(-1)[0] = 1
+
+    def test_sync_catches_a_flipped_helper_byte(self):
+        state, layout, rotation = byte_cluster()
+        label = rotation.helperEfis[0]
+        assert layout.owner[2, 0, label] == 2
+        layout.frags[2, 0, label, 0] ^= 1
+        with pytest.raises(InvariantViolation,
+                           match="a held slot differs from its codeword"):
+            check_advanced_sync(state, layout, rotation)
 
     def test_placement_arrays_are_one_dimensional(self):
         N, r = 2000, r_for_target_overhead(2000, 0.1)
@@ -905,7 +923,7 @@ def rebuild_one_at_a_time(layout, rotation, groups, phys, srcs, labels,
                 f"primary map out of sync at node {srcs[stray.argmax()]}")
         obj = layout.frags[g, p].copy()
         helpers = erasure.decode_encode(obj, read, labels[:w], layout.codec)
-        if not np.array_equal(obj[:layout.k], layout.sources[g, p]):
+        if not np.array_equal(obj[:layout.k], layout.code[g, p, :layout.k]):
             raise InvariantViolation(f"decode mismatch for object ({g},{p})")
         layout.frags[g, p, labels[:w]] = helpers
         layout.owner[g, p, labels[:w]] = g
@@ -937,8 +955,9 @@ def rebuild_cases(draw):
 
 
 class TestBatchedRebuild:
-    """_rebuild_helpers decodes and re-encodes objects read at the same
-    labels in one product; per-object decode_encode must write the same
+    """_rebuild_helpers decodes objects read at the same labels in one
+    product and copies their helpers from the stored codewords; decoding
+    and re-encoding each object with decode_encode must write the same
     bytes and owners, and raise the same error after the same writes."""
 
     @settings(max_examples=150, deadline=None, database=None)
@@ -972,6 +991,61 @@ class TestBatchedRebuild:
             assert berr is not None
         assert np.array_equal(bl.frags, sl.frags)
         assert np.array_equal(bl.owner, sl.owner)
+
+    def test_rebuilds_build_no_re_encode_matrix(self):
+        # a rebuild decodes only: every decode matrix of the steps on a
+        # periodic and a Poisson store is the source rows' alone
+        for variant, eps in (("periodic", 0.0), ("poisson", 0.3)):
+            state, layout, rotation = byte_cluster(N=8, r=2, variant=variant,
+                                                   eps=eps)
+            with mock.patch.object(erasure, "_decode_matrix",
+                                   wraps=erasure._decode_matrix) as solve:
+                for t, node in ((1.0, 5), (2.0, 2)):
+                    advanced_fail_node(state, layout, t, node)
+                    advanced_repair_step(state, layout, rotation, node,
+                                         t0=t, t1=t + 0.5)
+            assert solve.call_count
+            assert {call.args[4] for call in solve.call_args_list} == {()}
+            check_advanced_sync(state, layout, rotation)
+            decode_all_from_primaries(state, layout, rotation)
+
+
+def clear_row_by_mask(layout, node):
+    """_clear_row's payload clear as one boolean mask over the store."""
+    gone = layout.owner == node
+    layout.owner[gone] = -1
+    layout.frags[gone] = 0
+
+
+class TestClearRow:
+    """_clear_row zeroes a node's slots through flat indices; it must do
+    what the boolean-mask clear does and touch no other node's slots."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(N=st.integers(3, 10), r=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 16), node=st.integers(0, 9))
+    def test_flat_clear_matches_mask(self, N, r, seed, node):
+        node %= N
+        _, layout, _ = byte_cluster(N=N, r=r, seed=seed)
+        # a random store: any node, or none, owns any slot
+        g = np.random.default_rng(seed)
+        layout.owner[...] = g.integers(-1, N, layout.owner.shape)
+        layout.frags[...] = g.integers(0, 256, layout.frags.shape) * (
+            layout.owner >= 0)[..., None]
+        before = SimpleNamespace(owner=layout.owner.copy(),
+                                 frags=layout.frags.copy())
+        oracle = SimpleNamespace(owner=layout.owner.copy(),
+                                 frags=layout.frags.copy())
+        clear_row_by_mask(oracle, node)
+        adv._clear_row(layout, node)
+        assert np.array_equal(layout.owner, oracle.owner)
+        assert np.array_equal(layout.frags, oracle.frags)
+        others = before.owner != node
+        assert np.array_equal(layout.owner[others], before.owner[others])
+        assert np.array_equal(layout.frags[others], before.frags[others])
+        assert not (layout.owner == node).any()
+        assert (layout.heldLo[node], layout.heldHi[node]) == (0, 0)
+        assert layout.helperLo[node] == r
 
 
 def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0):
