@@ -384,11 +384,9 @@ def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
     bad = np.flatnonzero(stray.any(axis=1) | wrong)
     done = bad[0] if bad.size else len(rows)
     labels = np.asarray(labels)
-    if (width[:done] == len(labels)).all():
-        slots, anchors = rows[:done, None] * n + labels, groups[:done, None]
-    else:
-        obj, role = np.nonzero(np.arange(len(labels)) < width[:done, None])
-        slots, anchors = rows[obj] * n + labels[role], groups[obj]
+    keep = np.arange(len(labels)) < width[:done, None]
+    slots = (rows[:done, None] * n + labels)[keep]
+    anchors = np.repeat(groups[:done], width[:done])
     layout.frags.reshape(-1, fb)[slots] = layout.code.reshape(-1, fb)[slots]
     owner[slots] = anchors
     if bad.size and stray[done].any():

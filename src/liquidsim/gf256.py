@@ -8,7 +8,7 @@ gf256_kernel.c, which picks one of its entry points (C_KERNELS) once, at
 load, from the CPU's flags: ``gfni`` where the CPU has GFNI and AVX2 (one
 vgf2p8affineqb per coefficient, the 8x8 bit matrices of multiplication
 built from MUL; 4 output rows x 64 bytes per pass over X, in column
-panels, skipping the columns that are zero in all 4 rows), else ``avx2`` (split-nibble vpshufb lookup, row by row), else
+panels), else ``avx2`` (split-nibble vpshufb lookup, row by row), else
 ``scalar`` (a table lookup per byte).  The kernel is built with the system
 ``cc`` at the first product and cached per user under
 ``~/.cache/liquidsim``, keyed by a hash of the source and the compiler

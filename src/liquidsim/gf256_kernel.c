@@ -15,13 +15,8 @@
  *           bytes, so each load of X feeds 4 rows and out is written once,
  *           not read and written once per input row.  Column panels of
  *           GF_PANEL bytes are the outer loop, so a panel of X stays in
- *           cache across the row blocks.  Each block of 4 rows lists,
- *           once per product, the columns of G not zero in all its rows,
- *           with their row of X and their bit matrices, and reads only
- *           those: a decode matrix is zero at the source rows it does not
- *           read (about 9 of 100 columns in liquid's).  Columns past the last
- *           64-byte block take one 32-byte step, and the last L % 32 the
- *           scalar rows.
+ *           cache across the row blocks.  Columns past the last 64-byte
+ *           block take one 32-byte step, and the last L % 32 the scalar rows.
  *
  * gf_init picks the kernel once from the CPU's flags: gfni where the CPU has
  * GFNI and AVX2, else avx2, else scalar.  gf_matmul runs that choice and
@@ -32,7 +27,6 @@
 
 #include <stddef.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #if (defined(__x86_64__) || defined(__i386__)) && !defined(GF_NO_GFNI)
@@ -116,53 +110,24 @@ void gf_matmul_avx2(const uint8_t *G, size_t m, size_t k,
 /* acc ^= c * x for the 32 bytes of x, A = AFF[c] broadcast */
 #define GF_MAC(acc, x, A) \
     (acc) = _mm256_xor_si256((acc), _mm256_gf2p8affine_epi64_epi8((x), (A), 0))
-#define GF_COEF(r) _mm256_set1_epi64x((long long)c->aff[r])
+#define GF_COEF(r) _mm256_set1_epi64x((long long)AFF[G[(r) * k + j]])
 #define GF_STORE(r, t, acc) _mm256_storeu_si256((__m256i *)(out + (r) * L + (t)), (acc))
-#define GF_STACK_COLS 512 /* column entries kept on the stack, 20 KiB */
 
-/* One column j of a block of up to 4 rows of G that is not zero in all of
- * them: row j of X and the bit matrices of the rows' coefficients. */
-struct gf_col {
-    const uint8_t *x;
-    uint64_t aff[4];
-};
-
-/* The columns of rows 0..R-1 of G that are not all zero, in order, into
- * cols; returns their count. */
-static size_t block_cols(const uint8_t *G, size_t R, size_t k,
-                         const uint8_t *X, size_t L, struct gf_col *cols)
-{
-    size_t nz = 0;
-    for (size_t j = 0; j < k; j++) {
-        uint8_t any = 0;
-        for (size_t r = 0; r < R; r++)
-            any |= G[r * k + j];
-        if (!any)
-            continue;
-        cols[nz].x = X + j * L;
-        for (size_t r = 0; r < 4; r++)
-            cols[nz].aff[r] = r < R ? AFF[G[r * k + j]] : 0;
-        nz++;
-    }
-    return nz;
-}
-
-/* Rows 0..R-1 of G, as their nz columns, times X into columns t0..t1 of
- * out, t1 - t0 a multiple of 32: 64-byte blocks, then at most one 32-byte
- * block.  R is a constant at each call, so the branches on it fold away
- * and the accumulators stay in registers. */
+/* Rows 0..R-1 of G times X into columns t0..t1 of out, t1 - t0 a multiple
+ * of 32: 64-byte blocks, then at most one 32-byte block.  R is a constant at
+ * each call, so the branches on it fold away and the accumulators stay in
+ * registers. */
 __attribute__((target("avx2,gfni"), always_inline))
-static inline void rows_gfni(const int R, const struct gf_col *cols,
-                             size_t nz, size_t L, uint8_t *out,
+static inline void rows_gfni(const int R, const uint8_t *G, size_t k,
+                             const uint8_t *X, size_t L, uint8_t *out,
                              size_t t0, size_t t1)
 {
-    const struct gf_col *const end = cols + nz;
     size_t t = t0;
     for (; t + 64 <= t1; t += 64) {
         __m256i a0 = _mm256_setzero_si256(), a1 = a0, b0 = a0, b1 = a0,
                 c0 = a0, c1 = a0, d0 = a0, d1 = a0;
-        for (const struct gf_col *c = cols; c < end; c++) {
-            const uint8_t *x = c->x + t;
+        const uint8_t *x = X + t;
+        for (size_t j = 0; j < k; j++, x += L) {
             const __m256i x0 = _mm256_loadu_si256((const __m256i *)x);
             const __m256i x1 = _mm256_loadu_si256((const __m256i *)(x + 32));
             /* the one new line of this row in the next block: with k rows
@@ -205,8 +170,9 @@ static inline void rows_gfni(const int R, const struct gf_col *cols,
     }
     if (t < t1) {
         __m256i a0 = _mm256_setzero_si256(), b0 = a0, c0 = a0, d0 = a0;
-        for (const struct gf_col *c = cols; c < end; c++) {
-            const __m256i x0 = _mm256_loadu_si256((const __m256i *)(c->x + t));
+        const uint8_t *x = X + t;
+        for (size_t j = 0; j < k; j++, x += L) {
+            const __m256i x0 = _mm256_loadu_si256((const __m256i *)x);
             GF_MAC(a0, x0, GF_COEF(0));
             if (R > 1)
                 GF_MAC(b0, x0, GF_COEF(1));
@@ -230,37 +196,16 @@ void gf_matmul_gfni(const uint8_t *G, size_t m, size_t k,
                     const uint8_t *X, size_t L, uint8_t *out)
 {
     const size_t Lv = L & ~(size_t)31; /* the columns the vector steps cover */
-    const size_t blocks = (m + 3) / 4;
-    struct gf_col stack[GF_STACK_COLS], *cols = stack;
-    size_t stack_nz[GF_STACK_COLS / 4], *nz = stack_nz;
-    if (blocks * k > GF_STACK_COLS || blocks > GF_STACK_COLS / 4) {
-        cols = malloc(blocks * k * sizeof *cols);
-        nz = malloc(blocks * sizeof *nz);
-        if (cols == NULL || nz == NULL) {
-            free(cols);
-            free(nz);
-            gf_matmul_avx2(G, m, k, X, L, out);
-            return;
-        }
-    }
-    for (size_t b = 0; b < blocks; b++) {
-        const size_t R = m - 4 * b < 4 ? m - 4 * b : 4;
-        nz[b] = block_cols(G + 4 * b * k, R, k, X, L, cols + b * k);
-    }
     for (size_t t0 = 0; t0 < Lv; t0 += GF_PANEL) {
         const size_t t1 = Lv - t0 < GF_PANEL ? Lv : t0 + GF_PANEL;
-        size_t b = 0;
-        for (; 4 * b + 4 <= m; b++)
-            rows_gfni(4, cols + b * k, nz[b], L, out + 4 * b * L, t0, t1);
-        switch (m - 4 * b) {
-        case 3: rows_gfni(3, cols + b * k, nz[b], L, out + 4 * b * L, t0, t1); break;
-        case 2: rows_gfni(2, cols + b * k, nz[b], L, out + 4 * b * L, t0, t1); break;
-        case 1: rows_gfni(1, cols + b * k, nz[b], L, out + 4 * b * L, t0, t1); break;
+        size_t i = 0;
+        for (; i + 4 <= m; i += 4)
+            rows_gfni(4, G + i * k, k, X, L, out + i * L, t0, t1);
+        switch (m - i) {
+        case 3: rows_gfni(3, G + i * k, k, X, L, out + i * L, t0, t1); break;
+        case 2: rows_gfni(2, G + i * k, k, X, L, out + i * L, t0, t1); break;
+        case 1: rows_gfni(1, G + i * k, k, X, L, out + i * L, t0, t1); break;
         }
-    }
-    if (cols != stack) {
-        free(cols);
-        free(nz);
     }
     if (Lv < L)
         matmul(row_scalar, G, m, k, X, L, out, Lv);
