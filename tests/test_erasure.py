@@ -36,33 +36,13 @@ def _runnable(kernel):
     return _KERNEL_FLAGS[kernel] <= _cpu_flags()
 
 
-def _zero_column_cases(seed):
-    """(G, X) pairs whose G has all-zero columns, as an in-place decode
-    matrix has on the rows not read: first, inside and last, zero in the
-    first block of 4 rows only, zero in one row only, and an all-zero G.
-    m covers full gfni blocks and 3-, 2- and 1-row remainders; L a 64-byte
-    block, a 32-byte step and a scalar tail, a scalar row alone, and a
-    second column panel."""
-    g = rng.stream(seed)
-    k = 10
-    for m in range(1, 9):
-        for L in (31, 32 + 64 + 5, 2048 + 96 + 3):
-            G = g.integers(1, 256, (m, k)).astype(np.uint8)
-            G[:, [0, 4, 5, k - 1]] = 0
-            G[:min(m, 4), 2] = 0
-            G[0, 1] = G[m - 1, 3] = 0       # zero in one row only
-            X = g.integers(0, 256, (k, L)).astype(np.uint8)
-            yield G, X
-            yield np.zeros_like(G), X
-
-
 def _matmul_cases(seed):
     """Random (G, X) pairs over the shapes a compiled kernel can get wrong:
     widths off the 32-byte vector step and L = 1, k = 1, all-zero and
     sparse coefficient rows, and non-contiguous operands.  For the gfni
     kernel's blocking: m on and off its 4-row blocks, L on and off its
-    32- and 64-byte steps and across its 2048-byte column panels, the
-    liquid decode shape, and zero coefficient columns."""
+    32- and 64-byte steps and across its 2048-byte column panels, and the
+    liquid decode shape."""
     g = rng.stream(seed)
     shapes = [(7, 13, 640), (8, 82, 1250), (3, 5, 1), (4, 1, 77), (1, 1, 31),
               (5, 9, 33)]
@@ -81,7 +61,6 @@ def _matmul_cases(seed):
         # the same product on strided views: G transposed, X every other column
         Xwide = g.integers(0, 256, (k, 2 * L)).astype(np.uint8)
         yield np.asfortranarray(G), Xwide[:, ::2]
-    yield from _zero_column_cases(seed)
 
 
 def inv_matrix(A: np.ndarray) -> np.ndarray:
