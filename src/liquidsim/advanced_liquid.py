@@ -117,13 +117,13 @@ class EfiRotation:
         if self.pendingNode is None:
             raise InvariantViolation("no repair step in flight")
 
-    def new_helper_efis(self) -> list:
-        """Helper labels once the in-flight step commits, as a list of
-        Python ints; built once per step."""
+    def new_helper_efis(self) -> np.ndarray:
+        """Helper labels once the in-flight step commits, as an int64
+        array; built once per step."""
         self.require_step()
         if self._post is None:
-            self._post = self.labels[self.N + 1:].tolist()
-            self._post.append(int(self.labels[self.pendingNode]))
+            self._post = np.append(self.labels[self.N + 1:],
+                                   self.labels[self.pendingNode])
         return self._post
 
     def commit_step(self) -> None:
@@ -254,9 +254,9 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
             0, 2 ** 32, (N * r, words), dtype=np.uint32).astype("<u4").view(
                 np.uint8)[:, :k * fb].reshape(N, r, k, fb)
         # every object encodes from its source rows: one product for all
-        code[:, :, k:] = erasure.decode_encode(
-            code.reshape(N * r, n, fb), range(k), range(k, n),
-            codec).reshape(N, r, n - k, fb)
+        code[:, :, k:] = erasure.encode_rows(
+            code.reshape(N * r, n, fb), range(k, n), codec).reshape(
+                N, r, n - k, fb)
         code.setflags(write=False)
         layout.owner = owner = np.full((N, r, n), -1, dtype=np.int64)
         owner[:, :, :N] = np.arange(N)      # primary label m at node m
@@ -379,11 +379,10 @@ def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
     owner = layout.owner.reshape(-1)
     stray = owner[rows[:, None] * n + read] != srcs
     objs = layout.frags.reshape(-1, n, fb)[rows]    # a copy, decoded in place
-    erasure.decode_encode(objs, read.tolist(), (), layout.codec)
+    erasure.decode_in_place(objs, read, layout.codec)
     wrong = (objs[:, :k] != layout.code.reshape(-1, n, fb)[rows, :k]).any((1, 2))
     bad = np.flatnonzero(stray.any(axis=1) | wrong)
     done = bad[0] if bad.size else len(rows)
-    labels = np.asarray(labels)
     keep = np.arange(len(labels)) < width[:done, None]
     slots = (rows[:done, None] * n + labels)[keep]
     anchors = np.repeat(groups[:done], width[:done])
@@ -552,8 +551,9 @@ class _StepChain:
         self.node = node
         self.startTime = t
         self.futile = False         # target failed again mid-step
-        self.counts = {"generate": [], "move": [], "update": []}
-        self.fragmentWrites = 0
+        # groups each kind has committed, and one group's OpCounts of it
+        self.generated = self.moved = self.updated = 0
+        self._each = {}
         self.bitsRead = 0
         self.reads = _Reads(layout)
         rotation.begin_step(node)
@@ -562,9 +562,9 @@ class _StepChain:
 
     def next_subop(self) -> Optional[tuple]:
         """(kind, group) of the next sub-operation, None once all are done."""
-        if not self.counts["generate"]:
+        if not self.generated:
             return "generate", self.node    # the wiped target's staircase
-        group = len(self.counts["move"])
+        group = self.moved
         if group == self.layout.N:
             return None
         has_front = self.layout.helperLo[group] == 0
@@ -576,24 +576,32 @@ class _StepChain:
         pick serves as one range and a group needing a fresh pick alone, so
         a stall leaves that group's move committed, as one at a time would."""
         ctx = (self.state, self.layout, self.rotation)
+        each = self._each
         if kind == "generate":
             for group in groups:
-                self._tally("generate", 1, generate_helpers(
-                    *ctx, group, t=t, collect=self.reads, exclude=self.node))
+                each["generate"] = generate_helpers(
+                    *ctx, group, t=t, collect=self.reads, exclude=self.node)
+                self.generated += 1
             return
         g = groups.start
         while g < groups.stop:
             served = self.reads.reach(g, self.node, self.layout.k)
             part = range(g, min(groups.stop, max(served, g + 1)))
-            self._tally("move", len(part), move_helpers(
-                *ctx, part, self.node, t=t, collect=self.reads))
-            self._tally("update", len(part), update_helpers(
-                *ctx, part, t=t, collect=self.reads, exclude=self.node))
+            each["move"] = move_helpers(*ctx, part, self.node, t=t,
+                                        collect=self.reads)
+            self.moved += len(part)
+            each["update"] = update_helpers(
+                *ctx, part, t=t, collect=self.reads, exclude=self.node)
+            self.updated += len(part)
             g = part.stop
 
-    def _tally(self, kind: str, n: int, counts: OpCounts) -> None:
-        self.counts[kind] += [counts] * n
-        self.fragmentWrites += counts.fragmentWrites * n
+    @property
+    def counts(self) -> dict:
+        """{kind: [OpCounts, ...]}, one entry per group the kind committed;
+        a kind's counts are the same for every group."""
+        done = {"generate": self.generated, "move": self.moved,
+                "update": self.updated}
+        return {kind: [self._each.get(kind)] * n for kind, n in done.items()}
 
     def meter(self, t0: float, t1: float, split=None) -> None:
         """Stream the reads committed since the last call over [t0, t1];
@@ -620,9 +628,12 @@ class _StepChain:
     def finish(self, t: float) -> AdvancedStepRecord:
         self.rotation.commit_step()
         self.rotation.assert_distinct()
+        counts = self.counts
+        writes = sum(ops[0].fragmentWrites * len(ops)
+                     for ops in counts.values() if ops)
         return AdvancedStepRecord(
-            node=self.node, bitsRead=self.bitsRead, counts=self.counts,
-            bitsWritten=self.fragmentWrites * self.layout.flen,
+            node=self.node, bitsRead=self.bitsRead, counts=counts,
+            bitsWritten=writes * self.layout.flen,
             futile=self.futile, startTime=self.startTime, endTime=t)
 
     def run(self, t0: float, t1: float) -> AdvancedStepRecord:
@@ -782,11 +793,9 @@ class AdvancedSchedule:
             m - self.counterCap / (2.0 * self.beta + 1.0))
 
 
-def advanced_schedule(counter: RepairCounter, variant: str, lam: float,
-                      N: int, beta: float, eps: float, *,
-                      clen: int) -> AdvancedSchedule:
-    if variant != "poisson":
-        raise ConfigError("schedule applies to the poisson variant only")
+def advanced_schedule(counterCap: int, lam: float, N: int, beta: float,
+                      eps: float, *, clen: int) -> AdvancedSchedule:
+    """The Poisson variant's pacing for a slack cap of counterCap."""
     if not 0.0 <= eps < 1.0:
         raise ConfigError("eps must be in [0, 1)")
     if lam <= 0.0 or N < 2 or clen < 1:
@@ -797,7 +806,7 @@ def advanced_schedule(counter: RepairCounter, variant: str, lam: float,
     base = (1.0 - beta) / (1.0 - epsp) * lam * N * clen
     half = 1.0 / (2.0 * (beta - epsp))
     return AdvancedSchedule(
-        lam=lam, N=N, beta=beta, epsPrime=epsp, counterCap=counter.cap,
+        lam=lam, N=N, beta=beta, epsPrime=epsp, counterCap=counterCap,
         clen=clen,
         rateTheorem=base * (1.0 + half),
         rateProof=base * (2.0 + half),
@@ -924,7 +933,7 @@ class AdvancedPoissonRepairer:
         if horizon is None:
             return np.array([first]), np.array([sub.group]), np.array([t])
         layout = self.layout
-        m = len(self.chain.counts["move"]) + (not first)  # first group after sub
+        m = self.chain.moved + (not first)      # first group after sub
         # each later group: a generate where its front helpers are
         # missing, then its move+update
         missing = layout.helperLo[m:] != 0
@@ -949,8 +958,7 @@ class AdvancedPoissonRepairer:
         move+updates as one range, and meter their reads as one log entry
         each; a stall ends them at the stalled one."""
         chain, layout = self.chain, self.layout
-        counts = chain.counts
-        before = len(counts["generate"]) + len(counts["update"])
+        before = chain.generated + chain.updated
         starts = np.flatnonzero(np.concatenate(
             ([True], generate[1:] | generate[:-1]))).tolist()
         times = ends.tolist()
@@ -959,8 +967,8 @@ class AdvancedPoissonRepairer:
                 chain.commit("generate" if generate[a] else "moveupdate",
                              range(groups[a], groups[b - 1] + 1), times[b - 1])
         finally:
-            last = min(len(counts["generate"]) + len(counts["update"])
-                       - before, len(generate) - 1)
+            last = min(chain.generated + chain.updated - before,
+                       len(generate) - 1)
             k, r, flen = layout.k, layout.r, layout.flen
             gen = generate[:last + 1]
             reads = np.where(gen, k * r * flen, (r + k) * flen)

@@ -17,19 +17,18 @@ A byte decode multiplies an object's fragments by one coefficient matrix,
 built once per EFI set and kept read-only in a bounded LRU cache
 (MATRIX_CACHE_SIZE entries): a repair chain decodes many objects from the
 same EFI set, so the matrix is solved once per set, in closed form, as the
-parity rows are Cauchy rows.  decode_encode works on an object's fragments
-as one (n, flen_bytes) uint8 array indexed by EFI, the form the repairers
-hold them in.  The matrix's columns lie on that array's rows, zero for the
-rows not read and trimmed at the highest row read, so the product reads the
-fragments where they lie, and the decoded source chunks are written into
-the caller's array, in the rows they belong in.  A stack of objects read
-at the same EFIs shares that product.  The generator rows of fragments to
-re-encode can be appended, so one product also encodes them; the
-repairers' steps do not ask for any, as they copy rebuilt fragments from
-the reference codewords they store.  What still re-encodes is the store
-builds (every object, from its source rows), liquid's check of every
-100th step (its parity, against the stored codeword) and encode.  decode
-and encode take and give {efi: payload} dicts of bytes.
+parity rows are Cauchy rows.  decode_in_place works on an object's
+fragments as one (n, flen_bytes) uint8 array indexed by EFI, the form the
+repairers hold them in.  The matrix's columns lie on that array's rows,
+zero for the rows not read and trimmed at the highest row read, so the
+product reads the fragments where they lie, and the decoded source chunks
+are written into the caller's array, in the rows they belong in.
+encode_rows multiplies generator rows by an object's k source rows.  Both
+take a stack of objects too, which then share one product.  The repair
+steps only decode: they copy rebuilt fragments from the codewords the
+repairers store.  Encodes build those codewords, and liquid's check of
+every 100th step re-encodes the parity to compare with its codeword.
+decode and encode take and give {efi: payload} dicts of bytes.
 """
 
 from __future__ import annotations
@@ -93,28 +92,21 @@ def _generator(n: int, k: int) -> np.ndarray:
     return G
 
 
-def _as_matrix(object_bytes: bytes, params: CodecParams) -> np.ndarray:
-    fb = params.flen_bytes
-    if len(object_bytes) != params.k * fb:
-        raise ConfigError(
-            f"object must be k*flen = {params.k * fb} bytes, got {len(object_bytes)}")
-    return np.frombuffer(object_bytes, dtype=np.uint8).reshape(params.k, fb)
-
-
 def encode(object_data, efis, params: CodecParams):
     """Fragments for the given EFIs as {efi: payload}.
 
     Symbolic backend takes object_data = None and returns {efi: None}.
     """
     efis = [int(e) for e in efis]
-    for e in efis:
-        if not 0 <= e < params.n:
-            raise ConfigError(f"EFI {e} outside [0, {params.n})")
     if params.backend == "symbolic":
+        encode_rows(None, efis, params)     # checks the EFIs
         return {e: None for e in efis}
-    frags = np.zeros((params.n, params.flen_bytes), dtype=np.uint8)
-    frags[: params.k] = _as_matrix(object_data, params)
-    rows = decode_encode(frags, range(params.k), efis, params)
+    k, fb = params.k, params.flen_bytes
+    if len(object_data) != k * fb:
+        raise ConfigError(
+            f"object must be k*flen = {k * fb} bytes, got {len(object_data)}")
+    rows = encode_rows(np.frombuffer(object_data, np.uint8).reshape(k, fb),
+                       efis, params)
     return {e: row.tobytes() for e, row in zip(efis, rows)}
 
 
@@ -141,41 +133,55 @@ def decode(fragments, params: CodecParams):
         if len(fragments[e]) != fb:
             raise DecodeError(f"fragment {e} has wrong length")
         frags[e] = np.frombuffer(fragments[e], np.uint8)
-    decode_encode(frags, labels, (), params)
+    decode_in_place(frags, labels, params)
     return frags[: params.k].tobytes()
 
 
-def decode_encode(frags, read, efis, params: CodecParams):
-    """Decode from the k lowest EFIs of read in place and encode the
-    fragments of efis, both in one product with a cached matrix.
+def _product(M: np.ndarray, frags) -> np.ndarray:
+    """M times the first M.shape[1] rows of frags, an object's
+    (rows, flen_bytes) array or a (G, rows, flen_bytes) stack, as a
+    (len(M), flen_bytes) array with the stack's G axis in front.  One
+    object's rows are a view; a stack's objects sit side by side in the
+    product's columns."""
+    cols = frags[..., : M.shape[1], :].swapaxes(0, -2)
+    return gf256.matmul(M, cols.reshape(M.shape[1], -1)).reshape(
+        (len(M),) + cols.shape[1:]).swapaxes(0, -2)
+
+
+def decode_in_place(frags, read, params: CodecParams) -> None:
+    """Decode from the k lowest EFIs of read in place, with a cached matrix.
 
     frags is the object's (n, flen_bytes) uint8 array indexed by EFI, or a
     (G, n, flen_bytes) stack of G objects read at the same EFIs, which
     share the matrix and so the product.  The product reads the rows where
     they lie, up to the highest one read; the source rows that were not
     read are written with the decoded chunks, so frags[..., :k, :] is the
-    object afterwards.  Returns the fragments of efis as a
-    (len(efis), flen_bytes) array, with the stack's G axis in front.
-    Symbolic backend: frags is unused and None comes back.
+    object afterwards.  Symbolic backend: frags is unused.
     """
     k = params.k
     labels = _first_k(read, k)
     if params.backend == "symbolic":
-        return None
+        return
     # systematic preference: source rows are used as they are, and the
     # first parity rows stand in for the missing source chunks
     split = bisect.bisect_left(labels, k)
-    missing, M = _decode_matrix(params.n, k, tuple(labels[:split]),
-                                tuple(labels[split:]), tuple(efis))
-    if not len(M):
-        return frags[..., :0, :]
-    # one object's rows are a view; a stack's objects sit side by side in
-    # the product's columns
-    cols = frags[..., : M.shape[1], :].swapaxes(0, -2)
-    S = gf256.matmul(M, cols.reshape(M.shape[1], -1)).reshape(
-        (len(M),) + cols.shape[1:]).swapaxes(0, -2)
-    frags[..., list(missing), :] = S[..., : len(missing), :]
-    return S[..., len(missing):, :]
+    missing, C = _source_rows(params.n, k, tuple(labels[:split]),
+                              tuple(labels[split:]))
+    if missing:
+        frags[..., list(missing), :] = _product(C, frags)
+
+
+def encode_rows(frags, efis, params: CodecParams):
+    """The fragments of efis, the generator's rows for them times the
+    source rows frags[..., :k, :] of an object or a stack, as _product
+    shapes them.  Symbolic backend: frags is unused and None comes back."""
+    efis = list(efis)
+    for e in efis:
+        if not 0 <= e < params.n:
+            raise ConfigError(f"EFI {e} outside [0, {params.n})")
+    if params.backend == "symbolic":
+        return None
+    return _product(_generator(params.n, params.k)[efis], frags)
 
 
 def _cauchy_inverse(x: list, y: list) -> np.ndarray:
@@ -213,23 +219,3 @@ def _source_rows(n: int, k: int, have: tuple, par: tuple) -> tuple:
         C[:, list(par)] = Minv
     C.setflags(write=False)
     return tuple(missing), C
-
-
-@functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
-def _decode_matrix(n: int, k: int, have: tuple, par: tuple,
-                   efis: tuple) -> tuple:
-    """(missing, M) as _source_rows gives them, with the rows G_efis D
-    appended to C, where D takes the fragment rows to all k source chunks:
-    one product yields the missing chunks, then the fragments of efis."""
-    missing, C = _source_rows(n, k, have, par)
-    if not efis:
-        return missing, C
-    for e in efis:
-        if not 0 <= e < n:
-            raise ConfigError(f"EFI {e} outside [0, {n})")
-    D = np.zeros((k, C.shape[1]), dtype=np.uint8)
-    D[list(have), list(have)] = 1
-    D[list(missing)] = C
-    M = np.concatenate([C, gf256.matmul(_generator(n, k)[list(efis)], D)])
-    M.setflags(write=False)
-    return missing, M

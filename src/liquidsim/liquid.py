@@ -163,8 +163,7 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
             # trimmed back to the OS and fault in again for the next object
             for e in range(k):
                 code[j, e] = np.frombuffer(payload_rng.bytes(fb), np.uint8)
-            code[j, k:] = erasure.decode_encode(code[j], range(k),
-                                                range(k, N), codec)
+            code[j, k:] = erasure.encode_rows(code[j], range(k, N), codec)
         layout.frags = code * held[:, :, None]
     return state, layout
 
@@ -190,13 +189,14 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
     missing = np.flatnonzero(~row)
     if layout.code is not None:
         k, code, frags = layout.k, layout.code[obj], layout.frags[obj]
-        # every 100th step re-encodes the parity in the same product
-        check = range(k, layout.codec.n) if layout.stepsDone % 100 == 0 else ()
-        fresh = erasure.decode_encode(frags, efis, check, layout.codec)
+        erasure.decode_in_place(frags, efis, layout.codec)
         words = np.uint32 if layout.codec.flen_bytes % 4 == 0 else np.uint8
         if not np.array_equal(frags[:k].view(words), code[:k].view(words)):
             raise InvariantViolation(f"object {obj} decoded to wrong bytes")
-        if not np.array_equal(fresh, code[k:k + len(check)]):
+        # every 100th step re-encodes the parity from the decoded source
+        if layout.stepsDone % 100 == 0 and not np.array_equal(
+                erasure.encode_rows(frags, range(k, layout.codec.n),
+                                    layout.codec), code[k:]):
             raise InvariantViolation(f"object {obj} codeword drift")
         parity = missing[np.searchsorted(missing, k):]
         frags[parity] = code[parity]

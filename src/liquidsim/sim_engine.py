@@ -202,9 +202,8 @@ class _AdvancedDriver:
             pace = scenario.period / 2.0    # step lands mid-gap
             self.completionKind = "step"
         else:
-            pace = adv.advanced_schedule(
-                liquid.RepairCounter.at_cap(layout.counterCap), "poisson",
-                sp.lam, sp.N, layout.beta, eps, clen=sp.clen)
+            pace = adv.advanced_schedule(layout.counterCap, sp.lam, sp.N,
+                                         layout.beta, eps, clen=sp.clen)
             self.completionKind = "subop"
         self.rep = adv.AdvancedPoissonRepairer(state, layout, rotation, pace)
         self.state = state

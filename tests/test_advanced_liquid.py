@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from cluster_oracles import owned_bits
 from liquidsim import advanced_liquid as adv
-from liquidsim import erasure, rng
+from liquidsim import erasure, rng, sim_engine
 from liquidsim.advanced_liquid import (
     AdvancedPoissonRepairer, advanced_fail_node, advanced_repair_step,
     advanced_schedule, advanced_store, assert_advanced_invariant, census,
     check_advanced_sync, generate_helpers, move_helpers, node_used_bits,
     recoverable_census, r_for_target_overhead, update_helpers)
+from liquidsim.bounds import EpsilonSet, SystemParams
 from liquidsim.errors import (ConfigError, DecodeError, InvariantViolation,
                               MissingFragmentError)
-from liquidsim.liquid import RepairCounter
 
 
 def byte_cluster(N=8, r=2, seed=11, variant="periodic", eps=0.0):
@@ -129,7 +129,7 @@ class TestStore:
                                           (12, 4, 16)])
     def test_store_matches_one_object_at_a_time(self, N, r, flen):
         # the payload draw and the one product that encodes every object
-        # against payload_rng.bytes and decode_encode per object
+        # against payload_rng.bytes and encode_rows per object
         state, layout, rotation = byte_cluster(N=N, r=r) if flen == 8 else \
             advanced_store(N, (r * N + r * (r + 1) // 2) * flen, r,
                            backend="byte",
@@ -142,8 +142,8 @@ class TestStore:
                 assert layout.code[g, p, :k].tobytes() == src.tobytes()
                 frags = np.zeros((N + r, fb), np.uint8)
                 frags[:k] = layout.code[g, p, :k]
-                frags[k:] = erasure.decode_encode(
-                    frags, range(k), range(k, N + r), layout.codec)
+                frags[k:] = erasure.encode_rows(frags, range(k, N + r),
+                                                layout.codec)
                 assert np.array_equal(layout.code[g, p], frags)
                 frags[N + p + 1:] = 0       # helpers past its position
                 assert np.array_equal(layout.frags[g, p], frags)
@@ -208,16 +208,15 @@ class TestEfiRotation:
         rotation = adv.EfiRotation([3, 0, 4, 1, 2], [7, 5, 6])
         rotation.begin_step(2)
         post = rotation.new_helper_efis()
-        assert post == [5, 6, 4]
-        assert all(type(e) is int for e in post)    # decode-matrix cache keys
+        assert post.tolist() == [5, 6, 4] and post.dtype == np.int64
         assert rotation.new_helper_efis() is post   # built once per step
         rotation.commit_step()
         assert rotation.pendingNode is None
         assert rotation.primaryEfis.tolist() == [3, 0, 7, 1, 2]
-        assert rotation.helperEfis.tolist() == post
+        assert rotation.helperEfis.tolist() == post.tolist()
         rotation.assert_distinct()
         rotation.begin_step(0)
-        assert rotation.new_helper_efis() == [6, 4, 3]
+        assert rotation.new_helper_efis().tolist() == [6, 4, 3]
         rotation.commit_step()
         assert rotation.labels.tolist() == [5, 0, 7, 1, 2, 6, 4, 3]
 
@@ -922,7 +921,8 @@ def rebuild_one_at_a_time(layout, rotation, groups, phys, srcs, labels,
             raise InvariantViolation(
                 f"primary map out of sync at node {srcs[stray.argmax()]}")
         obj = layout.frags[g, p].copy()
-        helpers = erasure.decode_encode(obj, read, labels[:w], layout.codec)
+        erasure.decode_in_place(obj, read, layout.codec)
+        helpers = erasure.encode_rows(obj, labels[:w], layout.codec)
         if not np.array_equal(obj[:layout.k], layout.code[g, p, :layout.k]):
             raise InvariantViolation(f"decode mismatch for object ({g},{p})")
         layout.frags[g, p, labels[:w]] = helpers
@@ -957,8 +957,9 @@ def rebuild_cases(draw):
 class TestBatchedRebuild:
     """_rebuild_helpers decodes objects read at the same labels in one
     product and copies their helpers from the stored codewords; decoding
-    and re-encoding each object with decode_encode must write the same
-    bytes and owners, and raise the same error after the same writes."""
+    and re-encoding each object with decode_in_place and encode_rows must
+    write the same bytes and owners, and raise the same error after the
+    same writes."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(rebuild_cases())
@@ -992,22 +993,39 @@ class TestBatchedRebuild:
         assert np.array_equal(bl.frags, sl.frags)
         assert np.array_equal(bl.owner, sl.owner)
 
-    def test_rebuilds_build_no_re_encode_matrix(self):
-        # a rebuild decodes only: every decode matrix of the steps on a
-        # periodic and a Poisson store is the source rows' alone
-        for variant, eps in (("periodic", 0.0), ("poisson", 0.3)):
-            state, layout, rotation = byte_cluster(N=8, r=2, variant=variant,
-                                                   eps=eps)
-            with mock.patch.object(erasure, "_decode_matrix",
-                                   wraps=erasure._decode_matrix) as solve:
-                for t, node in ((1.0, 5), (2.0, 2)):
-                    advanced_fail_node(state, layout, t, node)
-                    advanced_repair_step(state, layout, rotation, node,
-                                         t0=t, t1=t + 0.5)
-            assert solve.call_count
-            assert {call.args[4] for call in solve.call_args_list} == {()}
-            check_advanced_sync(state, layout, rotation)
-            decode_all_from_primaries(state, layout, rotation)
+    def test_repair_steps_never_encode(self, monkeypatch):
+        # the advanced-poisson-byte benchmark's trial: N = 40, r = 8,
+        # eps = 0.9, 32-byte fragments, 18 failures; after the store build
+        # every rebuild decodes and copies its helpers from the codewords
+        N, r, eps, flen = 40, 8, 0.9, 256
+        clen = flen * (r * N + r * (r + 1) // 2)
+        cap = int(eps / 2 * N) + 1
+        sc = sim_engine.Scenario(
+            sysParams=SystemParams(N=N, clen=clen, xlen=(N - cap) * clen,
+                                   lam=1.0 / N),
+            repairer="advancedLiquid", variant="poisson", codecBackend="byte",
+            eps=EpsilonSet(0.1, 0.1, eps), advancedR=r, failureCount=18,
+            seed=5)
+        calls = {"decode_in_place": 0, "encode_rows": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(erasure, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(erasure, name, counted)
+        store, built = adv.advanced_store, []
+
+        def store_then_count(*args, **kwargs):
+            out = store(*args, **kwargs)
+            built.append(calls["encode_rows"])
+            calls["encode_rows"] = 0
+            return out
+
+        monkeypatch.setattr(adv, "advanced_store", store_then_count)
+        res = sim_engine.run_trial(sc, 0)
+        assert res.recoverableThroughout
+        assert built == [1]             # the store's one stacked product
+        assert calls["decode_in_place"] > 18
+        assert calls["encode_rows"] == 0
 
 
 def clear_row_by_mask(layout, node):
@@ -1052,8 +1070,7 @@ def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0):
     divisor = r * N + r * (r + 1) // 2
     state, layout, rotation = advanced_store(N, divisor, r, variant="poisson",
                                              eps=eps, backend="symbolic")
-    sched = advanced_schedule(RepairCounter.at_cap(layout.counterCap),
-                              "poisson", lam, N, layout.beta, eps,
+    sched = advanced_schedule(layout.counterCap, lam, N, layout.beta, eps,
                               clen=layout.clen)
     rep = AdvancedPoissonRepairer(state, layout, rotation, sched)
     state.begin_phase("repair")
@@ -1062,8 +1079,7 @@ def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0):
 
 class TestSchedule:
     def test_rate_coefficients(self):
-        c = RepairCounter.at_cap(3)
-        s = advanced_schedule(c, "poisson", 0.01, 100, 0.1, 0.02, clen=1000)
+        s = advanced_schedule(3, 0.01, 100, 0.1, 0.02, clen=1000)
         lamN = 0.01 * 100
         base = 0.9 / 0.99 * lamN * 1000
         assert s.rateTheorem == pytest.approx(base * (1 + 1 / 0.18))
@@ -1071,31 +1087,25 @@ class TestSchedule:
         assert round(s.rateTheorem / (lamN * 1000), 2) == 5.96
 
     def test_zero_eps_gives_matched_step_time(self):
-        c = RepairCounter.at_cap(1)
-        s = advanced_schedule(c, "poisson", 0.5, 10, 0.2, 0.0, clen=100)
+        s = advanced_schedule(1, 0.5, 10, 0.2, 0.0, clen=100)
         assert s.moveUpdateTimeBound == pytest.approx(1.0 / (0.5 * 10))
         assert s.genTimeBound == pytest.approx(1.0 / 5.0 * 0.4 / 1.4)
 
     def test_steps_time_bound(self):
-        c = RepairCounter.at_cap(4)
-        s = advanced_schedule(c, "poisson", 0.1, 20, 0.25, 0.1, clen=60)
+        s = advanced_schedule(4, 0.1, 20, 0.25, 0.1, clen=60)
         m = 9
         want = (1 - 0.05) / 2.0 * (m - 4 / 1.5)
         assert s.steps_time_bound(m) == pytest.approx(want)
 
     def test_delta_formula(self):
-        c = RepairCounter.at_cap(2)
         eps, beta, N = 0.1, 0.1, 1000
-        s = advanced_schedule(c, "poisson", 0.001, N, beta, eps, clen=10)
+        s = advanced_schedule(2, 0.001, N, beta, eps, clen=10)
         want = math.exp(-eps ** 2 * (1 - eps / 2) * beta * N / (4 * (2 * beta + 1)))
         assert s.deltaTheorem == pytest.approx(want)
 
-    def test_rejects_periodic_and_thin_overhead(self):
-        c = RepairCounter.at_cap(1)
+    def test_rejects_thin_overhead(self):
         with pytest.raises(ConfigError):
-            advanced_schedule(c, "periodic", 0.1, 10, 0.2, 0.0, clen=10)
-        with pytest.raises(ConfigError):
-            advanced_schedule(c, "poisson", 0.1, 10, 0.05, 0.2, clen=10)
+            advanced_schedule(1, 0.1, 10, 0.05, 0.2, clen=10)
 
 
 class TestPoissonProtocol:
@@ -1249,9 +1259,8 @@ class TestPoissonProtocol:
         for coalesce in (True, False):
             state, layout, rotation = byte_cluster(N=8, r=2, variant="poisson",
                                                    eps=0.3)
-            sched = advanced_schedule(RepairCounter.at_cap(layout.counterCap),
-                                      "poisson", 1.0 / 8, 8, layout.beta, 0.3,
-                                      clen=layout.clen)
+            sched = advanced_schedule(layout.counterCap, 1.0 / 8, 8,
+                                      layout.beta, 0.3, clen=layout.clen)
             rep = AdvancedPoissonRepairer(state, layout, rotation, sched)
             state.begin_phase("repair")
             rep.on_failure(1.0, 5)
@@ -1277,9 +1286,8 @@ class TestPoissonProtocol:
         N, r, eps = 8, 2, 0.3
         state, layout, rotation = byte_cluster(N=N, r=r, variant="poisson",
                                                eps=eps)
-        sched = advanced_schedule(RepairCounter.at_cap(layout.counterCap),
-                                  "poisson", 1.0 / N, N, layout.beta, eps,
-                                  clen=layout.clen)
+        sched = advanced_schedule(layout.counterCap, 1.0 / N, N, layout.beta,
+                                  eps, clen=layout.clen)
         rep = AdvancedPoissonRepairer(state, layout, rotation, sched)
         state.begin_phase("repair")
         for t, victim in ((1.0, 3), (30.0, 6)):

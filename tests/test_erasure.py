@@ -89,16 +89,11 @@ def inv_matrix(A: np.ndarray) -> np.ndarray:
 
 
 def _as_array(fragments, params):
-    """{efi: payload} as the (n, flen_bytes) array decode_encode reads."""
+    """{efi: payload} as the (n, flen_bytes) array decode_in_place reads."""
     out = np.zeros((params.n, params.flen_bytes), dtype=np.uint8)
     for e, payload in fragments.items():
         out[e] = np.frombuffer(payload, np.uint8)
     return out
-
-
-def _clear_matrix_caches():
-    erasure._decode_matrix.cache_clear()
-    erasure._source_rows.cache_clear()
 
 
 def _gather_decode(frags, read, efis, params):
@@ -147,9 +142,9 @@ def in_place_cases(draw):
 
 
 def _check_in_place(case):
-    """decode_encode on a stack whose unread rows hold garbage: the source
-    rows come back as the object, the other rows untouched, and the
-    fragments as the gather oracle's."""
+    """decode_in_place, then encode_rows, on a stack whose unread rows
+    hold garbage: the source rows come back as the object, the other rows
+    untouched, and the fragments as the gather oracle's."""
     p, G, read, efis, seed = case
     g = rng.stream(seed)
     objs = g.integers(0, 256, (G or 1, p.k, p.flen_bytes), dtype=np.uint8)
@@ -159,7 +154,8 @@ def _check_in_place(case):
     code[:, unread] = g.integers(0, 256, (len(objs), len(unread), p.flen_bytes),
                                  dtype=np.uint8)
     frags = code.copy() if G else code[0].copy()
-    out = erasure.decode_encode(frags, read, efis, p)
+    erasure.decode_in_place(frags, read, p)
+    out = erasure.encode_rows(frags, efis, p)
     if G is None:
         frags, out = frags[None], out[None]
     assert out.shape == (len(objs), len(efis), p.flen_bytes)
@@ -368,7 +364,7 @@ class TestByteCodec:
 
 
 @st.composite
-def fused_cases(draw):
+def round_trip_cases(draw):
     """(params, object, k-subset of EFIs, EFIs to re-encode), source and
     parity EFIs mixed."""
     n = draw(st.integers(1, 64))
@@ -382,8 +378,9 @@ def fused_cases(draw):
 
 
 class TestFusedDecode:
-    """decode_encode against encode(oracle decode): the cached matrices
-    and the one product must give the uncached gather decode's bytes."""
+    """decode_in_place, then encode_rows, against encode(oracle decode):
+    the cached matrix and the products must give the uncached gather
+    decode's bytes."""
 
     @staticmethod
     def check(case):
@@ -393,7 +390,8 @@ class TestFusedDecode:
         want = _gather_decode(given, subset, (), p)[0].tobytes()
         assert want == obj
         before = given.copy()
-        frags = erasure.decode_encode(given, subset, efis, p)
+        erasure.decode_in_place(given, subset, p)
+        frags = erasure.encode_rows(given, efis, p)
         # decoded in place: the source rows hold the object, parity is as given
         assert given[: p.k].tobytes() == want
         assert np.array_equal(given[p.k:], before[p.k:])
@@ -403,20 +401,20 @@ class TestFusedDecode:
         assert erasure.decode(given_frags, p) == want
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(fused_cases())
+    @given(round_trip_cases())
     def test_matches_oracle(self, case):
         self.check(case)
 
     @settings(max_examples=40, deadline=None, database=None)
-    @given(fused_cases())
+    @given(round_trip_cases())
     def test_matches_oracle_on_numpy_kernel(self, case):
         with mock.patch.object(gf256, "_lib", None), \
                 mock.patch.object(gf256, "KERNEL", "numpy"):
-            _clear_matrix_caches()      # build the matrices on numpy too
+            erasure._source_rows.cache_clear()  # solve on numpy too
             try:
                 self.check(case)
             finally:
-                _clear_matrix_caches()
+                erasure._source_rows.cache_clear()
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(in_place_cases())
@@ -424,9 +422,9 @@ class TestFusedDecode:
         _check_in_place(case)
 
     @settings(max_examples=100, deadline=None, database=None)
-    @given(fused_cases(), st.integers(1, 5))
+    @given(round_trip_cases(), st.integers(1, 5))
     def test_stack_matches_one_object_at_a_time(self, case, G):
-        # G objects read at the same EFIs share the matrix and the product
+        # G objects read at the same EFIs share the matrix and each product
         p, obj, subset, efis = case
         rows = np.frombuffer(obj, np.uint8).reshape(p.k, p.flen_bytes)
         stack = np.stack([_as_array(erasure.encode((rows ^ g).tobytes(),
@@ -434,41 +432,44 @@ class TestFusedDecode:
                           for g in range(G)])
         stack[:, np.setdiff1d(range(p.n), subset)] = 0     # erased
         before = stack.copy()
-        frags = erasure.decode_encode(stack, subset, efis, p)
+        erasure.decode_in_place(stack, subset, p)
+        frags = erasure.encode_rows(stack, efis, p)
         assert frags.shape == (G, len(efis), p.flen_bytes)
         for g in range(G):
             one = before[g].copy()
-            assert np.array_equal(frags[g],
-                                  erasure.decode_encode(one, subset, efis, p))
+            erasure.decode_in_place(one, subset, p)
+            assert np.array_equal(frags[g], erasure.encode_rows(one, efis, p))
             assert np.array_equal(stack[g], one)
             assert np.array_equal(stack[g, : p.k], rows ^ g)
 
     def test_cached_matrix_is_read_only(self):
-        for efis in ((), (1, 9)):
-            missing, M = erasure._decode_matrix(10, 6, (0, 2, 3), (7, 8, 9),
-                                                efis)
-            assert missing == (1, 4, 5)
-            # a column per fragment row up to the highest read, zero where
-            # the row is not read
-            assert M.shape == (3 + len(efis), 10)
-            assert not M[:, [1, 4, 5, 6]].any()
+        missing, M = erasure._source_rows(10, 6, (0, 2, 3), (7, 8, 9))
+        assert missing == (1, 4, 5)
+        # a column per fragment row up to the highest read, zero where the
+        # row is not read
+        assert M.shape == (3, 10)
+        assert not M[:, [1, 4, 5, 6]].any()
+        # the generator rows encode_rows takes are read-only as well
+        for cached in (M, erasure._generator(10, 6)):
             with pytest.raises(ValueError):
-                M[0] ^= 1
-        missing, M = erasure._decode_matrix(10, 6, (0, 1, 3, 4, 5), (7,), ())
+                cached[0] ^= 1
+        missing, M = erasure._source_rows(10, 6, (0, 1, 3, 4, 5), (7,))
         assert missing == (2,) and M.shape == (1, 8)
 
     def test_efis_validated(self):
         p = erasure.make_codec(6, 4, 32, backend="byte")
         frags = _as_array(erasure.encode(bytes(16), range(6), p), p)
+        erasure.decode_in_place(frags, (0, 1, 4, 5), p)
         for bad in (6, -1):
             with pytest.raises(ConfigError):
-                erasure.decode_encode(frags, (0, 1, 4, 5), [bad], p)
+                erasure.encode_rows(frags, [bad], p)
 
     def test_symbolic(self):
         p = erasure.make_codec(6, 4, 32, backend="symbolic")
-        assert erasure.decode_encode(None, range(4), [5], p) is None
+        assert erasure.decode_in_place(None, range(4), p) is None
+        assert erasure.encode_rows(None, [5], p) is None
         with pytest.raises(DecodeError):
-            erasure.decode_encode(None, range(3), [5], p)
+            erasure.decode_in_place(None, range(3), p)
 
 
 class TestMatrixCache:
@@ -485,23 +486,23 @@ class TestMatrixCache:
             eps=EpsilonSet(0.1, 0.1, eps), advancedR=r, failureCount=18,
             seed=5)
         solves, keys, decodes = [], set(), [0]
-        inv, fused = erasure._cauchy_inverse, erasure.decode_encode
+        inv, decode = erasure._cauchy_inverse, erasure.decode_in_place
 
         def counted_inv(x, y):
             solves.append(len(x))
             return inv(x, y)
 
-        def keyed(frags, read, efis, params):
+        def keyed(frags, read, params):
             used = sorted(read)[: params.k]
             if used[-1] >= params.k:        # decodes that need parity,
                 # one per object of a stack
                 decodes[0] += len(frags) if frags.ndim == 3 else 1
                 keys.add(tuple(used))
-            return fused(frags, read, efis, params)
+            return decode(frags, read, params)
 
         monkeypatch.setattr(erasure, "_cauchy_inverse", counted_inv)
-        monkeypatch.setattr(erasure, "decode_encode", keyed)
-        _clear_matrix_caches()
+        monkeypatch.setattr(erasure, "decode_in_place", keyed)
+        erasure._source_rows.cache_clear()
         res = sim_engine.run_trial(sc, 0)
         assert res.recoverableThroughout
         assert 0 < len(solves) <= len(keys)
@@ -512,15 +513,15 @@ class TestMatrixCache:
         p = erasure.make_codec(n, k, 16, backend="byte")
         obj = bytes(range(k * 2))
         frags = _as_array(erasure.encode(obj, range(n), p), p)
-        _clear_matrix_caches()
+        erasure._source_rows.cache_clear()
         subsets = list(combinations(range(n), k))
         assert len(subsets) > erasure.MATRIX_CACHE_SIZE
         for subset in subsets:
             one = frags.copy()
-            erasure.decode_encode(one, subset, [n - 1], p)
+            erasure.decode_in_place(one, subset, p)
             assert one[:k].tobytes() == obj
-        for cache in (erasure._decode_matrix, erasure._source_rows):
-            assert cache.cache_info().currsize == erasure.MATRIX_CACHE_SIZE
+        info = erasure._source_rows.cache_info()
+        assert info.currsize == erasure.MATRIX_CACHE_SIZE
 
 
 class TestClosedFormSolve:
@@ -621,11 +622,11 @@ class TestKernelIndependence:
         results = {}
         for kernel, route in self.routes().items():
             monkeypatch.setattr(gf256, "matmul", route)
-            _clear_matrix_caches()          # the decode matrices on this kernel too
+            erasure._source_rows.cache_clear()  # solve on this kernel too
             try:
                 results[kernel] = sim_engine.run_trial(sc, 0)
             finally:
-                _clear_matrix_caches()
+                erasure._source_rows.cache_clear()
         if HAVE_CC:
             assert {"numpy", "scalar"} <= set(results)
         assert results["numpy"].recoverableThroughout
@@ -646,9 +647,9 @@ class TestKernelIndependence:
     @given(case=in_place_cases())
     def test_in_place_decode_on_every_kernel(self, kernel, case):
         route = self.routes()[kernel]
-        _clear_matrix_caches()          # the decode matrices on this kernel too
+        erasure._source_rows.cache_clear()  # solve on this kernel too
         try:
             with mock.patch.object(gf256, "matmul", route):
                 _check_in_place(case)
         finally:
-            _clear_matrix_caches()
+            erasure._source_rows.cache_clear()

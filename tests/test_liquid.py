@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_oracles import check_liquid_payloads, decodes
-from liquidsim import liquid, rng, sim_engine
+from liquidsim import erasure, liquid, rng, sim_engine
 from liquidsim.advanced_liquid import advanced_store
 from liquidsim.bounds import EpsilonSet, SystemParams
 from liquidsim.errors import ConfigError, DecodeError, InvariantViolation
@@ -211,6 +211,23 @@ class TestRepairStep:
         with pytest.raises(InvariantViolation,
                            match=f"object {obj} codeword drift"):
             liquid_repair_step(state, lay, t0=100.0, t1=100.5)
+
+    def test_only_every_hundredth_step_encodes(self, monkeypatch):
+        # after the store build only the parity check of steps 0, 100 and
+        # 200 encodes; every step decodes
+        state, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
+        encodes, encode_rows = [], erasure.encode_rows
+
+        def counted(*args):
+            encodes.append(lay.stepsDone)
+            return encode_rows(*args)
+
+        monkeypatch.setattr(erasure, "encode_rows", counted)
+        for step in range(250):
+            liquid_fail_node(state, lay, step, step % 10)
+            liquid_repair_step(state, lay, t0=step, t1=step + 0.5)
+        check_liquid_payloads(lay)
+        assert encodes == [0, 100, 200]
 
     def test_byte_needs_payload_rng(self):
         with pytest.raises(ConfigError):
