@@ -83,7 +83,10 @@ def _reject_unknown(cp: configparser.ConfigParser, lines: dict,
 
 def load_scenario(path) -> tuple:
     """Parse and validate a scenario file; returns (Scenario, OutputSpec)."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})") from None
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.read_string(text, source=str(path))
     lines = _key_lines(text)
@@ -139,9 +142,18 @@ def load_scenario(path) -> tuple:
     assert_every = typed(cp.getint, "run", "assert_every", fallback=1)
     fault = typed(cp.getboolean, "run", "fault_injection", fallback=False)
 
+    def file_name(key, default):
+        # checked here, so a name that cannot be written fails before a trial
+        name = cp.get("output", key, fallback=default)
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ConfigError(f"{path}:{lines.get(('output', key), '?')}: "
+                              f"'{key}' in [output] must be a plain file "
+                              f"name, got {name!r}")
+        return name
+
     out = OutputSpec(
-        csv=cp.get("output", "csv", fallback="results.csv"),
-        summary=cp.get("output", "summary", fallback="summary.jsonl"),
+        csv=file_name("csv", "results.csv"),
+        summary=file_name("summary", "summary.jsonl"),
         trace=typed(cp.getboolean, "output", "trace", fallback=False))
 
     scenario = Scenario(sysParams=sp, repairer=kind, variant=variant,

@@ -15,14 +15,16 @@ replication.  Any k rows are linearly independent, so the code is MDS.
 
 A byte decode multiplies an object's fragments by one coefficient matrix,
 built once per EFI set and kept read-only in a bounded LRU cache
-(MATRIX_CACHE_SIZE entries): a repair chain decodes many objects from the
-same EFI set, so the matrix is solved once per set, in closed form, as the
-parity rows are Cauchy rows.  decode_in_place works on an object's
-fragments as one (n, flen_bytes) uint8 array indexed by EFI, the form the
-repairers hold them in.  The matrix's columns lie on that array's rows,
-zero for the rows not read and trimmed at the highest row read, so the
-product reads the fragments where they lie, and the decoded source chunks
-are written into the caller's array, in the rows they belong in.
+(MATRIX_CACHE_SIZE entries) keyed on the bytes of the k lowest EFIs read,
+sorted as an int64 array: a repair chain decodes many objects from the
+same EFI set, so the matrix is built once per set.  The parity rows are
+Cauchy rows, so one closed form gives every column read.  A read set
+holding every source row needs no matrix.  decode_in_place works on an
+object's fragments as one (n, flen_bytes) uint8 array indexed by EFI, the
+form the repairers hold them in.  The matrix's columns lie on that array's
+rows, zero for the rows not read and trimmed at the highest row read, so
+the product reads the fragments where they lie, and the decoded source
+chunks are written into the caller's array, in the rows they belong in.
 encode_rows multiplies generator rows by an object's k source rows.  Both
 take a stack of objects too, which then share one product.  The repair
 steps only decode: they copy rebuilt fragments from the codewords the
@@ -33,7 +35,6 @@ decode and encode take and give {efi: payload} dicts of bytes.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 
@@ -110,12 +111,12 @@ def encode(object_data, efis, params: CodecParams):
     return {e: row.tobytes() for e, row in zip(efis, rows)}
 
 
-def _first_k(read, k: int) -> list:
-    """The k lowest EFIs of read, the ones a decode uses."""
-    labels = sorted(map(int, read))
+def _labels(read, k: int) -> np.ndarray:
+    """read's EFIs as a sorted int64 array; a decode uses the k lowest."""
+    labels = np.sort(np.asarray(read, dtype=np.int64))
     if len(labels) < k:
         raise DecodeError(f"need {k} fragments, have {len(labels)}")
-    return labels[:k]
+    return labels
 
 
 def decode(fragments, params: CodecParams):
@@ -124,12 +125,12 @@ def decode(fragments, params: CodecParams):
     fragments is {efi: payload}.  Raises DecodeError when fewer than k are
     given.  Symbolic backend returns None on success.
     """
-    labels = _first_k(fragments, params.k)
+    labels = _labels(list(fragments), params.k)[: params.k]
     if params.backend == "symbolic":
         return None
     fb = params.flen_bytes
     frags = np.zeros((params.n, fb), dtype=np.uint8)
-    for e in labels:
+    for e in labels.tolist():
         if len(fragments[e]) != fb:
             raise DecodeError(f"fragment {e} has wrong length")
         frags[e] = np.frombuffer(fragments[e], np.uint8)
@@ -159,16 +160,14 @@ def decode_in_place(frags, read, params: CodecParams) -> None:
     object afterwards.  Symbolic backend: frags is unused.
     """
     k = params.k
-    labels = _first_k(read, k)
-    if params.backend == "symbolic":
-        return
+    labels = _labels(read, k)
     # systematic preference: source rows are used as they are, and the
-    # first parity rows stand in for the missing source chunks
-    split = bisect.bisect_left(labels, k)
-    missing, C = _source_rows(params.n, k, tuple(labels[:split]),
-                              tuple(labels[split:]))
-    if missing:
-        frags[..., list(missing), :] = _product(C, frags)
+    # first parity rows stand in for the missing source chunks, so a read
+    # of every source row leaves nothing to decode
+    if params.backend == "symbolic" or labels[k - 1] < k:
+        return
+    missing, C = _source_rows(k, labels[:k].tobytes())
+    frags[..., missing, :] = _product(C, frags)
 
 
 def encode_rows(frags, efis, params: CodecParams):
@@ -184,38 +183,38 @@ def encode_rows(frags, efis, params: CodecParams):
     return _product(_generator(params.n, params.k)[efis], frags)
 
 
-def _cauchy_inverse(x: list, y: list) -> np.ndarray:
-    """Inverse of the generator block G[x][:, y], parity rows x and source
-    columns y, in closed form: G[e, j] = e / (e ^ j) on parity rows, so the
-    block is diag(x) times the Cauchy matrix 1 / (x_a ^ y_b), whose inverse
-    in characteristic 2 has Px[a] Py[b] / ((x_a ^ y_b) Qx[a] Qy[b]) at
-    [b, a] (Blömer et al., ICSI TR-95-048): Px[a] = prod_c (x_a ^ y_c),
-    Py[b] = prod_c (x_c ^ y_b), Qx and Qy the products of x_a ^ x_c and
-    y_b ^ y_c over c != a, b.  Products are sums of logs; LOG[0] is 0, so
-    the diagonals add nothing to Qx and Qy, and x >= k > y keeps every
-    x_a ^ y_b nonzero.
-    """
-    x, y, LOG = np.asarray(x), np.asarray(y), gf256.LOG
-    L = LOG[x[:, None] ^ y]
-    lx = L.sum(axis=1) - LOG[x[:, None] ^ x].sum(axis=1) - LOG[x]
-    ly = L.sum(axis=0) - LOG[y[:, None] ^ y].sum(axis=0)
-    return gf256.EXP[(lx + ly[:, None] - L.T) % 255]
-
-
 @functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
-def _source_rows(n: int, k: int, have: tuple, par: tuple) -> tuple:
-    """(missing, C): the source chunks not in have, whose rows par's parity
-    rows stand in for, and C (len(missing), highest row read + 1),
-    read-only, which takes the fragment rows to them.  The columns of the
-    rows not read are zero."""
-    missing = sorted(set(range(k)).difference(have))
-    C = np.zeros((len(missing), max(have + par) + 1), dtype=np.uint8)
-    if par:
-        # parity rows P = Gm X_missing ^ Gk X_have, so X_missing =
-        # Gm^-1 P ^ Gm^-1 Gk X_have; the missing rows are not read
-        Minv = _cauchy_inverse(par, missing)
-        C[:, :k] = gf256.matmul(Minv, _generator(n, k)[list(par)])
-        C[:, missing] = 0
-        C[:, list(par)] = Minv
+def _source_rows(k: int, key: bytes) -> tuple:
+    """(missing, C) for the k sorted int64 EFIs whose bytes are key: the
+    source rows not read, and C (len(missing), highest row read + 1),
+    which takes the fragment rows to them.  Both are read-only; the
+    columns of the rows not read are zero.  Neither depends on n.
+
+    The parity rows x read stand in for the missing rows y.  G[e, j] =
+    e / (e ^ j) on parity rows, so the parity block is diag(x) times the
+    Cauchy matrix 1 / (x_a ^ y_b), and rational interpolation through x
+    and y solves the whole matrix in closed form (Blomer et al., ICSI
+    TR-95-048; in characteristic 2 the signs vanish): with D(j) =
+    prod_c (j ^ y_c) / prod_a (j ^ x_a), C[b, j] = D(j) / (D(y_b) (y_b ^ j))
+    on the source rows read, further divided by j on the parity rows.
+    Products are sums of logs; LOG[0] is 0, so the zero factors y_b ^ y_b
+    and x_a ^ x_a drop out of D(y_b) and D(x_a), and no row read is in y,
+    so y_b ^ j is nonzero.
+    """
+    labels, LOG = np.frombuffer(key, np.int64), gf256.LOG
+    split = int(np.searchsorted(labels, k))
+    x = labels[split:]
+    read = np.zeros(k, dtype=bool)
+    read[labels[:split]] = True
+    y = np.flatnonzero(~read)
+    m = len(y)
+    # log D(j) for j the rows read, then y: L's first m columns hold the
+    # logs of j ^ y_c, the others those of j ^ x_a
+    L = LOG[np.concatenate((labels, y))[:, None] ^ np.concatenate((y, x))]
+    logD = L[:, :m].sum(axis=1) - L[:, m:].sum(axis=1)
+    logD[split:k] -= LOG[x]
+    C = np.zeros((m, labels[-1] + 1), dtype=np.uint8)
+    C[:, labels] = gf256.EXP[(logD[:k] - logD[k:, None] - L[:k, :m].T) % 255]
+    y.setflags(write=False)
     C.setflags(write=False)
-    return tuple(missing), C
+    return y, C

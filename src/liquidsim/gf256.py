@@ -18,6 +18,10 @@ the build fails, matmul logs that once and runs _matmul_numpy, the
 reference every compiled kernel must match byte for byte.  KERNEL names the
 kernel matmul runs once it has resolved, and is logged at info level; the
 path of the object it was loaded from is logged at debug level.
+
+equal(a, b) is the byte-exact compare a repair step checks its decode
+with: one memcmp over both arrays, libc's as the loaded kernel resolves it,
+or np.array_equal exactly when matmul runs on numpy.
 """
 
 from __future__ import annotations
@@ -149,6 +153,8 @@ def _load():
     lib.gf_init.restype = None
     lib.gf_kernel.argtypes = []
     lib.gf_kernel.restype = ctypes.c_char_p
+    lib.memcmp.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t]
+    lib.memcmp.restype = ctypes.c_int   # libc's, which the kernel links
     lib.gf_init(MUL.ctypes.data)
     _lib = lib
     KERNEL = lib.gf_kernel().decode()
@@ -176,3 +182,17 @@ def matmul(G: np.ndarray, X: np.ndarray) -> np.ndarray:
         return _matmul_numpy(G, X)
     return _c_matmul(_lib.gf_matmul, G, X)
 
+
+def equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether arrays of one dtype are equal byte for byte, in one memcmp
+    over their contiguous bytes; np.array_equal where matmul runs on numpy."""
+    if KERNEL is None:
+        _load()
+    if _lib is None:
+        return np.array_equal(a, b)
+    if a.dtype != b.dtype:
+        raise ValueError(f"cannot compare {a.dtype} with {b.dtype} bytes")
+    if a.shape != b.shape:
+        return False
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return _lib.memcmp(a.ctypes.data, b.ctypes.data, a.nbytes) == 0

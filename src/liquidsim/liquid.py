@@ -18,9 +18,10 @@ held: code, the reference codeword of every object, whose first k rows are
 its source, and frags, what the nodes hold.  A failure zeroes the node's
 column of frags.  A step decodes in place: the product reads the object's
 rows of frags where they lie and writes its missing source rows there,
-then frags[:k] is compared with code[:k] and the missing parity rows are
-copied back from code.  The symbolic backend holds no payloads and only
-meters.
+then frags[:k] is compared with code[:k] byte for byte in one pass
+(gf256.equal) and the missing parity rows, usually none to two, are
+copied back from code row by row.  The symbolic backend holds no payloads
+and only meters.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import erasure
+from . import erasure, gf256
 from .cluster import ClusterState
 from .errors import ConfigError, DecodeError, InvariantViolation
 
@@ -190,16 +191,15 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
     if layout.code is not None:
         k, code, frags = layout.k, layout.code[obj], layout.frags[obj]
         erasure.decode_in_place(frags, efis, layout.codec)
-        words = np.uint32 if layout.codec.flen_bytes % 4 == 0 else np.uint8
-        if not np.array_equal(frags[:k].view(words), code[:k].view(words)):
+        if not gf256.equal(frags[:k], code[:k]):
             raise InvariantViolation(f"object {obj} decoded to wrong bytes")
         # every 100th step re-encodes the parity from the decoded source
-        if layout.stepsDone % 100 == 0 and not np.array_equal(
+        if layout.stepsDone % 100 == 0 and not gf256.equal(
                 erasure.encode_rows(frags, range(k, layout.codec.n),
                                     layout.codec), code[k:]):
             raise InvariantViolation(f"object {obj} codeword drift")
-        parity = missing[np.searchsorted(missing, k):]
-        frags[parity] = code[parity]
+        for e in missing[np.searchsorted(missing, k):]:
+            frags[e] = code[e]
     state.meter_write_bulk(missing, flen, t=t1)
     row[:] = True
     layout.stepsDone += 1

@@ -188,6 +188,34 @@ class TestCmdRun:
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "nope.ini")]) == 2
 
+    def test_non_utf8_scenario_exit_two(self, tmp_path, capsys):
+        f = tmp_path / "bin.ini"
+        f.write_bytes(b"\xff\xfe[system]\n")
+        assert main(["run", "--scenario", str(f), "--out",
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(f) in err
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize("key,name", [
+        ("csv", ""), ("csv", "sub/x.csv"), ("summary", ""),
+        ("summary", "sub/s.jsonl"), ("csv", "."), ("summary", ".."),
+        ("csv", "/abs.csv")],
+        ids=["empty_csv", "csv_in_dir", "empty_summary", "summary_in_dir",
+             "csv_dot", "summary_dotdot", "csv_absolute"])
+    def test_unusable_output_name_exit_two_before_trials(
+            self, tmp_path, capsys, monkeypatch, key, name):
+        def no_run(*a, **kw):
+            raise AssertionError("trials ran")
+        monkeypatch.setattr(sim_engine, "run_experiment", no_run)
+        f = scenario_file(tmp_path, set_key(LIQUID_PERIODIC, "output", key,
+                                            name))
+        assert main(["run", "--scenario", str(f), "--out",
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("old,new", [
         ("N = 10", "N = ten"),
         ("seed = 5", "seed = 5.5"),

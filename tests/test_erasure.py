@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import logging
 import os
@@ -86,6 +87,11 @@ def inv_matrix(A: np.ndarray) -> np.ndarray:
         f[col] = 0
         a ^= MUL[f[:, None], a[col]]
     return a[:, k:].copy()
+
+
+def _key(*labels):
+    """The _source_rows key of sorted EFIs."""
+    return np.array(labels, dtype=np.int64).tobytes()
 
 
 def _as_array(fragments, params):
@@ -255,6 +261,39 @@ class TestField:
                 assert np.array_equal(gf256.matmul(G, X), gf256._matmul_numpy(G, X))
         assert gf256.KERNEL == "numpy"
         assert sum("numpy kernel" in r.getMessage() for r in caplog.records) == 1
+
+    @pytest.mark.parametrize("kernel", [
+        pytest.param("compiled", marks=pytest.mark.skipif(
+            not HAVE_CC, reason="no C compiler 'cc' on PATH")),
+        "numpy"])
+    def test_equal_matches_array_equal(self, kernel):
+        # equal arrays, and one byte off at the first, the last and a random
+        # position, on the compiled compare and on its numpy fallback
+        gf256.matmul(np.ones((1, 1), np.uint8), np.ones((1, 1), np.uint8))
+        g = rng.stream(17)
+        with contextlib.ExitStack() as stack:
+            if kernel == "numpy":
+                stack.enter_context(mock.patch.object(gf256, "_lib", None))
+                stack.enter_context(mock.patch.object(gf256, "KERNEL", "numpy"))
+            else:
+                assert gf256._lib is not None
+            for n in (0, 1, 31, 4097):
+                a = g.integers(0, 256, n).astype(np.uint8)
+                assert gf256.equal(a, a.copy()) and np.array_equal(a, a.copy())
+                for i in (0, n - 1, int(g.integers(0, n))) if n else ():
+                    b = a.copy()
+                    b[i] ^= 1 << int(g.integers(0, 8))
+                    assert not gf256.equal(a, b) and not np.array_equal(a, b)
+            # the rows a repair step compares, a leading slice of a 2-d array
+            rows = g.integers(0, 256, (9, 12)).astype(np.uint8)
+            copy = rows.copy()
+            assert gf256.equal(rows[:8], copy[:8])
+            copy[7, 11] ^= 1
+            assert not gf256.equal(rows[:8], copy[:8])
+            assert not gf256.equal(rows[:8], rows[:7])
+        if kernel == "compiled":    # memcmp would read past the shorter array
+            with pytest.raises(ValueError):
+                gf256.equal(rows.view(np.uint32), rows.view(np.uint8)[:, :3])
 
     def test_solve_random_systems(self):
         g = rng.stream(3)
@@ -443,18 +482,18 @@ class TestFusedDecode:
             assert np.array_equal(stack[g, : p.k], rows ^ g)
 
     def test_cached_matrix_is_read_only(self):
-        missing, M = erasure._source_rows(10, 6, (0, 2, 3), (7, 8, 9))
-        assert missing == (1, 4, 5)
+        missing, M = erasure._source_rows(6, _key(0, 2, 3, 7, 8, 9))
+        assert missing.tolist() == [1, 4, 5]
         # a column per fragment row up to the highest read, zero where the
         # row is not read
         assert M.shape == (3, 10)
         assert not M[:, [1, 4, 5, 6]].any()
         # the generator rows encode_rows takes are read-only as well
-        for cached in (M, erasure._generator(10, 6)):
+        for cached in (missing, M, erasure._generator(10, 6)):
             with pytest.raises(ValueError):
                 cached[0] ^= 1
-        missing, M = erasure._source_rows(10, 6, (0, 1, 3, 4, 5), (7,))
-        assert missing == (2,) and M.shape == (1, 8)
+        missing, M = erasure._source_rows(6, _key(0, 1, 3, 4, 5, 7))
+        assert missing.tolist() == [2] and M.shape == (1, 8)
 
     def test_efis_validated(self):
         p = erasure.make_codec(6, 4, 32, backend="byte")
@@ -485,12 +524,8 @@ class TestMatrixCache:
             repairer="advancedLiquid", variant="poisson", codecBackend="byte",
             eps=EpsilonSet(0.1, 0.1, eps), advancedR=r, failureCount=18,
             seed=5)
-        solves, keys, decodes = [], set(), [0]
-        inv, decode = erasure._cauchy_inverse, erasure.decode_in_place
-
-        def counted_inv(x, y):
-            solves.append(len(x))
-            return inv(x, y)
+        keys, decodes = set(), [0]
+        decode = erasure.decode_in_place
 
         def keyed(frags, read, params):
             used = sorted(read)[: params.k]
@@ -500,13 +535,13 @@ class TestMatrixCache:
                 keys.add(tuple(used))
             return decode(frags, read, params)
 
-        monkeypatch.setattr(erasure, "_cauchy_inverse", counted_inv)
         monkeypatch.setattr(erasure, "decode_in_place", keyed)
         erasure._source_rows.cache_clear()
         res = sim_engine.run_trial(sc, 0)
+        solves = erasure._source_rows.cache_info().misses
         assert res.recoverableThroughout
-        assert 0 < len(solves) <= len(keys)
-        assert decodes[0] > 20 * len(solves)    # one solve each, uncached
+        assert 0 < solves <= len(keys)
+        assert decodes[0] > 20 * solves     # one solve each, uncached
 
     def test_cache_stays_bounded(self):
         n, k = 12, 4
@@ -526,22 +561,32 @@ class TestMatrixCache:
 
 class TestClosedFormSolve:
     def test_matches_gauss_jordan(self):
-        # G[par][:, missing] for parity rows par and source columns
-        # missing, at n up to 256, including the largest square blocks
+        # the whole matrix for source rows have and parity rows par read,
+        # at n up to 256, including the largest square blocks, m = 0 and
+        # k = 1: the inverse of G[par][:, missing] times G[par] on the
+        # source columns read, the inverse on the parity columns, zero on
+        # the columns not read
         g = rng.stream(13)
         sizes = [(2, 1), (256, 1), (256, 128), (256, 255), (255, 127),
-                 (20, 6)]
+                 (20, 6), (9, 1), (100, 1)]
         sizes += [(int(n), int(g.integers(1, n)))
                   for n in g.integers(2, 257, 30)]
         for n, k in sizes:
             gen = erasure._generator(n, k)
             top = min(k, n - k)
-            for m in (1, top, *g.integers(1, top + 1, 6)):
+            for m in (0, 1, top, *g.integers(1, top + 1, 6)):
                 par = sorted(g.choice(np.arange(k, n), m, replace=False).tolist())
                 missing = sorted(g.choice(k, m, replace=False).tolist())
-                assert np.array_equal(
-                    erasure._cauchy_inverse(par, missing),
-                    inv_matrix(gen[np.ix_(par, missing)])), (n, k, par, missing)
+                labels = sorted(set(range(k)).difference(missing)) + par
+                got_missing, C = erasure._source_rows(k, _key(*labels))
+                assert got_missing.tolist() == missing
+                want = np.zeros((m, labels[-1] + 1), dtype=np.uint8)
+                if m:
+                    Minv = inv_matrix(gen[np.ix_(par, missing)])
+                    want[:, :k] = gf256._matmul_numpy(Minv, gen[par])
+                    want[:, missing] = 0
+                    want[:, par] = Minv
+                assert np.array_equal(C, want), (n, k, par, missing)
 
 
 class TestSymbolicCodec:

@@ -175,8 +175,8 @@ class TestRepairStep:
                            match="object 0 codeword drift"):
             liquid_repair_step(state, lay, t0=0.0, t1=1.0)
 
-    # one flipped byte must fail the step, over both word views of the
-    # compare: 10-byte fragments (uint8) and 12-byte ones (uint32)
+    # one flipped byte must fail the step, at 10-byte fragments and at
+    # 12-byte ones, off and on a 4-byte word
     @pytest.mark.parametrize("clen", [160, 192])
     def test_flipped_byte_in_held_source_row_raises(self, clen):
         # a parity node fails, so no source row is decoded: only the
@@ -184,6 +184,16 @@ class TestRepairStep:
         state, lay = store_periodic(N=10, beta=0.2, clen=clen, backend="byte")
         liquid_fail_node(state, lay, 1.0, 8)
         lay.frags[0, 5, -1] ^= 0x80
+        with pytest.raises(InvariantViolation,
+                           match="object 0 decoded to wrong bytes"):
+            liquid_repair_step(state, lay, t0=1.0, t1=2.0)
+
+    @pytest.mark.parametrize("clen", [160, 192])
+    def test_flipped_last_byte_of_source_rows_raises(self, clen):
+        # the last byte the compare covers: byte flen_bytes - 1 of row k - 1
+        state, lay = store_periodic(N=10, beta=0.2, clen=clen, backend="byte")
+        liquid_fail_node(state, lay, 1.0, 8)
+        lay.frags[0, lay.k - 1, lay.codec.flen_bytes - 1] ^= 1
         with pytest.raises(InvariantViolation,
                            match="object 0 decoded to wrong bytes"):
             liquid_repair_step(state, lay, t0=1.0, t1=2.0)
