@@ -55,9 +55,9 @@ which changes at the run ends of other rows or when a row is cleared.  A
 chain keeps its last pick while neither happens, and the groups one pick
 serves commit as array ops on a range: a step is a few calls, not a loop
 over the N groups.  Their objects read the same labels, so on the byte
-backend one GF(256) product decodes them all, with the decode matrix of
-that label set alone, and the store build encodes every object's whole
-codeword in one product.
+backend one kernel call decodes them all and compares each with its
+codeword, with one solve of that label set's decode matrix, and the store
+build encodes every object's whole codeword in one matmul.
 The fault-injection hook drops the staircases of nodes 0 and 1, which
 fails the census but not recovery.
 """
@@ -366,34 +366,34 @@ def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
     """Decode objects (groups[i], phys[i]) from the primaries at srcs,
     compare each with its source and copy its fragments for the first
     width[i] of labels at its anchor from its codeword.  The objects read
-    the same labels, so one product decodes them all.  The first object
-    whose primaries' owner or decode is off raises, with the objects
-    before it written, as a rebuild one object at a time would.
+    the same labels, so one kernel call decodes and compares them all.
+    The first object whose primaries' owner or decode is off raises, with
+    the objects before it written, as a rebuild one object at a time would.
 
     Objects are flat rows group * r + phys of the (N * r, N + r) views and
     slots flat rows object * (N + r) + label of the payload views.
     """
-    n, fb, k = layout.codec.n, layout.codec.flen_bytes, layout.k
+    n, fb = layout.codec.n, layout.codec.flen_bytes
     rows = groups * layout.r + phys
     read = rotation.primaryEfis[srcs]
     owner = layout.owner.reshape(-1)
     stray = owner[rows[:, None] * n + read] != srcs
-    objs = layout.frags.reshape(-1, n, fb)[rows]    # a copy, decoded in place
-    erasure.decode_in_place(objs, read, layout.codec)
-    wrong = (objs[:, :k] != layout.code.reshape(-1, n, fb)[rows, :k]).any((1, 2))
-    bad = np.flatnonzero(stray.any(axis=1) | wrong)
-    done = bad[0] if bad.size else len(rows)
+    strays = stray.any(axis=1)
+    first = int(strays.argmax()) if strays.any() else len(rows)
+    objs = layout.frags.reshape(-1, n, fb)[rows[:first]]  # a copy
+    done = erasure.decode_in_place(
+        objs, read, layout.codec, layout.code.reshape(-1, n, fb), rows[:first])
     keep = np.arange(len(labels)) < width[:done, None]
     slots = (rows[:done, None] * n + labels)[keep]
     anchors = np.repeat(groups[:done], width[:done])
     layout.frags.reshape(-1, fb)[slots] = layout.code.reshape(-1, fb)[slots]
     owner[slots] = anchors
-    if bad.size and stray[done].any():
-        raise InvariantViolation(
-            f"primary map out of sync at node {srcs[stray[done].argmax()]}")
-    if bad.size:
+    if done < first:
         raise InvariantViolation(
             f"decode mismatch for object ({groups[done]},{phys[done]})")
+    if done < len(rows):
+        raise InvariantViolation(
+            f"primary map out of sync at node {srcs[stray[done].argmax()]}")
 
 
 def generate_helpers(state: ClusterState, layout: GroupLayout,

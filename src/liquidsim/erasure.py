@@ -13,24 +13,27 @@ source chunk e), and parity row e >= k has coefficients inv(e ^ j) scaled so
 the first column is 1; for k = 1 every fragment then equals the object, i.e.
 replication.  Any k rows are linearly independent, so the code is MDS.
 
-A byte decode multiplies an object's fragments by one coefficient matrix,
-built once per EFI set and kept read-only in a bounded LRU cache
-(MATRIX_CACHE_SIZE entries) keyed on the bytes of the k lowest EFIs read,
-sorted as an int64 array: a repair chain decodes many objects from the
-same EFI set, so the matrix is built once per set.  The parity rows are
-Cauchy rows, so one closed form gives every column read.  A read set
-holding every source row needs no matrix.  decode_in_place works on an
-object's fragments as one (n, flen_bytes) uint8 array indexed by EFI, the
-form the repairers hold them in.  The matrix's columns lie on that array's
-rows, zero for the rows not read and trimmed at the highest row read, so
-the product reads the fragments where they lie, and the decoded source
-chunks are written into the caller's array, in the rows they belong in.
-encode_rows multiplies generator rows by an object's k source rows.  Both
-take a stack of objects too, which then share one product.  The repair
-steps only decode: they copy rebuilt fragments from the codewords the
-repairers store.  Encodes build those codewords, and liquid's check of
-every 100th step re-encodes the parity to compare with its codeword.
-decode and encode take and give {efi: payload} dicts of bytes.
+A byte decode uses the k lowest EFIs read and works in place on an
+object's fragments as one C-contiguous (n, flen_bytes) uint8 array indexed
+by EFI, the form the repairers hold them in, or on a stack of objects read
+at the same EFIs.  The parity rows are Cauchy rows, so the (m, k) matrix
+taking the rows read to the m missing source rows has a closed form over
+the EFIs alone; a read set holding every source row needs no matrix.
+decode_in_place is one gf256.decode_check call: the kernel solves that
+matrix, multiplies it into the rows read where they lie, writes the
+decoded source chunks into the caller's array, in the rows they belong
+in, and, given the codewords, compares every object's source rows with
+its codeword's.  EFIs that repeat or lie outside [0, n) raise DecodeError
+before any product.  Without the C kernel, _source_rows solves the same
+matrix on numpy, kept read-only in a bounded LRU cache (MATRIX_CACHE_SIZE
+entries) keyed on the bytes of the sorted EFIs, and the numpy product and
+compare follow; that path is the oracle for the kernel's.  encode_rows
+multiplies generator rows by the k source rows of an object or of each
+object of a stack.  The repair steps only decode: they copy rebuilt
+fragments from the codewords the repairers store.  Encodes build those
+codewords, and liquid's check of every 100th step re-encodes the parity
+to compare with its codeword.  decode and encode take and give
+{efi: payload} dicts of bytes.
 """
 
 from __future__ import annotations
@@ -111,21 +114,27 @@ def encode(object_data, efis, params: CodecParams):
     return {e: row.tobytes() for e, row in zip(efis, rows)}
 
 
-def _labels(read, k: int) -> np.ndarray:
-    """read's EFIs as a sorted int64 array; a decode uses the k lowest."""
+def _labels(read, params: CodecParams) -> np.ndarray:
+    """The k lowest EFIs of read, a sorted int64 array.  Raises DecodeError
+    on fewer than k EFIs, or on one repeated or outside [0, n)."""
     labels = np.sort(np.asarray(read, dtype=np.int64))
-    if len(labels) < k:
-        raise DecodeError(f"need {k} fragments, have {len(labels)}")
-    return labels
+    if len(labels) < params.k:
+        raise DecodeError(f"need {params.k} fragments, have {len(labels)}")
+    if labels[0] < 0 or labels[-1] >= params.n:
+        raise DecodeError(f"EFIs {labels.tolist()} outside [0, {params.n})")
+    if (labels[1:] == labels[:-1]).any():
+        raise DecodeError(f"EFIs {labels.tolist()} repeat")
+    return labels[: params.k]
 
 
 def decode(fragments, params: CodecParams):
     """Object from any k distinct-EFI fragments.
 
     fragments is {efi: payload}.  Raises DecodeError when fewer than k are
-    given.  Symbolic backend returns None on success.
+    given or an EFI is outside [0, n).  Symbolic backend returns None on
+    success.
     """
-    labels = _labels(list(fragments), params.k)[: params.k]
+    labels = _labels(list(fragments), params)
     if params.backend == "symbolic":
         return None
     fb = params.flen_bytes
@@ -138,68 +147,68 @@ def decode(fragments, params: CodecParams):
     return frags[: params.k].tobytes()
 
 
-def _product(M: np.ndarray, frags) -> np.ndarray:
-    """M times the first M.shape[1] rows of frags, an object's
-    (rows, flen_bytes) array or a (G, rows, flen_bytes) stack, as a
-    (len(M), flen_bytes) array with the stack's G axis in front.  One
-    object's rows are a view; a stack's objects sit side by side in the
-    product's columns."""
-    cols = frags[..., : M.shape[1], :].swapaxes(0, -2)
-    return gf256.matmul(M, cols.reshape(M.shape[1], -1)).reshape(
-        (len(M),) + cols.shape[1:]).swapaxes(0, -2)
+def decode_in_place(frags, read, params: CodecParams, code=None, objs=None):
+    """Decode from the k lowest EFIs of read in place, and check the result.
 
-
-def decode_in_place(frags, read, params: CodecParams) -> None:
-    """Decode from the k lowest EFIs of read in place, with a cached matrix.
-
-    frags is the object's (n, flen_bytes) uint8 array indexed by EFI, or a
-    (G, n, flen_bytes) stack of G objects read at the same EFIs, which
-    share the matrix and so the product.  The product reads the rows where
-    they lie, up to the highest one read; the source rows that were not
-    read are written with the decoded chunks, so frags[..., :k, :] is the
-    object afterwards.  Symbolic backend: frags is unused.
+    frags is the object's C-contiguous (n, flen_bytes) uint8 array indexed
+    by EFI, or a (G, n, flen_bytes) stack of G objects read at the same
+    EFIs.  The product reads the rows where they lie; the source rows that
+    were not read are written with the decoded chunks, so frags[..., :k, :]
+    is the object afterwards.  With code, an object's (n, flen_bytes)
+    codeword or a stack of them, the source rows of object c are compared
+    with those of code[objs[c]] (code[c] where objs is None).  Returns the
+    first object that differs, decoded; the objects after it are not
+    decoded.  Returns the object count if none differs or code is None.
+    One C call does all of it (gf256.decode_check); without the C kernel
+    _source_rows and the numpy product do.  Symbolic backend: frags is
+    unused and None comes back.
     """
-    k = params.k
-    labels = _labels(read, k)
+    labels = _labels(read, params)
+    if params.backend == "symbolic":
+        return None
+    if gf256.compiled():
+        return gf256.decode_check(labels, frags, code, objs)
+    k, stack = params.k, frags if frags.ndim == 3 else frags[None]
+    refs = None if code is None else code.reshape(-1, *code.shape[-2:])
     # systematic preference: source rows are used as they are, and the
     # first parity rows stand in for the missing source chunks, so a read
     # of every source row leaves nothing to decode
-    if params.backend == "symbolic" or labels[k - 1] < k:
-        return
-    missing, C = _source_rows(k, labels[:k].tobytes())
-    frags[..., missing, :] = _product(C, frags)
+    key = labels.tobytes()
+    missing, C = _source_rows(k, key) if labels[-1] >= k else ((), None)
+    for c, obj in enumerate(stack):
+        if len(missing):
+            obj[missing] = gf256.matmul(C, obj[labels])
+        if refs is not None and not np.array_equal(
+                obj[:k], refs[c if objs is None else objs[c], :k]):
+            return c
+    return len(stack)
 
 
 def encode_rows(frags, efis, params: CodecParams):
     """The fragments of efis, the generator's rows for them times the
-    source rows frags[..., :k, :] of an object or a stack, as _product
-    shapes them.  Symbolic backend: frags is unused and None comes back."""
+    source rows frags[..., :k, :] of an object, (len(efis), flen_bytes), or
+    of each object of a stack, (G, len(efis), flen_bytes).  Symbolic
+    backend: frags is unused and None comes back."""
     efis = list(efis)
     for e in efis:
         if not 0 <= e < params.n:
             raise ConfigError(f"EFI {e} outside [0, {params.n})")
     if params.backend == "symbolic":
         return None
-    return _product(_generator(params.n, params.k)[efis], frags)
+    return gf256.matmul(_generator(params.n, params.k)[efis],
+                        frags[..., : params.k, :])
 
 
 @functools.lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def _source_rows(k: int, key: bytes) -> tuple:
     """(missing, C) for the k sorted int64 EFIs whose bytes are key: the
-    source rows not read, and C (len(missing), highest row read + 1),
-    which takes the fragment rows to them.  Both are read-only; the
-    columns of the rows not read are zero.  Neither depends on n.
-
-    The parity rows x read stand in for the missing rows y.  G[e, j] =
-    e / (e ^ j) on parity rows, so the parity block is diag(x) times the
-    Cauchy matrix 1 / (x_a ^ y_b), and rational interpolation through x
-    and y solves the whole matrix in closed form (Blomer et al., ICSI
-    TR-95-048; in characteristic 2 the signs vanish): with D(j) =
-    prod_c (j ^ y_c) / prod_a (j ^ x_a), C[b, j] = D(j) / (D(y_b) (y_b ^ j))
-    on the source rows read, further divided by j on the parity rows.
-    Products are sums of logs; LOG[0] is 0, so the zero factors y_b ^ y_b
-    and x_a ^ x_a drop out of D(y_b) and D(x_a), and no row read is in y,
-    so y_b ^ j is nonzero.
+    source rows not read, and C (len(missing), k), which takes the rows
+    read, in that order, to them.  Both are read-only and neither depends
+    on n.  The numpy twin of the kernel's solve (gf256_kernel.c), whose
+    comment derives the closed form: with y the missing rows and x the
+    parity rows read, log D(j) = sum LOG[j ^ y] - sum LOG[j ^ x], less
+    LOG[j] on the parity rows, and C[b, j] = EXP[log D(j) - log D(y_b) -
+    LOG[y_b ^ j]].
     """
     labels, LOG = np.frombuffer(key, np.int64), gf256.LOG
     split = int(np.searchsorted(labels, k))
@@ -213,8 +222,7 @@ def _source_rows(k: int, key: bytes) -> tuple:
     L = LOG[np.concatenate((labels, y))[:, None] ^ np.concatenate((y, x))]
     logD = L[:, :m].sum(axis=1) - L[:, m:].sum(axis=1)
     logD[split:k] -= LOG[x]
-    C = np.zeros((m, labels[-1] + 1), dtype=np.uint8)
-    C[:, labels] = gf256.EXP[(logD[:k] - logD[k:, None] - L[:k, :m].T) % 255]
+    C = gf256.EXP[(logD[:k] - logD[k:, None] - L[:k, :m].T) % 255]
     y.setflags(write=False)
     C.setflags(write=False)
     return y, C

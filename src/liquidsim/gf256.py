@@ -1,27 +1,31 @@
-"""GF(256) arithmetic tables and the multiply-accumulate kernel.
+"""GF(256) arithmetic tables, the product kernel and the byte decode.
 
-Field is GF(2^8) with polynomial 0x11D, generator 2.  The hot path is
-matmul(G, X): multiply a coefficient matrix into a byte matrix, used by
-encode and decode (erasure solves its decode matrices in closed form from
-LOG and EXP, so no matrix inverse lives here).  It runs a C kernel from
-gf256_kernel.c, which picks one of its entry points (C_KERNELS) once, at
-load, from the CPU's flags: ``gfni`` where the CPU has GFNI and AVX2 (one
-vgf2p8affineqb per coefficient, the 8x8 bit matrices of multiplication
-built from MUL; 4 output rows x 64 bytes per pass over X, in column
-panels), else ``avx2`` (split-nibble vpshufb lookup, row by row), else
-``scalar`` (a table lookup per byte).  The kernel is built with the system
-``cc`` at the first product and cached per user under
-``~/.cache/liquidsim``, keyed by a hash of the source and the compiler
-flags; a compiler that rejects the GFNI code builds the other two, with a
-warning, into an object that is not reused.  Without a compiler, or when
-the build fails, matmul logs that once and runs _matmul_numpy, the
-reference every compiled kernel must match byte for byte.  KERNEL names the
-kernel matmul runs once it has resolved, and is logged at info level; the
-path of the object it was loaded from is logged at debug level.
+Field is GF(2^8) with polynomial 0x11D, generator 2.  matmul(G, X)
+multiplies a coefficient matrix into a byte matrix; encode runs on it.
+decode_check decodes and verifies a byte repair in one call: it solves the
+decode matrix of the EFIs read, multiplies it into the rows read where
+they lie, and compares the source rows with the codeword.  Both run a C
+kernel from gf256_kernel.c, which picks one of its products (C_KERNELS)
+once, at load, from the CPU's flags: ``gfni`` where the CPU has GFNI and
+AVX2 (one vgf2p8affineqb per coefficient, the 8x8 bit matrices of
+multiplication built from MUL; 4 output rows x 64 bytes per pass over X,
+in column panels), else ``avx2`` (split-nibble vpshufb lookup, row by
+row), else ``scalar`` (a table lookup per byte).  Each product takes its
+rows as tables of row pointers; matmul passes consecutive rows.  The
+kernel is built with the system ``cc`` at the first product and cached
+per user under ``~/.cache/liquidsim``, keyed by a hash of the source and
+the compiler flags; a compiler that rejects the GFNI code builds the other
+two, with a warning, into an object that is not reused.  Without a
+compiler, or when the build fails, matmul logs that once and runs
+_matmul_numpy, the reference every compiled kernel must match byte for
+byte, and compiled() is False, so erasure decodes on numpy as well.
+KERNEL names the kernel matmul and decode_check run once it has resolved,
+and is logged at info level; the path of the object it was loaded from is
+logged at debug level.
 
-equal(a, b) is the byte-exact compare a repair step checks its decode
-with: one memcmp over both arrays, libc's as the loaded kernel resolves it,
-or np.array_equal exactly when matmul runs on numpy.
+equal(a, b) is a byte-exact compare: one memcmp over both arrays, libc's
+as the loaded kernel resolves it, or np.array_equal exactly when matmul
+runs on numpy.
 """
 
 from __future__ import annotations
@@ -69,13 +73,13 @@ def inv(a: int) -> int:
 
 
 def _matmul_numpy(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    out = np.zeros((G.shape[0], X.shape[1]), dtype=np.uint8)
+    out = np.zeros(X.shape[:-2] + (G.shape[0], X.shape[-1]), dtype=np.uint8)
     for i in range(G.shape[0]):
-        acc = out[i]
+        acc = out[..., i, :]
         for j in range(G.shape[1]):
             c = G[i, j]
             if c:
-                acc ^= MUL[c][X[j]]
+                acc ^= MUL[c][X[..., j, :]]
     return out
 
 
@@ -85,6 +89,7 @@ _CFLAGS = ("-O2", "-shared", "-fPIC")
 C_KERNELS = ("scalar", "avx2", "gfni")  # the gf_matmul_* entry points
 KERNEL = None  # one of C_KERNELS or "numpy", set at the first matmul
 _lib = None
+_PRODUCTS = {}  # {kernel: address of its C product}, for gf_decode_check
 
 
 def _build() -> Path:
@@ -135,7 +140,7 @@ def _build() -> Path:
 
 def _load():
     """Resolve KERNEL: load the C kernel, or fall back to numpy."""
-    global KERNEL, _lib
+    global KERNEL, _lib, _PRODUCTS
     try:
         path = _build()
         lib = ctypes.CDLL(str(path))
@@ -143,17 +148,22 @@ def _load():
         log.warning("GF(256) C kernel unavailable (%s); using the numpy kernel", exc)
         KERNEL = "numpy"
         return
-    args = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
-            ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
-    for name in ("gf_matmul", *(f"gf_matmul_{k}" for k in C_KERNELS)):
-        if hasattr(lib, name):  # no avx2 off x86, no gfni without compiler support
-            getattr(lib, name).argtypes = args
-            getattr(lib, name).restype = None
-    lib.gf_init.argtypes = [ctypes.c_void_p]
+    _PRODUCTS = {}
+    ptr, size = ctypes.c_void_p, ctypes.c_size_t
+    for name in C_KERNELS:
+        entry = getattr(lib, f"gf_matmul_{name}", None)
+        if entry is not None:  # no avx2 off x86, no gfni without compiler support
+            entry.argtypes = [ptr, size, size, ptr, ptr, size]
+            entry.restype = None
+            _PRODUCTS[name] = ctypes.cast(entry, ptr).value
+    lib.gf_decode_check.argtypes = [ptr, ptr, size, size, ptr, size, size,
+                                    ptr, size, ptr]
+    lib.gf_decode_check.restype = size
+    lib.gf_init.argtypes = [ptr]
     lib.gf_init.restype = None
     lib.gf_kernel.argtypes = []
     lib.gf_kernel.restype = ctypes.c_char_p
-    lib.memcmp.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t]
+    lib.memcmp.argtypes = [ptr, ptr, size]
     lib.memcmp.restype = ctypes.c_int   # libc's, which the kernel links
     lib.gf_init(MUL.ctypes.data)
     _lib = lib
@@ -162,33 +172,96 @@ def _load():
     log.debug("GF(256) kernel object: %s", path)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The (objects, rows) pointer table of a (objects, rows, L) array
+    whose rows are each contiguous."""
+    S, R = a.shape[:2]
+    offsets = (np.arange(S)[:, None] * a.strides[0]
+               + np.arange(R) * a.strides[1])
+    return (a.ctypes.data + offsets).astype(np.uintp)
+
+
 def _c_matmul(entry, G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Run one C entry point on validated, contiguous uint8 operands."""
+    """Run one C product on G and each (k, L) matrix of X, a 2-d array or
+    a 3-d stack, reading X's rows where they lie."""
     G = np.ascontiguousarray(G, dtype=np.uint8)
-    X = np.ascontiguousarray(X, dtype=np.uint8)
-    if G.ndim != 2 or X.ndim != 2 or G.shape[1] != X.shape[0]:
+    X = np.asarray(X, dtype=np.uint8)
+    if X.ndim and X.strides[-1] != 1:
+        X = np.ascontiguousarray(X)
+    stack = X if X.ndim == 3 else X[None]
+    if G.ndim != 2 or stack.ndim != 3 or G.shape[1] != stack.shape[1]:
         raise ValueError(f"cannot multiply {G.shape} by {X.shape}")
-    (m, k), L = G.shape, X.shape[1]
-    out = np.empty((m, L), dtype=np.uint8)
-    entry(G.ctypes.data, m, k, X.ctypes.data, L, out.ctypes.data)
-    return out
+    (m, k), (S, L) = G.shape, stack.shape[::2]
+    out = np.empty((S, m, L), dtype=np.uint8)
+    x, o, g = _rows(stack), _rows(out), G.ctypes.data
+    xp, op, width = x.ctypes.data, o.ctypes.data, x.itemsize
+    for s in range(S):
+        entry(g, m, k, xp + s * k * width, op + s * m * width, L)
+    return out if X.ndim == 3 else out[0]
+
+
+def compiled() -> bool:
+    """Whether matmul and decode_check run a C kernel, resolving it first."""
+    if KERNEL is None:
+        _load()
+    return _lib is not None
 
 
 def matmul(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """G (m, k) times X (k, L) over GF(256), as a new uint8 (m, L) array."""
-    if KERNEL is None:
-        _load()
-    if _lib is None:
+    """G (m, k) times X (k, L) over GF(256), as a new uint8 (m, L) array;
+    X may be a (S, k, L) stack too, and then each of its matrices is, into
+    (S, m, L)."""
+    if not compiled():
         return _matmul_numpy(G, X)
-    return _c_matmul(_lib.gf_matmul, G, X)
+    return _c_matmul(getattr(_lib, f"gf_matmul_{KERNEL}"), G, X)
+
+
+def decode_check(labels: np.ndarray, X: np.ndarray, code=None,
+                 objs=None) -> int:
+    """Decode the objects of X in place, in one C call, and compare each
+    with its codeword: the first object whose source rows differ (decoded;
+    the objects after it are not), or the object count.
+
+    X is one (n, L) uint8 object or a (count, n, L) stack, C-contiguous and
+    indexed by EFI, n <= 256.  labels are the k EFIs read, an int64 array,
+    ascending, distinct and below n; the source rows not read are written
+    with the decoded chunks.  Object c is compared with code[objs[c]], or
+    with code[c] when objs is None, code a C-contiguous (n, L) object or a
+    stack of them; with code None nothing is compared.  Anything else
+    raises ValueError before any product.  Needs compiled().
+    """
+    stack = X if X.ndim == 3 else X[None]
+    count, n, L = stack.shape
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if X.dtype != np.uint8 or not X.flags.c_contiguous:
+        raise ValueError(f"cannot decode a {X.dtype} {X.shape} array in place")
+    src, ncode, idx = None, 0, None
+    if code is not None:
+        refs = code if code.ndim == 3 else code[None]
+        if (code.dtype != np.uint8 or not code.flags.c_contiguous
+                or refs.shape[1:] != (n, L)):
+            raise ValueError(f"cannot compare {X.shape} with {code.shape}")
+        src, ncode = code.ctypes.data, len(refs)
+        if objs is not None:
+            objs = np.ascontiguousarray(objs, dtype=np.int64)
+            if objs.shape != (count,):
+                raise ValueError(f"{len(objs)} codeword indices for "
+                                 f"{count} objects")
+            idx = objs.ctypes.data
+    first = _lib.gf_decode_check(_PRODUCTS[KERNEL], labels.ctypes.data,
+                                 len(labels), n, X.ctypes.data, L, count,
+                                 src, ncode, idx)
+    if first > count:
+        raise ValueError(f"EFIs {labels.tolist()} not ascending, distinct and "
+                         f"below n = {n} <= 256, or codeword indices {objs} "
+                         f"outside [0, {ncode})")
+    return first
 
 
 def equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether arrays of one dtype are equal byte for byte, in one memcmp
     over their contiguous bytes; np.array_equal where matmul runs on numpy."""
-    if KERNEL is None:
-        _load()
-    if _lib is None:
+    if not compiled():
         return np.array_equal(a, b)
     if a.dtype != b.dtype:
         raise ValueError(f"cannot compare {a.dtype} with {b.dtype} bytes")

@@ -16,12 +16,12 @@ object at position j is (stepsDone + j) % objectCount.
 The byte backend keeps two (objects, N, flen_bytes) uint8 arrays beside
 held: code, the reference codeword of every object, whose first k rows are
 its source, and frags, what the nodes hold.  A failure zeroes the node's
-column of frags.  A step decodes in place: the product reads the object's
-rows of frags where they lie and writes its missing source rows there,
-then frags[:k] is compared with code[:k] byte for byte in one pass
-(gf256.equal) and the missing parity rows, usually none to two, are
-copied back from code row by row.  The symbolic backend holds no payloads
-and only meters.
+column of frags.  A step decodes and checks in one kernel call
+(erasure.decode_in_place with the codeword): the product reads the
+object's rows of frags where they lie and writes its missing source rows
+there, and frags[:k] is compared with code[:k] byte for byte.  The
+missing parity rows, usually none to two, are then copied back from code
+row by row.  The symbolic backend holds no payloads and only meters.
 """
 
 from __future__ import annotations
@@ -190,8 +190,7 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
     missing = np.flatnonzero(~row)
     if layout.code is not None:
         k, code, frags = layout.k, layout.code[obj], layout.frags[obj]
-        erasure.decode_in_place(frags, efis, layout.codec)
-        if not gf256.equal(frags[:k], code[:k]):
+        if erasure.decode_in_place(frags, efis, layout.codec, code) == 0:
             raise InvariantViolation(f"object {obj} decoded to wrong bytes")
         # every 100th step re-encodes the parity from the decoded source
         if layout.stepsDone % 100 == 0 and not gf256.equal(

@@ -3,6 +3,7 @@ import ctypes
 import logging
 import os
 import shutil
+import subprocess
 from itertools import combinations
 from unittest import mock
 
@@ -37,13 +38,27 @@ def _runnable(kernel):
     return _KERNEL_FLAGS[kernel] <= _cpu_flags()
 
 
+@contextlib.contextmanager
+def _on_kernel(kernel):
+    """matmul and the byte decode on one kernel: "numpy" (the decode then
+    solves with _source_rows, from an empty cache) or a C kernel."""
+    gf256.compiled()
+    with contextlib.ExitStack() as stack:
+        if kernel == "numpy":
+            stack.enter_context(mock.patch.object(gf256, "_lib", None))
+        stack.enter_context(mock.patch.object(gf256, "KERNEL", kernel))
+        erasure._source_rows.cache_clear()
+        stack.callback(erasure._source_rows.cache_clear)
+        yield
+
+
 def _matmul_cases(seed):
     """Random (G, X) pairs over the shapes a compiled kernel can get wrong:
     widths off the 32-byte vector step and L = 1, k = 1, all-zero and
     sparse coefficient rows, and non-contiguous operands.  For the gfni
     kernel's blocking: m on and off its 4-row blocks, L on and off its
     32- and 64-byte steps and across its 2048-byte column panels, and the
-    liquid decode shape."""
+    liquid decode shape; then stacks of strided objects."""
     g = rng.stream(seed)
     shapes = [(7, 13, 640), (8, 82, 1250), (3, 5, 1), (4, 1, 77), (1, 1, 31),
               (5, 9, 33)]
@@ -62,6 +77,11 @@ def _matmul_cases(seed):
         # the same product on strided views: G transposed, X every other column
         Xwide = g.integers(0, 256, (k, 2 * L)).astype(np.uint8)
         yield np.asfortranarray(G), Xwide[:, ::2]
+    # stacks of objects' leading rows, rows L apart and objects further,
+    # as encode_rows passes them
+    for S, m, k, L in ((3, 5, 7, 33), (1, 4, 9, 64), (4, 9, 21, 32)):
+        G = g.integers(0, 256, (m, k)).astype(np.uint8)
+        yield G, g.integers(0, 256, (S, k + 2, L)).astype(np.uint8)[:, :k]
 
 
 def inv_matrix(A: np.ndarray) -> np.ndarray:
@@ -243,12 +263,23 @@ class TestField:
         lib = ctypes.CDLL(str(built))
         assert not hasattr(lib, "gf_matmul_gfni")
         assert hasattr(lib, "gf_matmul_scalar")
+        assert hasattr(lib, "gf_decode_check")
         monkeypatch.setattr(gf256, "_build", lambda: built)
         monkeypatch.setattr(gf256, "KERNEL", None)
         monkeypatch.setattr(gf256, "_lib", None)
+        monkeypatch.setattr(gf256, "_PRODUCTS", {})
         for G, X in _matmul_cases(5):
             assert np.array_equal(gf256.matmul(G, X), gf256._matmul_numpy(G, X))
         assert gf256.KERNEL == ("avx2" if _runnable("avx2") else "scalar")
+        # the decode entry of that object, against the numpy path
+        p = erasure.make_codec(20, 12, 8 * 45, backend="byte")
+        obj = bytes(i % 251 for i in range(12 * 45))
+        code = _as_array(erasure.encode(obj, range(20), p), p)
+        frags = code.copy()
+        frags[[0, 5, 6, 17]] = 0
+        assert erasure.decode_in_place(frags, [1, 2, 3, 4, 7, 8, 9, 10, 11,
+                                               12, 13, 14], p, code) == 1
+        assert np.array_equal(frags[:12], code[:12])
 
     def test_numpy_fallback_when_build_fails(self, monkeypatch, caplog):
         def no_compiler():
@@ -447,13 +478,8 @@ class TestFusedDecode:
     @settings(max_examples=40, deadline=None, database=None)
     @given(round_trip_cases())
     def test_matches_oracle_on_numpy_kernel(self, case):
-        with mock.patch.object(gf256, "_lib", None), \
-                mock.patch.object(gf256, "KERNEL", "numpy"):
-            erasure._source_rows.cache_clear()  # solve on numpy too
-            try:
-                self.check(case)
-            finally:
-                erasure._source_rows.cache_clear()
+        with _on_kernel("numpy"):
+            self.check(case)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(in_place_cases())
@@ -484,16 +510,16 @@ class TestFusedDecode:
     def test_cached_matrix_is_read_only(self):
         missing, M = erasure._source_rows(6, _key(0, 2, 3, 7, 8, 9))
         assert missing.tolist() == [1, 4, 5]
-        # a column per fragment row up to the highest read, zero where the
-        # row is not read
-        assert M.shape == (3, 10)
-        assert not M[:, [1, 4, 5, 6]].any()
+        # a column per row read, in the order of the labels; the parity
+        # rows read all stand in, so their columns have no zero
+        assert M.shape == (3, 6)
+        assert M[:, 3:].all()
         # the generator rows encode_rows takes are read-only as well
         for cached in (missing, M, erasure._generator(10, 6)):
             with pytest.raises(ValueError):
                 cached[0] ^= 1
         missing, M = erasure._source_rows(6, _key(0, 1, 3, 4, 5, 7))
-        assert missing.tolist() == [2] and M.shape == (1, 8)
+        assert missing.tolist() == [2] and M.shape == (1, 6)
 
     def test_efis_validated(self):
         p = erasure.make_codec(6, 4, 32, backend="byte")
@@ -527,18 +553,18 @@ class TestMatrixCache:
         keys, decodes = set(), [0]
         decode = erasure.decode_in_place
 
-        def keyed(frags, read, params):
+        def keyed(frags, read, params, *check):
             used = sorted(read)[: params.k]
             if used[-1] >= params.k:        # decodes that need parity,
                 # one per object of a stack
                 decodes[0] += len(frags) if frags.ndim == 3 else 1
                 keys.add(tuple(used))
-            return decode(frags, read, params)
+            return decode(frags, read, params, *check)
 
         monkeypatch.setattr(erasure, "decode_in_place", keyed)
-        erasure._source_rows.cache_clear()
-        res = sim_engine.run_trial(sc, 0)
-        solves = erasure._source_rows.cache_info().misses
+        with _on_kernel("numpy"):     # the compiled decode solves in C
+            res = sim_engine.run_trial(sc, 0)
+            solves = erasure._source_rows.cache_info().misses
         assert res.recoverableThroughout
         assert 0 < solves <= len(keys)
         assert decodes[0] > 20 * solves     # one solve each, uncached
@@ -548,24 +574,192 @@ class TestMatrixCache:
         p = erasure.make_codec(n, k, 16, backend="byte")
         obj = bytes(range(k * 2))
         frags = _as_array(erasure.encode(obj, range(n), p), p)
-        erasure._source_rows.cache_clear()
         subsets = list(combinations(range(n), k))
         assert len(subsets) > erasure.MATRIX_CACHE_SIZE
-        for subset in subsets:
-            one = frags.copy()
-            erasure.decode_in_place(one, subset, p)
-            assert one[:k].tobytes() == obj
-        info = erasure._source_rows.cache_info()
+        with _on_kernel("numpy"):     # the compiled decode solves in C
+            for subset in subsets:
+                one = frags.copy()
+                erasure.decode_in_place(one, subset, p)
+                assert one[:k].tobytes() == obj
+            info = erasure._source_rows.cache_info()
         assert info.currsize == erasure.MATRIX_CACHE_SIZE
+
+
+def _decode_cases():
+    """(n, k, m, L, count): k from 1 to the field's 255 with m = 0..9
+    missing source rows where n <= 256 allows, L on and off the 32- and
+    64-byte steps and across the 2048-byte column panels, one object or a
+    stack of three."""
+    widths = (1, 20, 31, 32, 33, 64, 2047, 2048, 2049, 12500)
+    i = 0
+    for k in (1, 21, 90, 255):
+        for m in range(min(k, 256 - k, 9) + 1):
+            n = min(256, k + m + i % 3)     # up to two parity rows not read
+            yield n, k, m, widths[i % len(widths)], (1, 3)[i // 2 % 2]
+            i += 1
+
+
+_ALL_KERNELS = [
+    "numpy",
+    pytest.param("scalar", marks=pytest.mark.skipif(
+        not HAVE_CC, reason="no C compiler 'cc' on PATH")),
+    pytest.param("avx2", marks=pytest.mark.skipif(
+        not (HAVE_CC and _runnable("avx2")), reason="no AVX2 kernel")),
+    pytest.param("gfni", marks=pytest.mark.skipif(
+        not (HAVE_CC and _runnable("gfni")), reason="no GFNI kernel")),
+]
+
+
+class TestDecodeCheck:
+    """decode_in_place with the codewords, one call per decode: on each
+    kernel, the decoded bytes and the first object that differs are those
+    of the numpy path."""
+
+    @staticmethod
+    def stack(n, k, m, L, count, seed):
+        """(params, frags, code, objs, read): count objects read at k
+        labels, m of them parity rows standing in for m source rows, the
+        rows not read zero, and their codewords in a shuffled stack, objs
+        the index of each object's codeword."""
+        g = rng.stream(seed)
+        p = erasure.make_codec(n, k, 8 * L, backend="byte")
+        gen = erasure._generator(n, k)
+        objs = g.permutation(count)
+        code = np.empty((count, n, L), dtype=np.uint8)
+        for c in range(count):
+            code[c] = gf256.matmul(gen, g.integers(0, 256, (k, L), np.uint8))
+        missing = g.choice(k, m, replace=False)
+        read = np.concatenate((np.setdiff1d(range(k), missing),
+                               g.choice(np.arange(k, n), m, replace=False)))
+        frags = code[objs] * np.isin(range(n), read)[:, None].astype(np.uint8)
+        return p, frags, code, objs, g.permutation(read)
+
+    @staticmethod
+    def flips(p, frags, code, objs, read):
+        """(name, frags, code, the index decode must return) for the clean
+        stack and one flipped byte each."""
+        k, count, L = p.k, len(frags), frags.shape[-1]
+        yield "clean", frags, code, count
+        for name, row, col in (("first row", 0, 0),
+                               ("last row", k - 1, L // 2),
+                               ("tail", k - 1, L - 1)):
+            bad = code.copy()
+            bad[objs[0], row, col] ^= 0x10
+            yield name, frags, bad, 0
+        # a read row feeding the decoded rows, or a read source row
+        bad = frags.copy()
+        bad[0, max(read), L - 1] ^= 1
+        yield "read row", bad, code, 0
+        if count > 1:
+            bad = code.copy()
+            bad[objs[1], k - 1, L - 1] ^= 1
+            yield "second object", frags, bad, 1
+
+    @pytest.mark.parametrize("kernel", _ALL_KERNELS)
+    def test_matches_numpy_path(self, kernel):
+        for i, (n, k, m, L, count) in enumerate(_decode_cases()):
+            p, frags, code, objs, read = self.stack(n, k, m, L, count, 40 + i)
+            for name, given, ref, want in self.flips(p, frags, code, objs,
+                                                     read):
+                case = (n, k, m, L, count, name)
+                with _on_kernel("numpy"):
+                    oracle = given.copy()
+                    assert erasure.decode_in_place(oracle, read, p, ref,
+                                                   objs) == want, case
+                got = given.copy()
+                with _on_kernel(kernel):
+                    assert erasure.decode_in_place(got, read, p, ref,
+                                                   objs) == want, case
+                assert np.array_equal(got, oracle), case
+                if name == "clean":
+                    assert np.array_equal(got[:, :k], code[objs, :k]), case
+                    # one object, its own codeword, objs left out
+                    one = given[0].copy()
+                    with _on_kernel(kernel):
+                        assert erasure.decode_in_place(
+                            one, read, p, code[objs[0]]) == 1, case
+                    assert np.array_equal(one, got[0]), case
+
+    @pytest.mark.parametrize("kernel", _ALL_KERNELS)
+    def test_matrix_exact(self, kernel):
+        # with L = k and the row read j-th the unit vector e_j, the decoded
+        # rows are the decode matrix itself, here against _source_rows
+        g = rng.stream(41)
+        sizes = [(2, 1), (256, 128), (256, 255), (255, 127), (256, 1)]
+        sizes += [(int(n), int(g.integers(1, n)))
+                  for n in g.integers(2, 257, 150)]
+        for n, k in sizes:
+            p = erasure.make_codec(n, k, 8 * k, backend="byte")
+            m = int(g.integers(0, min(k, n - k) + 1))
+            missing = g.choice(k, m, replace=False)
+            labels = np.sort(np.concatenate((
+                np.setdiff1d(range(k), missing),
+                g.choice(np.arange(k, n), m, replace=False))))
+            frags = np.zeros((n, k), dtype=np.uint8)
+            frags[labels, range(k)] = 1
+            with _on_kernel(kernel):
+                assert erasure.decode_in_place(frags, labels, p) == 1
+            want_missing, C = erasure._source_rows(k, labels.tobytes())
+            assert np.array_equal(frags[want_missing], C), (n, k, m)
+
+    @pytest.mark.parametrize("kernel", _ALL_KERNELS)
+    def test_bad_efis_rejected_before_any_product(self, kernel):
+        p = erasure.make_codec(6, 3, 32, backend="byte")
+        fr = erasure.encode(bytes(range(12)), range(6), p)
+        g = _as_array(fr, p)
+        with _on_kernel(kernel):
+            for bad in ({-1: fr[5], 4: fr[4], 5: fr[5]},
+                        {0: fr[0], 1: fr[1], 6: fr[5]}):
+                with pytest.raises(DecodeError):
+                    erasure.decode(bad, p)
+            for read in ([2, 4, 4], [-1, 4, 5], [0, 1, 7], [3, 3, 4, 5]):
+                given = g.copy()
+                given[[0, 1]] = 0
+                before = given.copy()
+                with pytest.raises(DecodeError):
+                    erasure.decode_in_place(given, read, p, g)
+                assert np.array_equal(given, before), read
+            good = {e: fr[e] for e in (1, 4, 5)}
+            assert erasure.decode(good, p) == bytes(range(12))
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
+    def test_kernel_entry_rejects_bad_input(self):
+        # the C entry indexes memory by label and codeword index, so it
+        # checks them itself, before any product
+        p, frags, code, objs, read = self.stack(12, 5, 3, 40, 3, 7)
+        labels = np.sort(read)
+        assert gf256.compiled()
+        bad = [(labels[::-1], code, objs), (labels + 7, code, objs),
+               (np.r_[labels[:-1], labels[-2]], code, objs),
+               (labels, code, objs + 1), (labels, code, -objs - 1),
+               (labels, code[:2], None), (labels, code, objs[:2]),
+               (labels, code[:, :, :39], objs)]
+        for case in bad:
+            given = frags.copy()
+            with pytest.raises(ValueError):
+                gf256.decode_check(case[0], given, *case[1:])
+            assert np.array_equal(given, frags)
+        with pytest.raises(ValueError):
+            gf256.decode_check(labels, frags[:, :, ::2], code, objs)
+        assert gf256.decode_check(labels, frags, code, objs) == 3
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
+    @pytest.mark.parametrize("flags", [(), ("-DGF_NO_GFNI",)])
+    def test_kernel_compiles_without_warnings(self, flags):
+        done = subprocess.run(
+            [shutil.which("cc"), "-O2", "-Wall", "-Wextra", "-Werror",
+             "-fsyntax-only", *flags, str(gf256._SOURCE)],
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestClosedFormSolve:
     def test_matches_gauss_jordan(self):
         # the whole matrix for source rows have and parity rows par read,
         # at n up to 256, including the largest square blocks, m = 0 and
-        # k = 1: the inverse of G[par][:, missing] times G[par] on the
-        # source columns read, the inverse on the parity columns, zero on
-        # the columns not read
+        # k = 1: a column per row read, the inverse of G[par][:, missing]
+        # times G[par] on the source rows read, the inverse on the parity
+        # rows
         g = rng.stream(13)
         sizes = [(2, 1), (256, 1), (256, 128), (256, 255), (255, 127),
                  (20, 6), (9, 1), (100, 1)]
@@ -580,13 +774,12 @@ class TestClosedFormSolve:
                 labels = sorted(set(range(k)).difference(missing)) + par
                 got_missing, C = erasure._source_rows(k, _key(*labels))
                 assert got_missing.tolist() == missing
-                want = np.zeros((m, labels[-1] + 1), dtype=np.uint8)
+                full = np.zeros((m, n), dtype=np.uint8)
                 if m:
                     Minv = inv_matrix(gen[np.ix_(par, missing)])
-                    want[:, :k] = gf256._matmul_numpy(Minv, gen[par])
-                    want[:, missing] = 0
-                    want[:, par] = Minv
-                assert np.array_equal(C, want), (n, k, par, missing)
+                    full[:, :k] = gf256._matmul_numpy(Minv, gen[par])
+                    full[:, par] = Minv
+                assert np.array_equal(C, full[:, labels]), (n, k, par, missing)
 
 
 class TestSymbolicCodec:
@@ -651,27 +844,18 @@ class TestKernelIndependence:
     same TrialResult, trace included."""
 
     @staticmethod
-    def routes():
-        """{kernel: matmul} for numpy and each runnable C entry point."""
-        gf256.matmul(np.ones((1, 1), np.uint8), np.ones((1, 1), np.uint8))
-        routes = {"numpy": gf256._matmul_numpy}
-        for kernel in gf256.C_KERNELS:
-            entry = getattr(gf256._lib, f"gf_matmul_{kernel}", None)
-            if entry is not None and _runnable(kernel):
-                routes[kernel] = (lambda G, X, e=entry: gf256._c_matmul(e, G, X))
-        return routes
+    def kernels():
+        """numpy and each runnable C kernel of the loaded object."""
+        gf256.compiled()
+        return ["numpy"] + [k for k in gf256._PRODUCTS if _runnable(k)]
 
     @pytest.mark.parametrize("name", sorted(_kernel_scenarios()))
-    def test_trial_result_same_on_every_kernel(self, name, monkeypatch):
+    def test_trial_result_same_on_every_kernel(self, name):
         sc = _kernel_scenarios()[name]
         results = {}
-        for kernel, route in self.routes().items():
-            monkeypatch.setattr(gf256, "matmul", route)
-            erasure._source_rows.cache_clear()  # solve on this kernel too
-            try:
+        for kernel in self.kernels():
+            with _on_kernel(kernel):
                 results[kernel] = sim_engine.run_trial(sc, 0)
-            finally:
-                erasure._source_rows.cache_clear()
         if HAVE_CC:
             assert {"numpy", "scalar"} <= set(results)
         assert results["numpy"].recoverableThroughout
@@ -691,10 +875,5 @@ class TestKernelIndependence:
     @settings(max_examples=40, deadline=None, database=None)
     @given(case=in_place_cases())
     def test_in_place_decode_on_every_kernel(self, kernel, case):
-        route = self.routes()[kernel]
-        erasure._source_rows.cache_clear()  # solve on this kernel too
-        try:
-            with mock.patch.object(gf256, "matmul", route):
-                _check_in_place(case)
-        finally:
-            erasure._source_rows.cache_clear()
+        with _on_kernel(kernel):
+            _check_in_place(case)
