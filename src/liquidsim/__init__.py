@@ -3,8 +3,11 @@
 The package has three layers:
 
 * closed-form machinery: ``bounds`` (capacity and read-rate lower bounds),
-  ``erasure`` (systematic MDS codec over GF(256) plus a symbolic backend),
-  ``failure_gen`` (counter-based seeded failure schedules);
+  ``erasure`` (systematic MDS codec over GF(256) plus a symbolic backend:
+  one in-place decode and one encode, both on numpy arrays), ``gf256``
+  (field tables, and the products and decode-and-check that run on a C
+  kernel or on numpy) and ``failure_gen`` (counter-based seeded failure
+  schedules);
 * repair algorithms: ``liquid`` (single rotating repair queue) and
   ``advanced_liquid`` (grouped layout with helper fragments, lower read rate);
 * the harness: ``cluster`` (the per-node interface meters), ``sim_engine``
@@ -40,7 +43,7 @@ from .bounds import (
     supermartingale_tail,
 )
 from .failure_gen import FailureSeq, gen_periodic, gen_poisson
-from .erasure import CodecParams, decode, encode, make_codec
+from .erasure import CodecParams, make_codec
 from .cluster import ClusterState
 from .liquid import (
     LiquidLayout,
@@ -95,8 +98,6 @@ __all__ = [
     "gen_periodic",
     "gen_poisson",
     "CodecParams",
-    "decode",
-    "encode",
     "make_codec",
     "ClusterState",
     "LiquidLayout",

@@ -18,14 +18,13 @@ the compiler flags; a compiler that rejects the GFNI code builds the other
 two, with a warning, into an object that is not reused.  Without a
 compiler, or when the build fails, matmul logs that once and runs
 _matmul_numpy, the reference every compiled kernel must match byte for
-byte, and compiled() is False, so erasure decodes on numpy as well.
-KERNEL names the kernel matmul and decode_check run once it has resolved,
-and is logged at info level; the path of the object it was loaded from is
-logged at debug level.
-
-equal(a, b) is a byte-exact compare: one memcmp over both arrays, libc's
-as the loaded kernel resolves it, or np.array_equal exactly when matmul
-runs on numpy.
+byte, and decode_check runs its numpy twin: _source_rows solves the same
+closed form, then the numpy product and np.array_equal follow, object by
+object.  Both paths take the same argument checks and stop at the same
+object, and the numpy one is the oracle the kernel's is tested against.
+This module alone chooses between C and numpy.  KERNEL names the kernel
+matmul and decode_check run once it has resolved, and is logged at info
+level; the path of the object it was loaded from is logged at debug level.
 """
 
 from __future__ import annotations
@@ -163,8 +162,6 @@ def _load():
     lib.gf_init.restype = None
     lib.gf_kernel.argtypes = []
     lib.gf_kernel.restype = ctypes.c_char_p
-    lib.memcmp.argtypes = [ptr, ptr, size]
-    lib.memcmp.restype = ctypes.c_int   # libc's, which the kernel links
     lib.gf_init(MUL.ctypes.data)
     _lib = lib
     KERNEL = lib.gf_kernel().decode()
@@ -216,11 +213,59 @@ def matmul(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _c_matmul(getattr(_lib, f"gf_matmul_{KERNEL}"), G, X)
 
 
+def _source_rows(labels: np.ndarray) -> tuple:
+    """(missing, C) for the k = len(labels) sorted int64 EFIs read: the
+    source rows not read, and C (len(missing), k), which takes the rows
+    read, in that order, to them; neither depends on n.  The numpy twin of
+    the kernel's solve (gf256_kernel.c), whose comment derives the closed
+    form: with y the missing rows and x the parity rows read, log D(j) =
+    sum LOG[j ^ y] - sum LOG[j ^ x], less LOG[j] on the parity rows, and
+    C[b, j] = EXP[log D(j) - log D(y_b) - LOG[y_b ^ j]].
+    """
+    k = len(labels)
+    split = int(np.searchsorted(labels, k))
+    x = labels[split:]
+    read = np.zeros(k, dtype=bool)
+    read[labels[:split]] = True
+    y = np.flatnonzero(~read)
+    m = len(y)
+    # log D(j) for j the rows read, then y: L's first m columns hold the
+    # logs of j ^ y_c, the others those of j ^ x_a
+    L = LOG[np.concatenate((labels, y))[:, None] ^ np.concatenate((y, x))]
+    logD = L[:, :m].sum(axis=1) - L[:, m:].sum(axis=1)
+    logD[split:k] -= LOG[x]
+    return y, EXP[(logD[:k] - logD[k:, None] - L[:k, :m].T) % 255]
+
+
+def _decode_check_numpy(labels, stack, refs, objs) -> int:
+    """gf_decode_check on numpy, object by object with the same early
+    stop, and the oracle for it: count + 1 on the input it rejects."""
+    count, n, _ = stack.shape
+    k = len(labels)
+    idx = np.arange(count) if objs is None else objs
+    if (n > 256 or ((labels < 0) | (labels >= n)).any()
+            or (labels[1:] <= labels[:-1]).any()
+            or refs is not None and ((idx < 0) | (idx >= len(refs))).any()):
+        return count + 1
+    # systematic preference: source rows are used as they are, and the
+    # parity rows read stand in for the missing source chunks, so a read
+    # of every source row leaves nothing to decode
+    missing, C = _source_rows(labels) if k and labels[-1] >= k else ((), None)
+    for c, obj in enumerate(stack):
+        if len(missing):
+            obj[missing] = _matmul_numpy(C, obj[labels])
+        if refs is not None and not np.array_equal(obj[:k], refs[idx[c], :k]):
+            return c
+    return count
+
+
 def decode_check(labels: np.ndarray, X: np.ndarray, code=None,
                  objs=None) -> int:
-    """Decode the objects of X in place, in one C call, and compare each
-    with its codeword: the first object whose source rows differ (decoded;
-    the objects after it are not), or the object count.
+    """Decode the objects of X in place and compare each with its
+    codeword: the first object whose source rows differ (decoded; the
+    objects after it are not), or the object count.  One C call does it
+    all, or, where matmul runs on numpy, _source_rows and the numpy
+    product.
 
     X is one (n, L) uint8 object or a (count, n, L) stack, C-contiguous and
     indexed by EFI, n <= 256.  labels are the k EFIs read, an int64 array,
@@ -228,44 +273,34 @@ def decode_check(labels: np.ndarray, X: np.ndarray, code=None,
     with the decoded chunks.  Object c is compared with code[objs[c]], or
     with code[c] when objs is None, code a C-contiguous (n, L) object or a
     stack of them; with code None nothing is compared.  Anything else
-    raises ValueError before any product.  Needs compiled().
+    raises ValueError before any product, on either path.
     """
     stack = X if X.ndim == 3 else X[None]
     count, n, L = stack.shape
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     if X.dtype != np.uint8 or not X.flags.c_contiguous:
         raise ValueError(f"cannot decode a {X.dtype} {X.shape} array in place")
-    src, ncode, idx = None, 0, None
+    refs, ncode = None, 0
     if code is not None:
         refs = code if code.ndim == 3 else code[None]
         if (code.dtype != np.uint8 or not code.flags.c_contiguous
                 or refs.shape[1:] != (n, L)):
             raise ValueError(f"cannot compare {X.shape} with {code.shape}")
-        src, ncode = code.ctypes.data, len(refs)
+        ncode = len(refs)
         if objs is not None:
             objs = np.ascontiguousarray(objs, dtype=np.int64)
             if objs.shape != (count,):
                 raise ValueError(f"{len(objs)} codeword indices for "
                                  f"{count} objects")
-            idx = objs.ctypes.data
-    first = _lib.gf_decode_check(_PRODUCTS[KERNEL], labels.ctypes.data,
-                                 len(labels), n, X.ctypes.data, L, count,
-                                 src, ncode, idx)
+    if not compiled():
+        first = _decode_check_numpy(labels, stack, refs, objs)
+    else:
+        first = _lib.gf_decode_check(
+            _PRODUCTS[KERNEL], labels.ctypes.data, len(labels), n,
+            X.ctypes.data, L, count, None if refs is None else code.ctypes.data,
+            ncode, None if objs is None else objs.ctypes.data)
     if first > count:
         raise ValueError(f"EFIs {labels.tolist()} not ascending, distinct and "
                          f"below n = {n} <= 256, or codeword indices {objs} "
                          f"outside [0, {ncode})")
     return first
-
-
-def equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether arrays of one dtype are equal byte for byte, in one memcmp
-    over their contiguous bytes; np.array_equal where matmul runs on numpy."""
-    if not compiled():
-        return np.array_equal(a, b)
-    if a.dtype != b.dtype:
-        raise ValueError(f"cannot compare {a.dtype} with {b.dtype} bytes")
-    if a.shape != b.shape:
-        return False
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return _lib.memcmp(a.ctypes.data, b.ctypes.data, a.nbytes) == 0

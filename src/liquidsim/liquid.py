@@ -21,7 +21,9 @@ column of frags.  A step decodes and checks in one kernel call
 object's rows of frags where they lie and writes its missing source rows
 there, and frags[:k] is compared with code[:k] byte for byte.  The
 missing parity rows, usually none to two, are then copied back from code
-row by row.  The symbolic backend holds no payloads and only meters.
+row by row.  Every 100th step also re-encodes the parity from the decoded
+source (erasure.encode_rows) and compares it with code's (np.array_equal).
+The symbolic backend holds no payloads and only meters.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import erasure, gf256
+from . import erasure
 from .cluster import ClusterState
 from .errors import ConfigError, DecodeError, InvariantViolation
 
@@ -193,7 +195,7 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
         if erasure.decode_in_place(frags, efis, layout.codec, code) == 0:
             raise InvariantViolation(f"object {obj} decoded to wrong bytes")
         # every 100th step re-encodes the parity from the decoded source
-        if layout.stepsDone % 100 == 0 and not gf256.equal(
+        if layout.stepsDone % 100 == 0 and not np.array_equal(
                 erasure.encode_rows(frags, range(k, layout.codec.n),
                                     layout.codec), code[k:]):
             raise InvariantViolation(f"object {obj} codeword drift")

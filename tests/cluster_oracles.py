@@ -2,8 +2,8 @@
 
 Liquid's held is bookkeeping over the node contents in frags; these
 oracles check it against the payloads themselves: a held fragment equals
-its codeword row, an unheld one is zero, and an object decodes, through the
-dict-based decode, from what its nodes hold to its source.  For advanced
+its codeword row, an unheld one is zero, and an object decodes, from a copy
+of what its nodes hold, to its source.  For advanced
 liquid, owned_bits counts what the owner array gives each node.
 """
 
@@ -25,10 +25,10 @@ def decodes(layout, objects) -> None:
     """Every one of objects decodes from the k lowest EFIs its nodes hold
     to the source rows of its codeword."""
     for obj in objects:
-        frags = {int(e): layout.frags[obj, e].tobytes()
-                 for e in np.flatnonzero(layout.held[obj])}
-        if (erasure.decode(frags, layout.codec)
-                != layout.code[obj, :layout.k].tobytes()):
+        frags = layout.frags[obj].copy()
+        erasure.decode_in_place(frags, np.flatnonzero(layout.held[obj]),
+                                layout.codec)
+        if not np.array_equal(frags[:layout.k], layout.code[obj, :layout.k]):
             raise InvariantViolation(f"object {obj} decodes to wrong bytes")
 
 

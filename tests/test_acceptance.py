@@ -8,6 +8,7 @@ with time.monotonic around the workload they govern.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from liquidsim import advanced_liquid as adv
@@ -315,14 +316,16 @@ def test_criterion_7_mds_codec_subsets():
     codec = erasure.make_codec(12, 8, 64, backend="byte")
     g = rng.stream(2026, 0, rng.SUB_PAYLOAD)
     source = g.bytes(8 * 8)
-    table = erasure.encode(source, range(12), codec)
+    table = erasure.encode_rows(
+        np.frombuffer(source, np.uint8).reshape(8, 8), range(12), codec)
     for trial in range(10_000):
         subset = [int(e) for e in g.permutation(12)[:8]]
-        frags = {e: table[e] for e in subset}
-        assert erasure.decode(frags, codec) == source
-        short = dict(list(frags.items())[:7])
+        frags = np.zeros_like(table)
+        frags[subset] = table[subset]
+        erasure.decode_in_place(frags, subset, codec)
+        assert frags[:8].tobytes() == source
         with pytest.raises(DecodeError):
-            erasure.decode(short, codec)
+            erasure.decode_in_place(frags, subset[:7], codec)
     dt = time.monotonic() - t0
     assert dt < 30.0
     print(f"criterion 7: PASS 10^4 subsets round-trip in {dt:.1f}s")

@@ -54,16 +54,19 @@ def decode_all_from_primaries(state, layout, rotation):
     from liquidsim import erasure
     for g in range(layout.N):
         for p in range(layout.r):
-            frags = {}
+            frags = np.zeros_like(layout.frags[g, p])
+            read = []
             for m in range(layout.N):
                 if holds(layout, m, g):
                     efi = rotation.primaryEfis[m]
                     assert layout.owner[g, p, efi] == m
-                    frags[efi] = layout.frags[g, p, efi].tobytes()
-                    if len(frags) == layout.k:
+                    frags[efi] = layout.frags[g, p, efi]
+                    read.append(efi)
+                    if len(read) == layout.k:
                         break
-            assert (erasure.decode(frags, layout.codec)
-                    == layout.code[g, p, :layout.k].tobytes())
+            erasure.decode_in_place(frags, read, layout.codec)
+            assert np.array_equal(frags[:layout.k],
+                                  layout.code[g, p, :layout.k])
 
 
 class TestStore:

@@ -2,6 +2,7 @@ import contextlib
 import ctypes
 import logging
 import os
+import re
 import shutil
 import subprocess
 from itertools import combinations
@@ -41,15 +42,19 @@ def _runnable(kernel):
 @contextlib.contextmanager
 def _on_kernel(kernel):
     """matmul and the byte decode on one kernel: "numpy" (the decode then
-    solves with _source_rows, from an empty cache) or a C kernel."""
+    runs gf256's numpy path) or a C kernel."""
     gf256.compiled()
     with contextlib.ExitStack() as stack:
         if kernel == "numpy":
             stack.enter_context(mock.patch.object(gf256, "_lib", None))
         stack.enter_context(mock.patch.object(gf256, "KERNEL", kernel))
-        erasure._source_rows.cache_clear()
-        stack.callback(erasure._source_rows.cache_clear)
         yield
+
+
+def _kernels():
+    """numpy and each runnable C kernel of the loaded object."""
+    gf256.compiled()
+    return ["numpy"] + [k for k in gf256._PRODUCTS if _runnable(k)]
 
 
 def _matmul_cases(seed):
@@ -109,17 +114,19 @@ def inv_matrix(A: np.ndarray) -> np.ndarray:
     return a[:, k:].copy()
 
 
-def _key(*labels):
-    """The _source_rows key of sorted EFIs."""
-    return np.array(labels, dtype=np.int64).tobytes()
+def _codeword(obj, params):
+    """The (n, flen_bytes) codeword of an object of k * flen_bytes bytes."""
+    rows = np.frombuffer(obj, np.uint8).reshape(params.k, params.flen_bytes)
+    return erasure.encode_rows(rows, range(params.n), params)
 
 
-def _as_array(fragments, params):
-    """{efi: payload} as the (n, flen_bytes) array decode_in_place reads."""
-    out = np.zeros((params.n, params.flen_bytes), dtype=np.uint8)
-    for e, payload in fragments.items():
-        out[e] = np.frombuffer(payload, np.uint8)
-    return out
+def _decode(code, read, params):
+    """The object decoded in place from the rows read of a codeword, the
+    other rows zero, as k * flen_bytes bytes."""
+    frags = np.zeros_like(code)
+    frags[read] = code[read]
+    erasure.decode_in_place(frags, read, params)
+    return frags[: params.k].tobytes()
 
 
 def _gather_decode(frags, read, efis, params):
@@ -274,7 +281,7 @@ class TestField:
         # the decode entry of that object, against the numpy path
         p = erasure.make_codec(20, 12, 8 * 45, backend="byte")
         obj = bytes(i % 251 for i in range(12 * 45))
-        code = _as_array(erasure.encode(obj, range(20), p), p)
+        code = _codeword(obj, p)
         frags = code.copy()
         frags[[0, 5, 6, 17]] = 0
         assert erasure.decode_in_place(frags, [1, 2, 3, 4, 7, 8, 9, 10, 11,
@@ -292,39 +299,6 @@ class TestField:
                 assert np.array_equal(gf256.matmul(G, X), gf256._matmul_numpy(G, X))
         assert gf256.KERNEL == "numpy"
         assert sum("numpy kernel" in r.getMessage() for r in caplog.records) == 1
-
-    @pytest.mark.parametrize("kernel", [
-        pytest.param("compiled", marks=pytest.mark.skipif(
-            not HAVE_CC, reason="no C compiler 'cc' on PATH")),
-        "numpy"])
-    def test_equal_matches_array_equal(self, kernel):
-        # equal arrays, and one byte off at the first, the last and a random
-        # position, on the compiled compare and on its numpy fallback
-        gf256.matmul(np.ones((1, 1), np.uint8), np.ones((1, 1), np.uint8))
-        g = rng.stream(17)
-        with contextlib.ExitStack() as stack:
-            if kernel == "numpy":
-                stack.enter_context(mock.patch.object(gf256, "_lib", None))
-                stack.enter_context(mock.patch.object(gf256, "KERNEL", "numpy"))
-            else:
-                assert gf256._lib is not None
-            for n in (0, 1, 31, 4097):
-                a = g.integers(0, 256, n).astype(np.uint8)
-                assert gf256.equal(a, a.copy()) and np.array_equal(a, a.copy())
-                for i in (0, n - 1, int(g.integers(0, n))) if n else ():
-                    b = a.copy()
-                    b[i] ^= 1 << int(g.integers(0, 8))
-                    assert not gf256.equal(a, b) and not np.array_equal(a, b)
-            # the rows a repair step compares, a leading slice of a 2-d array
-            rows = g.integers(0, 256, (9, 12)).astype(np.uint8)
-            copy = rows.copy()
-            assert gf256.equal(rows[:8], copy[:8])
-            copy[7, 11] ^= 1
-            assert not gf256.equal(rows[:8], copy[:8])
-            assert not gf256.equal(rows[:8], rows[:7])
-        if kernel == "compiled":    # memcmp would read past the shorter array
-            with pytest.raises(ValueError):
-                gf256.equal(rows.view(np.uint32), rows.view(np.uint8)[:, :3])
 
     def test_solve_random_systems(self):
         g = rng.stream(3)
@@ -348,10 +322,10 @@ class TestCodecConstruction:
     def test_replication_code(self):
         # (3,1): every fragment equals the object
         p = erasure.make_codec(3, 1, 64, backend="byte")
-        obj = bytes(range(8))
-        frags = erasure.encode(obj, [0, 1, 2], p)
+        obj = np.arange(8, dtype=np.uint8)[None]
+        frags = erasure.encode_rows(obj, [0, 1, 2], p)
         for e in range(3):
-            assert frags[e] == obj
+            assert np.array_equal(frags[e], obj[0])
 
     def test_flen_divisibility(self):
         with pytest.raises(ConfigError):
@@ -372,65 +346,52 @@ class TestByteCodec:
     def test_roundtrip_systematic(self):
         p = erasure.make_codec(6, 4, 32, backend="byte")
         obj = bytes(rng.stream(4).integers(0, 256, 16).astype(np.uint8))
-        frags = erasure.encode(obj, range(6), p)
-        assert erasure.decode({e: frags[e] for e in range(4)}, p) == obj
+        assert _decode(_codeword(obj, p), range(4), p) == obj
 
     def test_mds_exhaustive_small(self):
-        # every k-subset of a (12,8) code decodes; C(12,8) = 495 subsets
+        # every k-subset of a (12,8) code decodes, on the numpy path and on
+        # each compiled kernel; C(12,8) = 495 subsets
         n, k = 12, 8
         p = erasure.make_codec(n, k, 64, backend="byte")
         obj = bytes(rng.stream(5).integers(0, 256, k * 8).astype(np.uint8))
-        frags = erasure.encode(obj, range(n), p)
-        count = 0
-        for subset in combinations(range(n), k):
-            assert erasure.decode({e: frags[e] for e in subset}, p) == obj
-            count += 1
-        assert count == 495
+        code = _codeword(obj, p)
+        kernels = _kernels()
+        if HAVE_CC:
+            assert {"numpy", "scalar"} <= set(kernels)
+        for kernel in kernels:
+            count = 0
+            with _on_kernel(kernel):
+                for subset in combinations(range(n), k):
+                    assert _decode(code, list(subset), p) == obj, kernel
+                    count += 1
+            assert count == 495
 
     def test_fewer_than_k_rejected(self):
         p = erasure.make_codec(6, 4, 32, backend="byte")
-        obj = bytes(16)
-        frags = erasure.encode(obj, range(6), p)
+        code = _codeword(bytes(16), p)
         with pytest.raises(DecodeError):
-            erasure.decode({e: frags[e] for e in range(3)}, p)
+            erasure.decode_in_place(code, range(3), p)
 
     def test_mds_randomized_larger(self):
         n, k = 40, 30
         p = erasure.make_codec(n, k, 64, backend="byte")
         g = rng.stream(6)
         obj = bytes(g.integers(0, 256, k * 8).astype(np.uint8))
-        frags = erasure.encode(obj, range(n), p)
+        code = _codeword(obj, p)
         for _ in range(200):
             subset = g.permutation(n)[:k]
-            assert erasure.decode({int(e): frags[int(e)] for e in subset}, p) == obj
+            assert _decode(code, subset, p) == obj
 
     def test_regenerate_matches_encode(self):
         p = erasure.make_codec(10, 6, 40, backend="byte")
         g = rng.stream(7)
         obj = bytes(g.integers(0, 256, 30).astype(np.uint8))
-        frags = erasure.encode(obj, range(10), p)
+        code = _codeword(obj, p)
         for target in range(10):
-            sources = {e: frags[e] for e in range(10) if e != target}
-            keep = dict(list(sources.items())[:6])
-            rebuilt = erasure.encode(erasure.decode(keep, p), [target], p)
-            assert rebuilt[target] == frags[target]
-
-    def test_wrong_length_fragment(self):
-        p = erasure.make_codec(6, 4, 32, backend="byte")
-        obj = bytes(16)
-        frags = erasure.encode(obj, range(6), p)
-        short = {**frags, 0: frags[0][:-1]}
-        with pytest.raises(DecodeError):
-            erasure.decode({e: short[e] for e in range(4)}, p)
-        # a short parity fragment standing in for a missing source chunk
-        short = {**frags, 5: frags[5][:-1]}
-        with pytest.raises(DecodeError):
-            erasure.decode({e: short[e] for e in (0, 1, 2, 5)}, p)
-
-    def test_object_length_validated(self):
-        p = erasure.make_codec(6, 4, 32, backend="byte")
-        with pytest.raises(ConfigError):
-            erasure.encode(bytes(15), [0], p)
+            keep = [e for e in range(10) if e != target][:6]
+            rows = np.frombuffer(_decode(code, keep, p), np.uint8).reshape(6, 5)
+            rebuilt = erasure.encode_rows(rows, [target], p)
+            assert np.array_equal(rebuilt[0], code[target])
 
 
 @st.composite
@@ -448,27 +409,26 @@ def round_trip_cases(draw):
 
 
 class TestFusedDecode:
-    """decode_in_place, then encode_rows, against encode(oracle decode):
-    the cached matrix and the products must give the uncached gather
-    decode's bytes."""
+    """decode_in_place, then encode_rows, against the encode of the
+    oracle's decode: the closed-form matrix and the products must give the
+    gather decode's bytes."""
 
     @staticmethod
     def check(case):
         p, obj, subset, efis = case
-        given_frags = erasure.encode(obj, subset, p)
-        given = _as_array(given_frags, p)
-        want = _gather_decode(given, subset, (), p)[0].tobytes()
-        assert want == obj
+        code = _codeword(obj, p)
+        given = np.zeros_like(code)
+        given[subset] = code[subset]
+        want = _gather_decode(given, subset, (), p)[0]
+        assert want.tobytes() == obj
         before = given.copy()
         erasure.decode_in_place(given, subset, p)
         frags = erasure.encode_rows(given, efis, p)
         # decoded in place: the source rows hold the object, parity is as given
-        assert given[: p.k].tobytes() == want
+        assert np.array_equal(given[: p.k], want)
         assert np.array_equal(given[p.k:], before[p.k:])
         assert frags.shape == (len(efis), p.flen_bytes)
-        assert ({e: row.tobytes() for e, row in zip(efis, frags)}
-                == erasure.encode(want, efis, p))
-        assert erasure.decode(given_frags, p) == want
+        assert np.array_equal(frags, code[efis])
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(round_trip_cases())
@@ -492,9 +452,8 @@ class TestFusedDecode:
         # G objects read at the same EFIs share the matrix and each product
         p, obj, subset, efis = case
         rows = np.frombuffer(obj, np.uint8).reshape(p.k, p.flen_bytes)
-        stack = np.stack([_as_array(erasure.encode((rows ^ g).tobytes(),
-                                                   range(p.n), p), p)
-                          for g in range(G)])
+        stack = erasure.encode_rows(np.stack([rows ^ g for g in range(G)]),
+                                    range(p.n), p)
         stack[:, np.setdiff1d(range(p.n), subset)] = 0     # erased
         before = stack.copy()
         erasure.decode_in_place(stack, subset, p)
@@ -508,81 +467,25 @@ class TestFusedDecode:
             assert np.array_equal(stack[g, : p.k], rows ^ g)
 
     def test_cached_matrix_is_read_only(self):
-        missing, M = erasure._source_rows(6, _key(0, 2, 3, 7, 8, 9))
+        missing, M = gf256._source_rows(np.array([0, 2, 3, 7, 8, 9]))
         assert missing.tolist() == [1, 4, 5]
         # a column per row read, in the order of the labels; the parity
         # rows read all stand in, so their columns have no zero
         assert M.shape == (3, 6)
         assert M[:, 3:].all()
-        # the generator rows encode_rows takes are read-only as well
-        for cached in (missing, M, erasure._generator(10, 6)):
-            with pytest.raises(ValueError):
-                cached[0] ^= 1
-        missing, M = erasure._source_rows(6, _key(0, 1, 3, 4, 5, 7))
+        missing, M = gf256._source_rows(np.array([0, 1, 3, 4, 5, 7]))
         assert missing.tolist() == [2] and M.shape == (1, 6)
+        # the cached generator encode_rows takes its rows from is read-only
+        with pytest.raises(ValueError):
+            erasure._generator(10, 6)[0] ^= 1
 
     def test_efis_validated(self):
         p = erasure.make_codec(6, 4, 32, backend="byte")
-        frags = _as_array(erasure.encode(bytes(16), range(6), p), p)
+        frags = _codeword(bytes(16), p)
         erasure.decode_in_place(frags, (0, 1, 4, 5), p)
         for bad in (6, -1):
             with pytest.raises(ConfigError):
                 erasure.encode_rows(frags, [bad], p)
-
-    def test_symbolic(self):
-        p = erasure.make_codec(6, 4, 32, backend="symbolic")
-        assert erasure.decode_in_place(None, range(4), p) is None
-        assert erasure.encode_rows(None, [5], p) is None
-        with pytest.raises(DecodeError):
-            erasure.decode_in_place(None, range(3), p)
-
-
-class TestMatrixCache:
-    def test_poisson_byte_trial_solves_once_per_key(self, monkeypatch):
-        # the advanced-poisson-byte benchmark's parameters: N = 40, r = 8,
-        # eps = 0.9, 32-byte fragments, 18 failures
-        N, r, eps, flen = 40, 8, 0.9, 256
-        clen = flen * (r * N + r * (r + 1) // 2)
-        cap = int(eps / 2 * N) + 1
-        sc = sim_engine.Scenario(
-            sysParams=SystemParams(N=N, clen=clen, xlen=(N - cap) * clen,
-                                   lam=1.0 / N),
-            repairer="advancedLiquid", variant="poisson", codecBackend="byte",
-            eps=EpsilonSet(0.1, 0.1, eps), advancedR=r, failureCount=18,
-            seed=5)
-        keys, decodes = set(), [0]
-        decode = erasure.decode_in_place
-
-        def keyed(frags, read, params, *check):
-            used = sorted(read)[: params.k]
-            if used[-1] >= params.k:        # decodes that need parity,
-                # one per object of a stack
-                decodes[0] += len(frags) if frags.ndim == 3 else 1
-                keys.add(tuple(used))
-            return decode(frags, read, params, *check)
-
-        monkeypatch.setattr(erasure, "decode_in_place", keyed)
-        with _on_kernel("numpy"):     # the compiled decode solves in C
-            res = sim_engine.run_trial(sc, 0)
-            solves = erasure._source_rows.cache_info().misses
-        assert res.recoverableThroughout
-        assert 0 < solves <= len(keys)
-        assert decodes[0] > 20 * solves     # one solve each, uncached
-
-    def test_cache_stays_bounded(self):
-        n, k = 12, 4
-        p = erasure.make_codec(n, k, 16, backend="byte")
-        obj = bytes(range(k * 2))
-        frags = _as_array(erasure.encode(obj, range(n), p), p)
-        subsets = list(combinations(range(n), k))
-        assert len(subsets) > erasure.MATRIX_CACHE_SIZE
-        with _on_kernel("numpy"):     # the compiled decode solves in C
-            for subset in subsets:
-                one = frags.copy()
-                erasure.decode_in_place(one, subset, p)
-                assert one[:k].tobytes() == obj
-            info = erasure._source_rows.cache_info()
-        assert info.currsize == erasure.MATRIX_CACHE_SIZE
 
 
 def _decode_cases():
@@ -699,28 +602,58 @@ class TestDecodeCheck:
             frags[labels, range(k)] = 1
             with _on_kernel(kernel):
                 assert erasure.decode_in_place(frags, labels, p) == 1
-            want_missing, C = erasure._source_rows(k, labels.tobytes())
+            want_missing, C = gf256._source_rows(labels)
             assert np.array_equal(frags[want_missing], C), (n, k, m)
 
     @pytest.mark.parametrize("kernel", _ALL_KERNELS)
     def test_bad_efis_rejected_before_any_product(self, kernel):
         p = erasure.make_codec(6, 3, 32, backend="byte")
-        fr = erasure.encode(bytes(range(12)), range(6), p)
-        g = _as_array(fr, p)
+        g = _codeword(bytes(range(12)), p)
         with _on_kernel(kernel):
-            for bad in ({-1: fr[5], 4: fr[4], 5: fr[5]},
-                        {0: fr[0], 1: fr[1], 6: fr[5]}):
-                with pytest.raises(DecodeError):
-                    erasure.decode(bad, p)
-            for read in ([2, 4, 4], [-1, 4, 5], [0, 1, 7], [3, 3, 4, 5]):
+            for read in ([2, 4, 4], [-1, 4, 5], [0, 1, 7], [0, 1, 6],
+                         [3, 3, 4, 5]):
                 given = g.copy()
                 given[[0, 1]] = 0
                 before = given.copy()
                 with pytest.raises(DecodeError):
                     erasure.decode_in_place(given, read, p, g)
                 assert np.array_equal(given, before), read
-            good = {e: fr[e] for e in (1, 4, 5)}
-            assert erasure.decode(good, p) == bytes(range(12))
+            given = g.copy()
+            given[[0, 2, 3]] = 0
+            assert erasure.decode_in_place(given, [1, 4, 5], p, g) == 1
+            assert given[:3].tobytes() == bytes(range(12))
+
+    @pytest.mark.parametrize("kernel", _ALL_KERNELS)
+    def test_bad_arguments_rejected_before_any_product(self, kernel):
+        # codeword indices out of range, a codeword of another width and a
+        # non-contiguous stack raise on the numpy path as in the kernel
+        p = erasure.make_codec(6, 3, 32, backend="byte")
+        g = rng.stream(19)
+        code = erasure.encode_rows(
+            g.integers(0, 256, (2, 3, 4), dtype=np.uint8), range(6), p)
+        frags = code.copy()
+        frags[:, [0, 4, 5]] = 0
+        wide = np.zeros((2, 6, 8), dtype=np.uint8)
+        wide[:, :, ::2] = frags
+        cases = [(frags, code, [0, -1]), (frags, code, [0, 2]),
+                 (frags, np.zeros((2, 6, 5), np.uint8), None),
+                 (wide[:, :, ::2], code, None)]
+        with _on_kernel(kernel):
+            for given, ref, objs in cases:
+                base = given.base if given.base is not None else given
+                before = base.copy()
+                with pytest.raises(ValueError):
+                    erasure.decode_in_place(given, [1, 2, 3], p, ref, objs)
+                assert np.array_equal(base, before), objs
+            assert erasure.decode_in_place(frags, [1, 2, 3], p, code,
+                                           [0, 1]) == 2
+        assert np.array_equal(frags[:, :4], code[:, :4])
+
+    def test_max_n_matches_kernel_buffers(self):
+        # the kernel's fixed buffers are sized for the byte backend's n
+        define = re.search(r"^#define GF_MAX_N (\d+)",
+                           gf256._SOURCE.read_text(), re.MULTILINE)
+        assert int(define.group(1)) == erasure.MAX_BYTE_N
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
     def test_kernel_entry_rejects_bad_input(self):
@@ -772,7 +705,7 @@ class TestClosedFormSolve:
                 par = sorted(g.choice(np.arange(k, n), m, replace=False).tolist())
                 missing = sorted(g.choice(k, m, replace=False).tolist())
                 labels = sorted(set(range(k)).difference(missing)) + par
-                got_missing, C = erasure._source_rows(k, _key(*labels))
+                got_missing, C = gf256._source_rows(np.array(labels))
                 assert got_missing.tolist() == missing
                 full = np.zeros((m, n), dtype=np.uint8)
                 if m:
@@ -783,35 +716,22 @@ class TestClosedFormSolve:
 
 
 class TestSymbolicCodec:
-    def test_presence_decode(self):
-        p = erasure.make_codec(300, 250, 10, backend="symbolic")
-        frags = erasure.encode(None, range(250), p)
-        assert erasure.decode(frags, p) is None
-        with pytest.raises(DecodeError):
-            erasure.decode({e: None for e in range(249)}, p)
-
     def test_differential_verdicts(self):
-        # byte and symbolic must agree on decodability for every subset size
+        # a byte decode succeeds, with the object's bytes, exactly for the
+        # subsets of at least k EFIs, the symbolic backend's verdict
         n, k = 9, 5
         pb = erasure.make_codec(n, k, 24, backend="byte")
-        ps = erasure.make_codec(n, k, 24, backend="symbolic")
         obj = bytes(rng.stream(8).integers(0, 256, 15).astype(np.uint8))
-        byte_frags = erasure.encode(obj, range(n), pb)
+        code = _codeword(obj, pb)
         g = rng.stream(9)
         for _ in range(300):
             m = int(g.integers(0, n + 1))
             subset = [int(e) for e in g.permutation(n)[:m]]
             try:
-                erasure.decode({e: byte_frags[e] for e in subset}, pb)
-                byte_ok = True
+                byte_ok = _decode(code, subset, pb) == obj
             except DecodeError:
                 byte_ok = False
-            try:
-                erasure.decode({e: None for e in subset}, ps)
-                sym_ok = True
-            except DecodeError:
-                sym_ok = False
-            assert byte_ok == sym_ok == (m >= k)
+            assert byte_ok == (m >= k)
 
 
 def _kernel_scenarios():
@@ -843,17 +763,11 @@ class TestKernelIndependence:
     products: each runnable C entry point and the numpy kernel give the
     same TrialResult, trace included."""
 
-    @staticmethod
-    def kernels():
-        """numpy and each runnable C kernel of the loaded object."""
-        gf256.compiled()
-        return ["numpy"] + [k for k in gf256._PRODUCTS if _runnable(k)]
-
     @pytest.mark.parametrize("name", sorted(_kernel_scenarios()))
     def test_trial_result_same_on_every_kernel(self, name):
         sc = _kernel_scenarios()[name]
         results = {}
-        for kernel in self.kernels():
+        for kernel in _kernels():
             with _on_kernel(kernel):
                 results[kernel] = sim_engine.run_trial(sc, 0)
         if HAVE_CC:
@@ -863,15 +777,7 @@ class TestKernelIndependence:
         for kernel, res in results.items():
             assert res == results["numpy"], kernel
 
-    @pytest.mark.parametrize("kernel", [
-        "numpy",
-        pytest.param("scalar", marks=pytest.mark.skipif(
-            not HAVE_CC, reason="no C compiler 'cc' on PATH")),
-        pytest.param("avx2", marks=pytest.mark.skipif(
-            not (HAVE_CC and _runnable("avx2")), reason="no AVX2 kernel")),
-        pytest.param("gfni", marks=pytest.mark.skipif(
-            not (HAVE_CC and _runnable("gfni")), reason="no GFNI kernel")),
-    ])
+    @pytest.mark.parametrize("kernel", _ALL_KERNELS)
     @settings(max_examples=40, deadline=None, database=None)
     @given(case=in_place_cases())
     def test_in_place_decode_on_every_kernel(self, kernel, case):

@@ -3,6 +3,11 @@
 import json
 import logging
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -422,6 +427,25 @@ class TestBackendAgreement:
             steps = [e for e in results[0].perStepTrace if e[1] == "step"]
             assert len(steps) == 30
             assert results[0] == results[1]
+
+    def test_symbolic_runs_never_load_the_gf_kernel(self):
+        # a symbolic trial holds no payloads, so it never builds or loads
+        # the GF(256) kernel, which would show in its setup time; checked
+        # in a fresh interpreter, as byte tests may have loaded it here
+        scenarios = [advanced_periodic(N=10, r=2, M=20),
+                     liquid_periodic(M=20, codecBackend="symbolic")]
+        child = ("import pickle, sys\n"
+                 "from liquidsim import gf256, sim_engine\n"
+                 "for sc in pickle.load(sys.stdin.buffer):\n"
+                 "    assert sim_engine.run_trial(sc, 0).perStepTrace\n"
+                 "print(gf256.KERNEL)\n")
+        src = str(Path(sim_engine.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", child],
+                              input=pickle.dumps(scenarios), capture_output=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().split() == ["None"]
 
 
 class TestExperiment:
