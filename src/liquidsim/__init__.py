@@ -19,111 +19,49 @@ own numpy arrays.
 
 Most callers only need :class:`Scenario` plus :func:`run_experiment`, or the
 ``liquidsim`` console script.
+
+``import liquidsim`` loads none of these modules: a name of ``__all__``
+imports its module the first time it is asked for (PEP 562), so a process
+compiles only the modules it runs, which shows in every fresh process's
+set-up where no bytecode is cached.
 """
 
-from .errors import (
-    ConfigError,
-    DecodeError,
-    InvariantViolation,
-    MissingFragmentError,
-)
-from .bounds import (
-    BoundReport,
-    EpsilonSet,
-    PhaseParams,
-    SystemParams,
-    capacity,
-    core_bounds,
-    derive_phase_params,
-    expected_distinct_failures,
-    lnd,
-    lni,
-    phase_from_overhead,
-    poisson_bounds,
-    supermartingale_tail,
-)
-from .failure_gen import FailureSeq, gen_periodic, gen_poisson
-from .erasure import CodecParams, make_codec
-from .cluster import ClusterState
-from .liquid import (
-    LiquidLayout,
-    RepairCounter,
-    StepSchedule,
-    liquid_fail_node,
-    liquid_repair_step,
-    liquid_store,
-)
-from .advanced_liquid import (
-    AdvancedPoissonRepairer,
-    GroupLayout,
-    advanced_fail_node,
-    advanced_repair_step,
-    advanced_schedule,
-    advanced_store,
-    r_for_target_overhead,
-)
-from .sim_engine import (
-    CSV_HEADER,
-    ExperimentReport,
-    GsEstimate,
-    Scenario,
-    TrialResult,
-    monte_carlo_gs,
-    run_experiment,
-    run_trial,
-    summary_lines,
-    write_csv,
-    write_summary,
-)
+import importlib
 
-__all__ = [
-    "ConfigError",
-    "DecodeError",
-    "InvariantViolation",
-    "MissingFragmentError",
-    "BoundReport",
-    "EpsilonSet",
-    "PhaseParams",
-    "SystemParams",
-    "capacity",
-    "core_bounds",
-    "derive_phase_params",
-    "expected_distinct_failures",
-    "lnd",
-    "lni",
-    "phase_from_overhead",
-    "poisson_bounds",
-    "supermartingale_tail",
-    "FailureSeq",
-    "gen_periodic",
-    "gen_poisson",
-    "CodecParams",
-    "make_codec",
-    "ClusterState",
-    "LiquidLayout",
-    "RepairCounter",
-    "StepSchedule",
-    "liquid_fail_node",
-    "liquid_repair_step",
-    "liquid_store",
-    "AdvancedPoissonRepairer",
-    "GroupLayout",
-    "advanced_fail_node",
-    "advanced_repair_step",
-    "advanced_schedule",
-    "advanced_store",
-    "r_for_target_overhead",
-    "CSV_HEADER",
-    "ExperimentReport",
-    "GsEstimate",
-    "Scenario",
-    "TrialResult",
-    "monte_carlo_gs",
-    "run_experiment",
-    "run_trial",
-    "summary_lines",
-    "write_csv",
-    "write_summary",
-]
+# {module: the names it exports}; __all__ and the lookup below derive from it
+_EXPORTS = {
+    "errors": "ConfigError DecodeError InvariantViolation MissingFragmentError",
+    "bounds": "BoundReport EpsilonSet PhaseParams SystemParams capacity "
+              "core_bounds derive_phase_params expected_distinct_failures lnd "
+              "lni phase_from_overhead poisson_bounds supermartingale_tail",
+    "failure_gen": "FailureSeq gen_periodic gen_poisson",
+    "erasure": "CodecParams make_codec",
+    "cluster": "ClusterState",
+    "liquid": "LiquidLayout RepairCounter StepSchedule liquid_fail_node "
+              "liquid_repair_step liquid_store",
+    "advanced_liquid": "AdvancedPoissonRepairer GroupLayout advanced_fail_node "
+                       "advanced_repair_step advanced_schedule advanced_store "
+                       "r_for_target_overhead",
+    "sim_engine": "CSV_HEADER ExperimentReport GsEstimate Scenario TrialResult "
+                  "monte_carlo_gs run_experiment run_trial summary_lines "
+                  "write_csv write_summary",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import a name's module the first time the name is asked for."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

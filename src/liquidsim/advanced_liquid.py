@@ -56,8 +56,9 @@ chain keeps its last pick while neither happens, and the groups one pick
 serves commit as array ops on a range: a step is a few calls, not a loop
 over the N groups.  Their objects read the same labels, so on the byte
 backend one kernel call decodes them all and compares each with its
-codeword, with one solve of that label set's decode matrix, and the store
-build encodes every object's whole codeword in one matmul.
+codeword, with one solve of that label set's decode matrix.  The store
+build fills every object's source from one draw each (rng.fill_bytes) and
+encodes every object's whole codeword in one matmul.
 The fault-injection hook drops the staircases of nodes 0 and 1, which
 fails the census but not recovery.
 """
@@ -72,7 +73,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import erasure
+from . import erasure, rng
 from .cluster import ClusterState
 from .errors import (ConfigError, DecodeError, InvariantViolation,
                      MissingFragmentError)
@@ -247,12 +248,8 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
             payload_rng = payload_rng()
         n, fb = N + r, codec.flen_bytes
         layout.code = code = np.empty((N, r, n, fb), dtype=np.uint8)
-        # payload_rng.bytes(k * fb) per object, drawn at once: bytes() takes
-        # whole 32-bit words from the stream and drops the spare bytes
-        words = -(-k * fb // 4)
-        code[:, :, :k] = payload_rng.integers(
-            0, 2 ** 32, (N * r, words), dtype=np.uint32).astype("<u4").view(
-                np.uint8)[:, :k * fb].reshape(N, r, k, fb)
+        # an object's source rows are one payload_rng.bytes(k * fb)
+        rng.fill_bytes(payload_rng, code.reshape(N * r, n * fb)[:, :k * fb])
         # every object encodes from its source rows: one product for all
         code[:, :, k:] = erasure.encode_rows(
             code.reshape(N * r, n, fb), range(k, n), codec).reshape(
@@ -264,7 +261,8 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
         # primaries, then helpers N..N + p at its anchor
         keep = np.arange(N, n) <= N + np.arange(r)[:, None]     # (p, label-N)
         owner[:, :, N:] = np.where(keep, np.arange(N)[:, None, None], -1)
-        layout.frags = code * (owner >= 0)[..., None]
+        layout.frags = frags = code.copy()
+        frags[owner < 0] = 0
     return state, layout, rotation
 
 

@@ -89,6 +89,17 @@ class BoundReport:
         return d
 
 
+def json_safe(obj):
+    """Replace non-finite floats with strings so output is strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    return obj
+
+
 def lni(zeta: float) -> float:
     """ln(1/(1-zeta)) on [0, 1)."""
     if not 0.0 <= zeta < 1.0:

@@ -19,12 +19,14 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import bounds, sim_engine
+from . import bounds
 from .bounds import EpsilonSet, SystemParams
 from .errors import ConfigError, InvariantViolation
-from .sim_engine import Scenario
+
+if TYPE_CHECKING:  # the simulator loads only for `run`
+    from .sim_engine import Scenario
 
 _SCHEMA = {
     "system": {"n", "clen", "xlen", "beta", "vlen", "lambda"},
@@ -83,6 +85,8 @@ def _reject_unknown(cp: configparser.ConfigParser, lines: dict,
 
 def load_scenario(path) -> tuple:
     """Parse and validate a scenario file; returns (Scenario, OutputSpec)."""
+    from .sim_engine import Scenario
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -236,6 +240,8 @@ def cmd_run(args) -> int:
         sys.stdout.write(dump_config(scenario, out))
         return 0
 
+    from . import sim_engine
+
     report = sim_engine.run_experiment(scenario, jobs=args.jobs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -284,7 +290,7 @@ def cmd_bounds(args) -> int:
              "M": phase.M, **rep.summary()}
     for name, value in table.items():
         print(f"{name:<22} {value!r}")
-    print(json.dumps(sim_engine.json_safe(table), sort_keys=True))
+    print(json.dumps(bounds.json_safe(table), sort_keys=True))
     return 0
 
 

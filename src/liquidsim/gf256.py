@@ -33,8 +33,6 @@ import ctypes
 import logging
 import os
 import platform
-import shutil
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +98,7 @@ def _build() -> Path:
     with a warning, into a ``_nogfni`` object that is never looked up: each
     load tries the full build again, so a later one that succeeds is used.
     """
-    import hashlib  # here, so that a run with no byte codec never loads them
-    import subprocess
+    import hashlib  # here, so that a run with no byte codec never loads it
 
     source = _SOURCE.read_bytes()
     key = hashlib.sha256(source + repr((_CFLAGS, platform.machine())).encode())
@@ -109,6 +106,10 @@ def _build() -> Path:
     target = cache / f"gf256_{key.hexdigest()[:16]}.so"
     if target.exists():
         return target
+    import shutil  # only a build needs these
+    import subprocess
+    import tempfile
+
     cc = shutil.which("cc")
     if cc is None:
         raise OSError("no C compiler 'cc' on PATH")

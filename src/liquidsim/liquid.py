@@ -15,14 +15,17 @@ object at position j is (stepsDone + j) % objectCount.
 
 The byte backend keeps two (objects, N, flen_bytes) uint8 arrays beside
 held: code, the reference codeword of every object, whose first k rows are
-its source, and frags, what the nodes hold.  A failure zeroes the node's
-column of frags.  A step decodes and checks in one kernel call
-(erasure.decode_in_place with the codeword): the product reads the
-object's rows of frags where they lie and writes its missing source rows
-there, and frags[:k] is compared with code[:k] byte for byte.  The
-missing parity rows, usually none to two, are then copied back from code
-row by row.  Every 100th step also re-encodes the parity from the decoded
-source (erasure.encode_rows) and compares it with code's (np.array_equal).
+its source, and frags, what the nodes hold.  The store fills the source
+rows from the payload stream (rng.fill_bytes), encodes every object's
+parity in one stacked product, and copies code into frags with the unheld
+rows zeroed.  A failure zeroes the node's column of frags.  A step decodes
+and checks in one kernel call (erasure.decode_in_place with the codeword):
+the product reads the object's rows of frags where they lie and writes its
+missing source rows there, and frags[:k] is compared with code[:k] byte for
+byte.  The missing parity rows, usually none to two, are then copied back
+from code row by row.  Every 100th step also re-encodes the parity from the
+decoded source (erasure.encode_rows) and compares it with code's
+(np.array_equal).
 The symbolic backend holds no payloads and only meters.
 """
 
@@ -35,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import erasure
+from . import erasure, rng
 from .cluster import ClusterState
 from .errors import ConfigError, DecodeError, InvariantViolation
 
@@ -159,15 +162,12 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
     if byte:
         if callable(payload_rng):
             payload_rng = payload_rng()
-        fb = codec.flen_bytes
-        layout.code = code = np.zeros((count, N, fb), dtype=np.uint8)
-        for j in range(count):
-            # a row per draw: object-sized draws, freed at once, would be
-            # trimmed back to the OS and fault in again for the next object
-            for e in range(k):
-                code[j, e] = np.frombuffer(payload_rng.bytes(fb), np.uint8)
-            code[j, k:] = erasure.encode_rows(code[j], range(k, N), codec)
-        layout.frags = code * held[:, :, None]
+        layout.code = code = np.empty((count, N, codec.flen_bytes), np.uint8)
+        # source row e of object j is the (j * k + e)-th payload_rng.bytes
+        rng.fill_bytes(payload_rng, code[:, :k])
+        code[:, k:] = erasure.encode_rows(code, range(k, N), codec)
+        layout.frags = frags = code.copy()
+        frags[~held] = 0
     return state, layout
 
 

@@ -26,7 +26,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from multiprocessing import Pool
 from typing import Optional
 
 import numpy as np
@@ -357,6 +356,8 @@ def run_experiment(scenario: Scenario, jobs: int = 1) -> ExperimentReport:
     """
     tasks = [(scenario, s) for s in range(scenario.trials)]
     if jobs > 1:
+        from multiprocessing import Pool    # only a pooled run needs it
+
         with Pool(processes=jobs) as pool:
             results = pool.map(_trial_star, tasks)
     else:
@@ -419,17 +420,6 @@ def monte_carlo_gs(N: int, i: int, trials: int, seed: int) -> GsEstimate:
                       trials=trials)
 
 
-def json_safe(obj):
-    """Replace non-finite floats with strings so output is strict JSON."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {k: json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_safe(v) for v in obj]
-    return obj
-
-
 def result_row(r: TrialResult) -> str:
     loss = "" if r.firstLossTime is None else repr(float(r.firstLossTime))
     return ",".join([
@@ -458,10 +448,10 @@ def summary_lines(report: ExperimentReport) -> list:
         "lowerBoundPerFailure": report.lowerBoundPerFailure,
         "ratios": report.ratios,
     }
-    lines = [json.dumps(json_safe(agg), sort_keys=True)]
+    lines = [json.dumps(bounds.json_safe(agg), sort_keys=True)]
     if report.boundReport is not None:
         lines.append(json.dumps(
-            json_safe({"boundReport": report.boundReport.summary()}),
+            bounds.json_safe({"boundReport": report.boundReport.summary()}),
             sort_keys=True))
     return lines
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -320,7 +321,8 @@ class TestCmdRun:
                                              monkeypatch, extra):
         def no_pool(*a, **kw):
             raise AssertionError("a worker pool was started")
-        monkeypatch.setattr(sim_engine, "Pool", no_pool)
+        # run_experiment imports Pool from multiprocessing when it pools
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         jobs = os.cpu_count() + 1 if extra else 0
         f = scenario_file(tmp_path, LIQUID_PERIODIC)
         assert main(["run", "--scenario", str(f), "--out",
