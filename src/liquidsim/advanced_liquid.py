@@ -636,13 +636,16 @@ class _StepChain:
 
     def run(self, t0: float, t1: float) -> AdvancedStepRecord:
         """The whole chain at once: every sub-operation commits at t1 and
-        the step's reads are metered as one stream over [t0, t1]."""
-        for kind, group in iter(self.next_subop, None):
-            # up to the next missing staircase; a generate's own is missing
-            lacking = self.layout.helperLo[group:] != 0
-            run = lacking.argmax() if lacking.any() else len(lacking)
-            self.commit(kind, range(group, group + max(1, run)), t1)
-        self.meter(t0, t1)
+        the step's reads are metered as one stream over [t0, t1], those
+        committed before a stall included."""
+        try:
+            for kind, group in iter(self.next_subop, None):
+                # up to the next missing staircase; a generate's own is missing
+                lacking = self.layout.helperLo[group:] != 0
+                run = lacking.argmax() if lacking.any() else len(lacking)
+                self.commit(kind, range(group, group + max(1, run)), t1)
+        finally:
+            self.meter(t0, t1)
         return self.finish(t1)
 
 

@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from . import bounds
 from .bounds import EpsilonSet, SystemParams
@@ -28,22 +28,54 @@ from .errors import ConfigError, InvariantViolation
 if TYPE_CHECKING:  # the simulator loads only for `run`
     from .sim_engine import Scenario
 
-_SCHEMA = {
-    "system": {"n", "clen", "xlen", "beta", "vlen", "lambda"},
-    "repairer": {"kind", "variant", "eps", "eps_c", "eps_d", "r", "period",
-                 "step_duration"},
-    "codec": {"backend"},
-    "run": {"failures", "trials", "seed", "peak_window", "assert_every",
-            "fault_injection"},
-    "output": {"csv", "summary", "trace"},
+_REQUIRED = object()     # a default that makes the key mandatory
+
+# Every scenario key: {section: {key: (type, default, destination)}}.  The
+# destination is a Scenario field, a field of its sysParams or eps, a field
+# of the OutputSpec ("out."), or None for beta, which only derives xlen.
+# Keys are case-insensitive; the spelling here is the one --dump-config
+# writes, in this order, leaving out None values.
+_KEYS = {
+    "system": {
+        "N": (int, _REQUIRED, "sysParams.N"),
+        "clen": (int, _REQUIRED, "sysParams.clen"),
+        "xlen": (int, None, "sysParams.xlen"),
+        "beta": (float, None, None),
+        "vlen": (int, 0, "sysParams.vlen"),
+        "lambda": (float, 0.0, "sysParams.lam"),
+    },
+    "repairer": {
+        "kind": (str, "liquid", "repairer"),
+        "variant": (str, "periodic", "variant"),
+        "eps_c": (float, 0.1, "eps.epsC"),
+        "eps_d": (float, 0.1, "eps.epsD"),
+        "eps": (float, 0.1, "eps.eps"),
+        "period": (float, 1.0, "period"),
+        "r": (int, None, "advancedR"),
+        "step_duration": (float, None, "stepDuration"),
+    },
+    "codec": {"backend": (str, "auto", "codecBackend")},
+    "run": {
+        "failures": (int, 0, "failureCount"),
+        "trials": (int, 1, "trials"),
+        "seed": (int, 0, "seed"),
+        "assert_every": (int, 1, "assertEvery"),
+        "fault_injection": (bool, False, "faultInjection"),
+        "peak_window": (float, None, "peakWindow"),
+    },
+    "output": {
+        "csv": (str, "results.csv", "out.csv"),
+        "summary": (str, "summary.jsonl", "out.summary"),
+        "trace": (bool, False, "out.trace"),
+    },
 }
 
 
 @dataclass(frozen=True)
 class OutputSpec:
-    csv: str = "results.csv"
-    summary: str = "summary.jsonl"
-    trace: bool = False
+    csv: str        # defaults in _KEYS
+    summary: str
+    trace: bool
 
 
 def _key_lines(text: str) -> dict:
@@ -65,22 +97,29 @@ def _key_lines(text: str) -> dict:
     return found
 
 
-def _reject_unknown(cp: configparser.ConfigParser, lines: dict,
-                    path: str) -> None:
-    problems = []
-    for section in cp.sections():
-        s = section.lower()
-        if s not in _SCHEMA:
+def _sections(cp: configparser.ConfigParser, lines: dict, path: str) -> dict:
+    """{section: name in the file}; rejects unknown sections and keys and
+    sections that differ only in case."""
+    names, problems = {}, []
+    for name in cp.sections():
+        s = name.lower()
+        if s in names:
+            raise ConfigError(f"{path}: sections [{names[s]}] and [{name}] "
+                              f"differ only in case")
+        names[s] = name
+        if s not in _KEYS:
             n = lines.get(("[section]", s), "?")
-            problems.append(f"{path}:{n}: unknown section [{section}]")
+            problems.append(f"{path}:{n}: unknown section [{name}]")
             continue
-        for key in cp.options(section):
-            if key not in _SCHEMA[s]:
+        known = {key.lower() for key in _KEYS[s]}
+        for key in cp.options(name):
+            if key not in known:
                 n = lines.get((s, key), "?")
                 problems.append(f"{path}:{n}: unknown key '{key}' in "
-                                f"[{section}]")
+                                f"[{name}]")
     if problems:
         raise ConfigError("; ".join(problems))
+    return names
 
 
 def load_scenario(path) -> tuple:
@@ -94,126 +133,75 @@ def load_scenario(path) -> tuple:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.read_string(text, source=str(path))
     lines = _key_lines(text)
-    _reject_unknown(cp, lines, str(path))
-
-    def typed(get, section, key, **fallback):
-        try:
-            return get(section, key, **fallback)
-        except ValueError as e:     # a malformed value, not a missing one
-            raise ConfigError(f"{path}:{lines.get((section, key), '?')}: "
-                              f"'{key}' in [{section}]: {e}") from None
-
-    if not cp.has_section("system"):
+    names = _sections(cp, lines, str(path))
+    if "system" not in names:
         raise ConfigError(f"{path}: missing [system] section")
-    N = typed(cp.getint, "system", "n")
-    clen = typed(cp.getint, "system", "clen")
-    vlen = typed(cp.getint, "system", "vlen", fallback=0)
-    lam = typed(cp.getfloat, "system", "lambda", fallback=0.0)
 
-    has_x = cp.has_option("system", "xlen")
-    has_b = cp.has_option("system", "beta")
-    if has_x and has_b:
+    get = {int: cp.getint, float: cp.getfloat, bool: cp.getboolean,
+           str: cp.get}
+    # destination object ("" for Scenario) -> {field: value}
+    got = {"": {}, "sysParams": {}, "eps": {}, "out": {}}
+    for s, keys in _KEYS.items():
+        name = names.get(s)
+        given = cp.options(name) if name else ()
+        for key, (kind, default, dest) in keys.items():
+            key = key.lower()
+            try:
+                value = (get[kind](name, key)
+                         if key in given or default is _REQUIRED else default)
+            except ValueError as e:     # a malformed value, not a missing one
+                raise ConfigError(f"{path}:{lines.get((s, key), '?')}: "
+                                  f"'{key}' in [{s}]: {e}") from None
+            if dest is None:        # beta only derives xlen
+                beta = value
+                continue
+            obj, _, field = dest.rpartition(".")
+            got[obj][field] = value
+
+    sp = got["sysParams"]
+    if sp["xlen"] is not None and beta is not None:
         raise ConfigError(
             f"{path}: [system] must give exactly one of 'xlen' and 'beta' "
             f"(xlen at line {lines.get(('system', 'xlen'), '?')}, "
             f"beta at line {lines.get(('system', 'beta'), '?')})")
-    if not has_x and not has_b:
-        raise ConfigError(f"{path}: [system] needs 'xlen' or 'beta'")
-    if has_x:
-        xlen = typed(cp.getint, "system", "xlen")
-    else:
-        beta = typed(cp.getfloat, "system", "beta")
+    if sp["xlen"] is None:
+        if beta is None:
+            raise ConfigError(f"{path}: [system] needs 'xlen' or 'beta'")
         if not 0.0 < beta < 1.0:
             raise ConfigError(f"{path}: beta must be in (0, 1)")
-        xlen = round((1.0 - beta) * N) * clen
-    sp = SystemParams(N=N, clen=clen, xlen=xlen, vlen=vlen, lam=lam)
+        sp["xlen"] = round((1.0 - beta) * sp["N"]) * sp["clen"]
+    sp = SystemParams(**sp)
 
-    kind = cp.get("repairer", "kind", fallback="liquid")
-    variant = cp.get("repairer", "variant", fallback="periodic")
-    eps = EpsilonSet(typed(cp.getfloat, "repairer", "eps_c", fallback=0.1),
-                     typed(cp.getfloat, "repairer", "eps_d", fallback=0.1),
-                     typed(cp.getfloat, "repairer", "eps", fallback=0.1))
-    r = typed(cp.getint, "repairer", "r", fallback=None)
-    period = typed(cp.getfloat, "repairer", "period", fallback=1.0)
-    step_dur = typed(cp.getfloat, "repairer", "step_duration", fallback=None)
-
-    backend = cp.get("codec", "backend", fallback="auto")
-
-    failures = typed(cp.getint, "run", "failures", fallback=0)
-    trials = typed(cp.getint, "run", "trials", fallback=1)
-    seed = typed(cp.getint, "run", "seed", fallback=0)
-    peak = typed(cp.getfloat, "run", "peak_window", fallback=None)
-    assert_every = typed(cp.getint, "run", "assert_every", fallback=1)
-    fault = typed(cp.getboolean, "run", "fault_injection", fallback=False)
-
-    def file_name(key, default):
-        # checked here, so a name that cannot be written fails before a trial
-        name = cp.get("output", key, fallback=default)
+    # checked here, so a name that cannot be written fails before a trial
+    for key in ("csv", "summary"):
+        name = got["out"][key]
         if name in ("", ".", "..") or Path(name).name != name:
             raise ConfigError(f"{path}:{lines.get(('output', key), '?')}: "
                               f"'{key}' in [output] must be a plain file "
                               f"name, got {name!r}")
-        return name
+    out = OutputSpec(**got["out"])
 
-    out = OutputSpec(
-        csv=file_name("csv", "results.csv"),
-        summary=file_name("summary", "summary.jsonl"),
-        trace=typed(cp.getboolean, "output", "trace", fallback=False))
-
-    scenario = Scenario(sysParams=sp, repairer=kind, variant=variant,
-                        codecBackend=backend, eps=eps, failureCount=failures,
-                        trials=trials, seed=seed, peakWindow=peak,
-                        period=period, advancedR=r, stepDuration=step_dur,
-                        assertEvery=assert_every, collectTrace=out.trace,
-                        faultInjection=fault)
+    scenario = Scenario(sysParams=sp, eps=EpsilonSet(**got["eps"]),
+                        collectTrace=out.trace, **got[""])
     return scenario, out
 
 
 def dump_config(scenario: Scenario, out: OutputSpec) -> str:
     """Canonical scenario text; load_scenario on it reproduces the inputs."""
-    sp = scenario.sysParams
-    lines = [
-        "[system]",
-        f"N = {sp.N}",
-        f"clen = {sp.clen}",
-        f"xlen = {sp.xlen}",
-        f"vlen = {sp.vlen}",
-        f"lambda = {sp.lam!r}",
-        "",
-        "[repairer]",
-        f"kind = {scenario.repairer}",
-        f"variant = {scenario.variant}",
-        f"eps_c = {scenario.eps.epsC!r}",
-        f"eps_d = {scenario.eps.epsD!r}",
-        f"eps = {scenario.eps.eps!r}",
-        f"period = {scenario.period!r}",
-    ]
-    if scenario.advancedR is not None:
-        lines.append(f"r = {scenario.advancedR}")
-    if scenario.stepDuration is not None:
-        lines.append(f"step_duration = {scenario.stepDuration!r}")
-    lines += [
-        "",
-        "[codec]",
-        f"backend = {scenario.codecBackend}",
-        "",
-        "[run]",
-        f"failures = {scenario.failureCount}",
-        f"trials = {scenario.trials}",
-        f"seed = {scenario.seed}",
-        f"assert_every = {scenario.assertEvery}",
-        f"fault_injection = {str(scenario.faultInjection).lower()}",
-    ]
-    if scenario.peakWindow is not None:
-        lines.append(f"peak_window = {scenario.peakWindow!r}")
-    lines += [
-        "",
-        "[output]",
-        f"csv = {out.csv}",
-        f"summary = {out.summary}",
-        f"trace = {str(out.trace).lower()}",
-        "",
-    ]
+    objs = {"": scenario, "sysParams": scenario.sysParams,
+            "eps": scenario.eps, "out": out}
+    lines = []
+    for section, keys in _KEYS.items():
+        lines.append(f"[{section}]")
+        for key, (_, _, dest) in keys.items():
+            if dest is None:
+                continue
+            obj, _, field = dest.rpartition(".")
+            value = getattr(objs[obj], field)
+            if value is not None:
+                text = str(value).lower() if isinstance(value, bool) else value
+                lines.append(f"{key} = {text}")
+        lines.append("")
     return "\n".join(lines)
 
 

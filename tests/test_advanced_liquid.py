@@ -868,9 +868,11 @@ class TestBatchedStepMatchesOneGroupAtATime:
         try:
             if batched:
                 return chain, chain.run(1.0, 2.0), None
-            for kind, group in iter(chain.next_subop, None):
-                chain.commit(kind, one(group), 2.0)
-            chain.meter(1.0, 2.0)
+            try:
+                for kind, group in iter(chain.next_subop, None):
+                    chain.commit(kind, one(group), 2.0)
+            finally:    # a stall still meters the reads committed before it
+                chain.meter(1.0, 2.0)
             return chain, chain.finish(2.0), None
         except DecodeError as e:
             return chain, None, str(e)
@@ -899,6 +901,28 @@ class TestBatchedStepMatchesOneGroupAtATime:
         if case.backend == "byte":
             assert np.array_equal(bl.frags, sl.frags)
             assert np.array_equal(bl.owner, sl.owner)
+
+    def test_stall_meters_committed_reads_over_the_step(self):
+        # groups 0-2 already moved to node 5; with 6, 7 and 0 down too,
+        # group 3 keeps 6 primary sources of the k = 7 it needs
+        state, layout, rotation = advanced_store(
+            10, (2 * 10 + 3) * 8, 2, variant="poisson", eps=0.5,
+            backend="symbolic")
+        assert (layout.k, layout.flen) == (7, 8)
+        state.begin_phase("repair")
+        advanced_fail_node(state, layout, 1.0, 5)
+        move_helpers(state, layout, rotation, range(0, 3), 5, t=1.0)
+        for node in (6, 7, 0):
+            advanced_fail_node(state, layout, 1.0, node)
+        read, written = (state.phase_read["repair"],
+                         state.phase_written["repair"])
+        logged = len(state.read_log)
+        with pytest.raises(DecodeError, match=r"object \(3,"):
+            advanced_repair_step(state, layout, rotation, 0, t0=2.0, t1=3.0)
+        read = state.phase_read["repair"] - read
+        assert state.phase_written["repair"] - written == 184
+        assert read > 0
+        assert list(state.read_log)[logged:] == [(2.0, 3.0, read)]
 
     def test_stall_leaves_the_short_group_moved(self):
         # node 2's row ends before group 5: groups 0..4 keep their N - 1

@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -61,6 +62,88 @@ trials = 2
 seed = 9
 peak_window = 2.0
 """
+
+# --dump-config of the two scenarios above, byte for byte
+LIQUID_PERIODIC_DUMP = """\
+[system]
+N = 10
+clen = 160
+xlen = 1280
+vlen = 0
+lambda = 0.0
+
+[repairer]
+kind = liquid
+variant = periodic
+eps_c = 0.1
+eps_d = 0.1
+eps = 0.1
+period = 1.0
+
+[codec]
+backend = auto
+
+[run]
+failures = 20
+trials = 2
+seed = 5
+assert_every = 1
+fault_injection = false
+
+[output]
+csv = out.csv
+summary = summary.jsonl
+trace = false
+"""
+
+ADVANCED_POISSON_DUMP = """\
+[system]
+N = 20
+clen = 90
+xlen = 1350
+vlen = 0
+lambda = 0.05
+
+[repairer]
+kind = advancedLiquid
+variant = poisson
+eps_c = 0.1
+eps_d = 0.1
+eps = 0.3
+period = 1.0
+r = 4
+
+[codec]
+backend = symbolic
+
+[run]
+failures = 60
+trials = 2
+seed = 9
+assert_every = 1
+fault_injection = false
+peak_window = 2.0
+
+[output]
+csv = results.csv
+summary = summary.jsonl
+trace = false
+"""
+
+# every scenario key, each off its default; xlen and beta give the same
+# source size, and a file takes one of them
+EVERY_KEY = {
+    "system": {"N": "20", "clen": "90", "xlen": "1350", "beta": "0.25",
+               "vlen": "7", "lambda": "0.05"},
+    "repairer": {"kind": "advancedLiquid", "variant": "poisson",
+                 "eps_c": "0.2", "eps_d": "0.15", "eps": "0.3",
+                 "period": "2.5", "r": "4", "step_duration": "0.5"},
+    "codec": {"backend": "symbolic"},
+    "run": {"failures": "7", "trials": "3", "seed": "9",
+            "assert_every": "2", "fault_injection": "true",
+            "peak_window": "2.0"},
+    "output": {"csv": "a.csv", "summary": "b.jsonl", "trace": "true"},
+}
 
 
 def scenario_file(tmp_path, text, name="scenario.ini"):
@@ -121,6 +204,66 @@ class TestLoadScenario:
         first = load_scenario(scenario_file(tmp_path, ADVANCED_POISSON))
         echoed = scenario_file(tmp_path, dump_config(*first), "echo.ini")
         assert load_scenario(echoed) == first
+
+    @pytest.mark.parametrize("text,dumped", [
+        (LIQUID_PERIODIC, LIQUID_PERIODIC_DUMP),
+        (ADVANCED_POISSON, ADVANCED_POISSON_DUMP)],
+        ids=["liquid_periodic", "advanced_poisson"])
+    def test_dump_config_text(self, tmp_path, text, dumped):
+        assert dump_config(*load_scenario(scenario_file(tmp_path, text))) \
+            == dumped
+
+    @pytest.mark.parametrize("left_out", ["beta", "xlen"])
+    def test_every_key_round_trips(self, tmp_path, left_out):
+        assert {s: list(keys) for s, keys in EVERY_KEY.items()} == \
+            {s: list(keys) for s, keys in cli._KEYS.items()}
+        text = "".join(f"[{s}]\n" + "".join(f"{key} = {value}\n"
+                                            for key, value in keys.items()
+                                            if key != left_out)
+                       for s, keys in EVERY_KEY.items())
+        first = load_scenario(scenario_file(tmp_path, text))
+        dumped = dump_config(*first)
+        second = load_scenario(scenario_file(tmp_path, dumped, "echo.ini"))
+        assert second == first
+        assert dump_config(*second) == dumped
+        # every key but beta lands where the dump finds it, off its default
+        for s, keys in cli._KEYS.items():
+            for key, (_, default, dest) in keys.items():
+                value = EVERY_KEY[s][key]
+                assert value != str(default).lower(), key
+                assert (f"{key} = {value}" in dumped.splitlines()) \
+                    == (dest is not None), key
+
+    @pytest.mark.parametrize("section", ["Run", "SYSTEM"])
+    def test_section_names_are_case_insensitive(self, tmp_path, section):
+        # [Run] once passed the unknown-section check and was then ignored
+        text = LIQUID_PERIODIC.replace(f"[{section.lower()}]", f"[{section}]")
+        sc, out = load_scenario(scenario_file(tmp_path, text))
+        assert (sc.failureCount, sc.trials, sc.seed) == (20, 2, 5)
+        assert (sc, out) == load_scenario(
+            scenario_file(tmp_path, LIQUID_PERIODIC, "lower.ini"))
+
+    def test_sections_differing_only_in_case_exit_two(self, tmp_path,
+                                                      capsys):
+        f = scenario_file(tmp_path, LIQUID_PERIODIC + "\n[Run]\nseed = 6\n")
+        with pytest.raises(ConfigError, match=r"\[run\] and \[Run\]"):
+            load_scenario(f)
+        assert main(["run", "--scenario", str(f), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_scenario_block_lists_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md"
+                  ).read_text(encoding="utf-8")
+        block = readme.split("### Scenario files", 1)[1]
+        block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+        for s, keys in cli._KEYS.items():
+            section = block.split(f"[{s}]\n", 1)[1].split("\n[", 1)[0]
+            for key in keys:
+                assert re.search(rf"^[#\s]*{key}\s*=", section,
+                                 re.M | re.I), (s, key)
+        load_scenario(scenario_file(tmp_path, block))
 
 
 class TestCmdRun:
@@ -423,8 +566,8 @@ BAD_VALUES = st.one_of(
 @st.composite
 def bad_scenarios(draw):
     """A small valid scenario with one schema key set to a bad value."""
-    section = draw(st.sampled_from(sorted(cli._SCHEMA)))
-    key = draw(st.sampled_from(sorted(cli._SCHEMA[section])))
+    section = draw(st.sampled_from(sorted(cli._KEYS)))
+    key = draw(st.sampled_from(sorted(k.lower() for k in cli._KEYS[section])))
     return set_key(draw(st.sampled_from(FUZZ_BASES)), section, key,
                    draw(BAD_VALUES))
 
