@@ -65,6 +65,7 @@ fails the census but not recovery.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import deque
@@ -85,6 +86,23 @@ log = logging.getLogger(__name__)
 class OpCounts(NamedTuple):
     fragmentReads: int
     fragmentWrites: int
+
+
+# not a cached_property, whose __dict__ read slows attribute loads (3.11)
+@functools.lru_cache(maxsize=None)
+def op_counts(k: int, r: int) -> dict:
+    """{"generate"|"move"|"update": OpCounts}: the fragments one group's
+    sub-operation of each kind reads and writes."""
+    return {"generate": OpCounts(k * r, r * (r + 1) // 2),
+            "move": OpCounts(r, r), "update": OpCounts(k, r)}
+
+
+@functools.lru_cache(maxsize=None)
+def _subop_bits(k: int, r: int, flen: int) -> list:
+    """[read, written] bits of one group's move+update, then its generate."""
+    ops = op_counts(k, r)
+    return (np.array([np.add(ops["move"], ops["update"]), ops["generate"]])
+            * flen).tolist()
 
 
 class EfiRotation:
@@ -242,7 +260,7 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
                          heldHi=np.full(N, N, dtype=np.int64),
                          helperLo=np.zeros(N, dtype=np.int64))
     rotation = EfiRotation(np.arange(N), np.arange(N, N + r))
-    state.meter_write_bulk(slice(None), clen, t=0.0)
+    state.meter_write_bulk(slice(None), clen)
     if codec.backend == "byte":
         if callable(payload_rng):
             payload_rng = payload_rng()
@@ -404,22 +422,20 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
     position j.  Reads accumulate into collect, a _Reads the caller meters;
     with collect=None they are metered here as an impulse at t.
     """
-    if t is None:
-        t = state.now
     r = layout.r
     reads = _Reads(layout) if collect is None else collect
     srcs, _ = reads.add_sources(range(group, group + 1), layout.front_phys(group),
                                 exclude, layout.k, r * layout.flen)
-    writes = r * (r + 1) // 2
+    counts = op_counts(layout.k, r)["generate"]
     if layout.codec.backend == "byte":     # position j takes helpers 0..j
         _rebuild_helpers(layout, rotation, np.full(r, group),
                          (layout.front_phys(group) + np.arange(r)) % r, srcs,
                          rotation.helperEfis, np.arange(1, r + 1))
-    state.meter_write_bulk(group, writes * layout.flen, t=t)
+    state.meter_write_bulk(group, counts.fragmentWrites * layout.flen)
     layout.helperLo[group] = 0
     if collect is None:
         state.meter_read_spread(reads.take(), t, t)
-    return OpCounts(layout.k * r, writes)
+    return counts
 
 
 def move_helpers(state: ClusterState, layout: GroupLayout,
@@ -435,8 +451,6 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
     before anything is written.  A byte move only changes the fragments'
     owner.
     """
-    if t is None:
-        t = state.now
     g0, g1 = groups.start, groups.stop
     lacking = _first_above(layout.helperLo, groups, 0)
     if lacking is not None:
@@ -456,13 +470,13 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
         owner[...] = toNode
     reads = _Reads(layout) if collect is None else collect
     reads.vector[_at(groups)] += layout.r * layout.flen
-    state.meter_write_bulk(toNode, len(groups) * layout.r * layout.flen, t=t)
+    state.meter_write_bulk(toNode, len(groups) * layout.r * layout.flen)
     layout.heldLo[toNode] = min(lo, g0) if lo < hi else g0
     layout.heldHi[toNode] = max(hi, g1) if lo < hi else g1
     layout.helperLo[_at(groups)] = 1
     if collect is None:
         state.meter_read_spread(reads.take(), t, t)
-    return OpCounts(layout.r, layout.r)
+    return op_counts(layout.k, layout.r)["move"]
 
 
 def update_helpers(state: ClusterState, layout: GroupLayout,
@@ -480,8 +494,6 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
     sharing a source pick commit together; a group short of sources raises
     DecodeError with the groups before it committed.
     """
-    if t is None:
-        t = state.now
     bare = _first_above(layout.helperLo, groups, 1)
     if bare is not None:
         raise MissingFragmentError(f"node {bare} holds no staircase to update")
@@ -499,13 +511,13 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
                              layout.rot[objs] % layout.r, srcs,
                              rotation.new_helper_efis(),
                              np.full(end - g, layout.r))
-        state.meter_write_bulk(done, layout.r * layout.flen, t=t)
+        state.meter_write_bulk(done, layout.r * layout.flen)
         layout.rot[done] += 1
         layout.helperLo[done] = 0
         g = end
     if collect is None:
         state.meter_read_spread(reads.take(), t, t)
-    return OpCounts(layout.k, layout.r)
+    return op_counts(layout.k, layout.r)["update"]
 
 
 def _clear_row(layout, node) -> None:
@@ -522,7 +534,6 @@ def _clear_row(layout, node) -> None:
 
 def advanced_fail_node(state: ClusterState, layout: GroupLayout, t: float,
                        node: int) -> None:
-    state.fail_node(node, t)
     _clear_row(layout, node)
 
 
@@ -549,9 +560,8 @@ class _StepChain:
         self.node = node
         self.startTime = t
         self.futile = False         # target failed again mid-step
-        # groups each kind has committed, and one group's OpCounts of it
+        # groups each kind has committed
         self.generated = self.moved = self.updated = 0
-        self._each = {}
         self.bitsRead = 0
         self.reads = _Reads(layout)
         rotation.begin_step(node)
@@ -568,38 +578,35 @@ class _StepChain:
         has_front = self.layout.helperLo[group] == 0
         return ("moveupdate" if has_front else "generate"), group
 
-    def commit(self, kind: str, groups: range, t: float) -> None:
-        """Run a planned sub-operation on each of groups at t; the reads
-        wait for meter().  A move+update commits the groups the last source
+    def commit(self, kind: str, groups: range) -> None:
+        """Run a planned sub-operation on each of groups; the reads wait
+        for meter().  A move+update commits the groups the last source
         pick serves as one range and a group needing a fresh pick alone, so
         a stall leaves that group's move committed, as one at a time would."""
         ctx = (self.state, self.layout, self.rotation)
-        each = self._each
         if kind == "generate":
             for group in groups:
-                each["generate"] = generate_helpers(
-                    *ctx, group, t=t, collect=self.reads, exclude=self.node)
+                generate_helpers(*ctx, group, collect=self.reads,
+                                 exclude=self.node)
                 self.generated += 1
             return
         g = groups.start
         while g < groups.stop:
             served = self.reads.reach(g, self.node, self.layout.k)
             part = range(g, min(groups.stop, max(served, g + 1)))
-            each["move"] = move_helpers(*ctx, part, self.node, t=t,
-                                        collect=self.reads)
+            move_helpers(*ctx, part, self.node, collect=self.reads)
             self.moved += len(part)
-            each["update"] = update_helpers(
-                *ctx, part, t=t, collect=self.reads, exclude=self.node)
+            update_helpers(*ctx, part, collect=self.reads, exclude=self.node)
             self.updated += len(part)
             g = part.stop
 
     @property
     def counts(self) -> dict:
-        """{kind: [OpCounts, ...]}, one entry per group the kind committed;
-        a kind's counts are the same for every group."""
+        """{kind: [OpCounts, ...]}, one entry per group the kind committed."""
+        ops = op_counts(self.layout.k, self.layout.r)
         done = {"generate": self.generated, "move": self.moved,
                 "update": self.updated}
-        return {kind: [self._each.get(kind)] * n for kind, n in done.items()}
+        return {kind: [ops[kind]] * n for kind, n in done.items()}
 
     def meter(self, t0: float, t1: float, split=None) -> None:
         """Stream the reads committed since the last call over [t0, t1];
@@ -643,7 +650,7 @@ class _StepChain:
                 # up to the next missing staircase; a generate's own is missing
                 lacking = self.layout.helperLo[group:] != 0
                 run = lacking.argmax() if lacking.any() else len(lacking)
-                self.commit(kind, range(group, group + max(1, run)), t1)
+                self.commit(kind, range(group, group + max(1, run)))
         finally:
             self.meter(t0, t1)
         return self.finish(t1)
@@ -651,19 +658,14 @@ class _StepChain:
 
 def advanced_repair_step(state: ClusterState, layout: GroupLayout,
                          rotation: EfiRotation, failedNode: int, *,
-                         t0=None, t1=None) -> AdvancedStepRecord:
+                         t0: float, t1: float) -> AdvancedStepRecord:
     """One full periodic repair step for failedNode, run synchronously.
 
     Generates the target's own staircase first, then moves the donated
     helpers of every group (ascending, including the target's own) in and
     updates the staircases, as array ops over each run of groups between
-    missing staircases.  Reads are metered as one stream over [t0, t1];
-    writes land at t1.
+    missing staircases.  Reads are metered as one stream over [t0, t1].
     """
-    if t0 is None:
-        t0 = state.now
-    if t1 is None:
-        t1 = t0
     return _StepChain(state, layout, rotation, failedNode, t0).run(t0, t1)
 
 
@@ -920,11 +922,8 @@ class AdvancedPoissonRepairer:
 
     def _duration(self, generate: bool) -> float:
         layout = self.layout
-        if generate:
-            bits = layout.k * layout.r * layout.flen
-        else:
-            bits = (layout.r + layout.k) * layout.flen
-        return self.schedule.subop_duration(bits)
+        return self.schedule.subop_duration(
+            _subop_bits(layout.k, layout.r, layout.flen)[generate][0])
 
     def _due(self, sub: _SubOp, t: float, horizon: Optional[float]) -> tuple:
         """(generate, groups, ends): the kind (True for a generate), group
@@ -962,20 +961,20 @@ class AdvancedPoissonRepairer:
         before = chain.generated + chain.updated
         starts = np.flatnonzero(np.concatenate(
             ([True], generate[1:] | generate[:-1]))).tolist()
-        times = ends.tolist()
         try:
             for a, b in zip(starts, starts[1:] + [len(generate)]):
                 chain.commit("generate" if generate[a] else "moveupdate",
-                             range(groups[a], groups[b - 1] + 1), times[b - 1])
+                             range(groups[a], groups[b - 1] + 1))
         finally:
             last = min(chain.generated + chain.updated - before,
                        len(generate) - 1)
-            k, r, flen = layout.k, layout.r, layout.flen
+            (mu_read, mu_written), (gen_read, gen_written) = _subop_bits(
+                layout.k, layout.r, layout.flen)
             gen = generate[:last + 1]
-            reads = np.where(gen, k * r * flen, (r + k) * flen)
-            writes = np.where(gen, r * (r + 1) // 2 * flen, 2 * r * flen)
+            reads = np.where(gen, gen_read, mu_read)
+            writes = np.where(gen, gen_written, mu_written)
             self.done = ends[:last + 1], reads, writes
-            chain.meter(t0, times[last],
+            chain.meter(t0, float(ends[last]),
                         (ends[:last], reads[:last]) if last else None)
 
     def _start_step(self, t: float) -> None:

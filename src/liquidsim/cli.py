@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # the simulator loads only for `run`
     from .sim_engine import Scenario
 
 _REQUIRED = object()     # a default that makes the key mandatory
+_TRACE = "trace.csv"     # the per-step trace `[output] trace = true` writes
 
 # Every scenario key: {section: {key: (type, default, destination)}}.  The
 # destination is a Scenario field, a field of its sysParams or eps, a field
@@ -130,7 +131,9 @@ def load_scenario(path) -> tuple:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e})") from None
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # "[]" does not parse, so [DEFAULT] is an ordinary, unknown section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   default_section="")
     cp.read_string(text, source=str(path))
     lines = _key_lines(text)
     names = _sections(cp, lines, str(path))
@@ -172,13 +175,20 @@ def load_scenario(path) -> tuple:
         sp["xlen"] = round((1.0 - beta) * sp["N"]) * sp["clen"]
     sp = SystemParams(**sp)
 
-    # checked here, so a name that cannot be written fails before a trial
+    # checked here, so a name that cannot be written, or that another
+    # output file takes, fails before a trial
+    files = {_TRACE: "trace"} if got["out"]["trace"] else {}
     for key in ("csv", "summary"):
-        name = got["out"][key]
+        name, at = got["out"][key], lines.get(("output", key), "?")
         if name in ("", ".", "..") or Path(name).name != name:
-            raise ConfigError(f"{path}:{lines.get(('output', key), '?')}: "
-                              f"'{key}' in [output] must be a plain file "
-                              f"name, got {name!r}")
+            raise ConfigError(f"{path}:{at}: '{key}' in [output] must be a "
+                              f"plain file name, got {name!r}")
+        if name in files:
+            raise ConfigError(
+                f"{path}:{at}: '{key}' in [output] names {name!r}, which "
+                f"'{files[name]}' at line "
+                f"{lines.get(('output', files[name]), '?')} writes too")
+        files[name] = key
     out = OutputSpec(**got["out"])
 
     scenario = Scenario(sysParams=sp, eps=EpsilonSet(**got["eps"]),
@@ -237,7 +247,7 @@ def cmd_run(args) -> int:
     sim_engine.write_csv(csv_path, report.results)
     sim_engine.write_summary(outdir / out.summary, report)
     if out.trace:
-        _write_trace(outdir / "trace.csv", report.results)
+        _write_trace(outdir / _TRACE, report.results)
     print(f"trials={len(report.results)} "
           f"unrecoverable_fraction={report.unrecoverableFraction!r} "
           f"csv={csv_path}")

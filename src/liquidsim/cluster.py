@@ -1,4 +1,4 @@
-"""Cluster state: the interface meters and the clock.
+"""Cluster state: the interface meters.
 
 ClusterState holds no fragment data.  Placement lives in each repairer's
 own arrays, and so do the byte backends' payloads: uint8 arrays indexed by
@@ -31,7 +31,6 @@ class ClusterState:
         if N < 1:
             raise ConfigError("need N >= 1")
         self.N = N
-        self.now = 0.0
         self.phase = "store"
         # per-node interface meters; failures never reset them
         self.nodeBitsRead = np.zeros(N, dtype=np.int64)
@@ -70,10 +69,9 @@ class ClusterState:
             self.read_log.add(np.concatenate(([t0], ends)),
                               np.concatenate((ends, [t1])),
                               np.concatenate((bits, [total - bits.sum()])))
-        self.now = max(self.now, t1)
         return total
 
-    def meter_write_bulk(self, nodes, bits, t: float) -> None:
+    def meter_write_bulk(self, nodes, bits) -> None:
         """Meter writes: bits, one count or one per node, to nodes, an id, a
         slice or distinct ids.  The payloads, if any, are the caller's."""
         self.nodeBitsWritten[nodes] += bits
@@ -82,12 +80,6 @@ class ClusterState:
         elif not isinstance(nodes, int):    # the same bits to each node
             bits *= np.size(self.nodeBitsWritten[nodes])
         self.phase_written[self.phase] += int(bits)
-        self.now = max(self.now, t)
-
-    def fail_node(self, node_id: int, t: float) -> None:
-        """A node failure: its meters stay, and its data, which the
-        repairer holds, is the repairer's to erase."""
-        self.now = max(self.now, t)
 
     # -- windows ----------------------------------------------------------
 

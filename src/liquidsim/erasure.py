@@ -51,7 +51,6 @@ MAX_BYTE_N = 256  # field size caps the fragment count of the byte backend
 class CodecParams:
     n: int
     k: int
-    r: int
     flen: int  # bits per fragment
     backend: str
 
@@ -76,7 +75,7 @@ def make_codec(n: int, k: int, flen: int,
             raise ConfigError("byte backend needs flen divisible by 8")
     elif backend != "symbolic":
         raise ConfigError(f"unknown backend {backend!r}")
-    return CodecParams(n=n, k=k, r=n - k, flen=flen, backend=backend)
+    return CodecParams(n=n, k=k, flen=flen, backend=backend)
 
 
 @functools.lru_cache(maxsize=None)

@@ -158,7 +158,7 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
     held = np.arange(N) < (k + cap + np.arange(count))[:, None]
     layout = LiquidLayout(k=k, objectCount=count, counterCap=cap, flen=flen,
                           codec=codec, held=held)
-    state.meter_write_bulk(slice(None), held.sum(axis=0) * flen, t=0.0)
+    state.meter_write_bulk(slice(None), held.sum(axis=0) * flen)
     if byte:
         if callable(payload_rng):
             payload_rng = payload_rng()
@@ -201,7 +201,7 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
             raise InvariantViolation(f"object {obj} codeword drift")
         for e in missing[np.searchsorted(missing, k):]:
             frags[e] = code[e]
-    state.meter_write_bulk(missing, flen, t=t1)
+    state.meter_write_bulk(missing, flen)
     row[:] = True
     layout.stepsDone += 1
     return StepRecord(layout.k * flen, len(missing) * flen)
@@ -209,7 +209,6 @@ def liquid_repair_step(state: ClusterState, layout: LiquidLayout, *,
 
 def liquid_fail_node(state: ClusterState, layout: LiquidLayout, t: float,
                      node: int) -> None:
-    state.fail_node(node, t)
     layout.held[:, node] = False
     if layout.frags is not None:
         layout.frags[:, node] = 0

@@ -716,15 +716,21 @@ class TestChainAgainstDensePlacement:
             assert_closed_forms(layout, place.P,
                                 expand_staircases(layout), intact)
 
+        now = 0.0       # the last event's time
+
         def fail(t, node):
+            nonlocal now
+            now = t
             place.clear(node)
             event(rep.on_failure, t, node)
 
         def complete(count):
+            nonlocal now
             for _ in range(count):
                 if rep.subop is None:
                     return
-                event(rep.on_subop_complete, rep.next_completion())
+                now = rep.next_completion()
+                event(rep.on_subop_complete, now)
 
         with mock.patch.object(adv, "move_helpers", move), \
                 mock.patch.object(adv._Reads, "add_sources", add_sources):
@@ -734,7 +740,7 @@ class TestChainAgainstDensePlacement:
                     complete(count)
                     sub = rep.subop
                     if sub is None:
-                        t = state.now + 1.0
+                        t = now + 1.0
                     else:
                         t = sub.t0 + frac * (sub.t1 - sub.t0)
                     if victim == "target":
@@ -870,7 +876,7 @@ class TestBatchedStepMatchesOneGroupAtATime:
                 return chain, chain.run(1.0, 2.0), None
             try:
                 for kind, group in iter(chain.next_subop, None):
-                    chain.commit(kind, one(group), 2.0)
+                    chain.commit(kind, one(group))
             finally:    # a stall still meters the reads committed before it
                 chain.meter(1.0, 2.0)
             return chain, chain.finish(2.0), None

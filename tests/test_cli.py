@@ -200,6 +200,14 @@ class TestLoadScenario:
             load_scenario(scenario_file(tmp_path, text))
         assert "plotting" in str(err.value)
 
+    def test_default_section_is_an_unknown_section(self, tmp_path):
+        # configparser would lend [DEFAULT]'s keys to every other section
+        f = scenario_file(tmp_path,
+                          "[DEFAULT]\nseed = 3\n\n" + LIQUID_PERIODIC, "dflt.ini")
+        with pytest.raises(ConfigError) as err:
+            load_scenario(f)
+        assert str(err.value) == f"{f}:1: unknown section [DEFAULT]"
+
     def test_dump_config_round_trip(self, tmp_path):
         first = load_scenario(scenario_file(tmp_path, ADVANCED_POISSON))
         echoed = scenario_file(tmp_path, dump_config(*first), "echo.ini")
@@ -359,6 +367,33 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"'{key}'" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("values,key,other", [
+        ({"csv": "out.txt", "summary": "out.txt"}, "summary", "csv"),
+        ({"csv": "trace.csv", "trace": "true"}, "csv", "trace"),
+        ({"summary": "trace.csv", "trace": "true"}, "summary", "trace")],
+        ids=["csv_summary", "csv_trace", "summary_trace"])
+    def test_clashing_output_names_exit_two_before_trials(
+            self, tmp_path, capsys, monkeypatch, values, key, other):
+        def no_run(*a, **kw):
+            raise AssertionError("trials ran")
+        monkeypatch.setattr(sim_engine, "run_experiment", no_run)
+        text = LIQUID_PERIODIC
+        for k, v in values.items():
+            text = set_key(text, "output", k, v)
+        f = scenario_file(tmp_path, text)
+        assert main(["run", "--scenario", str(f), "--out",
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        at = {k: text.splitlines().index(f"{k} = {v}") + 1
+              for k, v in values.items()}
+        assert f"{f}:{at[key]}: '{key}' in [output]" in err
+        assert f"'{other}' at line {at[other]}" in err
+        assert not (tmp_path / "o").exists()
+        if "trace" in values:   # trace.csv is free while no trace is written
+            load_scenario(scenario_file(
+                tmp_path, set_key(text, "output", "trace", "false"), "off.ini"))
 
     @pytest.mark.parametrize("old,new", [
         ("N = 10", "N = ten"),

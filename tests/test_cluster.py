@@ -41,11 +41,10 @@ class TestStoreReadFail:
 
     def test_store_and_read(self):
         c = small_cluster()
-        c.meter_write_bulk(0, 24, t=0.0)
+        c.meter_write_bulk(0, 24)
         assert c.meter_read_spread(at(4, 0, 24), 1.0, 1.0) == 24
         assert c.nodeBitsRead.tolist() == [24, 0, 0, 0]
         assert c.nodeBitsWritten.tolist() == [24, 0, 0, 0]
-        assert c.now == 1.0
         # a byte store meters every fragment it puts in frags
         state, lay = byte_liquid()
         assert state.nodeBitsWritten.tolist() == (
@@ -111,7 +110,6 @@ class TestStoreReadFail:
         assert not layout.frags[layout.owner < 0].any()
         assert owned_bits(layout)[2] == 0
         assert np.array_equal(state.nodeBitsWritten, written)
-        assert state.now == 1.0
 
     def test_delete_is_unmetered(self):
         # a step's wipe of its target frees the slots without metering
@@ -141,23 +139,22 @@ class TestMeterExactness:
                     expect_read[i] += int(reads[i])
             elif u < 0.7:
                 ln = 8 * int(g.integers(1, 4))
-                c.meter_write_bulk(node, ln, t=float(step))
+                c.meter_write_bulk(node, ln)
                 expect_written[node] += ln
             else:
                 # one count to each of distinct ids, or one count per node
                 nodes = g.permutation(8)[: int(g.integers(0, 4))]
                 ln = 8 * int(g.integers(1, 4))
                 if u < 0.85:
-                    c.meter_write_bulk(nodes, ln, t=float(step))
+                    c.meter_write_bulk(nodes, ln)
                     for i in nodes.tolist():
                         expect_written[i] += ln
                 else:
                     bits = g.integers(0, 3, 8) * 8
-                    c.meter_write_bulk(slice(None), bits, t=float(step))
+                    c.meter_write_bulk(slice(None), bits)
                     for i in range(8):
                         expect_written[i] += int(bits[i])
-            if g.random() < 0.05:
-                c.fail_node(node, t=float(step))
+            g.random()      # a spare draw keeps the cases this stream yields
         assert c.nodeBitsRead.tolist() == expect_read
         assert c.nodeBitsWritten.tolist() == expect_written
         assert c.phase_read["store"] == sum(expect_read)
@@ -165,9 +162,9 @@ class TestMeterExactness:
 
     def test_phase_buckets(self):
         c = small_cluster()
-        c.meter_write_bulk(0, 8, t=0.0)
+        c.meter_write_bulk(0, 8)
         c.begin_phase("repair")
-        c.meter_write_bulk(0, 8, t=1.0)
+        c.meter_write_bulk(0, 8)
         assert c.phase_written["store"] == 8
         assert c.phase_written["repair"] == 8
 
@@ -223,7 +220,7 @@ class TestMeterWindow:
     def test_avg_rate(self):
         c = small_cluster()
         c.begin_phase("repair")
-        c.meter_write_bulk(0, 16, t=0.0)
+        c.meter_write_bulk(0, 16)
         for t in (1.0, 2.0, 3.0, 4.0):
             c.meter_read_spread(at(4, 0, 16), t, t)
         bits, written, avg, peak = c.meter_window(0.0, 4.0, window=4.0)
@@ -258,7 +255,7 @@ class TestMeterWindow:
     def test_read_log_sums_to_total(self):
         c = small_cluster()
         c.begin_phase("repair")
-        c.meter_write_bulk(0, 8, t=0.0)
+        c.meter_write_bulk(0, 8)
         for t in range(1, 6):
             c.meter_read_spread(at(4, 0, 8), float(t), float(t))
         c.meter_read_spread(np.array([40, 0, 0, 0]), t0=6.0, t1=8.0)
