@@ -4,8 +4,8 @@ A step rebuilds the failed node in three sub-algorithms: generate the
 node's own helper staircase, move every group's donated front helper onto
 the target, then refresh each group's staircase for the rotated labels.
 The op counts below are exact identities of the layout, and the label
-rotation at the end is pure bookkeeping, so no surviving fragment is
-rewritten when the roles shift.
+rotation at the end is pure bookkeeping on layout.labels, so no surviving
+fragment is rewritten when the roles shift.
 """
 
 from liquidsim import advanced_fail_node, advanced_repair_step
@@ -15,16 +15,16 @@ N = 10
 r = 2                       # helpers donated per group
 clen = 2300                 # divisor r*N + r(r+1)/2 = 23 divides this
 
-state, layout, rotation = advanced_store(N, clen, r, backend="symbolic")
+state, layout = advanced_store(N, clen, r, backend="symbolic")
 flen = clen // (r * N + r * (r + 1) // 2)
 print(f"N={N} r={r} flen={flen} bits")
-print(f"primary labels before: {rotation.primaryEfis.tolist()}")
-print(f"helper labels before:  {rotation.helperEfis.tolist()}")
+print(f"primary labels before: {layout.labels[:N].tolist()}")
+print(f"helper labels before:  {layout.labels[N:].tolist()}")
 print()
 
 state.begin_phase("repair")
 advanced_fail_node(state, layout, 1.0, 4)
-rec = advanced_repair_step(state, layout, rotation, 4, t0=1.0, t1=2.0)
+rec = advanced_repair_step(state, layout, 4, t0=1.0, t1=2.0)
 
 gen = rec.counts["generate"][0]
 print(f"generate: {gen.fragmentReads} fragment reads, {gen.fragmentWrites} writes "
@@ -47,8 +47,8 @@ print()
 
 # after the commit every group's front helper label has become node 4's
 # primary label and the old primary label joined the back of the queue
-print(f"primary labels after:  {rotation.primaryEfis.tolist()}")
-print(f"helper labels after:   {rotation.helperEfis.tolist()}")
+print(f"primary labels after:  {layout.labels[:N].tolist()}")
+print(f"helper labels after:   {layout.labels[N:].tolist()}")
 print()
 
 # At this N the grouped repairer reads MORE than plain liquid repair: the

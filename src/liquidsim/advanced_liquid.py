@@ -33,9 +33,9 @@ events it takes one of three values: 0, the full staircase; 1, front
 helpers donated (a move committed and the update after it could not pick
 its sources); r, no helpers (after a wipe, a failure or the fault hook).
 Census, recoverability and used bits are closed forms of these arrays.
-The fragment labels are one (N + r,) permutation array too (EfiRotation):
-a step's commit moves two labels and shifts the r helper labels, and the
-check that they still form a permutation is O(N), without a sort.
+The fragment labels are one (N + r,) permutation array too, labels, held
+with the step in flight on the layout: a step's commit moves two labels and
+shifts the r helper labels, and checks the permutation in O(N), no sort.
 
 The byte backend holds its payloads in arrays indexed by object (group,
 phys) and physical label: code, every object's read-only reference
@@ -105,65 +105,6 @@ def _subop_bits(k: int, r: int, flen: int) -> list:
             * flen).tolist()
 
 
-class EfiRotation:
-    """Physical fragment labels currently serving the N primary and r
-    helper roles.
-
-    labels is one (N + r,) int64 permutation: node n's primary label at n,
-    then the helper labels in order; primaryEfis and helperEfis are views
-    of it.  Fragments are keyed by physical label, so a completed repair
-    step only moves labels: the donated front helper label becomes the
-    repaired node's primary label, and that node's old primary label joins
-    the back of the helpers.
-    """
-
-    def __init__(self, primaryEfis, helperEfis,
-                 pendingNode: Optional[int] = None):
-        self.N = N = len(primaryEfis)
-        self.labels = np.concatenate((np.asarray(primaryEfis, np.int64),
-                                      np.asarray(helperEfis, np.int64)))
-        # views: commit_step writes labels in place
-        self.primaryEfis, self.helperEfis = self.labels[:N], self.labels[N:]
-        self.pendingNode = pendingNode
-        self._post = None       # new_helper_efis of the step in flight
-
-    def begin_step(self, node: int) -> None:
-        if self.pendingNode is not None:
-            raise InvariantViolation("a repair step is already in flight")
-        self.pendingNode = node
-
-    def require_step(self) -> None:
-        if self.pendingNode is None:
-            raise InvariantViolation("no repair step in flight")
-
-    def new_helper_efis(self) -> np.ndarray:
-        """Helper labels once the in-flight step commits, as an int64
-        array; built once per step."""
-        self.require_step()
-        if self._post is None:
-            self._post = np.append(self.labels[self.N + 1:],
-                                   self.labels[self.pendingNode])
-        return self._post
-
-    def commit_step(self) -> None:
-        self.require_step()
-        labels, node, N = self.labels, self.pendingNode, self.N
-        donated, old = labels[N], labels[node]
-        labels[N:-1] = labels[N + 1:]
-        labels[-1] = old
-        labels[node] = donated
-        self.pendingNode = self._post = None
-
-    def assert_distinct(self) -> None:
-        """Every label lies in [0, N + r) and none repeats: O(N), no sort."""
-        labels, n = self.labels, len(self.labels)
-        seen = np.zeros(n, dtype=bool)
-        if labels.min() >= 0 and labels.max() < n:
-            seen[labels] = True
-        if not seen.all():
-            raise InvariantViolation("labels are not a permutation of 0..n-1")
-
-
 @dataclass
 class GroupLayout:
     N: int
@@ -183,7 +124,13 @@ class GroupLayout:
     # (N,) int64: anchor g holds helper roles helperLo[g]..j of the object
     # at position j; 0 full staircase, 1 front helpers donated, r none
     helperLo: np.ndarray
+    # (N + r,) int64 permutation of the physical fragment labels: node n's
+    # primary label at n, then the r helper labels in order
+    labels: np.ndarray
     rowClears: int = 0      # rows emptied so far; a cached source pick keys on it
+    pendingNode: Optional[int] = None   # target of the step in flight
+    # post_helpers() of that step, built once; not a cached_property (3.11)
+    postHelpers: Optional[np.ndarray] = None
     # byte backend, by object (group, phys) and physical label: code, the
     # read-only codewords, whose first k labels are the source, and frags,
     # what the nodes hold, (N, r, N + r, flen_bytes) uint8 each, and owner
@@ -196,6 +143,44 @@ class GroupLayout:
     def front_phys(self, group: int) -> int:
         """Physical index of the group's position-0 object."""
         return int(self.rot[group]) % self.r
+
+    def begin_step(self, node: int) -> None:
+        if self.pendingNode is not None:
+            raise InvariantViolation("a repair step is already in flight")
+        self.pendingNode = node
+
+    def require_step(self) -> None:
+        if self.pendingNode is None:
+            raise InvariantViolation("no repair step in flight")
+
+    def post_helpers(self) -> np.ndarray:
+        """Helper labels once the in-flight step commits, as an int64
+        array; built once per step."""
+        self.require_step()
+        if self.postHelpers is None:
+            self.postHelpers = np.append(self.labels[self.N + 1:],
+                                         self.labels[self.pendingNode])
+        return self.postHelpers
+
+    def commit_step(self) -> None:
+        """The donated front helper label becomes the target's primary
+        label, and its old primary label joins the back of the helpers."""
+        self.require_step()
+        labels, node, N = self.labels, self.pendingNode, self.N
+        donated = labels[N]
+        labels[N:-1], labels[-1] = labels[N + 1:], labels[node]
+        labels[node] = donated
+        self.pendingNode = self.postHelpers = None
+        self.assert_distinct()
+
+    def assert_distinct(self) -> None:
+        """Every label lies in [0, N + r) and none repeats: O(N), no sort."""
+        labels, n = self.labels, len(self.labels)
+        seen = np.zeros(n, dtype=bool)
+        if labels.min() >= 0 and labels.max() < n:
+            seen[labels] = True
+        if not seen.all():
+            raise InvariantViolation("labels are not a permutation of 0..n-1")
 
 
 @dataclass
@@ -218,7 +203,7 @@ def r_for_target_overhead(N: int, beta: float) -> int:
 
 def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
                    eps: float = 0.0, backend: str = "auto", payload_rng=None):
-    """Build the initial cluster; returns (ClusterState, GroupLayout, EfiRotation).
+    """Build the initial cluster; returns (ClusterState, GroupLayout).
 
     Every node gets N*r primary fragments plus the r(r+1)/2 helper
     staircase for its own group, filling capacity clen exactly.
@@ -258,8 +243,8 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
                          rot=np.zeros(N, dtype=np.int64),
                          heldLo=np.zeros(N, dtype=np.int64),
                          heldHi=np.full(N, N, dtype=np.int64),
-                         helperLo=np.zeros(N, dtype=np.int64))
-    rotation = EfiRotation(np.arange(N), np.arange(N, N + r))
+                         helperLo=np.zeros(N, dtype=np.int64),
+                         labels=np.arange(N + r, dtype=np.int64))
     state.meter_write_bulk(slice(None), clen)
     if codec.backend == "byte":
         if callable(payload_rng):
@@ -281,7 +266,7 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
         owner[:, :, N:] = np.where(keep, np.arange(N)[:, None, None], -1)
         layout.frags = frags = code.copy()
         frags[owner < 0] = 0
-    return state, layout, rotation
+    return state, layout
 
 
 def _pick_primary_sources(layout, group, phys, exclude, need) -> np.ndarray:
@@ -377,8 +362,7 @@ class _Reads:
         return out
 
 
-def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
-                     width) -> None:
+def _rebuild_helpers(layout, groups, phys, srcs, labels, width) -> None:
     """Decode objects (groups[i], phys[i]) from the primaries at srcs,
     compare each with its source and copy its fragments for the first
     width[i] of labels at its anchor from its codeword.  The objects read
@@ -391,7 +375,7 @@ def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
     """
     n, fb = layout.codec.n, layout.codec.flen_bytes
     rows = groups * layout.r + phys
-    read = rotation.primaryEfis[srcs]
+    read = layout.labels[srcs]
     owner = layout.owner.reshape(-1)
     stray = owner[rows[:, None] * n + read] != srcs
     strays = stray.any(axis=1)
@@ -412,9 +396,8 @@ def _rebuild_helpers(layout, rotation, groups, phys, srcs, labels,
             f"primary map out of sync at node {srcs[stray[done].argmax()]}")
 
 
-def generate_helpers(state: ClusterState, layout: GroupLayout,
-                     rotation: EfiRotation, group: int, *, t=None,
-                     collect=None, exclude=None) -> OpCounts:
+def generate_helpers(state: ClusterState, layout: GroupLayout, group: int,
+                     *, t=None, collect=None, exclude=None) -> OpCounts:
     """Rebuild the helper staircase for a group at its anchor node.
 
     Decodes each of the r group objects from k primary fragments (the
@@ -428,9 +411,9 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
                                 exclude, layout.k, r * layout.flen)
     counts = op_counts(layout.k, r)["generate"]
     if layout.codec.backend == "byte":     # position j takes helpers 0..j
-        _rebuild_helpers(layout, rotation, np.full(r, group),
+        _rebuild_helpers(layout, np.full(r, group),
                          (layout.front_phys(group) + np.arange(r)) % r, srcs,
-                         rotation.helperEfis, np.arange(1, r + 1))
+                         layout.labels[layout.N:], np.arange(1, r + 1))
     state.meter_write_bulk(group, counts.fragmentWrites * layout.flen)
     layout.helperLo[group] = 0
     if collect is None:
@@ -438,9 +421,8 @@ def generate_helpers(state: ClusterState, layout: GroupLayout,
     return counts
 
 
-def move_helpers(state: ClusterState, layout: GroupLayout,
-                 rotation: EfiRotation, groups: range, toNode: int, *,
-                 t=None, collect=None) -> OpCounts:
+def move_helpers(state: ClusterState, layout: GroupLayout, groups: range,
+                 toNode: int, *, t=None, collect=None) -> OpCounts:
     """Hand every position-0 helper of each group in `groups`, held at the
     group's anchor node, to toNode, where the donated fragments take over
     the primary role.  Returns one group's counts.
@@ -462,7 +444,7 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
             f"node {toNode} holds groups {lo}..{hi - 1}; group {g0} "
             f"would split the run")
     if layout.codec.backend == "byte":
-        owner = layout.owner[g0:g1, :, rotation.helperEfis[0]]
+        owner = layout.owner[g0:g1, :, layout.labels[layout.N]]
         stray = owner != np.arange(g0, g1)[:, None]
         if stray.any():
             raise InvariantViolation("helper map out of sync at node "
@@ -479,14 +461,13 @@ def move_helpers(state: ClusterState, layout: GroupLayout,
     return op_counts(layout.k, layout.r)["move"]
 
 
-def update_helpers(state: ClusterState, layout: GroupLayout,
-                   rotation: EfiRotation, groups: range, *, t=None,
-                   collect=None, exclude=None) -> OpCounts:
+def update_helpers(state: ClusterState, layout: GroupLayout, groups: range,
+                   *, t=None, collect=None, exclude=None) -> OpCounts:
     """Shift the order of each group in `groups` by one and rebuild the
     full helper set for the object that moved to the back.  Returns one
     group's counts.
 
-    Requires an in-flight step on rotation: the new back object's helpers
+    Requires an in-flight step on layout: the new back object's helpers
     take the post-step labels, ending with the repaired node's old primary
     label.  The other objects already hold exactly the helpers their new
     position needs, one label down from where they sat before.  An anchor
@@ -497,7 +478,7 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
     bare = _first_above(layout.helperLo, groups, 1)
     if bare is not None:
         raise MissingFragmentError(f"node {bare} holds no staircase to update")
-    rotation.require_step()
+    layout.require_step()
     reads = _Reads(layout) if collect is None else collect
     g = groups.start
     while g < groups.stop:
@@ -507,10 +488,8 @@ def update_helpers(state: ClusterState, layout: GroupLayout,
         done = _at(range(g, end))
         if layout.codec.backend == "byte":
             objs = np.arange(g, end)
-            _rebuild_helpers(layout, rotation, objs,
-                             layout.rot[objs] % layout.r, srcs,
-                             rotation.new_helper_efis(),
-                             np.full(end - g, layout.r))
+            _rebuild_helpers(layout, objs, layout.rot[objs] % layout.r, srcs,
+                             layout.post_helpers(), np.full(end - g, layout.r))
         state.meter_write_bulk(done, layout.r * layout.flen)
         layout.rot[done] += 1
         layout.helperLo[done] = 0
@@ -548,15 +527,14 @@ class _StepChain:
     previous one committed, so a donor lost mid-step is regenerated before
     its helpers move.  Reads gather in self.reads, which keeps its source
     pick across sub-operations, and meter() streams them out.  Creating the
-    chain opens the step on the rotation and wipes the target; finish()
+    chain opens the step on the layout and wipes the target; finish()
     commits the labels.
     """
 
-    def __init__(self, state: ClusterState, layout: GroupLayout,
-                 rotation: EfiRotation, node: int, t: float):
+    def __init__(self, state: ClusterState, layout: GroupLayout, node: int,
+                 t: float):
         self.state = state
         self.layout = layout
-        self.rotation = rotation
         self.node = node
         self.startTime = t
         self.futile = False         # target failed again mid-step
@@ -564,7 +542,7 @@ class _StepChain:
         self.generated = self.moved = self.updated = 0
         self.bitsRead = 0
         self.reads = _Reads(layout)
-        rotation.begin_step(node)
+        layout.begin_step(node)
         # formatting the replacement is free; only repair traffic is metered
         _clear_row(layout, node)
 
@@ -583,7 +561,7 @@ class _StepChain:
         for meter().  A move+update commits the groups the last source
         pick serves as one range and a group needing a fresh pick alone, so
         a stall leaves that group's move committed, as one at a time would."""
-        ctx = (self.state, self.layout, self.rotation)
+        ctx = (self.state, self.layout)
         if kind == "generate":
             for group in groups:
                 generate_helpers(*ctx, group, collect=self.reads,
@@ -631,8 +609,7 @@ class _StepChain:
         return reads.take()
 
     def finish(self, t: float) -> AdvancedStepRecord:
-        self.rotation.commit_step()
-        self.rotation.assert_distinct()
+        self.layout.commit_step()
         counts = self.counts
         writes = sum(ops[0].fragmentWrites * len(ops)
                      for ops in counts.values() if ops)
@@ -656,17 +633,16 @@ class _StepChain:
         return self.finish(t1)
 
 
-def advanced_repair_step(state: ClusterState, layout: GroupLayout,
-                         rotation: EfiRotation, failedNode: int, *,
-                         t0: float, t1: float) -> AdvancedStepRecord:
-    """One full periodic repair step for failedNode, run synchronously.
+def advanced_repair_step(state: ClusterState, layout: GroupLayout, node: int,
+                         *, t0: float, t1: float) -> AdvancedStepRecord:
+    """One full periodic repair step for node, run synchronously.
 
     Generates the target's own staircase first, then moves the donated
     helpers of every group (ascending, including the target's own) in and
     updates the staircases, as array ops over each run of groups between
     missing staircases.  Reads are metered as one stream over [t0, t1].
     """
-    return _StepChain(state, layout, rotation, failedNode, t0).run(t0, t1)
+    return _StepChain(state, layout, node, t0).run(t0, t1)
 
 
 def full_rows(layout: GroupLayout) -> np.ndarray:
@@ -721,8 +697,7 @@ def node_used_bits(layout: GroupLayout) -> np.ndarray:
     return frags * layout.flen
 
 
-def check_advanced_sync(state: ClusterState, layout: GroupLayout,
-                        rotation: EfiRotation) -> None:
+def check_advanced_sync(layout: GroupLayout) -> None:
     """Cross-check the byte owner array against the placement arrays: each
     node's fragments must add up to node_used_bits within clen, owner must
     be what heldLo, heldHi, helperLo, rot and the labels give, a held slot
@@ -747,13 +722,13 @@ def check_advanced_sync(state: ClusterState, layout: GroupLayout,
     groups = np.arange(N)
     node, group = np.nonzero((groups >= layout.heldLo[:, None])
                              & (groups < layout.heldHi[:, None]))
-    expected[group, :, rotation.primaryEfis[node]] = node[:, None]
+    expected[group, :, layout.labels[node]] = node[:, None]
     roles = np.arange(r)
     position = (roles - layout.rot[:, None]) % r        # (group, phys)
     anchor, phys, role = np.nonzero(
         (roles >= layout.helperLo[:, None, None])
         & (roles <= position[:, :, None]))
-    expected[anchor, phys, rotation.helperEfis[role]] = anchor
+    expected[anchor, phys, layout.labels[N + role]] = anchor
     off = np.argwhere(owner != expected)
     if off.size:
         g, p, e = off[0]
@@ -864,10 +839,9 @@ class AdvancedPoissonRepairer:
     """
 
     def __init__(self, state: ClusterState, layout: GroupLayout,
-                 rotation: EfiRotation, schedule: AdvancedSchedule | float):
+                 schedule: AdvancedSchedule | float):
         self.state = state
         self.layout = layout
-        self.rotation = rotation
         self.schedule = schedule
         self.counter = RepairCounter.at_cap(layout.counterCap)
         self.queue = deque()
@@ -981,8 +955,7 @@ class AdvancedPoissonRepairer:
         if not self.queue:
             return
         node = self.queue.popleft()
-        self.chain = _StepChain(self.state, self.layout, self.rotation,
-                                node, t)
+        self.chain = _StepChain(self.state, self.layout, node, t)
         if self.layout.variant == "periodic":
             self.subop = _SubOp("step", node, t, t + self.schedule)
         else:

@@ -152,9 +152,10 @@ class ReadLog:
                    zip(self.columns(), other.columns()))
 
 
-# below this many entries a Python walk of the log builds the curve faster
-# than numpy's per-call cost allows
-_SMALL_LOG = 64
+# below this many entries a Python walk of the log beats numpy's per-call
+# cost; _walk vs _sweep, 2-vCPU Xeon: spread-only 23 vs 26 us at 28 entries,
+# 26 vs 24 at 32; half impulses 20 vs 26 at 32; 42-51 vs 26-30 us at 64
+_SMALL_LOG = 32
 
 
 class _CumulativeReads:

@@ -166,6 +166,7 @@ def liquid_store(xlen: int, N: int, clen: int, beta: float, *,
         # source row e of object j is the (j * k + e)-th payload_rng.bytes
         rng.fill_bytes(payload_rng, code[:, :k])
         code[:, k:] = erasure.encode_rows(code, range(k, N), codec)
+        code.setflags(write=False)
         layout.frags = frags = code.copy()
         frags[~held] = 0
     return state, layout

@@ -193,7 +193,7 @@ class _AdvancedDriver:
             r = adv.r_for_target_overhead(sp.N, sp.beta)
         periodic = scenario.variant == "periodic"
         eps = 0.0 if periodic else scenario.eps.eps
-        state, layout, rotation = adv.advanced_store(
+        state, layout = adv.advanced_store(
             sp.N, sp.clen, r, variant=scenario.variant, eps=eps,
             backend=scenario.codecBackend,
             payload_rng=_payload(scenario, streamId))
@@ -204,7 +204,7 @@ class _AdvancedDriver:
             pace = adv.advanced_schedule(layout.counterCap, sp.lam, sp.N,
                                          layout.beta, eps, clen=sp.clen)
             self.completionKind = "subop"
-        self.rep = adv.AdvancedPoissonRepairer(state, layout, rotation, pace)
+        self.rep = adv.AdvancedPoissonRepairer(state, layout, pace)
         self.state = state
         self.layout = layout
         self.counter = self.rep.counter

@@ -70,9 +70,8 @@ def test_criterion_3_advanced_periodic_exactness():
     bound_bits = N * (N + 2 * r) * clen / (r * (N + (r + 1) / 2))
     assert bound_bits == 14000.0
     t0 = time.monotonic()
-    state, layout, rotation = adv.advanced_store(N, clen, r,
-                                                 variant="periodic",
-                                                 backend="symbolic")
+    state, layout = adv.advanced_store(N, clen, r, variant="periodic",
+                                       backend="symbolic")
     ids = rng.stream(2026, 0, rng.SUB_FAILURE_IDS)
     adv.assert_advanced_invariant(layout)
     gen_counts = OpCounts((N - 1) * r, r * (r + 1) // 2)
@@ -80,15 +79,14 @@ def test_criterion_3_advanced_periodic_exactness():
         t = float(m + 1)
         node = int(ids.integers(0, N))
         adv.advanced_fail_node(state, layout, t, node)
-        rec = adv.advanced_repair_step(state, layout, rotation, node,
-                                       t0=t, t1=t + 0.5)
+        rec = adv.advanced_repair_step(state, layout, node, t0=t, t1=t + 0.5)
         assert rec.counts["generate"] == [gen_counts]
         assert rec.counts["move"] == [OpCounts(r, r)] * N
         assert rec.counts["update"] == [OpCounts(N - 1, r)] * N
         assert rec.bitsRead <= bound_bits
         adv.assert_advanced_invariant(layout)
         if m % 200 == 0:
-            adv.check_advanced_sync(state, layout, rotation)
+            adv.check_advanced_sync(layout)
     dt = time.monotonic() - t0
     assert dt < 60.0
     print(f"criterion 3: PASS 10^3 steps, reads {rec.bitsRead} <= "

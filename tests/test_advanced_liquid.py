@@ -1,4 +1,4 @@
-"""Helper-staircase repair: layout, per-op counts, rotation, Poisson driving."""
+"""Helper-staircase repair: layout, labels, per-op counts, Poisson driving."""
 
 import dataclasses
 import math
@@ -48,7 +48,7 @@ def holds(layout, node, group):
     return bool(layout.heldLo[node] <= group < layout.heldHi[node])
 
 
-def decode_all_from_primaries(state, layout, rotation):
+def decode_all_from_primaries(layout):
     """Every object must decode to its source using primary fragments only,
     each one owned by the node holding the group."""
     from liquidsim import erasure
@@ -58,7 +58,7 @@ def decode_all_from_primaries(state, layout, rotation):
             read = []
             for m in range(layout.N):
                 if holds(layout, m, g):
-                    efi = rotation.primaryEfis[m]
+                    efi = layout.labels[m]
                     assert layout.owner[g, p, efi] == m
                     frags[efi] = layout.frags[g, p, efi]
                     read.append(efi)
@@ -71,16 +71,17 @@ def decode_all_from_primaries(state, layout, rotation):
 
 class TestStore:
     def test_layout_parameters(self):
-        state, layout, rotation = symbolic_cluster(N=100, r=20)
+        state, layout = symbolic_cluster(N=100, r=20)
         assert layout.k == 99
         assert layout.beta == pytest.approx(23 / 221)
         assert layout.flen == 1          # clen was exactly the divisor 2210
         assert layout.clen == 2210
-        assert rotation.primaryEfis.tolist() == list(range(100))
-        assert rotation.helperEfis.tolist() == list(range(100, 120))
+        assert layout.labels.dtype == np.int64
+        assert layout.labels[:100].tolist() == list(range(100))
+        assert layout.labels[100:].tolist() == list(range(100, 120))
 
     def test_per_node_fragment_count_fills_capacity(self):
-        state, layout, rotation = byte_cluster(N=8, r=2)
+        state, layout = byte_cluster(N=8, r=2)
         want = 8 * 2 + 3                 # N*r primaries + r(r+1)/2 helpers
         owner = layout.owner
         assert np.bincount(owner[owner >= 0]).tolist() == [want] * 8
@@ -89,15 +90,15 @@ class TestStore:
         assert state.nodeBitsWritten.tolist() == [layout.clen] * 8
 
     def test_store_is_census_clean_and_recoverable(self):
-        state, layout, rotation = byte_cluster()
+        state, layout = byte_cluster()
         assert census(layout) == list(range(8))
         assert recoverable_census(layout)
         assert_advanced_invariant(layout)
-        check_advanced_sync(state, layout, rotation)
-        decode_all_from_primaries(state, layout, rotation)
+        check_advanced_sync(layout)
+        decode_all_from_primaries(layout)
 
     def test_store_metering_symbolic(self):
-        state, layout, _ = symbolic_cluster(N=20, r=4)
+        state, layout = symbolic_cluster(N=20, r=4)
         assert state.phase_written["store"] == 20 * layout.clen
         assert state.phase_read["store"] == 0
         assert layout.code is None and layout.frags is None
@@ -112,8 +113,8 @@ class TestStore:
             advanced_store(10, 65 * 2, 2, variant="periodic", eps=0.1)
 
     def test_poisson_cap_and_threshold(self):
-        state, layout, _ = symbolic_cluster(N=100, r=20, variant="poisson",
-                                            eps=0.2)
+        state, layout = symbolic_cluster(N=100, r=20, variant="poisson",
+                                         eps=0.2)
         assert layout.counterCap == 11   # floor(0.1*100) + 1
         assert layout.k == 89
         assert layout.beta == pytest.approx((20 + 1 + 22) / 221)
@@ -133,7 +134,7 @@ class TestStore:
     def test_store_matches_one_object_at_a_time(self, N, r, flen):
         # the payload draw and the one product that encodes every object
         # against payload_rng.bytes and encode_rows per object
-        state, layout, rotation = byte_cluster(N=N, r=r) if flen == 8 else \
+        state, layout = byte_cluster(N=N, r=r) if flen == 8 else \
             advanced_store(N, (r * N + r * (r + 1) // 2) * flen, r,
                            backend="byte",
                            payload_rng=rng.stream(11, 0, rng.SUB_PAYLOAD))
@@ -150,39 +151,49 @@ class TestStore:
                 assert np.array_equal(layout.code[g, p], frags)
                 frags[N + p + 1:] = 0       # helpers past its position
                 assert np.array_equal(layout.frags[g, p], frags)
-        check_advanced_sync(state, layout, rotation)
+        check_advanced_sync(layout)
 
     def test_codeword_is_read_only(self):
-        _, layout, _ = byte_cluster()
+        _, layout = byte_cluster()
         with pytest.raises(ValueError, match="read-only"):
             layout.code[0, 0, 0, 0] ^= 1
         with pytest.raises(ValueError, match="read-only"):
             layout.code.reshape(-1)[0] = 1
 
     def test_sync_catches_a_flipped_helper_byte(self):
-        state, layout, rotation = byte_cluster()
-        label = rotation.helperEfis[0]
+        state, layout = byte_cluster()
+        label = layout.labels[layout.N]
         assert layout.owner[2, 0, label] == 2
         layout.frags[2, 0, label, 0] ^= 1
         with pytest.raises(InvariantViolation,
                            match="a held slot differs from its codeword"):
-            check_advanced_sync(state, layout, rotation)
+            check_advanced_sync(layout)
 
     def test_placement_arrays_are_one_dimensional(self):
         N, r = 2000, r_for_target_overhead(2000, 0.1)
-        _, layout, _ = advanced_store(N, r * N + r * (r + 1) // 2, r,
-                                      backend="symbolic")
+        _, layout = advanced_store(N, r * N + r * (r + 1) // 2, r,
+                                   backend="symbolic")
         arrays = {f.name: getattr(layout, f.name)
                   for f in dataclasses.fields(layout)
                   if isinstance(getattr(layout, f.name), np.ndarray)}
         assert {"rot", "heldLo", "heldHi", "helperLo"} <= set(arrays)
+        # the labels add the r helper labels to one per node
         assert {name: a.shape for name, a in arrays.items()} == {
-            name: (N,) for name in arrays}
+            name: (N + r,) if name == "labels" else (N,) for name in arrays}
+
+
+def with_labels(primaries, helpers):
+    """A symbolic layout with N = len(primaries), r = len(helpers) and the
+    given labels."""
+    _, layout = symbolic_cluster(N=len(primaries), r=len(helpers))
+    layout.labels[:] = primaries + helpers
+    return layout
 
 
 class TestEfiRotation:
-    """The labels are one permutation array; primaryEfis and helperEfis are
-    views of it, and assert_distinct checks it in full."""
+    """The fragment labels (EFIs) rotate as one permutation array on the
+    layout, with the step in flight beside them; assert_distinct checks it
+    in full after each commit."""
 
     @pytest.mark.parametrize("primaries, helpers", [
         ([0, 1, 2, 1, 4], [5, 6, 7]),       # a repeated primary label
@@ -194,42 +205,49 @@ class TestEfiRotation:
         ([0, 1, 2, 3, 4], [5, 6, 800]),
     ])
     def test_assert_distinct_rejects(self, primaries, helpers):
-        rotation = adv.EfiRotation(primaries, helpers)
+        layout = with_labels(primaries, helpers)
         with pytest.raises(InvariantViolation, match="not a permutation"):
-            rotation.assert_distinct()
-
-    def test_built_from_lists_with_views(self):
-        rotation = adv.EfiRotation([3, 0, 4, 1, 2], [7, 5, 6])
-        rotation.assert_distinct()
-        assert rotation.labels.dtype == np.int64
-        assert rotation.primaryEfis.tolist() == [3, 0, 4, 1, 2]
-        assert rotation.helperEfis.tolist() == [7, 5, 6]
-        rotation.labels[[2, 6]] = rotation.labels[[6, 2]]
-        assert rotation.primaryEfis[2] == 5 and rotation.helperEfis[1] == 4
+            layout.assert_distinct()
+        # a commit moves labels without mending them, and checks them
+        layout.begin_step(0)
+        with pytest.raises(InvariantViolation, match="not a permutation"):
+            layout.commit_step()
 
     def test_commit_moves_front_helper_in_and_old_label_back(self):
-        rotation = adv.EfiRotation([3, 0, 4, 1, 2], [7, 5, 6])
-        rotation.begin_step(2)
-        post = rotation.new_helper_efis()
+        layout = with_labels([3, 0, 4, 1, 2], [7, 5, 6])
+        layout.assert_distinct()
+        layout.begin_step(2)
+        post = layout.post_helpers()
         assert post.tolist() == [5, 6, 4] and post.dtype == np.int64
-        assert rotation.new_helper_efis() is post   # built once per step
-        rotation.commit_step()
-        assert rotation.pendingNode is None
-        assert rotation.primaryEfis.tolist() == [3, 0, 7, 1, 2]
-        assert rotation.helperEfis.tolist() == post.tolist()
-        rotation.assert_distinct()
-        rotation.begin_step(0)
-        assert rotation.new_helper_efis().tolist() == [6, 4, 3]
-        rotation.commit_step()
-        assert rotation.labels.tolist() == [5, 0, 7, 1, 2, 6, 4, 3]
+        assert layout.post_helpers() is post    # built once per step
+        layout.commit_step()
+        assert layout.pendingNode is None and layout.postHelpers is None
+        assert layout.labels[:5].tolist() == [3, 0, 7, 1, 2]
+        assert layout.labels[5:].tolist() == post.tolist()
+        layout.assert_distinct()
+        layout.begin_step(0)
+        assert layout.post_helpers().tolist() == [6, 4, 3]
+        layout.commit_step()
+        assert layout.labels.tolist() == [5, 0, 7, 1, 2, 6, 4, 3]
 
     def test_commit_needs_a_step_and_works_with_one_helper(self):
-        rotation = adv.EfiRotation([0, 1], [2])
+        layout = with_labels([0, 1], [2])
         with pytest.raises(InvariantViolation, match="no repair step"):
-            rotation.commit_step()
-        rotation.begin_step(1)
-        rotation.commit_step()
-        assert rotation.labels.tolist() == [0, 2, 1]
+            layout.commit_step()
+        assert layout.labels.tolist() == [0, 1, 2]
+        layout.begin_step(1)
+        layout.commit_step()
+        assert layout.labels.tolist() == [0, 2, 1]
+
+    def test_second_step_while_one_is_in_flight_raises(self):
+        state, layout = symbolic_cluster(N=8, r=2)
+        adv._StepChain(state, layout, 3, 1.0)
+        with pytest.raises(InvariantViolation, match="already in flight"):
+            adv._StepChain(state, layout, 5, 1.0)
+        assert layout.pendingNode == 3
+        assert (layout.heldLo[5], layout.heldHi[5]) == (0, 8)  # not wiped
+        with pytest.raises(InvariantViolation, match="already in flight"):
+            layout.begin_step(3)
 
 
 def expand(layout):
@@ -331,12 +349,11 @@ class TestPickPrimarySources:
             adv._pick_primary_sources(layout, 2, 5, 0, 4)
 
     def test_periodic_step_picks_sources_once(self):
-        state, layout, rotation = symbolic_cluster(N=20, r=4)
+        state, layout = symbolic_cluster(N=20, r=4)
         advanced_fail_node(state, layout, 1.0, 7)
         with mock.patch.object(adv, "_pick_primary_sources",
                                wraps=adv._pick_primary_sources) as pick:
-            rec = advanced_repair_step(state, layout, rotation, 7,
-                                       t0=1.0, t1=2.0)
+            rec = advanced_repair_step(state, layout, 7, t0=1.0, t1=2.0)
         # one holder set, the 19 full rows, serves the generate and all
         # 20 updates
         assert pick.call_count == 1
@@ -345,18 +362,18 @@ class TestPickPrimarySources:
 
 class TestOpCounts:
     def test_periodic_step_per_invocation_identities(self):
-        state, layout, rotation = symbolic_cluster(N=20, r=4)
+        state, layout = symbolic_cluster(N=20, r=4)
         advanced_fail_node(state, layout, 1.0, 3)
-        rec = advanced_repair_step(state, layout, rotation, 3, t0=1.0, t1=1.5)
+        rec = advanced_repair_step(state, layout, 3, t0=1.0, t1=1.5)
         k, r, N = layout.k, layout.r, layout.N
         assert rec.counts["generate"] == [(k * r, r * (r + 1) // 2)]
         assert rec.counts["move"] == [(r, r)] * N
         assert rec.counts["update"] == [(k, r)] * N
 
     def test_periodic_step_read_write_totals(self):
-        state, layout, rotation = symbolic_cluster(N=100, r=20)
+        state, layout = symbolic_cluster(N=100, r=20)
         advanced_fail_node(state, layout, 0.0, 0)
-        rec = advanced_repair_step(state, layout, rotation, 0, t0=0.0, t1=1.0)
+        rec = advanced_repair_step(state, layout, 0, t0=0.0, t1=1.0)
         assert rec.counts["generate"] == [(1980, 210)]
         assert rec.bitsRead == 13880 * layout.flen
         # read bound is an inequality, write amount is an exact identity
@@ -365,34 +382,34 @@ class TestOpCounts:
         assert rec.bitsWritten * 110.5 == pytest.approx(210.5 * layout.clen)
 
     def test_step_restores_full_invariant(self):
-        state, layout, rotation = symbolic_cluster(N=20, r=4)
+        state, layout = symbolic_cluster(N=20, r=4)
         advanced_fail_node(state, layout, 1.0, 7)
         assert len(census(layout)) == 19
-        advanced_repair_step(state, layout, rotation, 7, t0=1.0, t1=2.0)
+        advanced_repair_step(state, layout, 7, t0=1.0, t1=2.0)
         assert_advanced_invariant(layout)
         assert (node_used_bits(layout) == layout.clen).all()
-        rotation.assert_distinct()
+        layout.assert_distinct()
 
     def test_rotation_relabels_after_step(self):
-        state, layout, rotation = symbolic_cluster(N=20, r=4)
+        state, layout = symbolic_cluster(N=20, r=4)
         advanced_fail_node(state, layout, 1.0, 7)
-        advanced_repair_step(state, layout, rotation, 7, t0=1.0, t1=2.0)
-        assert rotation.primaryEfis[7] == 20      # donated front helper label
-        assert rotation.helperEfis.tolist() == [21, 22, 23, 7]
-        assert rotation.primaryEfis.tolist() == [*range(7), 20, *range(8, 20)]
+        advanced_repair_step(state, layout, 7, t0=1.0, t1=2.0)
+        assert layout.labels[7] == 20      # donated front helper label
+        assert layout.labels[20:].tolist() == [21, 22, 23, 7]
+        assert layout.labels[:20].tolist() == [*range(7), 20, *range(8, 20)]
 
     def test_reads_spread_over_step_window(self):
-        state, layout, rotation = symbolic_cluster(N=20, r=4)
+        state, layout = symbolic_cluster(N=20, r=4)
         advanced_fail_node(state, layout, 1.0, 3)
-        rec = advanced_repair_step(state, layout, rotation, 3, t0=1.0, t1=3.0)
+        rec = advanced_repair_step(state, layout, 3, t0=1.0, t1=3.0)
         assert (1.0, 3.0, rec.bitsRead) in state.read_log
 
     def test_byte_step_round_trips_real_data(self):
-        state, layout, rotation = byte_cluster(N=8, r=2)
+        state, layout = byte_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 5)
-        advanced_repair_step(state, layout, rotation, 5, t0=1.0, t1=2.0)
-        check_advanced_sync(state, layout, rotation)
-        decode_all_from_primaries(state, layout, rotation)
+        advanced_repair_step(state, layout, 5, t0=1.0, t1=2.0)
+        check_advanced_sync(layout)
+        decode_all_from_primaries(layout)
         assert (owned_bits(layout) == layout.clen).all()
 
     def test_wiped_slot_fails_the_next_repair(self):
@@ -402,9 +419,9 @@ class TestOpCounts:
                  ("owner", "primary map out of sync at node 0"),
                  ("helper", "helper map out of sync at node 2"))
         for wipe, message in cases:
-            state, layout, rotation = byte_cluster(N=8, r=2)
+            state, layout = byte_cluster(N=8, r=2)
             advanced_fail_node(state, layout, 1.0, 5)
-            label = rotation.primaryEfis[0]
+            label = layout.labels[0]
             assert (layout.owner[5, :, label] == 0).all()
             if wipe == "payload":       # the generate for 5 decodes from it
                 assert layout.frags[5, :, label].any()
@@ -412,91 +429,90 @@ class TestOpCounts:
             elif wipe == "owner":
                 layout.owner[5, :, label] = -1
             else:                       # helperLo[2] still says held
-                layout.owner[2, 0, rotation.helperEfis[0]] = -1
+                layout.owner[2, 0, layout.labels[layout.N]] = -1
             with pytest.raises(InvariantViolation, match=message):
-                advanced_repair_step(state, layout, rotation, 5,
-                                     t0=1.0, t1=2.0)
+                advanced_repair_step(state, layout, 5, t0=1.0, t1=2.0)
 
 
 class TestStandaloneOps:
     def test_generate_counts_and_meter(self):
-        state, layout, rotation = byte_cluster(N=8, r=2)
+        state, layout = byte_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 4)
-        rotation.begin_step(4)
+        layout.begin_step(4)
         before = state.phase_read["store"]
         state.begin_phase("repair")
-        counts = generate_helpers(state, layout, rotation, 4, t=1.0, exclude=4)
+        counts = generate_helpers(state, layout, 4, t=1.0, exclude=4)
         assert counts == (layout.k * 2, 3)
         assert state.phase_read["repair"] == counts.fragmentReads * layout.flen
         assert state.phase_written["repair"] == counts.fragmentWrites * layout.flen
         assert layout.helperLo[4] == 0
 
     def test_move_conserves_used_bits(self):
-        state, layout, rotation = byte_cluster(N=8, r=2)
+        state, layout = byte_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 4)
-        rotation.begin_step(4)
-        generate_helpers(state, layout, rotation, 4, t=1.0, exclude=4)
+        layout.begin_step(4)
+        generate_helpers(state, layout, 4, t=1.0, exclude=4)
         frags = layout.frags.copy()
         donor_before, target_before = owned_bits(layout)[[6, 4]]
-        counts = move_helpers(state, layout, rotation, one(6), 4, t=1.1)
+        counts = move_helpers(state, layout, one(6), 4, t=1.1)
         assert counts == (2, 2)
         assert owned_bits(layout)[6] == donor_before - 2 * layout.flen
         assert owned_bits(layout)[4] == target_before + 2 * layout.flen
-        assert (layout.owner[6, :, rotation.helperEfis[0]] == 4).all()
+        assert (layout.owner[6, :, layout.labels[layout.N]] == 4).all()
         assert np.array_equal(layout.frags, frags)      # no payload copy
         assert holds(layout, 4, 6) and layout.helperLo[6] == 1
 
     def test_move_that_splits_a_run_raises(self):
-        state, layout, rotation = symbolic_cluster(N=8, r=2)
+        state, layout = symbolic_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 4)
-        rotation.begin_step(4)
-        move_helpers(state, layout, rotation, one(2), 4, t=1.1)
-        move_helpers(state, layout, rotation, one(3), 4, t=1.1)
+        layout.begin_step(4)
+        move_helpers(state, layout, one(2), 4, t=1.1)
+        move_helpers(state, layout, one(3), 4, t=1.1)
         assert (layout.heldLo[4], layout.heldHi[4]) == (2, 4)
         written = state.phase_written[state.phase]
         with pytest.raises(InvariantViolation, match="split the run"):
-            move_helpers(state, layout, rotation, one(6), 4, t=1.2)
+            move_helpers(state, layout, one(6), 4, t=1.2)
         assert (layout.heldLo[4], layout.heldHi[4]) == (2, 4)
         assert layout.helperLo[6] == 0
         assert state.phase_written[state.phase] == written
 
     def test_move_from_freshly_failed_donor_raises(self):
-        state, layout, rotation = byte_cluster(N=8, r=2)
+        state, layout = byte_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 4)
         advanced_fail_node(state, layout, 1.2, 6)
-        rotation.begin_step(4)
+        layout.begin_step(4)
         with pytest.raises(MissingFragmentError):
-            move_helpers(state, layout, rotation, one(6), 4, t=1.3)
+            move_helpers(state, layout, one(6), 4, t=1.3)
 
     def test_update_on_wiped_anchor_raises(self):
-        state, layout, rotation = byte_cluster(N=8, r=2)
+        state, layout = byte_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 2)
-        rotation.begin_step(4)
+        layout.begin_step(4)
         with pytest.raises(MissingFragmentError, match="node 2 holds no"):
-            update_helpers(state, layout, rotation, one(2), t=1.0)
+            update_helpers(state, layout, one(2), t=1.0)
         assert layout.helperLo[2] == layout.r and layout.rot[2] == 0
 
     def test_update_requires_in_flight_step(self):
-        state, layout, rotation = byte_cluster(N=8, r=2)
+        state, layout = byte_cluster(N=8, r=2)
         with pytest.raises(InvariantViolation):
-            update_helpers(state, layout, rotation, one(2), t=1.0)
+            update_helpers(state, layout, one(2), t=1.0)
 
     def test_update_shifts_group_order(self):
-        state, layout, rotation = byte_cluster(N=8, r=3)
+        state, layout = byte_cluster(N=8, r=3)
         front_before = layout.front_phys(2)
         advanced_fail_node(state, layout, 1.0, 0)
-        advanced_repair_step(state, layout, rotation, 0, t0=1.0, t1=2.0)
+        advanced_repair_step(state, layout, 0, t0=1.0, t1=2.0)
         assert layout.front_phys(2) == (front_before + 1) % 3
 
     def test_group_order_returns_after_r_steps(self):
-        state, layout, rotation = byte_cluster(N=8, r=3)
+        state, layout = byte_cluster(N=8, r=3)
         for i, t in zip((0, 1, 2), (1.0, 2.0, 3.0)):
             advanced_fail_node(state, layout, t, i)
-            advanced_repair_step(state, layout, rotation, i, t0=t, t1=t + 0.5)
+            advanced_repair_step(state, layout, i, t0=t, t1=t + 0.5)
         assert (layout.rot % 3 == 0).all()
         assert_advanced_invariant(layout)
-        check_advanced_sync(state, layout, rotation)
-        decode_all_from_primaries(state, layout, rotation)
+        check_advanced_sync(layout)
+        decode_all_from_primaries(layout)
 
 
 class DenseStaircases:
@@ -604,16 +620,15 @@ class TestStaircaseAgainstDenseModel:
     def test_ops_match_dense_rules(self, run):
         N, r, eps, ops = run
         try:
-            state, layout, _ = symbolic_cluster(
+            state, layout = symbolic_cluster(
                 N=N, r=r, variant="poisson" if eps else "periodic", eps=eps)
         except (ConfigError, InvariantViolation):
             assume(False)
         dense, place = DenseStaircases(N, r), DensePlacement(N)
         assert_matches_dense(layout, dense, place)
         for t, (kind, a, b) in enumerate(ops, start=1):
-            rotation = adv.EfiRotation(list(range(N)),
-                                       list(range(N, N + r)), pendingNode=b)
-            ctx = (state, layout, rotation)
+            layout.pendingNode = b      # updates need a step in flight
+            ctx = (state, layout)
             if kind == "fail":
                 advanced_fail_node(state, layout, float(t), a)
                 dense.wipe(a)
@@ -678,16 +693,16 @@ class TestChainAgainstDensePlacement:
     def test_chain_events_match_dense_placement(self, run):
         N, r, eps, first, ops = run
         try:
-            state, layout, rotation, rep = poisson_fixture(N=N, r=r, eps=eps,
-                                                           lam=1.0 / N)
+            state, layout, rep = poisson_fixture(N=N, r=r, eps=eps,
+                                                 lam=1.0 / N)
         except (ConfigError, InvariantViolation):
             assume(False)
         place = DensePlacement(N)
         picks = []
         real_move, real_add = adv.move_helpers, adv._Reads.add_sources
 
-        def move(state, layout, rotation, groups, toNode, **kw):
-            out = real_move(state, layout, rotation, groups, toNode, **kw)
+        def move(state, layout, groups, toNode, **kw):
+            out = real_move(state, layout, groups, toNode, **kw)
             for group in groups:
                 place.move(group, toNode)
             return out
@@ -756,7 +771,7 @@ class TestChainAgainstDensePlacement:
 
 class TestPeriodicRandomChurn:
     def test_invariant_and_bound_across_many_steps(self):
-        state, layout, rotation = symbolic_cluster(N=20, r=4)
+        state, layout = symbolic_cluster(N=20, r=4)
         state.begin_phase("repair")
         g = rng.stream(202, 0, rng.SUB_FAILURE_IDS)
         bound = layout.N * (layout.N + 2 * layout.r) * layout.flen
@@ -766,13 +781,13 @@ class TestPeriodicRandomChurn:
             victim = int(g.integers(layout.N))
             advanced_fail_node(state, layout, t, victim)
             assert recoverable_census(layout)
-            rec = advanced_repair_step(state, layout, rotation, victim,
-                                       t0=t, t1=t + 0.5)
+            rec = advanced_repair_step(state, layout, victim, t0=t,
+                                       t1=t + 0.5)
             assert rec.bitsRead <= bound
             assert rec.bitsWritten == 4 * 5 // 2 * layout.flen + 2 * 20 * 4 * layout.flen
             assert_advanced_invariant(layout)
             assert (node_used_bits(layout) == layout.clen).all()
-        rotation.assert_distinct()
+        layout.assert_distinct()
 
 
 class TestPeriodicThroughRepairer:
@@ -781,15 +796,15 @@ class TestPeriodicThroughRepairer:
 
     def test_step_event_matches_synchronous_step(self):
         sync, paced = byte_cluster(N=8, r=2), byte_cluster(N=8, r=2)
-        for state, _, _ in (sync, paced):
+        for state, _ in (sync, paced):
             state.begin_phase("repair")
-        s_state, s_layout, s_rot = sync
-        p_state, p_layout, p_rot = paced
-        rep = AdvancedPoissonRepairer(p_state, p_layout, p_rot, 0.5)
+        s_state, s_layout = sync
+        p_state, p_layout = paced
+        rep = AdvancedPoissonRepairer(p_state, p_layout, 0.5)
         for t, node in ((1.0, 3), (2.0, 3), (3.0, 6)):
             advanced_fail_node(s_state, s_layout, t, node)
-            want = advanced_repair_step(s_state, s_layout, s_rot, node,
-                                        t0=t, t1=t + 0.5)
+            want = advanced_repair_step(s_state, s_layout, node, t0=t,
+                                        t1=t + 0.5)
             rep.on_failure(t, node)
             assert rep.next_completion() == t + 0.5
             got = rep.on_subop_complete(t + 0.5)
@@ -798,18 +813,62 @@ class TestPeriodicThroughRepairer:
             for name in ("heldLo", "heldHi", "helperLo", "rot"):
                 assert np.array_equal(getattr(p_layout, name),
                                       getattr(s_layout, name))
-            assert np.array_equal(p_rot.labels, s_rot.labels)
-            assert p_rot.pendingNode is s_rot.pendingNode is None
+            assert np.array_equal(p_layout.labels, s_layout.labels)
+            assert p_layout.pendingNode is s_layout.pendingNode is None
             assert p_state.read_log == s_state.read_log
-            check_advanced_sync(p_state, p_layout, p_rot)
-        decode_all_from_primaries(p_state, p_layout, p_rot)
+            check_advanced_sync(p_layout)
+        decode_all_from_primaries(p_layout)
 
     def test_failure_during_step_violates_contract(self):
-        state, layout, rotation = byte_cluster(N=8, r=2)
-        rep = AdvancedPoissonRepairer(state, layout, rotation, 0.5)
+        state, layout = byte_cluster(N=8, r=2)
+        rep = AdvancedPoissonRepairer(state, layout, 0.5)
         rep.on_failure(1.0, 3)
         with pytest.raises(InvariantViolation):
             rep.on_failure(1.2, 5)
+
+
+class TestPacedStepMatchesSynchronous:
+    """On a Poisson store, a step the repairer paces one sub-operation at a
+    time, each committed at its end time (all of them in one call given an
+    infinite horizon), must do the work advanced_repair_step does at once:
+    the same placement, labels, payloads, meters and record.  Only the read
+    log differs, one entry per sub-operation against one per step."""
+
+    @pytest.mark.parametrize("backend", ["byte", "symbolic"])
+    @pytest.mark.parametrize("N, r, eps", [(10, 2, 0.4), (24, 4, 0.2),
+                                           (40, 8, 0.9), (17, 3, 0.5)])
+    def test_six_steps_agree(self, N, r, eps, backend):
+        make = byte_cluster if backend == "byte" else symbolic_cluster
+        (s_state, s_layout), (p_state, p_layout) = (
+            make(N=N, r=r, variant="poisson", eps=eps) for _ in range(2))
+        for state in (s_state, p_state):
+            state.begin_phase("repair")
+        sched = advanced_schedule(p_layout.counterCap, 1.0 / N, N,
+                                  p_layout.beta, eps, clen=p_layout.clen)
+        rep = AdvancedPoissonRepairer(p_state, p_layout, sched)
+        ids = rng.stream(31, 0, rng.SUB_FAILURE_IDS)
+        t = 1.0
+        for _ in range(6):
+            node = int(ids.integers(N))
+            rep.on_failure(t, node)
+            got = rep.on_subop_complete(rep.next_completion(), math.inf)
+            assert got is not None and rep.idle
+            advanced_fail_node(s_state, s_layout, t, node)
+            want = advanced_repair_step(s_state, s_layout, node, t0=t,
+                                        t1=got.endTime)
+            assert got == want
+            for name in ("heldLo", "heldHi", "helperLo", "rot", "labels",
+                         "owner", "frags"):
+                assert np.array_equal(getattr(p_layout, name),
+                                      getattr(s_layout, name)), name
+            for name in ("nodeBitsRead", "nodeBitsWritten"):
+                assert np.array_equal(getattr(p_state, name),
+                                      getattr(s_state, name)), name
+            assert (p_state.phase_read, p_state.phase_written) == (
+                s_state.phase_read, s_state.phase_written)
+            t = got.endTime + 1.0
+        assert len(p_state.read_log) > len(s_state.read_log) == 6
+        check_advanced_sync(p_layout)
 
 
 def drop(layout, groups, labels):
@@ -820,21 +879,21 @@ def drop(layout, groups, labels):
         layout.frags[slots] = 0
 
 
-def cut_row(state, layout, rotation, node, lo, hi):
+def cut_row(state, layout, node, lo, hi):
     """Shrink node's row to the groups it holds within lo..hi-1, dropping
     the other primaries from the byte arrays, as an interrupted chain
     leaves a row."""
     held = range(int(layout.heldLo[node]), int(layout.heldHi[node]))
     lo, hi = max(lo, held.start), min(hi, held.stop)
     drop(layout, [g for g in held if not lo <= g < hi],
-         [rotation.primaryEfis[node]])
+         [layout.labels[node]])
     layout.heldLo[node], layout.heldHi[node] = (lo, hi) if lo < hi else (0, 0)
 
 
-def drop_staircases(state, layout, rotation, anchors):
+def drop_staircases(state, layout, anchors):
     """The fault hook's damage, helperLo = r, with the byte helper slots
     emptied to match."""
-    drop(layout, anchors, rotation.helperEfis)
+    drop(layout, anchors, layout.labels[layout.N:])
     layout.helperLo[anchors] = layout.r
 
 
@@ -859,18 +918,18 @@ class TestBatchedStepMatchesOneGroupAtATime:
     @staticmethod
     def build(case):
         make = byte_cluster if case.backend == "byte" else symbolic_cluster
-        state, layout, rotation = make(N=case.N, r=case.r)
+        state, layout = make(N=case.N, r=case.r)
         state.begin_phase("repair")
         if case.drop:
-            drop_staircases(state, layout, rotation, [0, 1])
+            drop_staircases(state, layout, [0, 1])
         for node, a, b in case.cuts:
-            cut_row(state, layout, rotation, node, min(a, b), max(a, b))
+            cut_row(state, layout, node, min(a, b), max(a, b))
         advanced_fail_node(state, layout, 1.0, case.target)
-        return state, layout, rotation
+        return state, layout
 
     @staticmethod
-    def step(state, layout, rotation, target, batched):
-        chain = adv._StepChain(state, layout, rotation, target, 1.0)
+    def step(state, layout, target, batched):
+        chain = adv._StepChain(state, layout, target, 1.0)
         try:
             if batched:
                 return chain, chain.run(1.0, 2.0), None
@@ -888,12 +947,11 @@ class TestBatchedStepMatchesOneGroupAtATime:
     def test_run_matches_single_group_commits(self, case):
         runs = []
         for batched in (True, False):
-            state, layout, rotation = self.build(case)
-            chain, rec, err = self.step(state, layout, rotation, case.target,
-                                        batched)
+            state, layout = self.build(case)
+            chain, rec, err = self.step(state, layout, case.target, batched)
             runs.append((state, layout, chain, rec, err))
             if err is None:
-                check_advanced_sync(state, layout, rotation)
+                check_advanced_sync(layout)
         (bs, bl, bc, brec, berr), (ss, sl, sc, srec, serr) = runs
         assert berr == serr and brec == srec
         for name in ("heldLo", "heldHi", "helperLo", "rot"):
@@ -911,20 +969,20 @@ class TestBatchedStepMatchesOneGroupAtATime:
     def test_stall_meters_committed_reads_over_the_step(self):
         # groups 0-2 already moved to node 5; with 6, 7 and 0 down too,
         # group 3 keeps 6 primary sources of the k = 7 it needs
-        state, layout, rotation = advanced_store(
+        state, layout = advanced_store(
             10, (2 * 10 + 3) * 8, 2, variant="poisson", eps=0.5,
             backend="symbolic")
         assert (layout.k, layout.flen) == (7, 8)
         state.begin_phase("repair")
         advanced_fail_node(state, layout, 1.0, 5)
-        move_helpers(state, layout, rotation, range(0, 3), 5, t=1.0)
+        move_helpers(state, layout, range(0, 3), 5, t=1.0)
         for node in (6, 7, 0):
             advanced_fail_node(state, layout, 1.0, node)
         read, written = (state.phase_read["repair"],
                          state.phase_written["repair"])
         logged = len(state.read_log)
         with pytest.raises(DecodeError, match=r"object \(3,"):
-            advanced_repair_step(state, layout, rotation, 0, t0=2.0, t1=3.0)
+            advanced_repair_step(state, layout, 0, t0=2.0, t1=3.0)
         read = state.phase_read["repair"] - read
         assert state.phase_written["repair"] - written == 184
         assert read > 0
@@ -935,8 +993,8 @@ class TestBatchedStepMatchesOneGroupAtATime:
         # holders besides target 3, group 5 is one short of k = N - 1
         case = SimpleNamespace(N=8, r=2, target=3, backend="symbolic",
                                drop=False, cuts=[(2, 0, 5)])
-        state, layout, rotation = self.build(case)
-        chain, rec, err = self.step(state, layout, rotation, 3, True)
+        state, layout = self.build(case)
+        chain, rec, err = self.step(state, layout, 3, True)
         assert rec is None and err.startswith("object (5,")
         assert layout.helperLo.tolist() == [0] * 5 + [1, 0, 0]
         assert (layout.heldLo[3], layout.heldHi[3]) == (0, 6)
@@ -944,10 +1002,9 @@ class TestBatchedStepMatchesOneGroupAtATime:
         assert len(chain.counts["update"]) == 5
 
 
-def rebuild_one_at_a_time(layout, rotation, groups, phys, srcs, labels,
-                          width):
+def rebuild_one_at_a_time(layout, groups, phys, srcs, labels, width):
     """The rebuild _rebuild_helpers batches, one object per decode."""
-    read = [rotation.primaryEfis[m] for m in srcs.tolist()]
+    read = [layout.labels[m] for m in srcs.tolist()]
     for g, p, w in zip(groups.tolist(), phys.tolist(), width.tolist()):
         stray = layout.owner[g, p, read] != srcs
         if stray.any():
@@ -999,22 +1056,21 @@ class TestBatchedRebuild:
     def test_matches_per_object_decodes(self, case):
         runs = []
         for rebuild in (adv._rebuild_helpers, rebuild_one_at_a_time):
-            state, layout, rotation = byte_cluster(N=case.N, r=case.r,
-                                                   seed=case.seed)
-            labels = rotation.helperEfis
+            state, layout = byte_cluster(N=case.N, r=case.r, seed=case.seed)
+            labels = layout.labels[layout.N:]
             drop(layout, range(case.N), labels)   # so every write shows
             # sources: the first k nodes but one
             srcs = np.delete(np.arange(case.N), case.skip % case.N)[:layout.k]
             for i, wipe in case.wipes:
                 g, p = case.groups[i], case.phys[i]
-                label = rotation.primaryEfis[srcs[-1]]
+                label = layout.labels[srcs[-1]]
                 if wipe == "payload":
                     layout.frags[g, p, label] = 0
                 else:
                     layout.owner[g, p, label] = -1
             try:
-                rebuild(layout, rotation, case.groups, case.phys, srcs,
-                        labels, case.width)
+                rebuild(layout, case.groups, case.phys, srcs, labels,
+                        case.width)
                 err = None
             except InvariantViolation as e:
                 err = str(e)
@@ -1077,7 +1133,7 @@ class TestClearRow:
            seed=st.integers(0, 2 ** 16), node=st.integers(0, 9))
     def test_flat_clear_matches_mask(self, N, r, seed, node):
         node %= N
-        _, layout, _ = byte_cluster(N=N, r=r, seed=seed)
+        _, layout = byte_cluster(N=N, r=r, seed=seed)
         # a random store: any node, or none, owns any slot
         g = np.random.default_rng(seed)
         layout.owner[...] = g.integers(-1, N, layout.owner.shape)
@@ -1101,13 +1157,13 @@ class TestClearRow:
 
 def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0):
     divisor = r * N + r * (r + 1) // 2
-    state, layout, rotation = advanced_store(N, divisor, r, variant="poisson",
-                                             eps=eps, backend="symbolic")
+    state, layout = advanced_store(N, divisor, r, variant="poisson", eps=eps,
+                                   backend="symbolic")
     sched = advanced_schedule(layout.counterCap, lam, N, layout.beta, eps,
                               clen=layout.clen)
-    rep = AdvancedPoissonRepairer(state, layout, rotation, sched)
+    rep = AdvancedPoissonRepairer(state, layout, sched)
     state.begin_phase("repair")
-    return state, layout, rotation, rep
+    return state, layout, rep
 
 
 class TestSchedule:
@@ -1143,7 +1199,7 @@ class TestSchedule:
 
 class TestPoissonProtocol:
     def test_failure_when_idle_starts_generate_for_target(self):
-        state, layout, rotation, rep = poisson_fixture()
+        state, layout, rep = poisson_fixture()
         rep.on_failure(1.0, 5)
         assert rep.chain.node == 5
         sub = rep.subop
@@ -1152,7 +1208,7 @@ class TestPoissonProtocol:
         assert sub.t1 == pytest.approx(1.0 + want)
 
     def test_chain_runs_to_completion_and_recovers(self):
-        state, layout, rotation, rep = poisson_fixture()
+        state, layout, rep = poisson_fixture()
         rep.on_failure(1.0, 5)
         rec = None
         for _ in range(layout.N + 1):
@@ -1168,7 +1224,7 @@ class TestPoissonProtocol:
         assert_advanced_invariant(layout)
 
     def test_pacing_identity(self):
-        state, layout, rotation, rep = poisson_fixture()
+        state, layout, rep = poisson_fixture()
         rep.on_failure(1.0, 5)
         while rep.subop is not None:
             rec = rep.on_subop_complete(rep.next_completion())
@@ -1178,7 +1234,7 @@ class TestPoissonProtocol:
             rec.bitsRead / rep.schedule.rateProof)
 
     def test_donor_failure_mid_move_triggers_regenerate(self):
-        state, layout, rotation, rep = poisson_fixture()
+        state, layout, rep = poisson_fixture()
         rep.on_failure(1.0, 5)
         rep.on_subop_complete(rep.next_completion())   # generate for 5
         sub = rep.subop
@@ -1195,7 +1251,7 @@ class TestPoissonProtocol:
         assert rep.subop.kind == "moveupdate" and rep.subop.group == 0
 
     def test_stalled_subop_meters_committed_move_reads(self):
-        state, layout, rotation, rep = poisson_fixture()
+        state, layout, rep = poisson_fixture()
         rep.on_failure(1.0, 5)
         rep.on_subop_complete(rep.next_completion())   # generate for 5
         sub = rep.subop
@@ -1214,7 +1270,7 @@ class TestPoissonProtocol:
         assert state.phase_read["repair"] - read0 == moved
 
     def test_target_failure_mid_step_is_futile_and_requeued(self):
-        state, layout, rotation, rep = poisson_fixture()
+        state, layout, rep = poisson_fixture()
         rep.on_failure(1.0, 5)
         rep.on_subop_complete(rep.next_completion())   # generate for 5
         for _ in range(3):
@@ -1232,7 +1288,7 @@ class TestPoissonProtocol:
         assert rep.chain.node == 5
 
     def test_counter_net_change_and_cap_clip(self):
-        state, layout, rotation, rep = poisson_fixture()
+        state, layout, rep = poisson_fixture()
         cap = rep.counter.cap
         rep.on_failure(1.0, 5)
         sub = rep.subop
@@ -1245,7 +1301,7 @@ class TestPoissonProtocol:
         assert rep.chain.node == 11                      # next step chained on
 
     def test_halt_latches_on_dip(self):
-        state, layout, rotation, rep = poisson_fixture()
+        state, layout, rep = poisson_fixture()
         cap = rep.counter.cap
         for j in range(cap + 1):
             rep.on_failure(1.0 + j * 1e-6, j)
@@ -1258,7 +1314,7 @@ class TestPoissonProtocol:
                 rep.on_subop_complete(rep.next_completion())
 
     def test_witness_invariant_under_load(self):
-        state, layout, rotation, rep = poisson_fixture()
+        state, layout, rep = poisson_fixture()
         k = layout.k
         times = rng.stream(77, 0, rng.SUB_FAILURE_TIMES)
         ids = rng.stream(77, 0, rng.SUB_FAILURE_IDS)
@@ -1290,21 +1346,21 @@ class TestPoissonProtocol:
         # the trial ends there either way)
         messages = []
         for coalesce in (True, False):
-            state, layout, rotation = byte_cluster(N=8, r=2, variant="poisson",
-                                                   eps=0.3)
+            state, layout = byte_cluster(N=8, r=2, variant="poisson",
+                                         eps=0.3)
             sched = advanced_schedule(layout.counterCap, 1.0 / 8, 8,
                                       layout.beta, 0.3, clen=layout.clen)
-            rep = AdvancedPoissonRepairer(state, layout, rotation, sched)
+            rep = AdvancedPoissonRepairer(state, layout, sched)
             state.begin_phase("repair")
             rep.on_failure(1.0, 5)
             rep.on_subop_complete(rep.next_completion())   # generate for 5
-            front, label = layout.front_phys(4), rotation.primaryEfis[0]
+            front, label = layout.front_phys(4), layout.labels[0]
             if wipe == "payload":
                 layout.frags[4, front, label] = 0
             elif wipe == "primary":
                 layout.owner[4, front, label] = -1
             else:
-                layout.owner[4, front, rotation.helperEfis[0]] = -1
+                layout.owner[4, front, layout.labels[layout.N]] = -1
             with pytest.raises(InvariantViolation) as err:
                 while True:
                     rep.on_subop_complete(rep.next_completion(),
@@ -1317,11 +1373,10 @@ class TestPoissonProtocol:
 
     def test_byte_poisson_round_trip(self):
         N, r, eps = 8, 2, 0.3
-        state, layout, rotation = byte_cluster(N=N, r=r, variant="poisson",
-                                               eps=eps)
+        state, layout = byte_cluster(N=N, r=r, variant="poisson", eps=eps)
         sched = advanced_schedule(layout.counterCap, 1.0 / N, N, layout.beta,
                                   eps, clen=layout.clen)
-        rep = AdvancedPoissonRepairer(state, layout, rotation, sched)
+        rep = AdvancedPoissonRepairer(state, layout, sched)
         state.begin_phase("repair")
         for t, victim in ((1.0, 3), (30.0, 6)):
             rep.on_failure(t, victim)
@@ -1329,8 +1384,8 @@ class TestPoissonProtocol:
             while rec is None:
                 rec = rep.on_subop_complete(rep.next_completion())
         assert rep.idle
-        check_advanced_sync(state, layout, rotation)
-        decode_all_from_primaries(state, layout, rotation)
+        check_advanced_sync(layout)
+        decode_all_from_primaries(layout)
         assert_advanced_invariant(layout)
 
 

@@ -52,43 +52,43 @@ class TestStoreReadFail:
         check_liquid_payloads(lay)
 
     def test_capacity_hard_error(self):
-        state, layout, rotation = byte_advanced()
-        adv.check_advanced_sync(state, layout, rotation)
+        state, layout = byte_advanced()
+        adv.check_advanced_sync(layout)
         # object (3, 0) keeps helper label N only; give node 5 label N + 1
         layout.owner[3, 0, layout.N + 1] = 5
         with pytest.raises(InvariantViolation,
                            match=f"^node 5 holds {layout.clen + layout.flen} "
                                  f"bits, placement says {layout.clen} of "
                                  f"capacity {layout.clen}$"):
-            adv.check_advanced_sync(state, layout, rotation)
+            adv.check_advanced_sync(layout)
 
     def test_overwrite_same_slot(self):
         # regenerating a whole staircase rewrites its slots in place: used
         # bits and payloads stay, and every write is metered again
-        state, layout, rotation = byte_advanced()
+        state, layout = byte_advanced()
         frags, owner = layout.frags.copy(), layout.owner.copy()
         written = state.nodeBitsWritten.copy()
-        counts = adv.generate_helpers(state, layout, rotation, 2, t=1.0)
+        counts = adv.generate_helpers(state, layout, 2, t=1.0)
         assert counts.fragmentWrites == 3
         assert (state.nodeBitsWritten - written).tolist() == (
             [0, 0, 3 * layout.flen] + [0] * 5)
         assert np.array_equal(layout.frags, frags)
         assert np.array_equal(layout.owner, owner)
         assert (owned_bits(layout) == layout.clen).all()
-        adv.check_advanced_sync(state, layout, rotation)
+        adv.check_advanced_sync(layout)
 
     def test_missing_fragment(self):
         # the donor no longer holds a helper its staircase promises
-        state, layout, rotation = byte_advanced()
+        state, layout = byte_advanced()
         adv.advanced_fail_node(state, layout, 1.0, 4)
-        rotation.begin_step(4)
-        layout.owner[6, 1, rotation.helperEfis[0]] = -1
+        layout.begin_step(4)
+        layout.owner[6, 1, layout.labels[layout.N]] = -1
         written = state.nodeBitsWritten.copy()
         with pytest.raises(InvariantViolation,
                            match="helper map out of sync at node 6"):
-            adv.move_helpers(state, layout, rotation, range(6, 7), 4, t=1.1)
+            adv.move_helpers(state, layout, range(6, 7), 4, t=1.1)
         assert (layout.heldLo[4], layout.heldHi[4]) == (0, 0)
-        assert (layout.owner[6, 0, rotation.helperEfis[0]] == 6)
+        assert (layout.owner[6, 0, layout.labels[layout.N]] == 6)
         assert np.array_equal(state.nodeBitsWritten, written)
 
     def test_fail_node_erases_data_keeps_meters(self):
@@ -102,7 +102,7 @@ class TestStoreReadFail:
         assert state.nodeBitsRead[2] == 8  # temporal erasure only
         assert np.array_equal(state.nodeBitsWritten, written)
 
-        state, layout, rotation = byte_advanced()
+        state, layout = byte_advanced()
         written = state.nodeBitsWritten.copy()
         assert (layout.owner == 2).any()
         adv.advanced_fail_node(state, layout, 1.0, 2)
@@ -113,9 +113,9 @@ class TestStoreReadFail:
 
     def test_delete_is_unmetered(self):
         # a step's wipe of its target frees the slots without metering
-        state, layout, rotation = byte_advanced()
+        state, layout = byte_advanced()
         before = (state.nodeBitsRead.copy(), state.nodeBitsWritten.copy())
-        adv._StepChain(state, layout, rotation, 3, 1.0)
+        adv._StepChain(state, layout, 3, 1.0)
         assert not (layout.owner == 3).any()
         assert owned_bits(layout)[3] == adv.node_used_bits(layout)[3] == 0
         assert np.array_equal(state.nodeBitsRead, before[0])
@@ -169,13 +169,13 @@ class TestMeterExactness:
         assert c.phase_written["repair"] == 8
 
     def test_capacity_audit(self):
-        state, layout, rotation = byte_advanced()
-        adv.check_advanced_sync(state, layout, rotation)
+        state, layout = byte_advanced()
+        adv.check_advanced_sync(layout)
         layout.owner[0, 1, 5] = -1  # node 5 loses a primary, unnoticed
         with pytest.raises(InvariantViolation,
                            match=f"^node 5 holds {layout.clen - layout.flen} "
                                  f"bits, placement says {layout.clen} "):
-            adv.check_advanced_sync(state, layout, rotation)
+            adv.check_advanced_sync(layout)
 
 
 class TestCensus:

@@ -48,7 +48,7 @@ class TestStore:
             else:
                 assert lay.code is None and lay.frags is None
             # the advanced layout too: placement and payloads are arrays
-            _, group_lay, _ = advanced_store(
+            _, group_lay = advanced_store(
                 8, 19 * 8, 2, backend=backend,
                 payload_rng=rng.stream(7, substream=rng.SUB_PAYLOAD))
             for field in dataclasses.fields(group_lay):
@@ -63,6 +63,14 @@ class TestStore:
         assert not lay.frags[:, 4].any()
         assert np.array_equal(np.delete(lay.frags, 4, axis=1),
                               np.delete(before, 4, axis=1))
+
+    def test_codeword_is_read_only(self):
+        _, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
+        with pytest.raises(ValueError, match="read-only"):
+            lay.code[0, 0, 0] ^= 1
+        with pytest.raises(ValueError, match="read-only"):
+            lay.code.reshape(-1)[0] = 1
+        lay.frags[0, 0, 0] ^= 1             # what the nodes hold stays writable
 
     def test_bad_xlen(self):
         with pytest.raises(ConfigError):
@@ -170,6 +178,7 @@ class TestRepairStep:
         # step 0 re-encodes the parity and compares it with code; EFI 9
         # is neither held nor read
         state, lay = store_periodic(N=10, beta=0.2, clen=160, backend="byte")
+        lay.code.setflags(write=True)       # the store leaves it read-only
         lay.code[0, 9, 0] ^= 1
         with pytest.raises(InvariantViolation,
                            match="object 0 codeword drift"):
@@ -217,6 +226,7 @@ class TestRepairStep:
             liquid_repair_step(state, lay, t0=step, t1=step + 0.5)
         check_liquid_payloads(lay)
         obj = lay.front
+        lay.code.setflags(write=True)       # the store leaves it read-only
         lay.code[obj, 9, -1] ^= 4        # a parity row the step does not read
         with pytest.raises(InvariantViolation,
                            match=f"object {obj} codeword drift"):

@@ -64,7 +64,7 @@ def test_liquid_store_payload_pinned(case):
 def test_advanced_store_payload_pinned(case):
     N, r, fb, variant, eps = case
     clen = (r * N + r * (r + 1) // 2) * fb * 8
-    _, lay, _ = advanced_liquid.advanced_store(
+    _, lay = advanced_liquid.advanced_store(
         N, clen, r, variant=variant, eps=eps, backend="byte",
         payload_rng=_payload())
     assert lay.code.shape[-1] == fb
