@@ -43,22 +43,24 @@ codeword, whose first k labels are its source, frags, what the nodes
 hold, and owner, the node holding each fragment or -1.  owner is written
 where fragments are written, moved or erased, never derived from
 placement, so check_advanced_sync can compare the two, and a held slot of
-frags must equal code.  A rebuild only decodes: it decodes each object in
-place from the primaries it reads, compares the source rows with code,
-and copies the helpers it writes from code, as liquid's steps copy their
-parity.  A move is an owner update, with no payload copy; a wipe or a
-failure sets the node's owner entries to -1 and zeroes their payloads, so
-a decode that reads one fails its comparison with the source.
+frags must equal code.  A rebuild decodes each object in place from the
+primaries it reads, compares the source rows with code and copies its
+helpers from code; a move only changes owner.  Sub-operations queue both
+on their metering window (a step, a Poisson repairer call or a standalone
+call), and _Reads.settle() does them at its end: a failed check stops the
+writes where one sub-operation at a time would.  A wipe or a failure sets
+the node's owner entries to -1 and zeroes their payloads, so a decode
+that reads one fails its comparison with the source.
 
 A source pick depends only on the group's holder set outside the target,
 which changes at the run ends of other rows or when a row is cleared.  A
 chain keeps its last pick while neither happens, and the groups one pick
 serves commit as array ops on a range: a step is a few calls, not a loop
 over the N groups.  Their objects read the same labels, so on the byte
-backend one kernel call decodes them all and compares each with its
-codeword, with one solve of that label set's decode matrix.  The store
-build fills every object's source from one draw each (rng.fill_bytes) and
-encodes every object's whole codeword in one matmul.
+backend one kernel call per pick and window decodes them all and compares
+each with its codeword, with one solve of that label set's decode matrix.
+The store build fills every object's source from one draw each
+(rng.fill_bytes) and encodes every object's whole codeword in one matmul.
 The fault-injection hook drops the staircases of nodes 0 and 1, which
 fails the census but not recovery.
 """
@@ -66,6 +68,7 @@ fails the census but not recovery.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from collections import deque
@@ -158,8 +161,9 @@ class GroupLayout:
         array; built once per step."""
         self.require_step()
         if self.postHelpers is None:
-            self.postHelpers = np.append(self.labels[self.N + 1:],
-                                         self.labels[self.pendingNode])
+            post = self.postHelpers = np.empty(self.r, np.int64)
+            post[:-1] = self.labels[self.N + 1:]
+            post[-1] = self.labels[self.pendingNode]
         return self.postHelpers
 
     def commit_step(self) -> None:
@@ -310,8 +314,8 @@ def _first_above(values: np.ndarray, groups: range, floor: int):
 
 
 class _Reads:
-    """Read bits of one metering window: an (N,) vector plus the last
-    source pick, whose reads add up as one scalar weight.
+    """Read bits of one metering window, an (N,) vector plus the last
+    source pick, whose reads add up as one scalar weight, and its byte work.
 
     The pick serves every group inside its holder span while no row has
     been cleared.  That is exact as long as, between picks, only the
@@ -325,6 +329,9 @@ class _Reads:
         self.srcs = None
         self.weight = 0
         self.key = None         # (exclude, need, rowClears, lo, hi) of srcs
+        # byte work for settle(): rebuilds (srcs, rows, positions, slots, slot
+        # positions), moves (toNode, slots, positions); at, the next position
+        self.rebuilds, self.moves, self.at = [], [], 0
 
     def reach(self, group, exclude, need) -> int:
         """End of the groups from `group` on the last pick serves, or group."""
@@ -361,39 +368,72 @@ class _Reads:
         out, self.vector = self.vector, np.zeros(self.layout.N, np.int64)
         return out
 
+    def rebuild(self, srcs, rows, labels, width, stride=1) -> None:
+        """Queue rows (group * r + phys) to rebuild from srcs: the first
+        width, or width[i], of labels, at chain positions stride apart."""
+        slots = rows[:, None] * self.layout.codec.n + labels    # flat slots
+        slots = (slots[:, :width].ravel() if isinstance(width, int) else
+                 slots[np.arange(len(labels)) < width[:, None]])
+        at, self.at = self.at + stride - 1, self.at + stride * len(rows)
+        pos = np.arange(at, self.at, stride)
+        self.rebuilds.append((srcs, rows, pos, slots, np.repeat(pos, width)))
 
-def _rebuild_helpers(layout, groups, phys, srcs, labels, width) -> None:
-    """Decode objects (groups[i], phys[i]) from the primaries at srcs,
-    compare each with its source and copy its fragments for the first
-    width[i] of labels at its anchor from its codeword.  The objects read
-    the same labels, so one kernel call decodes and compares them all.
-    The first object whose primaries' owner or decode is off raises, with
-    the objects before it written, as a rebuild one object at a time would.
+    def move(self, groups: range, toNode: int) -> None:
+        """Queue the hand-over of the groups' front helpers to toNode, group
+        i at chain position at + 2i, leaving at + 2i + 1 to its update."""
+        layout = self.layout
+        rows = np.arange(groups.start * layout.r, groups.stop * layout.r)
+        self.moves.append((toNode, rows * layout.codec.n + layout.labels[
+            layout.N], self.at + 2 * (rows // layout.r - groups.start)))
 
-    Objects are flat rows group * r + phys of the (N * r, N + r) views and
-    slots flat rows object * (N + r) + label of the payload views.
-    """
-    n, fb = layout.codec.n, layout.codec.flen_bytes
-    rows = groups * layout.r + phys
-    read = layout.labels[srcs]
-    owner = layout.owner.reshape(-1)
-    stray = owner[rows[:, None] * n + read] != srcs
-    strays = stray.any(axis=1)
-    first = int(strays.argmax()) if strays.any() else len(rows)
-    objs = layout.frags.reshape(-1, n, fb)[rows[:first]]  # a copy
-    done = erasure.decode_in_place(
-        objs, read, layout.codec, layout.code.reshape(-1, n, fb), rows[:first])
-    keep = np.arange(len(labels)) < width[:done, None]
-    slots = (rows[:done, None] * n + labels)[keep]
-    anchors = np.repeat(groups[:done], width[:done])
-    layout.frags.reshape(-1, fb)[slots] = layout.code.reshape(-1, fb)[slots]
-    owner[slots] = anchors
-    if done < first:
-        raise InvariantViolation(
-            f"decode mismatch for object ({groups[done]},{phys[done]})")
-    if done < len(rows):
-        raise InvariantViolation(
-            f"primary map out of sync at node {srcs[stray[done].argmax()]}")
+    def settle(self) -> None:
+        """Do the queued byte work as one sub-operation at a time would: one
+        checked decode per pick's run of rebuilds, then the moves (no later
+        rebuild writes a front helper); the first failure stops the writes."""
+        layout, work, moves = self.layout, self.rebuilds, self.moves
+        if not (work or moves):
+            return
+        self.rebuilds, self.moves, end, error = [], [], math.inf, None
+        n, r, fb, owner = (layout.codec.n, layout.r, layout.codec.flen_bytes,
+                           layout.owner.reshape(-1))
+        for _, run in itertools.groupby(work, key=lambda item: id(item[0])):
+            run = list(run)
+            srcs, objs = run[0][0], _cat(run, 1)
+            read = layout.labels[srcs]
+            stray = owner[objs[:, None] * n + read] != srcs
+            first = stray.any(axis=1).argmax() if stray.any() else len(objs)
+            done = erasure.decode_in_place(
+                layout.frags.reshape(-1, n, fb)[objs[:first]], read,  # a copy
+                layout.codec, layout.code.reshape(-1, n, fb), objs[:first])
+            if done < len(objs):            # end: the failure's position
+                row, end = objs[done], _cat(run, 2)[done]
+                error = (f"decode mismatch for object ({row // r},{row % r})"
+                         if done < first else "primary map out of sync at "
+                         f"node {srcs[stray[done].argmax()]}")
+                break
+        slots, mslots, mat = _cat(work, 3), _cat(moves, 1), _cat(moves, 2)
+        old = owner[slots]  # to undo writes after a failure; none repeats
+        owner[slots] = slots // (r * n)             # the group's anchor
+        bad = np.flatnonzero(owner[mslots] != mslots // (r * n))
+        if bad.size and mat[bad[0]] < end:
+            end, error = mat[bad[0]], ("helper map out of sync at node "
+                                       f"{mslots[bad[0]] // (r * n)}")
+        if error is not None:           # keep only the writes before end
+            keep = _cat(work, 4).searchsorted(end)
+            owner[slots[keep:]] = old[keep:]
+            slots = slots[:keep]
+        for toNode, part, at in moves:
+            owner[part[at < end]] = toNode
+        layout.frags.view(f"V{fb}").reshape(-1)[slots] = (
+            layout.code.view(f"V{fb}").reshape(-1)[slots])
+        if error is not None:
+            raise InvariantViolation(error)
+
+
+def _cat(items, field: int) -> np.ndarray:
+    """One int64 field of the queued items, end to end."""
+    parts = [item[field] for item in items] or [np.zeros(0, np.int64)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def generate_helpers(state: ClusterState, layout: GroupLayout, group: int,
@@ -402,22 +442,23 @@ def generate_helpers(state: ClusterState, layout: GroupLayout, group: int,
 
     Decodes each of the r group objects from k primary fragments (the
     same k nodes for all of them) and writes helpers 0..j for the object at
-    position j.  Reads accumulate into collect, a _Reads the caller meters;
-    with collect=None they are metered here as an impulse at t.
+    position j.  Reads and byte work wait in collect, a _Reads the caller
+    meters; collect=None settles them here, the reads as an impulse at t.
     """
     r = layout.r
     reads = _Reads(layout) if collect is None else collect
     srcs, _ = reads.add_sources(range(group, group + 1), layout.front_phys(group),
                                 exclude, layout.k, r * layout.flen)
     counts = op_counts(layout.k, r)["generate"]
-    if layout.codec.backend == "byte":     # position j takes helpers 0..j
-        _rebuild_helpers(layout, np.full(r, group),
-                         (layout.front_phys(group) + np.arange(r)) % r, srcs,
-                         layout.labels[layout.N:], np.arange(1, r + 1))
+    if layout.owner is not None:        # position j takes helpers 0..j
+        j = np.arange(r)
+        reads.rebuild(srcs, group * r + (layout.front_phys(group) + j) % r,
+                      layout.labels[layout.N:], j + 1)
+    if collect is None:
+        reads.settle()
+        state.meter_read_spread(reads.take(), t, t)
     state.meter_write_bulk(group, counts.fragmentWrites * layout.flen)
     layout.helperLo[group] = 0
-    if collect is None:
-        state.meter_read_spread(reads.take(), t, t)
     return counts
 
 
@@ -443,21 +484,17 @@ def move_helpers(state: ClusterState, layout: GroupLayout, groups: range,
         raise InvariantViolation(
             f"node {toNode} holds groups {lo}..{hi - 1}; group {g0} "
             f"would split the run")
-    if layout.codec.backend == "byte":
-        owner = layout.owner[g0:g1, :, layout.labels[layout.N]]
-        stray = owner != np.arange(g0, g1)[:, None]
-        if stray.any():
-            raise InvariantViolation("helper map out of sync at node "
-                                     f"{g0 + stray.any(axis=1).argmax()}")
-        owner[...] = toNode
     reads = _Reads(layout) if collect is None else collect
+    if layout.owner is not None:
+        reads.move(groups, toNode)
     reads.vector[_at(groups)] += layout.r * layout.flen
+    if collect is None:
+        reads.settle()
+        state.meter_read_spread(reads.take(), t, t)
     state.meter_write_bulk(toNode, len(groups) * layout.r * layout.flen)
     layout.heldLo[toNode] = min(lo, g0) if lo < hi else g0
     layout.heldHi[toNode] = max(hi, g1) if lo < hi else g1
     layout.helperLo[_at(groups)] = 1
-    if collect is None:
-        state.meter_read_spread(reads.take(), t, t)
     return op_counts(layout.k, layout.r)["move"]
 
 
@@ -486,10 +523,12 @@ def update_helpers(state: ClusterState, layout: GroupLayout, groups: range,
                                       layout.front_phys(g), exclude,
                                       layout.k, layout.flen)
         done = _at(range(g, end))
-        if layout.codec.backend == "byte":
-            objs = np.arange(g, end)
-            _rebuild_helpers(layout, objs, layout.rot[objs] % layout.r, srcs,
-                             layout.post_helpers(), np.full(end - g, layout.r))
+        if layout.owner is not None:    # back objects, each after its move
+            back = layout.r * np.arange(g, end) + layout.rot[g:end] % layout.r
+            reads.rebuild(srcs, back, layout.post_helpers(), layout.r,
+                          stride=2)
+            if collect is None:
+                reads.settle()
         state.meter_write_bulk(done, layout.r * layout.flen)
         layout.rot[done] += 1
         layout.helperLo[done] = 0
@@ -525,17 +564,16 @@ class _StepChain:
 
     Each sub-operation is planned from the placement as it stands when the
     previous one committed, so a donor lost mid-step is regenerated before
-    its helpers move.  Reads gather in self.reads, which keeps its source
-    pick across sub-operations, and meter() streams them out.  Creating the
-    chain opens the step on the layout and wipes the target; finish()
-    commits the labels.
+    its helpers move.  Reads and byte work gather in self.reads, which keeps
+    its source pick across sub-operations, and meter() settles them.
+    Creating the chain opens the step on the layout (its pendingNode is the
+    target) and wipes the target; finish() commits the labels.
     """
 
     def __init__(self, state: ClusterState, layout: GroupLayout, node: int,
                  t: float):
         self.state = state
         self.layout = layout
-        self.node = node
         self.startTime = t
         self.futile = False         # target failed again mid-step
         # groups each kind has committed
@@ -548,8 +586,8 @@ class _StepChain:
 
     def next_subop(self) -> Optional[tuple]:
         """(kind, group) of the next sub-operation, None once all are done."""
-        if not self.generated:
-            return "generate", self.node    # the wiped target's staircase
+        if not self.generated:              # the wiped target's staircase
+            return "generate", self.layout.pendingNode
         group = self.moved
         if group == self.layout.N:
             return None
@@ -561,20 +599,19 @@ class _StepChain:
         for meter().  A move+update commits the groups the last source
         pick serves as one range and a group needing a fresh pick alone, so
         a stall leaves that group's move committed, as one at a time would."""
-        ctx = (self.state, self.layout)
+        ctx, node = (self.state, self.layout), self.layout.pendingNode
         if kind == "generate":
             for group in groups:
-                generate_helpers(*ctx, group, collect=self.reads,
-                                 exclude=self.node)
+                generate_helpers(*ctx, group, collect=self.reads, exclude=node)
                 self.generated += 1
             return
         g = groups.start
         while g < groups.stop:
-            served = self.reads.reach(g, self.node, self.layout.k)
+            served = self.reads.reach(g, node, self.layout.k)
             part = range(g, min(groups.stop, max(served, g + 1)))
-            move_helpers(*ctx, part, self.node, collect=self.reads)
+            move_helpers(*ctx, part, node, collect=self.reads)
             self.moved += len(part)
-            update_helpers(*ctx, part, collect=self.reads, exclude=self.node)
+            update_helpers(*ctx, part, collect=self.reads, exclude=node)
             self.updated += len(part)
             g = part.stop
 
@@ -587,11 +624,12 @@ class _StepChain:
         return {kind: [ops[kind]] * n for kind, n in done.items()}
 
     def meter(self, t0: float, t1: float, split=None) -> None:
-        """Stream the reads committed since the last call over [t0, t1];
-        split, as ClusterState.meter_read_spread takes it, logs them as
-        one entry per sub-operation."""
+        """Stream the reads committed since the last call over [t0, t1] and
+        settle their byte work; split, as ClusterState.meter_read_spread
+        takes it, logs the reads as one entry per sub-operation."""
         self.bitsRead += self.state.meter_read_spread(self.reads.take(),
                                                       t0, t1, split)
+        self.reads.settle()     # callers meter in a finally: stalls settle
 
     def planned_reads(self, kind: str, group: int) -> np.ndarray:
         """(N,) read bits of a sub-operation, re-derived from the current
@@ -602,19 +640,20 @@ class _StepChain:
             reads.vector[group] += layout.r * layout.flen
         try:
             reads.add_sources(range(group, group + 1), layout.front_phys(group),
-                              self.node, layout.k, per_src)
+                              layout.pendingNode, layout.k, per_src)
         except DecodeError:
             log.warning("aborted sub-operation reads under-attributed: "
                         "sources already gone")
         return reads.take()
 
     def finish(self, t: float) -> AdvancedStepRecord:
+        node = self.layout.pendingNode      # commit_step clears it
         self.layout.commit_step()
         counts = self.counts
         writes = sum(ops[0].fragmentWrites * len(ops)
                      for ops in counts.values() if ops)
         return AdvancedStepRecord(
-            node=self.node, bitsRead=self.bitsRead, counts=counts,
+            node=node, bitsRead=self.bitsRead, counts=counts,
             bitsWritten=writes * self.layout.flen,
             futile=self.futile, startTime=self.startTime, endTime=t)
 
@@ -823,7 +862,8 @@ class AdvancedPoissonRepairer:
     Sub-operation durations are fixed (bits / rateProof), so the ones due
     before the next failure are known in advance, and given that failure's
     time as a horizon, on_subop_complete commits the step's due
-    sub-operations in one call, each run of move+updates as one range.  It
+    sub-operations in one call, each run of move+updates as one range, a
+    window that _Reads.settle() ends with one decode per source pick.  It
     still makes one event, one read_log entry and one trace row of each:
     self.done gives their end times and bits.  A census check after each
     of them is implied by checks before and after the call.  Between
@@ -864,7 +904,7 @@ class AdvancedPoissonRepairer:
         if self.chain is not None:
             if self.layout.variant == "periodic":
                 raise InvariantViolation("periodic steps must not overlap")
-            if node == self.chain.node:
+            if node == self.layout.pendingNode:
                 self.chain.futile = True
         if node not in self.queue:
             self.queue.append(node)

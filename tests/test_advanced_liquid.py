@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cluster_oracles import owned_bits
 from liquidsim import advanced_liquid as adv
-from liquidsim import erasure, rng, sim_engine
+from liquidsim import erasure, gf256, rng, sim_engine
 from liquidsim.advanced_liquid import (
     AdvancedPoissonRepairer, advanced_fail_node, advanced_repair_step,
     advanced_schedule, advanced_store, assert_advanced_invariant, census,
@@ -726,7 +726,7 @@ class TestChainAgainstDensePlacement:
             chain = rep.chain
             call(*args)
             if rep.chain is not None and rep.chain is not chain:
-                place.clear(rep.chain.node)     # a new step wiped its target
+                place.clear(layout.pendingNode)  # a new step wiped its target
             intact = layout.helperLo == 0
             assert_closed_forms(layout, place.P,
                                 expand_staircases(layout), intact)
@@ -759,7 +759,7 @@ class TestChainAgainstDensePlacement:
                     else:
                         t = sub.t0 + frac * (sub.t1 - sub.t0)
                     if victim == "target":
-                        victim = rep.chain.node if rep.chain else first
+                        victim = layout.pendingNode if rep.chain else first
                     elif victim == "donor":
                         victim = sub.group if sub else first
                     fail(t, victim)
@@ -1002,8 +1002,15 @@ class TestBatchedStepMatchesOneGroupAtATime:
         assert len(chain.counts["update"]) == 5
 
 
+def rebuild_in_one_window(layout, groups, phys, srcs, labels, width):
+    """The rebuild as a sub-operation queues it and its window settles it."""
+    reads = adv._Reads(layout)
+    reads.rebuild(srcs, groups * layout.r + phys, labels, width)
+    reads.settle()
+
+
 def rebuild_one_at_a_time(layout, groups, phys, srcs, labels, width):
-    """The rebuild _rebuild_helpers batches, one object per decode."""
+    """The rebuild a window settles, one object per decode."""
     read = [layout.labels[m] for m in srcs.tolist()]
     for g, p, w in zip(groups.tolist(), phys.tolist(), width.tolist()):
         stray = layout.owner[g, p, read] != srcs
@@ -1045,17 +1052,17 @@ def rebuild_cases(draw):
 
 
 class TestBatchedRebuild:
-    """_rebuild_helpers decodes objects read at the same labels in one
-    product and copies their helpers from the stored codewords; decoding
-    and re-encoding each object with decode_in_place and encode_rows must
-    write the same bytes and owners, and raise the same error after the
-    same writes."""
+    """_Reads.settle decodes objects read at the same labels in one product
+    and copies their helpers from the stored codewords; decoding and
+    re-encoding each object with decode_in_place and encode_rows must write
+    the same bytes and owners, and raise the same error after the same
+    writes."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(rebuild_cases())
     def test_matches_per_object_decodes(self, case):
         runs = []
-        for rebuild in (adv._rebuild_helpers, rebuild_one_at_a_time):
+        for rebuild in (rebuild_in_one_window, rebuild_one_at_a_time):
             state, layout = byte_cluster(N=case.N, r=case.r, seed=case.seed)
             labels = layout.labels[layout.N:]
             drop(layout, range(case.N), labels)   # so every write shows
@@ -1155,10 +1162,13 @@ class TestClearRow:
         assert layout.helperLo[node] == r
 
 
-def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0):
+def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0, backend="symbolic"):
     divisor = r * N + r * (r + 1) // 2
-    state, layout = advanced_store(N, divisor, r, variant="poisson", eps=eps,
-                                   backend="symbolic")
+    if backend == "byte":
+        state, layout = byte_cluster(N=N, r=r, variant="poisson", eps=eps)
+    else:
+        state, layout = advanced_store(N, divisor, r, variant="poisson",
+                                       eps=eps, backend="symbolic")
     sched = advanced_schedule(layout.counterCap, lam, N, layout.beta, eps,
                               clen=layout.clen)
     rep = AdvancedPoissonRepairer(state, layout, sched)
@@ -1201,7 +1211,7 @@ class TestPoissonProtocol:
     def test_failure_when_idle_starts_generate_for_target(self):
         state, layout, rep = poisson_fixture()
         rep.on_failure(1.0, 5)
-        assert rep.chain.node == 5
+        assert layout.pendingNode == 5
         sub = rep.subop
         assert sub.kind == "generate" and sub.group == 5
         want = layout.k * layout.r * layout.flen / rep.schedule.rateProof
@@ -1285,7 +1295,7 @@ class TestPoissonProtocol:
         assert rec.futile
         assert 5 not in census(layout)
         # oldest broken node is 5 itself, so its repair starts again
-        assert rep.chain.node == 5
+        assert layout.pendingNode == 5
 
     def test_counter_net_change_and_cap_clip(self):
         state, layout, rep = poisson_fixture()
@@ -1298,7 +1308,7 @@ class TestPoissonProtocol:
         while rec is None:
             rec = rep.on_subop_complete(rep.next_completion())
         assert rep.counter.value == cap - 1            # one completion back
-        assert rep.chain.node == 11                      # next step chained on
+        assert layout.pendingNode == 11             # next step chained on
 
     def test_halt_latches_on_dip(self):
         state, layout, rep = poisson_fixture()
@@ -1338,13 +1348,16 @@ class TestPoissonProtocol:
         if lost:
             assert rep.counter.minSeen < 0   # loss only after a dip
 
-    @pytest.mark.parametrize("wipe", ["payload", "primary", "helper"])
+    @pytest.mark.parametrize("wipe", ["payload", "primary", "helper",
+                                      "helper+payload", "payload+helper"])
     def test_wiped_slot_inside_a_run(self, wipe):
-        # a slot damaged in the middle of the run the next call commits:
+        # a slot damaged in the middle of the run the next call commits, of
+        # group 4 and with a second kind of damage of group 6:
         # the run raises what one sub-operation per call raises, naming the
-        # same node or object (the range's later moves may have committed;
+        # same node or object, and leaves the same payloads and owners (the
+        # range's later moves may have committed to the placement arrays;
         # the trial ends there either way)
-        messages = []
+        messages, stores = [], []
         for coalesce in (True, False):
             state, layout = byte_cluster(N=8, r=2, variant="poisson",
                                          eps=0.3)
@@ -1354,22 +1367,33 @@ class TestPoissonProtocol:
             state.begin_phase("repair")
             rep.on_failure(1.0, 5)
             rep.on_subop_complete(rep.next_completion())   # generate for 5
-            front, label = layout.front_phys(4), layout.labels[0]
-            if wipe == "payload":
-                layout.frags[4, front, label] = 0
-            elif wipe == "primary":
-                layout.owner[4, front, label] = -1
-            else:
-                layout.owner[4, front, layout.labels[layout.N]] = -1
+            for kind, group in zip(wipe.split("+"), (4, 6)):
+                front, label = layout.front_phys(group), layout.labels[0]
+                if kind == "payload":
+                    layout.frags[group, front, label] = 0
+                elif kind == "primary":
+                    layout.owner[group, front, label] = -1
+                else:
+                    layout.owner[group, front, layout.labels[layout.N]] = -1
             with pytest.raises(InvariantViolation) as err:
                 while True:
                     rep.on_subop_complete(rep.next_completion(),
                                           math.inf if coalesce else None)
             messages.append(str(err.value))
+            stores.append(layout)
+        assert np.array_equal(stores[0].frags, stores[1].frags)
+        assert np.array_equal(stores[0].owner, stores[1].owner)
+        # a failing update comes after its group's move, a failing move
+        # stops before it: node 5 holds group 4's front helpers or none
+        moved = layout.owner[4, :, layout.labels[layout.N]] == 5
+        assert moved.all() or not moved.any()
+        assert moved.all() != wipe.startswith("helper")
         assert messages[0] == messages[1] == {
             "payload": "decode mismatch for object (4,0)",
             "primary": "primary map out of sync at node 0",
-            "helper": "helper map out of sync at node 4"}[wipe]
+            "helper": "helper map out of sync at node 4",
+            "helper+payload": "helper map out of sync at node 4",
+            "payload+helper": "decode mismatch for object (4,0)"}[wipe]
 
     def test_byte_poisson_round_trip(self):
         N, r, eps = 8, 2, 0.3
@@ -1387,6 +1411,54 @@ class TestPoissonProtocol:
         check_advanced_sync(layout)
         decode_all_from_primaries(layout)
         assert_advanced_invariant(layout)
+
+
+class TestWindowMatchesOneSubOpPerCall:
+    """A byte Poisson store driven with horizons, each call a window of
+    many sub-operations whose byte work settles at its end, must hold the
+    same payloads and owners at every failure as one driven one
+    sub-operation per call, and decode each window's objects in one kernel
+    call per source pick."""
+
+    def test_same_bytes_and_one_decode_per_pick(self, monkeypatch):
+        calls = {"decode": 0, "pick": 0}
+
+        def counted(name, f):
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+            return call
+
+        monkeypatch.setattr(gf256, "decode_check",
+                            counted("decode", gf256.decode_check))
+        monkeypatch.setattr(adv, "_pick_primary_sources",
+                            counted("pick", adv._pick_primary_sources))
+        # slack cap 19: no stall within 30 failures
+        runs = [poisson_fixture(eps=0.9, backend="byte") for _ in range(2)]
+        N = runs[0][1].N
+        times = rng.stream(5, 0, rng.SUB_FAILURE_TIMES)
+        ids = rng.stream(5, 0, rng.SUB_FAILURE_IDS)
+        t, windows = 0.0, 0
+        for _ in range(30):
+            t += float(times.exponential(1.0))          # lam * N = 1
+            for (state, layout, rep), horizon in zip(runs, (t, None)):
+                while (rep.next_completion() is not None
+                       and rep.next_completion() <= t):
+                    before = dict(calls)
+                    rep.on_subop_complete(rep.next_completion(), horizon)
+                    decodes = calls["decode"] - before["decode"]
+                    # the window's own picks and the one it kept
+                    assert decodes <= calls["pick"] - before["pick"] + 1
+                    windows += horizon is not None
+                    if rep.idle or not rep.chain.moved:   # labels committed
+                        check_advanced_sync(layout)
+            (_, coalesced, _), (_, single, _) = runs
+            assert np.array_equal(coalesced.frags, single.frags)
+            assert np.array_equal(coalesced.owner, single.owner)
+            victim = int(ids.integers(N))
+            for _, _, rep in runs:
+                rep.on_failure(t, victim)
+        assert windows > 30 and calls["decode"] > 2 * windows
 
 
 def self_check(layout, rep, k):
