@@ -37,7 +37,7 @@ _EXPORTS = {
     "failure_gen": "FailureSeq gen_periodic gen_poisson",
     "erasure": "CodecParams make_codec",
     "cluster": "ClusterState",
-    "liquid": "LiquidLayout RepairCounter StepSchedule liquid_fail_node "
+    "liquid": "LiquidLayout LiquidRepairer RepairCounter liquid_fail_node "
               "liquid_repair_step liquid_store",
     "advanced_liquid": "AdvancedPoissonRepairer GroupLayout advanced_fail_node "
                        "advanced_repair_step advanced_schedule advanced_store "

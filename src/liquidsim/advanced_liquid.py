@@ -101,7 +101,7 @@ def op_counts(k: int, r: int) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _subop_bits(k: int, r: int, flen: int) -> list:
+def subop_bits(k: int, r: int, flen: int) -> list:
     """[read, written] bits of one group's move+update, then its generate."""
     ops = op_counts(k, r)
     return (np.array([np.add(ops["move"], ops["update"]), ops["generate"]])
@@ -736,14 +736,16 @@ def node_used_bits(layout: GroupLayout) -> np.ndarray:
     return frags * layout.flen
 
 
-def check_advanced_sync(layout: GroupLayout) -> None:
+def check_advanced_sync(layout: GroupLayout, updated: int = 0) -> None:
     """Cross-check the byte owner array against the placement arrays: each
     node's fragments must add up to node_used_bits within clen, owner must
     be what heldLo, heldHi, helperLo, rot and the labels give, a held slot
     must hold its codeword's fragment and an empty slot zeroes.
 
-    Only meaningful between steps, when labels are committed; symbolic
-    layouts have nothing to compare.
+    Mid-step the labels are not yet committed: the target holds its moved
+    groups under the donated label labels[N], and groups 0..updated-1, the
+    ones the step has updated, hold their helpers under post_helpers().
+    Symbolic layouts have nothing to compare.
     """
     owner = layout.owner
     if owner is None:
@@ -761,13 +763,18 @@ def check_advanced_sync(layout: GroupLayout) -> None:
     groups = np.arange(N)
     node, group = np.nonzero((groups >= layout.heldLo[:, None])
                              & (groups < layout.heldHi[:, None]))
-    expected[group, :, layout.labels[node]] = node[:, None]
+    primary = layout.labels[:N].copy()
+    helpers = np.tile(layout.labels[N:], (N, 1))        # (anchor, role)
+    if layout.pendingNode is not None:
+        primary[layout.pendingNode] = layout.labels[N]
+        helpers[:updated] = layout.post_helpers()
+    expected[group, :, primary[node]] = node[:, None]
     roles = np.arange(r)
     position = (roles - layout.rot[:, None]) % r        # (group, phys)
     anchor, phys, role = np.nonzero(
         (roles >= layout.helperLo[:, None, None])
         & (roles <= position[:, :, None]))
-    expected[anchor, phys, layout.labels[N + role]] = anchor
+    expected[anchor, phys, helpers[anchor, role]] = anchor
     off = np.argwhere(owner != expected)
     if off.size:
         g, p, e = off[0]
@@ -800,9 +807,6 @@ class AdvancedSchedule:
     genTimeBound: float          # ceiling for one helper regeneration
     moveUpdateTimeBound: float   # ceiling for a step's N move+update pairs
     deltaTheorem: float          # unrecoverability bound per M failures
-
-    def subop_duration(self, bits: int) -> float:
-        return bits / self.rateProof
 
     def steps_time_bound(self, m: int) -> float:
         """Time for m - cap steps keeping pace with m failures."""
@@ -847,25 +851,26 @@ class AdvancedPoissonRepairer:
 
     One step is in flight at a time; failed nodes queue oldest-first and
     the next step starts whenever the queue is non-empty, so the counter
-    never strands a broken node.  Periodic: schedule is the step duration
+    never strands a broken node.  Periodic: pace is the step duration
     (half the failure period) and each step is one event that commits the
     whole chain; a failure during a step breaks the variant's contract.
-    Poisson: schedule is an AdvancedSchedule and each sub-operation commits
-    atomically at its end time, binding reads to sources alive at
-    completion.  A donor failing mid-sub-operation aborts it with pro-rata
-    read metering and the chain re-plans, regenerating the donor's helpers
-    before retrying the move.  The step's own target failing does not stop
-    the chain: the finished step leaves the target outside the witness
-    census, the counter still ticks up at completion, and the node queues
-    again.
+    Poisson: pace is the (move+update, generate) sub-operation durations,
+    each one's read bits over the proof's read rate (sim_engine._pace), and
+    each sub-operation commits atomically at its end time, binding reads
+    to sources alive at completion.  A donor failing mid-sub-operation
+    aborts it with pro-rata read metering and the chain re-plans,
+    regenerating the donor's helpers before retrying the move.  The step's
+    own target failing does not stop the chain: the finished step leaves
+    the target outside the witness census, the counter still ticks up at
+    completion, and the node queues again.
 
-    Sub-operation durations are fixed (bits / rateProof), so the ones due
-    before the next failure are known in advance, and given that failure's
-    time as a horizon, on_subop_complete commits the step's due
-    sub-operations in one call, each run of move+updates as one range, a
-    window that _Reads.settle() ends with one decode per source pick.  It
-    still makes one event, one read_log entry and one trace row of each:
-    self.done gives their end times and bits.  A census check after each
+    Sub-operation durations are fixed, so the ones due before the next
+    failure are known in advance, and given that failure's time as a
+    horizon, on_subop_complete commits the step's due sub-operations in
+    one call, each run of move+updates as one range, a window that
+    _Reads.settle() ends with one decode per source pick.  It still makes
+    one event, one read_log entry and one trace row of each: self.done
+    gives their end times and bits.  A census check after each
     of them is implied by checks before and after the call.  Between
     failures nothing is erased: a generate adds a staircase, a move+update
     adds its group to the target's row and restores its anchor's
@@ -875,14 +880,17 @@ class AdvancedPoissonRepairer:
     wipes its target's row, which a futile step may have refilled.  A
     stall breaks it too: the group's front helpers moved without an update.
     The call therefore stops after the step's last sub-operation or a
-    stall, and that event is checked in full.
+    stall, and that event is checked in full.  The argument needs the
+    invariant at the start, so the call checks it first and, when it
+    fails, commits the due sub-operation alone.
     """
 
-    def __init__(self, state: ClusterState, layout: GroupLayout,
-                 schedule: AdvancedSchedule | float):
+    def __init__(self, state: ClusterState, layout: GroupLayout, pace):
         self.state = state
         self.layout = layout
-        self.schedule = schedule
+        self.pace = pace
+        self.completionKind = ("step" if layout.variant == "periodic"
+                               else "subop")
         self.counter = RepairCounter.at_cap(layout.counterCap)
         self.queue = deque()
         self.chain: Optional[_StepChain] = None
@@ -897,6 +905,20 @@ class AdvancedPoissonRepairer:
 
     def next_completion(self) -> Optional[float]:
         return self.subop.t1 if self.subop is not None else None
+
+    def recoverable(self, check: bool = False) -> bool:
+        """Every object reaches its decode threshold; check asserts the
+        witness invariant too (periodic: N members between steps)."""
+        full = full_rows(self.layout)
+        if not recoverable_census(self.layout, full):
+            return False
+        if check and self.counter.value >= 0:
+            assert_advanced_invariant(
+                self.layout, self.layout.k + self.counter.value, full)
+        return True
+
+    def inject_fault(self) -> None:
+        self.layout.helperLo[:2] = self.layout.r
 
     def on_failure(self, t: float, node: int) -> None:
         advanced_fail_node(self.state, self.layout, t, node)
@@ -930,14 +952,15 @@ class AdvancedPoissonRepairer:
         self.done = None
         if sub.kind == "step":
             return self._end_step(self.chain.run(sub.t0, t), t)
+        if horizon is not None and self.counter.value >= 0:
+            try:
+                assert_advanced_invariant(
+                    self.layout, self.layout.k + self.counter.value)
+            except InvariantViolation:
+                horizon = None      # a check inside the run could fail
         generate, groups, ends = self._due(sub, t, horizon)
         self._commit_due(sub.t0, generate, groups, ends)
         return self._plan(float(ends[-1]))
-
-    def _duration(self, generate: bool) -> float:
-        layout = self.layout
-        return self.schedule.subop_duration(
-            _subop_bits(layout.k, layout.r, layout.flen)[generate][0])
 
     def _due(self, sub: _SubOp, t: float, horizon: Optional[float]) -> tuple:
         """(generate, groups, ends): the kind (True for a generate), group
@@ -962,7 +985,7 @@ class AdvancedPoissonRepairer:
                                  np.repeat(np.arange(m, layout.N), per)))
         # sequential adds, as one sub-operation at a time plans them
         ends = np.concatenate(([t], np.where(
-            generate[1:], self._duration(True), self._duration(False))))
+            generate[1:], self.pace[1], self.pace[0])))
         ends = ends.cumsum()
         n = max(1, int(ends.searchsorted(horizon, side="right")))
         return generate[:n], groups[:n], ends[:n]
@@ -982,7 +1005,7 @@ class AdvancedPoissonRepairer:
         finally:
             last = min(chain.generated + chain.updated - before,
                        len(generate) - 1)
-            (mu_read, mu_written), (gen_read, gen_written) = _subop_bits(
+            (mu_read, mu_written), (gen_read, gen_written) = subop_bits(
                 layout.k, layout.r, layout.flen)
             gen = generate[:last + 1]
             reads = np.where(gen, gen_read, mu_read)
@@ -997,7 +1020,7 @@ class AdvancedPoissonRepairer:
         node = self.queue.popleft()
         self.chain = _StepChain(self.state, self.layout, node, t)
         if self.layout.variant == "periodic":
-            self.subop = _SubOp("step", node, t, t + self.schedule)
+            self.subop = _SubOp("step", node, t, t + self.pace)
         else:
             self._plan(t)
 
@@ -1008,7 +1031,7 @@ class AdvancedPoissonRepairer:
             return self._end_step(self.chain.finish(t), t)
         kind, group = nxt
         self.subop = _SubOp(kind, group, t,
-                            t + self._duration(kind == "generate"))
+                            t + self.pace[kind == "generate"])
         return None
 
     def _end_step(self, record: AdvancedStepRecord,

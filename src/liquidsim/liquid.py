@@ -7,6 +7,9 @@ reads k fragments of the front object, regenerates everything missing, and
 moves the object to the back of the queue.  The Poisson variant adds a slack
 counter capped at b: failures decrement it, completed steps increment it,
 and the source is guaranteed recoverable while it stays non-negative.
+LiquidRepairer runs the steps as timed events through liquid_on_failure
+and liquid_on_step_complete; it has advanced_liquid.AdvancedPoissonRepairer's
+surface, so sim_engine drives both repairers alike.
 
 EFI i of every object lives only at node i, so a node failure erases at most
 one fragment per object, and placement is one (objects, N) bool array: a
@@ -90,12 +93,6 @@ class RepairCounter:
 
     def on_step(self) -> None:
         self.value = min(self.value + 1, self.cap)
-
-
-@dataclass
-class StepSchedule:
-    stepDuration: float                      # math.inf disables repair
-    inProgress: Optional[tuple] = None       # (startTime, endTime, objectId)
 
 
 def _split_rate(N: int, beta: float) -> tuple:
@@ -215,34 +212,73 @@ def liquid_fail_node(state: ClusterState, layout: LiquidLayout, t: float,
         layout.frags[:, node] = 0
 
 
-def liquid_on_failure(state: ClusterState, layout: LiquidLayout,
-                      counter: RepairCounter, schedule: StepSchedule,
-                      t: float, node: int) -> None:
+class LiquidRepairer:
+    """Liquid's steps as timed events, with the surface of
+    advanced_liquid.AdvancedPoissonRepairer: pace is the step duration
+    (math.inf disables repair), and each step is one event, so a horizon
+    commits nothing more and done is always None."""
+
+    completionKind = "step"
+    done = None
+
+    def __init__(self, state: ClusterState, layout: LiquidLayout,
+                 pace: float):
+        self.state = state
+        self.layout = layout
+        self.pace = pace
+        self.counter = RepairCounter.at_cap(layout.counterCap)
+        # (startTime, endTime, objectId) of the step in flight
+        self.inProgress: Optional[tuple] = None
+
+    def next_completion(self) -> Optional[float]:
+        return self.inProgress[1] if self.inProgress is not None else None
+
+    def on_failure(self, t: float, node: int) -> None:
+        liquid_on_failure(self, t, node)
+
+    def on_subop_complete(self, t: float, horizon=None) -> StepRecord:
+        return liquid_on_step_complete(self, t)
+
+    def recoverable(self, check: bool = False) -> bool:
+        """Every object keeps k fragments; check asserts the invariant too."""
+        have = self.layout.held.sum(axis=1)
+        if not (have >= self.layout.k).all():
+            return False
+        if check and self.counter.value >= 0:
+            assert_liquid_invariant(self.layout, self.counter.value, have)
+        return True
+
+    def inject_fault(self) -> None:
+        back = self.layout.held[self.layout.front - 1]
+        back[np.flatnonzero(back)[-1]] = False
+
+
+def liquid_on_failure(rep: LiquidRepairer, t: float, node: int) -> None:
     """Process one node failure: erase, decrement slack, keep repair busy.
 
     Once the counter has halted no further steps start; the in-flight one
     finishes.
     """
-    liquid_fail_node(state, layout, t, node)
-    counter.on_failure()
-    if (schedule.inProgress is None and not counter.halted
-            and math.isfinite(schedule.stepDuration)):
-        schedule.inProgress = (t, t + schedule.stepDuration, layout.front)
+    liquid_fail_node(rep.state, rep.layout, t, node)
+    rep.counter.on_failure()
+    if (rep.inProgress is None and not rep.counter.halted
+            and math.isfinite(rep.pace)):
+        rep.inProgress = (t, t + rep.pace, rep.layout.front)
 
 
-def liquid_on_step_complete(state: ClusterState, layout: LiquidLayout,
-                            counter: RepairCounter, schedule: StepSchedule,
-                            t: float) -> StepRecord:
-    if schedule.inProgress is None:
+def liquid_on_step_complete(rep: LiquidRepairer, t: float) -> StepRecord:
+    """Commit the step in flight; a stall (DecodeError) leaves no step in
+    flight."""
+    if rep.inProgress is None:
         raise InvariantViolation("completion event with no step in flight")
-    t_start, t_end, obj = schedule.inProgress
+    (t_start, t_end, obj), rep.inProgress = rep.inProgress, None
+    layout, counter = rep.layout, rep.counter
     if layout.front != obj:
         raise InvariantViolation("front object changed during a repair step")
-    rec = liquid_repair_step(state, layout, t0=t_start, t1=t_end)
+    rec = liquid_repair_step(rep.state, layout, t0=t_start, t1=t_end)
     counter.on_step()
-    schedule.inProgress = None
     if not counter.halted and counter.value < counter.cap:
-        schedule.inProgress = (t, t + schedule.stepDuration, layout.front)
+        rep.inProgress = (t, t + rep.pace, layout.front)
     return rec
 
 

@@ -5,17 +5,23 @@ into one time-ordered loop (completions win ties), runs invariant
 assertions after events, and scores recoverability by fragment census.  A
 trial ends the moment the census goes unrecoverable; metrics (bits moved,
 average and peak read rates, counter minimum) come from the cluster
-meters.  Each repairer family has one driver: _LiquidDriver, and
-_AdvancedDriver, whose repairer paces the advanced step chain for both
-failure models.  run_experiment fans trials out over independent Philox
-streams, so sequential and pooled execution produce identical reports.
+meters.  One driver, _Driver, builds a trial's store and repairer, paced
+by _pace, and hands it each event.  run_experiment fans trials out over
+independent Philox streams, so sequential and pooled execution produce
+identical reports.
 
-A driver has next_completion(), on_failure(t, node), recoverable(check)
-and on_completion(t, horizon).  on_completion commits the completion due
-at t and may commit later ones due at or before horizon, the next
-failure's time, when the census can only grow over them; it then returns
-their (end times, read bits, written bits), and each still counts as one
-event with its own trace row, checked only if it is the run's last.
+Both repairers, liquid.LiquidRepairer and
+advanced_liquid.AdvancedPoissonRepairer, have one surface: state, layout,
+counter, completionKind, done, next_completion(), on_failure(t, node),
+on_subop_complete(t, horizon), recoverable(check) and inject_fault().
+on_subop_complete commits the completion due at t and may commit later
+ones due at or before horizon, the next failure's time, when the census
+can only grow over them; done then holds their (end times, read bits,
+written bits), and each still counts as one event with its own trace row,
+checked only if it is the run's last.  Liquid commits one step per call,
+and its done is always None.  A DecodeError from on_subop_complete is a
+stall: _Driver.on_completion logs it and halts the counter, so no further
+step starts.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from . import advanced_liquid as adv
 from . import bounds, failure_gen, liquid, rng
-from .errors import ConfigError, DecodeError, InvariantViolation
+from .errors import ConfigError, DecodeError
 
 log = logging.getLogger(__name__)
 
@@ -135,142 +141,73 @@ def _payload(scenario: Scenario, streamId: int):
                              rng.SUB_PAYLOAD)
 
 
-class _LiquidDriver:
-    completionKind = "step"
+def _pace(scenario: Scenario, layout):
+    """The repairer's pace: the step duration (liquid, periodic advanced),
+    or the Poisson advanced (move+update, generate) sub-operation
+    durations, each its read bits over the proof's read rate."""
+    sp = scenario.sysParams
+    if scenario.variant == "periodic":
+        return scenario.period / 2.0        # step lands mid-gap
+    if scenario.repairer == "liquid":
+        if scenario.stepDuration is not None:
+            return scenario.stepDuration
+        return (1.0 - scenario.eps.eps / 2.0) / (sp.lam * sp.N)
+    rate = adv.advanced_schedule(layout.counterCap, sp.lam, sp.N, layout.beta,
+                                 scenario.eps.eps, clen=sp.clen).rateProof
+    return tuple(bits / rate for bits, _ in
+                 adv.subop_bits(layout.k, layout.r, layout.flen))
+
+
+class _Driver:
+    """A trial's store and repairer, and the stall latch the repairers
+    share: a DecodeError is logged and halts the counter.  Every event
+    passes on_failure or on_completion, where perfbench hooks its probe."""
 
     def __init__(self, scenario: Scenario, streamId: int):
-        sp = scenario.sysParams
-        self.state, self.layout = liquid.liquid_store(
-            sp.xlen, sp.N, sp.clen, sp.beta, variant=scenario.variant,
-            eps=scenario.eps.eps, backend=scenario.codecBackend,
-            payload_rng=_payload(scenario, streamId))
-        self.counter = liquid.RepairCounter.at_cap(self.layout.counterCap)
-        if scenario.variant == "periodic":
-            dur = scenario.period / 2.0    # step lands mid-gap
-        elif scenario.stepDuration is not None:
-            dur = scenario.stepDuration
+        sp, payload = scenario.sysParams, _payload(scenario, streamId)
+        if scenario.repairer == "liquid":
+            state, layout = liquid.liquid_store(
+                sp.xlen, sp.N, sp.clen, sp.beta, variant=scenario.variant,
+                eps=scenario.eps.eps, backend=scenario.codecBackend,
+                payload_rng=payload)
+            repairer = liquid.LiquidRepairer
         else:
-            dur = (1.0 - scenario.eps.eps / 2.0) / (sp.lam * sp.N)
-        self.schedule = liquid.StepSchedule(stepDuration=dur)
-
-    def next_completion(self) -> Optional[float]:
-        step = self.schedule.inProgress
-        return step[1] if step is not None else None
-
-    def on_failure(self, t: float, node: int) -> None:
-        liquid.liquid_on_failure(self.state, self.layout, self.counter,
-                                 self.schedule, t, node)
-
-    def on_completion(self, t: float, horizon=None) -> None:
-        """The step due at t; liquid commits one completion per call."""
-        try:
-            liquid.liquid_on_step_complete(self.state, self.layout,
-                                           self.counter, self.schedule, t)
-        except DecodeError as e:
-            log.warning("repair stalled at t=%g: %s", t, e)
-            self.counter.halted = True
-            self.schedule.inProgress = None
-
-    def recoverable(self, check: bool = False) -> bool:
-        """Every object keeps k fragments; check asserts the invariant too."""
-        have = self.layout.held.sum(axis=1)
-        if not (have >= self.layout.k).all():
-            return False
-        if check and self.counter.value >= 0:
-            liquid.assert_liquid_invariant(self.layout, self.counter.value, have)
-        return True
-
-    def inject_fault(self) -> None:
-        back = self.layout.held[self.layout.front - 1]
-        back[np.flatnonzero(back)[-1]] = False
-
-
-class _AdvancedDriver:
-    def __init__(self, scenario: Scenario, streamId: int):
-        sp = scenario.sysParams
-        r = scenario.advancedR
-        if r is None:
-            r = adv.r_for_target_overhead(sp.N, sp.beta)
-        periodic = scenario.variant == "periodic"
-        eps = 0.0 if periodic else scenario.eps.eps
-        state, layout = adv.advanced_store(
-            sp.N, sp.clen, r, variant=scenario.variant, eps=eps,
-            backend=scenario.codecBackend,
-            payload_rng=_payload(scenario, streamId))
-        if periodic:
-            pace = scenario.period / 2.0    # step lands mid-gap
-            self.completionKind = "step"
-        else:
-            pace = adv.advanced_schedule(layout.counterCap, sp.lam, sp.N,
-                                         layout.beta, eps, clen=sp.clen)
-            self.completionKind = "subop"
-        self.rep = adv.AdvancedPoissonRepairer(state, layout, pace)
-        self.state = state
-        self.layout = layout
-        self.counter = self.rep.counter
-
-    def next_completion(self) -> Optional[float]:
-        return self.rep.next_completion()
+            r = scenario.advancedR
+            if r is None:
+                r = adv.r_for_target_overhead(sp.N, sp.beta)
+            eps = 0.0 if scenario.variant == "periodic" else scenario.eps.eps
+            state, layout = adv.advanced_store(
+                sp.N, sp.clen, r, variant=scenario.variant, eps=eps,
+                backend=scenario.codecBackend, payload_rng=payload)
+            repairer = adv.AdvancedPoissonRepairer
+        self.rep = repairer(state, layout, _pace(scenario, layout))
 
     def on_failure(self, t: float, node: int) -> None:
         self.rep.on_failure(t, node)
 
     def on_completion(self, t: float, horizon=None) -> Optional[tuple]:
-        """The completion due at t and, given a horizon, the step's later
-        sub-operations due by then; returns the repairer's done, their
-        (end times, read bits, written bits), None for a periodic step.
-
-        run_trial checks only a run's last event: the census grows over
-        the others (AdvancedPoissonRepairer), so their checks pass if the
-        invariant holds at the start.  When it does not, a check due
-        inside the run could fail, so the run is the due event alone.
-        """
-        if horizon is not None and self.completionKind == "subop" \
-                and self.counter.value >= 0:
-            try:
-                adv.assert_advanced_invariant(
-                    self.layout, self.layout.k + self.counter.value)
-            except InvariantViolation:
-                horizon = None
+        """The completion due at t and, given a horizon, the repairer's
+        later ones due by then; returns the repairer's done."""
         try:
             self.rep.on_subop_complete(t, horizon)
         except DecodeError as e:
             log.warning("repair stalled at t=%g: %s", t, e)
-            self.counter.halted = True
+            self.rep.counter.halted = True
         return self.rep.done
-
-    def recoverable(self, check: bool = False) -> bool:
-        full = adv.full_rows(self.layout)
-        if not adv.recoverable_census(self.layout, full):
-            return False
-        # periodic: cap 1 and k = N-1, so N members between steps, N-1
-        # while one is in flight
-        if check and self.counter.value >= 0:
-            adv.assert_advanced_invariant(
-                self.layout, self.layout.k + self.counter.value, full)
-        return True
-
-    def inject_fault(self) -> None:
-        self.layout.helperLo[:2] = self.layout.r
-
-
-def _make_driver(scenario: Scenario, streamId: int):
-    if scenario.repairer == "liquid":
-        return _LiquidDriver(scenario, streamId)
-    return _AdvancedDriver(scenario, streamId)
 
 
 def run_trial(scenario: Scenario, streamId: int) -> TrialResult:
     """One deterministic trial; pure function of (scenario, streamId).
 
     Completions due at or before a failure's timestamp are processed first,
-    a driver's run of them at a time.  After the last failure the schedule
-    drains (no new failures arrive, so the pending work is finite), which
-    keeps per-failure totals exact.
+    a repairer call's run of them at a time.  After the last failure the
+    schedule drains (no new failures arrive, so the pending work is
+    finite), which keeps per-failure totals exact.
     """
-    driver = _make_driver(scenario, streamId)
+    driver = _Driver(scenario, streamId)
+    rep = driver.rep
     seq = _failures(scenario, streamId)
-    state = driver.state
+    state = rep.state
     state.begin_phase("repair")
     times, ids = seq.times, seq.ids
     M = len(times)
@@ -284,22 +221,22 @@ def run_trial(scenario: Scenario, streamId: int) -> TrialResult:
         events += 1
         last_t = max(last_t, t)
         if trace is not None:
-            trace.append((t, kind, driver.counter.value, bits_r, bits_w))
+            trace.append((t, kind, rep.counter.value, bits_r, bits_w))
         if scenario.faultInjection and events == _FAULT_AFTER_EVENTS:
-            driver.inject_fault()
-        if not driver.recoverable(check=events % scenario.assertEvery == 0):
+            rep.inject_fault()
+        if not rep.recoverable(check=events % scenario.assertEvery == 0):
             lost_at = t
 
     def run_completions(horizon):
         nonlocal events
-        kind = driver.completionKind
+        kind = rep.completionKind
         while lost_at is None:
-            t_c = driver.next_completion()
+            t_c = rep.next_completion()
             if t_c is None or t_c > horizon:
                 break
             before_r = state.phase_read["repair"]
             before_w = state.phase_written["repair"]
-            counter = driver.counter.value
+            counter = rep.counter.value
             # the fault hook fires between two events: no runs before it
             hook = scenario.faultInjection and events < _FAULT_AFTER_EVENTS
             done = driver.on_completion(t_c, None if hook else horizon)
@@ -340,7 +277,7 @@ def run_trial(scenario: Scenario, streamId: int) -> TrialResult:
                        recoverableThroughout=lost_at is None,
                        firstLossTime=lost_at, totalBitsRead=bits_read,
                        totalBitsWritten=bits_written, avgReadRate=avg,
-                       peakReadRate=peak, counterMin=driver.counter.minSeen,
+                       peakReadRate=peak, counterMin=rep.counter.minSeen,
                        perStepTrace=trace)
 
 

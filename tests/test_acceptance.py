@@ -171,8 +171,8 @@ def test_advanced_poisson_at_n_10000(monkeypatch):
     # read_log entry.  Reads per failure over (1+2b)/(2b)*clen, b the
     # store's beta, measured 1.660 at this seed; the band is 3 % each way.
     drivers = []
-    make = sim_engine._make_driver
-    monkeypatch.setattr(sim_engine, "_make_driver",
+    make = sim_engine._Driver
+    monkeypatch.setattr(sim_engine, "_Driver",
                         lambda *a: drivers.append(make(*a)) or drivers[-1])
     N, M, eps = 10_000, 1000, 0.2
     r = adv.r_for_target_overhead(N, 0.1)
@@ -187,13 +187,13 @@ def test_advanced_poisson_at_n_10000(monkeypatch):
     t0 = time.monotonic()
     res = run_trial(sc, 0)
     dt = time.monotonic() - t0
-    assert r == 2222 and drivers[0].layout.beta == beta
+    assert r == 2222 and drivers[0].rep.layout.beta == beta
     assert res.recoverableThroughout
     read_ratio = res.totalBitsRead / M / ((1 + 2 * beta) / (2 * beta) * clen)
     assert 1.660 / 1.03 < read_ratio < 1.660 * 1.03
     # one entry per sub-operation: N move+updates a step, one step for
     # nearly every failure (a node failing while queued adds none)
-    assert len(drivers[0].state.read_log) > 0.99 * M * N
+    assert len(drivers[0].rep.state.read_log) > 0.99 * M * N
     assert dt < 60.0
     print(f"advanced Poisson N=10^4: PASS {M} failures, read ratio "
           f"{read_ratio:.4f} in {dt:.1f}s")
@@ -205,8 +205,8 @@ def test_advanced_poisson_at_n_100000(monkeypatch):
     # sub-operations.  Reads per failure over (1+2b)/(2b)*clen measured
     # 1.631 at this seed; the band is 3 % each way.
     drivers = []
-    make = sim_engine._make_driver
-    monkeypatch.setattr(sim_engine, "_make_driver",
+    make = sim_engine._Driver
+    monkeypatch.setattr(sim_engine, "_Driver",
                         lambda *a: drivers.append(make(*a)) or drivers[-1])
     N, M, eps = 100_000, 20, 0.2
     r = adv.r_for_target_overhead(N, 0.1)
@@ -221,11 +221,11 @@ def test_advanced_poisson_at_n_100000(monkeypatch):
     t0 = time.monotonic()
     res = run_trial(sc, 0)
     dt = time.monotonic() - t0
-    assert r == 22222 and drivers[0].layout.beta == beta
+    assert r == 22222 and drivers[0].rep.layout.beta == beta
     assert res.recoverableThroughout
     read_ratio = res.totalBitsRead / M / ((1 + 2 * beta) / (2 * beta) * clen)
     assert 1.631 / 1.03 < read_ratio < 1.631 * 1.03
-    assert len(drivers[0].state.read_log) > 0.99 * M * N
+    assert len(drivers[0].rep.state.read_log) > 0.99 * M * N
     assert dt < 60.0
     print(f"advanced Poisson N=10^5: PASS {M} failures, read ratio "
           f"{read_ratio:.4f} in {dt:.1f}s")
@@ -238,8 +238,8 @@ def test_liquid_periodic_at_n_10000(monkeypatch):
     # Placement is one (objects, N) array, and the symbolic run holds no
     # payloads.
     drivers = []
-    make = sim_engine._make_driver
-    monkeypatch.setattr(sim_engine, "_make_driver",
+    make = sim_engine._Driver
+    monkeypatch.setattr(sim_engine, "_Driver",
                         lambda *a: drivers.append(make(*a)) or drivers[-1])
     sp = SystemParams(N=10_000, clen=1000, xlen=9000 * 1000)
     sc = Scenario(sysParams=sp, repairer="liquid", variant="periodic",
@@ -253,7 +253,7 @@ def test_liquid_periodic_at_n_10000(monkeypatch):
     assert len(steps) == 50
     assert all(e[3] == 9000 for e in steps)       # k * flen on every step
     assert res.totalBitsRead == 50 * 9000
-    assert drivers[0].layout.frags is None
+    assert drivers[0].rep.layout.frags is None
     assert dt < 30.0
     print(f"liquid N=10^4: PASS 50 steps, reads 9000 each in {dt:.1f}s")
 

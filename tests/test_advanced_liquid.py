@@ -843,9 +843,8 @@ class TestPacedStepMatchesSynchronous:
             make(N=N, r=r, variant="poisson", eps=eps) for _ in range(2))
         for state in (s_state, p_state):
             state.begin_phase("repair")
-        sched = advanced_schedule(p_layout.counterCap, 1.0 / N, N,
-                                  p_layout.beta, eps, clen=p_layout.clen)
-        rep = AdvancedPoissonRepairer(p_state, p_layout, sched)
+        rep = AdvancedPoissonRepairer(p_state, p_layout,
+                                      poisson_pace(p_layout, 1.0 / N, eps))
         ids = rng.stream(31, 0, rng.SUB_FAILURE_IDS)
         t = 1.0
         for _ in range(6):
@@ -1162,6 +1161,19 @@ class TestClearRow:
         assert layout.helperLo[node] == r
 
 
+def proof_rate(layout, lam, eps):
+    return advanced_schedule(layout.counterCap, lam, layout.N, layout.beta,
+                             eps, clen=layout.clen).rateProof
+
+
+def poisson_pace(layout, lam, eps):
+    """The (move+update, generate) durations sim_engine._pace gives: each
+    sub-operation's read bits over the proof's read rate."""
+    rate = proof_rate(layout, lam, eps)
+    return tuple(bits / rate for bits, _ in
+                 adv.subop_bits(layout.k, layout.r, layout.flen))
+
+
 def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0, backend="symbolic"):
     divisor = r * N + r * (r + 1) // 2
     if backend == "byte":
@@ -1169,9 +1181,8 @@ def poisson_fixture(N=40, r=8, eps=0.3, lam=1.0 / 40.0, backend="symbolic"):
     else:
         state, layout = advanced_store(N, divisor, r, variant="poisson",
                                        eps=eps, backend="symbolic")
-    sched = advanced_schedule(layout.counterCap, lam, N, layout.beta, eps,
-                              clen=layout.clen)
-    rep = AdvancedPoissonRepairer(state, layout, sched)
+    rep = AdvancedPoissonRepairer(state, layout,
+                                  poisson_pace(layout, lam, eps))
     state.begin_phase("repair")
     return state, layout, rep
 
@@ -1214,7 +1225,8 @@ class TestPoissonProtocol:
         assert layout.pendingNode == 5
         sub = rep.subop
         assert sub.kind == "generate" and sub.group == 5
-        want = layout.k * layout.r * layout.flen / rep.schedule.rateProof
+        want = (layout.k * layout.r * layout.flen
+                / proof_rate(layout, 1.0 / 40.0, 0.3))
         assert sub.t1 == pytest.approx(1.0 + want)
 
     def test_chain_runs_to_completion_and_recovers(self):
@@ -1241,7 +1253,7 @@ class TestPoissonProtocol:
             if rec is not None:
                 break
         assert rec.endTime - rec.startTime == pytest.approx(
-            rec.bitsRead / rep.schedule.rateProof)
+            rec.bitsRead / proof_rate(layout, 1.0 / 40.0, 0.3))
 
     def test_donor_failure_mid_move_triggers_regenerate(self):
         state, layout, rep = poisson_fixture()
@@ -1310,6 +1322,16 @@ class TestPoissonProtocol:
         assert rep.counter.value == cap - 1            # one completion back
         assert layout.pendingNode == 11             # next step chained on
 
+    def test_failed_invariant_commits_the_due_subop_alone(self):
+        # a run up to the horizon rests on the invariant holding at its
+        # start; with two staircases dropped it does not, and the call
+        # commits only the due generate, not the step's other 42
+        state, layout, rep = poisson_fixture()
+        rep.on_failure(1.0, 5)
+        rep.inject_fault()
+        rep.on_subop_complete(rep.next_completion(), math.inf)
+        assert len(rep.done[0]) == 1
+
     def test_halt_latches_on_dip(self):
         state, layout, rep = poisson_fixture()
         cap = rep.counter.cap
@@ -1361,9 +1383,8 @@ class TestPoissonProtocol:
         for coalesce in (True, False):
             state, layout = byte_cluster(N=8, r=2, variant="poisson",
                                          eps=0.3)
-            sched = advanced_schedule(layout.counterCap, 1.0 / 8, 8,
-                                      layout.beta, 0.3, clen=layout.clen)
-            rep = AdvancedPoissonRepairer(state, layout, sched)
+            rep = AdvancedPoissonRepairer(state, layout,
+                                          poisson_pace(layout, 1.0 / 8, 0.3))
             state.begin_phase("repair")
             rep.on_failure(1.0, 5)
             rep.on_subop_complete(rep.next_completion())   # generate for 5
@@ -1398,9 +1419,8 @@ class TestPoissonProtocol:
     def test_byte_poisson_round_trip(self):
         N, r, eps = 8, 2, 0.3
         state, layout = byte_cluster(N=N, r=r, variant="poisson", eps=eps)
-        sched = advanced_schedule(layout.counterCap, 1.0 / N, N, layout.beta,
-                                  eps, clen=layout.clen)
-        rep = AdvancedPoissonRepairer(state, layout, sched)
+        rep = AdvancedPoissonRepairer(state, layout,
+                                      poisson_pace(layout, 1.0 / N, eps))
         state.begin_phase("repair")
         for t, victim in ((1.0, 3), (30.0, 6)):
             rep.on_failure(t, victim)
@@ -1450,15 +1470,58 @@ class TestWindowMatchesOneSubOpPerCall:
                     # the window's own picks and the one it kept
                     assert decodes <= calls["pick"] - before["pick"] + 1
                     windows += horizon is not None
-                    if rep.idle or not rep.chain.moved:   # labels committed
-                        check_advanced_sync(layout)
+                    check_sync(rep)
             (_, coalesced, _), (_, single, _) = runs
             assert np.array_equal(coalesced.frags, single.frags)
             assert np.array_equal(coalesced.owner, single.owner)
             victim = int(ids.integers(N))
             for _, _, rep in runs:
                 rep.on_failure(t, victim)
+                check_sync(rep)
         assert windows > 30 and calls["decode"] > 2 * windows
+
+    def test_sync_after_every_call_through_stalls(self, monkeypatch):
+        # the golden abort-stall scenario on the byte backend: trials 0 and
+        # 4 abort sub-operations and stall, each after a move whose update
+        # found no sources
+        N, r, eps, flen = 30, 6, 0.2, 8
+        clen = (r * N + r * (r + 1) // 2) * flen
+        F = round((r + 1 + 2 * (int(eps / 2 * N + 1e-9) + 1))
+                  / (2 * N + r + 1) * N)
+        sc = sim_engine.Scenario(
+            sysParams=SystemParams(N=N, clen=clen, xlen=(N - F) * clen + 1,
+                                   lam=1.0 / N),
+            repairer="advancedLiquid", variant="poisson",
+            codecBackend="byte", eps=EpsilonSet(0.1, 0.1, eps), advancedR=r,
+            failureCount=200, seed=23)
+        seen = {"calls": 0, "midstep": 0, "stalls": 0}
+
+        def checked(name):
+            method = getattr(AdvancedPoissonRepairer, name)
+
+            def call(rep, *args):
+                seen["calls"] += 1
+                try:
+                    return method(rep, *args)
+                except DecodeError:
+                    seen["stalls"] += 1
+                    raise
+                finally:
+                    check_sync(rep)
+                    seen["midstep"] += not rep.idle and rep.chain.moved > 0
+            return call
+
+        for name in ("on_failure", "on_subop_complete"):
+            monkeypatch.setattr(AdvancedPoissonRepairer, name, checked(name))
+        for trial in (0, 4):
+            sim_engine.run_trial(sc, trial)
+        # 21 calls, 16 of them ending after the step in flight moved
+        assert seen["stalls"] == 2 and seen["midstep"] > 10
+
+
+def check_sync(rep):
+    """check_advanced_sync with the labels of the step in flight, if any."""
+    check_advanced_sync(rep.layout, 0 if rep.idle else rep.chain.updated)
 
 
 def self_check(layout, rep, k):

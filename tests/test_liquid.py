@@ -11,10 +11,10 @@ from liquidsim import erasure, liquid, rng, sim_engine
 from liquidsim.advanced_liquid import advanced_store
 from liquidsim.bounds import EpsilonSet, SystemParams
 from liquidsim.errors import ConfigError, DecodeError, InvariantViolation
-from liquidsim.liquid import (RepairCounter, StepSchedule,
-                              assert_liquid_invariant, liquid_fail_node,
-                              liquid_on_failure, liquid_on_step_complete,
-                              liquid_repair_step, liquid_store)
+from liquidsim.liquid import (LiquidRepairer, assert_liquid_invariant,
+                              liquid_fail_node, liquid_on_failure,
+                              liquid_on_step_complete, liquid_repair_step,
+                              liquid_store)
 
 
 def store_periodic(N=10, beta=0.2, clen=100, backend="symbolic"):
@@ -286,112 +286,107 @@ class TestPeriodicInvariant:
             assert_liquid_invariant(lay, slack=1)
 
 
-def poisson_fixture(backend="symbolic"):
-    # 18 objects; 10-bit fragments, or 8-bit ones that bytes can carry
+def poisson_fixture(backend="symbolic", pace=1 - 0.1):
+    # 18 objects; 10-bit fragments, or 8-bit ones that bytes can carry; the
+    # step lasts (1 - eps/2) / (lambda*N) with lambda*N = 1
     clen = 180 if backend == "symbolic" else 144
     payload = rng.stream(5, substream=rng.SUB_PAYLOAD)
     state, lay = liquid_store(80 * clen, 100, clen, 0.2, variant="poisson",
                               eps=0.2, backend=backend, payload_rng=payload)
     state.begin_phase("repair")
-    counter = RepairCounter.at_cap(lay.counterCap)
-    dur = (1 - 0.1) / 1.0  # lambda*N = 1
-    sched = StepSchedule(stepDuration=dur)
-    return state, lay, counter, sched
+    return state, lay, LiquidRepairer(state, lay, pace)
 
 
 class TestPoissonProtocol:
     def test_failure_starts_step_when_idle(self):
-        state, lay, counter, sched = poisson_fixture()
-        liquid_on_failure(state, lay, counter, sched, t=1.0, node=5)
-        assert counter.value == 2
-        assert sched.inProgress == (1.0, 1.9, lay.front)
+        state, lay, rep = poisson_fixture()
+        liquid_on_failure(rep, t=1.0, node=5)
+        assert rep.counter.value == 2
+        assert rep.inProgress == (1.0, 1.9, lay.front)
 
     def test_sequential_steps_only(self):
-        state, lay, counter, sched = poisson_fixture()
-        liquid_on_failure(state, lay, counter, sched, t=1.0, node=5)
-        first = sched.inProgress
-        liquid_on_failure(state, lay, counter, sched, t=1.2, node=6)
-        assert sched.inProgress == first  # no second step in flight
+        state, lay, rep = poisson_fixture()
+        liquid_on_failure(rep, t=1.0, node=5)
+        first = rep.inProgress
+        liquid_on_failure(rep, t=1.2, node=6)
+        assert rep.inProgress == first  # no second step in flight
 
     def test_completion_reschedules_below_cap(self):
-        state, lay, counter, sched = poisson_fixture()
-        liquid_on_failure(state, lay, counter, sched, t=1.0, node=5)
-        liquid_on_failure(state, lay, counter, sched, t=1.2, node=6)
-        liquid_on_step_complete(state, lay, counter, sched, t=1.9)
-        assert counter.value == 2
-        assert sched.inProgress == (1.9, 2.8, lay.front)
-        liquid_on_step_complete(state, lay, counter, sched, t=2.8)
-        assert counter.value == 3  # back at cap
-        assert sched.inProgress is None
+        state, lay, rep = poisson_fixture()
+        liquid_on_failure(rep, t=1.0, node=5)
+        liquid_on_failure(rep, t=1.2, node=6)
+        liquid_on_step_complete(rep, t=1.9)
+        assert rep.counter.value == 2
+        assert rep.inProgress == (1.9, 2.8, lay.front)
+        liquid_on_step_complete(rep, t=2.8)
+        assert rep.counter.value == 3  # back at cap
+        assert rep.inProgress is None
 
     def test_counter_net_change_is_one_minus_m(self):
-        state, lay, counter, sched = poisson_fixture()
-        liquid_on_failure(state, lay, counter, sched, t=0.5, node=1)
-        start = counter.value
+        state, lay, rep = poisson_fixture()
+        liquid_on_failure(rep, t=0.5, node=1)
+        start = rep.counter.value
         for m, node in enumerate((2, 3)):
-            liquid_on_failure(state, lay, counter, sched, t=0.6 + m / 10,
-                              node=node)
-        liquid_on_step_complete(state, lay, counter, sched, t=1.4)
-        assert counter.value == start + 1 - 2
+            liquid_on_failure(rep, t=0.6 + m / 10, node=node)
+        liquid_on_step_complete(rep, t=1.4)
+        assert rep.counter.value == start + 1 - 2
 
     def test_counter_capped_at_b(self):
-        state, lay, counter, sched = poisson_fixture()
-        liquid_on_failure(state, lay, counter, sched, t=1.0, node=5)
-        liquid_on_step_complete(state, lay, counter, sched, t=1.9)
-        assert counter.value == counter.cap == 3
+        state, lay, rep = poisson_fixture()
+        liquid_on_failure(rep, t=1.0, node=5)
+        liquid_on_step_complete(rep, t=1.9)
+        assert rep.counter.value == rep.counter.cap == 3
 
     def test_halt_latches_on_dip(self):
-        state, lay, counter, sched = poisson_fixture()
-        counter.value = 0
-        liquid_on_failure(state, lay, counter, sched, t=1.0, node=5)
-        assert counter.value == -1 and counter.halted
+        state, lay, rep = poisson_fixture()
+        rep.counter.value = 0
+        liquid_on_failure(rep, t=1.0, node=5)
+        assert rep.counter.value == -1 and rep.counter.halted
         # in-flight completion still lands but nothing new starts
-        sched.inProgress = (0.5, 1.4, lay.front)
-        liquid_on_step_complete(state, lay, counter, sched, t=1.4)
-        assert sched.inProgress is None
-        liquid_on_failure(state, lay, counter, sched, t=2.0, node=6)
-        assert sched.inProgress is None
-        assert counter.minSeen == -1
+        rep.inProgress = (0.5, 1.4, lay.front)
+        liquid_on_step_complete(rep, t=1.4)
+        assert rep.inProgress is None
+        liquid_on_failure(rep, t=2.0, node=6)
+        assert rep.inProgress is None
+        assert rep.counter.minSeen == -1
 
     def test_disabled_repair_never_schedules(self):
-        state, lay, counter, _ = poisson_fixture()
-        sched = StepSchedule(stepDuration=math.inf)
+        state, lay, rep = poisson_fixture(pace=math.inf)
         for m in range(5):
-            liquid_on_failure(state, lay, counter, sched, t=float(m + 1),
-                              node=m)
-        assert sched.inProgress is None
-        assert counter.value == 3 - 5
+            liquid_on_failure(rep, t=float(m + 1), node=m)
+        assert rep.inProgress is None
+        assert rep.counter.value == 3 - 5
 
     def test_ladder_invariant_under_simulated_load(self):
         g = rng.stream(23)
-        state, lay, counter, sched = poisson_fixture(backend="byte")
+        state, lay, rep = poisson_fixture(backend="byte")
         t = 0.0
         losses = 0
         for _ in range(2000):
             t_fail = t + float(g.exponential(1.0))  # lambda*N = 1
-            while (sched.inProgress is not None
-                   and sched.inProgress[1] <= t_fail):
-                t_done = sched.inProgress[1]
-                liquid_on_step_complete(state, lay, counter, sched, t=t_done)
-                if counter.value >= 0:
-                    assert_liquid_invariant(lay, slack=counter.value)
+            while (rep.inProgress is not None
+                   and rep.inProgress[1] <= t_fail):
+                t_done = rep.inProgress[1]
+                liquid_on_step_complete(rep, t=t_done)
+                if rep.counter.value >= 0:
+                    assert_liquid_invariant(lay, slack=rep.counter.value)
             t = t_fail
             node = int(g.integers(0, 100))
-            liquid_on_failure(state, lay, counter, sched, t=t, node=node)
-            if counter.value >= 0:
-                assert_liquid_invariant(lay, slack=counter.value)
+            liquid_on_failure(rep, t=t, node=node)
+            if rep.counter.value >= 0:
+                assert_liquid_invariant(lay, slack=rep.counter.value)
             if lay.held.sum(axis=1).min() < lay.k:
                 losses += 1
                 break
         # census loss is only reachable through a counter dip
         if losses:
-            assert counter.minSeen < 0
+            assert rep.counter.minSeen < 0
         check_liquid_payloads(lay)
 
 
 @st.composite
 def byte_liquid_runs(draw):
-    """A small byte-backend liquid driver and a random sequence of node
+    """A small byte-backend liquid repairer and a random sequence of node
     failures (ints) and repair steps (None)."""
     variant = draw(st.sampled_from(["periodic", "poisson"]))
     N = draw(st.integers(3, 24))
@@ -406,7 +401,7 @@ def byte_liquid_runs(draw):
         seed=draw(st.integers(0, 2 ** 32)))
     ops = draw(st.lists(st.one_of(st.none(), st.integers(0, N - 1)),
                         min_size=4, max_size=30))
-    return sim_engine._LiquidDriver(scenario, 0), ops
+    return sim_engine._Driver(scenario, 0).rep, ops
 
 
 class TestPlacementOracle:
@@ -416,8 +411,8 @@ class TestPlacementOracle:
     @settings(max_examples=120, deadline=None, database=None)
     @given(byte_liquid_runs())
     def test_held_matches_node_stores(self, run):
-        driver, ops = run
-        state, lay = driver.state, driver.layout
+        rep, ops = run
+        state, lay = rep.state, rep.layout
         k, count, N = lay.k, lay.objectCount, state.N
         directory = [set(range(k + lay.counterCap + j)) for j in range(count)]
         state.begin_phase("repair")
@@ -440,7 +435,7 @@ class TestPlacementOracle:
             assert [set(np.flatnonzero(row).tolist())
                     for row in lay.held] == directory
             check_liquid_payloads(lay)
-            assert driver.recoverable() == all(
+            assert rep.recoverable() == all(
                 len(efis) >= k for efis in directory)
             have = [len(directory[(steps + j) % count]) for j in range(count)]
             for slack in (0, 1):

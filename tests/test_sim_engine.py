@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liquidsim import advanced_liquid as adv
-from liquidsim import bounds, failure_gen, rng, sim_engine
+from liquidsim import bounds, failure_gen, liquid, rng, sim_engine
 from liquidsim.bounds import EpsilonSet, SystemParams
 from liquidsim.errors import (ConfigError, InvariantViolation,
                               MissingFragmentError)
@@ -242,6 +242,55 @@ class TestAdvancedPoissonTrial:
         assert run_trial(sc, 1) == run_trial(sc, 1)
 
 
+class TestPace:
+    """_pace gives every repairer its durations as the same floats the
+    formulas give, and the driver hands them to the repairer."""
+
+    @staticmethod
+    def pace(sc):
+        rep = sim_engine._Driver(sc, 0).rep
+        assert rep.pace == sim_engine._pace(sc, rep.layout)
+        return rep.pace, rep.layout
+
+    @pytest.mark.parametrize("make", [liquid_periodic, advanced_periodic])
+    def test_periodic_step_lands_mid_gap(self, make):
+        for period in (1.0, 2.5, 0.3):
+            assert self.pace(make(period=period))[0] == period / 2
+
+    @pytest.mark.parametrize("step", [0.002, 2.5, math.inf])
+    def test_liquid_poisson_step_duration_override(self, step):
+        assert self.pace(liquid_poisson(stepDuration=step))[0] == step
+
+    def test_liquid_poisson_keeps_pace_with_failures(self):
+        # (1 - eps/2) / (lambda N) at eps 0.4, lambda 0.05, N 20
+        assert self.pace(liquid_poisson())[0] == (1 - 0.4 / 2) / (0.05 * 20)
+
+    @pytest.mark.parametrize("N, r, eps", [(40, 8, 0.3), (30, 6, 0.2),
+                                           (17, 3, 0.9)])
+    def test_advanced_poisson_reads_at_the_proof_rate(self, N, r, eps):
+        sc = advanced_poisson(N=N, r=r, eps=eps)
+        (moveupdate, generate), lay = self.pace(sc)
+        sp = sc.sysParams
+        rate = adv.advanced_schedule(lay.counterCap, sp.lam, sp.N, lay.beta,
+                                     eps, clen=sp.clen).rateProof
+        ops = adv.op_counts(lay.k, lay.r)
+        mu_bits = (ops["move"].fragmentReads
+                   + ops["update"].fragmentReads) * lay.flen
+        assert moveupdate == mu_bits / rate
+        assert generate == ops["generate"].fragmentReads * lay.flen / rate
+
+    def test_liquid_stall_leaves_no_step_in_flight(self, caplog):
+        driver = sim_engine._Driver(liquid_poisson(stepDuration=1.0), 0)
+        rep = driver.rep
+        rep.on_failure(0.5, 0)
+        for node in range(1, 10):       # the front object falls below k
+            liquid.liquid_fail_node(rep.state, rep.layout, 0.6, node)
+        with caplog.at_level(logging.WARNING, logger="liquidsim.sim_engine"):
+            assert driver.on_completion(rep.next_completion()) is None
+        assert "repair stalled" in caplog.text
+        assert rep.counter.halted and rep.next_completion() is None
+
+
 class TestPayloadStream:
     """A trial builds its payload stream only when its codec resolves to
     byte, "auto" included."""
@@ -263,15 +312,15 @@ class TestPayloadStream:
     def test_payload_stream_only_for_byte(self, monkeypatch, make, backend,
                                           resolved):
         drivers, substreams = [], []
-        make_driver, stream = sim_engine._make_driver, rng.stream
-        monkeypatch.setattr(sim_engine, "_make_driver",
+        make_driver, stream = sim_engine._Driver, rng.stream
+        monkeypatch.setattr(sim_engine, "_Driver",
                             lambda *a: drivers.append(make_driver(*a))
                             or drivers[-1])
         monkeypatch.setattr(rng, "stream", lambda *a: substreams.append(a[2])
                             or stream(*a))
         res = run_trial(make(M=5, codecBackend=backend), 0)
         assert res.recoverableThroughout
-        assert drivers[0].layout.codec.backend == resolved
+        assert drivers[0].rep.layout.codec.backend == resolved
         assert substreams.count(rng.SUB_PAYLOAD) == (resolved == "byte")
         assert rng.SUB_FAILURE_TIMES in substreams
 
@@ -300,10 +349,10 @@ def coalesce_cases(draw):
 
 def traced_trial(sc, coalesce, trial=0):
     """run_trial's outcome (result, or the exception's type and message),
-    the driver it ran and the repairer calls it made; without coalesce the
-    driver completes one sub-operation per call."""
+    the repairer it ran and the repairer calls it made; without coalesce
+    the driver completes one sub-operation per call."""
     drivers, calls = [], [0]
-    make = sim_engine._make_driver
+    make = sim_engine._Driver
     complete = adv.AdvancedPoissonRepairer.on_subop_complete
 
     def capture(*args):
@@ -314,27 +363,27 @@ def traced_trial(sc, coalesce, trial=0):
         calls[0] += 1
         return complete(rep, t, horizon if coalesce else None)
 
-    with mock.patch.object(sim_engine, "_make_driver", capture), \
+    with mock.patch.object(sim_engine, "_Driver", capture), \
             mock.patch.object(adv.AdvancedPoissonRepairer,
                               "on_subop_complete", one_call):
         try:
             out = run_trial(sc, trial)
         except (InvariantViolation, MissingFragmentError) as e:
             out = (type(e), str(e))     # the fault hook's damage
-    return SimpleNamespace(out=out, driver=drivers[0] if drivers else None,
+    return SimpleNamespace(out=out, rep=drivers[0].rep if drivers else None,
                            calls=calls[0])
 
 
 def assert_same_trial(a, b):
     assert a.out == b.out
-    if a.driver is None:
+    if a.rep is None:
         return
-    sa, sb = a.driver.state, b.driver.state
+    sa, sb = a.rep.state, b.rep.state
     for name in ("nodeBitsRead", "nodeBitsWritten"):
         assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
     assert (sa.phase_read, sa.phase_written) == (sb.phase_read, sb.phase_written)
     assert sa.read_log == sb.read_log
-    la, lb = a.driver.layout, b.driver.layout
+    la, lb = a.rep.layout, b.rep.layout
     for name in ("heldLo", "heldHi", "helperLo", "rot", "frags", "owner"):
         x, y = getattr(la, name), getattr(lb, name)
         assert (x is None and y is None) or np.array_equal(x, y), name
@@ -351,7 +400,7 @@ class TestCoalescedRunsMatchOneAtATime:
     @given(coalesce_cases())
     def test_trial_matches_single_subop_calls(self, sc):
         runs = [traced_trial(sc, coalesce) for coalesce in (True, False)]
-        assume(runs[0].driver is not None)     # the store took the params
+        assume(runs[0].rep is not None)     # the store took the params
         assert_same_trial(*runs)
         assert runs[0].calls <= runs[1].calls
 
