@@ -13,10 +13,7 @@ next failure finds the staircases ready again.
 Both failure models run one chain of sub-operations per failure
 (_StepChain) and differ only in pacing: the periodic variant commits the
 whole chain at once, the Poisson variant paces each sub-operation at the
-proof's read rate.  The Poisson repairer still commits the sub-operations
-due before the next failure in one call, as ranges of groups, and keeps
-one event and one read_log entry per sub-operation (AdvancedPoissonRepairer
-says why its census checks can wait for the end of the call).
+proof's read rate (AdvancedPoissonRepairer).
 
 Slack is a counter capped at b (1 periodic): failures decrement it,
 completed steps increment it.  A census of nodes holding their full
@@ -25,50 +22,36 @@ keeps at least k + counter members while the counter stays non-negative.
 
 Placement is (N,) numpy arrays, so one step is O(N) work.  A node holds
 the primaries of a whole group or none, and the groups it holds form one
-run: node n holds groups heldLo[n]..heldHi[n]-1.  Stores start full, a
-wipe or a failure empties the row, and a move extends the target's run by
-its one group.  An anchor's staircase is one integer, helperLo: the anchor
-holds helper roles helperLo..j of the object at position j.  Between
-events it takes one of three values: 0, the full staircase; 1, front
-helpers donated (a move committed and the update after it could not pick
-its sources); r, no helpers (after a wipe, a failure or the fault hook).
-Census, recoverability and used bits are closed forms of these arrays.
-The fragment labels are one (N + r,) permutation array too, labels, held
-with the step in flight on the layout: a step's commit moves two labels and
-shifts the r helper labels, and checks the permutation in O(N), no sort.
+run, heldLo[n]..heldHi[n]-1: stores start full, a wipe or a failure
+empties the row, and a move extends the target's run by its one group.
+An anchor's staircase is one integer, helperLo (see GroupLayout): 0, the
+full staircase; 1, front helpers donated (a move committed and the
+update after it could not pick its sources); r, no helpers.  Census,
+recoverability and used bits are closed forms of these arrays.  The
+fragment labels are one (N + r,) permutation array, labels: a step's
+commit moves two labels and shifts the r helper labels.
 
-The byte backend holds its payloads in arrays indexed by object (group,
-phys) and physical label: code, every object's read-only reference
-codeword, whose first k labels are its source, frags, what the nodes
-hold, and owner, the node holding each fragment or -1.  owner is written
-where fragments are written, moved or erased, never derived from
-placement, so check_advanced_sync can compare the two, and a held slot of
-frags must equal code.  A rebuild decodes each object in place from the
-primaries it reads, compares the source rows with code and copies its
-helpers from code; a move only changes owner.  Sub-operations queue both
-on their metering window (a step, a Poisson repairer call or a standalone
-call), and _Reads.settle() does them at its end: a failed check stops the
-writes where one sub-operation at a time would.  A wipe or a failure sets
-the node's owner entries to -1 and zeroes their payloads, so a decode
-that reads one fails its comparison with the source.
-
-A source pick depends only on the group's holder set outside the target,
-which changes at the run ends of other rows or when a row is cleared.  A
-chain keeps its last pick while neither happens, and the groups one pick
-serves commit as array ops on a range: a step is a few calls, not a loop
-over the N groups.  Their objects read the same labels, so on the byte
-backend one kernel call per pick and window decodes them all and compares
-each with its codeword, with one solve of that label set's decode matrix.
-The store build fills every object's source from one draw each
-(rng.fill_bytes) and encodes every object's whole codeword in one matmul.
-The fault-injection hook drops the staircases of nodes 0 and 1, which
-fails the census but not recovery.
+The byte backend holds code, the read-only codewords, frags, what the
+nodes hold, and owner, the node holding each fragment or -1 (see
+GroupLayout).  owner is never derived from placement, so
+check_advanced_sync can compare the two.  The sub-operations record each
+committed range on their metering window (a step, a Poisson repairer
+call or a standalone call), which meters its writes once and whose
+settle() alone touches payloads and owner: it checks every primary
+read's owner, decodes each pick's objects in one kernel call and
+compares them with code, copies helpers from code and moves front
+helpers by owner, stopping where one sub-operation at a time would.  A
+source pick depends only on the group's holder set outside the target,
+which changes at the run ends of other rows or when a row is cleared; a
+chain keeps its pick while neither happens, so the groups it serves
+commit as array ops on a range.  A wipe or a failure clears the node's
+owner entries and zeroes their payloads.  The fault-injection hook drops
+the staircases of nodes 0 and 1, which fails the census but not recovery.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from collections import deque
@@ -142,6 +125,8 @@ class GroupLayout:
     code: Optional[np.ndarray] = None
     frags: Optional[np.ndarray] = None
     owner: Optional[np.ndarray] = None
+    # owner, frags, code by slot, object * (N + r) + label; frags, code
+    bySlot: Optional[tuple] = None
 
     def front_phys(self, group: int) -> int:
         """Physical index of the group's position-0 object."""
@@ -270,6 +255,9 @@ def advanced_store(N: int, clen: int, r: int, *, variant: str = "periodic",
         owner[:, :, N:] = np.where(keep, np.arange(N)[:, None, None], -1)
         layout.frags = frags = code.copy()
         frags[owner < 0] = 0
+        layout.bySlot = (owner.reshape(-1), *(a.view(f"V{fb}").reshape(-1)
+                                              for a in (frags, code)),
+                         frags.reshape(-1, n, fb), code.reshape(-1, n, fb))
     return state, layout
 
 
@@ -309,28 +297,28 @@ def _first_above(values: np.ndarray, groups: range, floor: int):
     idx = _at(groups)
     if isinstance(idx, int):
         return idx if values[idx] > floor else None
-    over = np.flatnonzero(values[idx] > floor)
-    return groups.start + int(over[0]) if over.size else None
+    over = values[idx] > floor
+    return groups.start + int(over.argmax()) if over.any() else None
 
 
-class _Reads:
-    """Read bits of one metering window, an (N,) vector plus the last
-    source pick, whose reads add up as one scalar weight, and its byte work.
-
-    The pick serves every group inside its holder span while no row has
-    been cleared.  That is exact as long as, between picks, only the
-    excluded row grows, as in a step chain, whose moves all go to its
-    excluded target.
-    """
+class _Window:
+    """One metering window: the read bits, an (N,) vector plus the last
+    source pick's weight, the write bits and each committed range's byte
+    work.  The pick serves its holder span while no row is cleared: exact
+    while only the excluded row grows, as a chain's moves to its target."""
 
     def __init__(self, layout: GroupLayout):
         self.layout = layout
         self.vector = np.zeros(layout.N, np.int64)
+        self.written = np.zeros(layout.N, np.int64)
         self.srcs = None
         self.weight = 0
         self.key = None         # (exclude, need, rowClears, lo, hi) of srcs
-        # byte work for settle(): rebuilds (srcs, rows, positions, slots, slot
-        # positions), moves (toNode, slots, positions); at, the next position
+        self.bits = {kind: ops.fragmentWrites * layout.flen for kind, ops
+                     in op_counts(layout.k, layout.r).items()}
+        # in chain order, at the next position: rebuilds (srcs, objects, slot
+        # bases as a column, slots, at, step), object j at at + step * j;
+        # moves (g0, g1, at, toNode), group g at at + 2 (g - g0)
         self.rebuilds, self.moves, self.at = [], [], 0
 
     def reach(self, group, exclude, need) -> int:
@@ -356,84 +344,120 @@ class _Reads:
         self.weight += bits * (stop - group)
         return self.srcs, stop
 
-    def _flush(self) -> None:
+    def _flush(self) -> np.ndarray:
+        """The read vector, the last pick's weight added."""
         if self.weight:
             self.vector[self.srcs] += self.weight
             self.weight = 0
+        return self.vector
 
-    def take(self) -> np.ndarray:
-        """The window's (N,) read vector; the next window starts at zero
-        and keeps the pick."""
-        self._flush()
-        out, self.vector = self.vector, np.zeros(self.layout.N, np.int64)
-        return out
+    def meter(self, state: ClusterState, t0, t1, split=None) -> int:
+        """Meter the reads over [t0, t1] (split as meter_read_spread takes
+        it) and the writes, settle the byte work; returns the bits read."""
+        bits = state.meter_read_spread(self._flush(), t0, t1, split)
+        state.meter_write_bulk(slice(None), self.written)
+        self.vector[:] = self.written[:] = 0
+        self.settle()
+        return bits
 
-    def rebuild(self, srcs, rows, labels, width, stride=1) -> None:
-        """Queue rows (group * r + phys) to rebuild from srcs: the first
-        width, or width[i], of labels, at chain positions stride apart."""
-        slots = rows[:, None] * self.layout.codec.n + labels    # flat slots
-        slots = (slots[:, :width].ravel() if isinstance(width, int) else
-                 slots[np.arange(len(labels)) < width[:, None]])
-        at, self.at = self.at + stride - 1, self.at + stride * len(rows)
-        pos = np.arange(at, self.at, stride)
-        self.rebuilds.append((srcs, rows, pos, slots, np.repeat(pos, width)))
+    def generate(self, group: int, srcs) -> None:
+        """Record the group's staircase: position j takes roles 0..j."""
+        layout, r = self.layout, self.layout.r
+        self.written[group] += self.bits["generate"]
+        if layout.owner is not None:
+            phys, held = _staircase(r)
+            objs = phys[layout.rot[group] % r] + group * r
+            self._rebuild(srcs, objs, layout.labels[layout.N:], held, 1)
+        self.at += r
 
     def move(self, groups: range, toNode: int) -> None:
-        """Queue the hand-over of the groups' front helpers to toNode, group
-        i at chain position at + 2i, leaving at + 2i + 1 to its update."""
-        layout = self.layout
-        rows = np.arange(groups.start * layout.r, groups.stop * layout.r)
-        self.moves.append((toNode, rows * layout.codec.n + layout.labels[
-            layout.N], self.at + 2 * (rows // layout.r - groups.start)))
+        """Record the hand-over of the groups' front helpers to toNode, each
+        group's before its update."""
+        self.moves.append((groups.start, groups.stop, self.at, toNode))
+        self.vector[_at(groups)] += self.layout.r * self.layout.flen
+        self.written[toNode] += len(groups) * self.bits["move"]
+
+    def update(self, groups: range, srcs) -> None:
+        """Record the rebuild of the groups' position-0 objects."""
+        layout, idx, r = self.layout, _at(groups), self.layout.r
+        self.written[idx] += self.bits["update"]
+        if layout.owner is not None:
+            objs = np.arange(groups.start * r, groups.stop * r, r) + (
+                layout.rot[idx] % r)
+            self._rebuild(srcs, objs, layout.post_helpers(), None, 2)
+        self.at += 2 * len(groups)
+
+    def _rebuild(self, srcs, objs, labels, held, step) -> None:
+        base = (objs * self.layout.codec.n)[:, None]
+        slots = base + labels       # held picks each object's labels
+        self.rebuilds.append((srcs, objs, base, slots.ravel() if held is None
+                              else slots[held], self.at + step - 1, step))
 
     def settle(self) -> None:
-        """Do the queued byte work as one sub-operation at a time would: one
-        checked decode per pick's run of rebuilds, then the moves (no later
-        rebuild writes a front helper); the first failure stops the writes."""
-        layout, work, moves = self.layout, self.rebuilds, self.moves
-        if not (work or moves):
+        """Do the recorded byte work as one sub-operation at a time would:
+        check each primary read's owner, decode each pick's objects in one
+        call, write the helpers' owners, check the front helpers' owners (no
+        later rebuild writes one) and move them, copy the helpers; stop at
+        the first failure and raise."""
+        rebuilds, moves, self.rebuilds, self.moves, self.at = (
+            self.rebuilds, self.moves, [], [], 0)
+        layout, end, error, r = self.layout, math.inf, None, self.layout.r
+        if layout.owner is None or not (rebuilds or moves):
             return
-        self.rebuilds, self.moves, end, error = [], [], math.inf, None
-        n, r, fb, owner = (layout.codec.n, layout.r, layout.codec.flen_bytes,
-                           layout.owner.reshape(-1))
-        for _, run in itertools.groupby(work, key=lambda item: id(item[0])):
-            run = list(run)
-            srcs, objs = run[0][0], _cat(run, 1)
-            read = layout.labels[srcs]
-            stray = owner[objs[:, None] * n + read] != srcs
-            first = stray.any(axis=1).argmax() if stray.any() else len(objs)
-            done = erasure.decode_in_place(
-                layout.frags.reshape(-1, n, fb)[objs[:first]], read,  # a copy
-                layout.codec, layout.code.reshape(-1, n, fb), objs[:first])
-            if done < len(objs):            # end: the failure's position
-                row, end = objs[done], _cat(run, 2)[done]
-                error = (f"decode mismatch for object ({row // r},{row % r})"
-                         if done < first else "primary map out of sync at "
-                         f"node {srcs[stray[done].argmax()]}")
+        owner, frags, code, objects, codewords = layout.bySlot
+        cut = [a for a in range(len(rebuilds))
+               if not a or rebuilds[a][0] is not rebuilds[a - 1][0]]
+        for a, b in zip(cut, cut[1:] + [len(rebuilds)]):
+            run = rebuilds[a:b]     # one pick's
+            srcs, objs, read = run[0][0], _cat(run, 1), layout.labels[run[0][0]]
+            stray = owner[_cat(run, 2) + read] != srcs
+            at = stray.argmax()
+            first = at // len(read) if stray.flat[at] else len(objs)
+            done = erasure.decode_in_place(objects[objs[:first]], read,  # a copy
+                                           layout.codec, codewords, objs[:first])
+            if done < len(objs):
+                error = (f"decode mismatch for object ({objs[done] // r},"
+                         f"{objs[done] % r})" if done < first else
+                         f"primary map out of sync at node {srcs[at % len(read)]}")
+                end = np.concatenate([at + step * np.arange(len(part)) for
+                                      _, part, _, _, at, step in run])[done]
                 break
-        slots, mslots, mat = _cat(work, 3), _cat(moves, 1), _cat(moves, 2)
-        old = owner[slots]  # to undo writes after a failure; none repeats
-        owner[slots] = slots // (r * n)             # the group's anchor
-        bad = np.flatnonzero(owner[mslots] != mslots // (r * n))
-        if bad.size and mat[bad[0]] < end:
-            end, error = mat[bad[0]], ("helper map out of sync at node "
-                                       f"{mslots[bad[0]] // (r * n)}")
+        slots = _cat(rebuilds, 3)
+        old = owner[slots]      # to undo writes after a failure; none repeats
+        owner[slots] = slots // (r * layout.codec.n)    # the group's anchor
+        front = layout.owner[:, :, layout.labels[layout.N]]     # a view
+        for g0, g1, at, _ in moves:     # in chain order: the first stray wins
+            bad = front[g0:g1] != np.arange(g0, g1)[:, None]
+            g = g0 + int(bad.argmax()) // r
+            if bad[g - g0].any() and at + 2 * (g - g0) < end:
+                end, error = at + 2 * (g - g0), f"helper map out of sync at node {g}"
         if error is not None:           # keep only the writes before end
-            keep = _cat(work, 4).searchsorted(end)
+            keep = 0
+            for _, objs, _, _, at, step in rebuilds:
+                rows = min(len(objs), max(0, -(-(end - at) // step)))
+                keep += rows * (rows + 1) // 2 if step == 1 else rows * r
             owner[slots[keep:]] = old[keep:]
             slots = slots[:keep]
-        for toNode, part, at in moves:
-            owner[part[at < end]] = toNode
-        layout.frags.view(f"V{fb}").reshape(-1)[slots] = (
-            layout.code.view(f"V{fb}").reshape(-1)[slots])
+        for g0, g1, at, toNode in moves:
+            if error is not None:
+                g1 = min(g1, max(g0, g0 + (end - at + 1) // 2))
+            front[g0:g1] = toNode
+        frags[slots] = code[slots]
         if error is not None:
             raise InvariantViolation(error)
 
 
 def _cat(items, field: int) -> np.ndarray:
-    """One int64 field of the queued items, end to end."""
+    """One int64 field of the recorded items, end to end."""
     parts = [item[field] for item in items] or [np.zeros(0, np.int64)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _staircase(r: int) -> tuple:
+    """(r, r) phys at positions 0..r-1 by front phys, and the roles held."""
+    roles = np.arange(r)
+    return (roles + roles[:, None]) % r, roles <= roles[:, None]
 
 
 def generate_helpers(state: ClusterState, layout: GroupLayout, group: int,
@@ -442,24 +466,19 @@ def generate_helpers(state: ClusterState, layout: GroupLayout, group: int,
 
     Decodes each of the r group objects from k primary fragments (the
     same k nodes for all of them) and writes helpers 0..j for the object at
-    position j.  Reads and byte work wait in collect, a _Reads the caller
-    meters; collect=None settles them here, the reads as an impulse at t.
+    position j.  Reads, writes and byte work wait in collect, a _Window the
+    caller meters; collect=None meters them here, the reads at t.
     """
-    r = layout.r
-    reads = _Reads(layout) if collect is None else collect
-    srcs, _ = reads.add_sources(range(group, group + 1), layout.front_phys(group),
-                                exclude, layout.k, r * layout.flen)
-    counts = op_counts(layout.k, r)["generate"]
-    if layout.owner is not None:        # position j takes helpers 0..j
-        j = np.arange(r)
-        reads.rebuild(srcs, group * r + (layout.front_phys(group) + j) % r,
-                      layout.labels[layout.N:], j + 1)
+    win = _Window(layout) if collect is None else collect
+    srcs, _ = win.add_sources(range(group, group + 1), layout.front_phys(group),
+                              exclude, layout.k, layout.r * layout.flen)
+    win.generate(group, srcs)
     if collect is None:
-        reads.settle()
-        state.meter_read_spread(reads.take(), t, t)
-    state.meter_write_bulk(group, counts.fragmentWrites * layout.flen)
+        win.settle()
     layout.helperLo[group] = 0
-    return counts
+    if collect is None:
+        win.meter(state, t, t)
+    return op_counts(layout.k, layout.r)["generate"]
 
 
 def move_helpers(state: ClusterState, layout: GroupLayout, groups: range,
@@ -484,17 +503,15 @@ def move_helpers(state: ClusterState, layout: GroupLayout, groups: range,
         raise InvariantViolation(
             f"node {toNode} holds groups {lo}..{hi - 1}; group {g0} "
             f"would split the run")
-    reads = _Reads(layout) if collect is None else collect
-    if layout.owner is not None:
-        reads.move(groups, toNode)
-    reads.vector[_at(groups)] += layout.r * layout.flen
+    win = _Window(layout) if collect is None else collect
+    win.move(groups, toNode)
     if collect is None:
-        reads.settle()
-        state.meter_read_spread(reads.take(), t, t)
-    state.meter_write_bulk(toNode, len(groups) * layout.r * layout.flen)
+        win.settle()
     layout.heldLo[toNode] = min(lo, g0) if lo < hi else g0
     layout.heldHi[toNode] = max(hi, g1) if lo < hi else g1
     layout.helperLo[_at(groups)] = 1
+    if collect is None:
+        win.meter(state, t, t)
     return op_counts(layout.k, layout.r)["move"]
 
 
@@ -516,38 +533,34 @@ def update_helpers(state: ClusterState, layout: GroupLayout, groups: range,
     if bare is not None:
         raise MissingFragmentError(f"node {bare} holds no staircase to update")
     layout.require_step()
-    reads = _Reads(layout) if collect is None else collect
+    win = _Window(layout) if collect is None else collect
     g = groups.start
     while g < groups.stop:
-        srcs, end = reads.add_sources(range(g, groups.stop),
-                                      layout.front_phys(g), exclude,
-                                      layout.k, layout.flen)
+        srcs, end = win.add_sources(range(g, groups.stop), layout.front_phys(g),
+                                    exclude, layout.k, layout.flen)
+        win.update(range(g, end), srcs)
+        if collect is None:
+            win.settle()
         done = _at(range(g, end))
-        if layout.owner is not None:    # back objects, each after its move
-            back = layout.r * np.arange(g, end) + layout.rot[g:end] % layout.r
-            reads.rebuild(srcs, back, layout.post_helpers(), layout.r,
-                          stride=2)
-            if collect is None:
-                reads.settle()
-        state.meter_write_bulk(done, layout.r * layout.flen)
         layout.rot[done] += 1
         layout.helperLo[done] = 0
         g = end
     if collect is None:
-        state.meter_read_spread(reads.take(), t, t)
+        win.meter(state, t, t)
     return op_counts(layout.k, layout.r)["update"]
 
 
-def _clear_row(layout, node) -> None:
-    """Empty the node's row and staircase and zero the payloads it held."""
+def _clear_row(layout, node, payloads: bool = True) -> None:
+    """Empty the node's row and staircase and zero the payloads it held,
+    unless the caller has just cleared them (payloads=False)."""
     layout.heldLo[node] = layout.heldHi[node] = 0
     layout.helperLo[node] = layout.r
     layout.rowClears += 1
-    if layout.owner is not None:
-        owner = layout.owner.reshape(-1)
-        gone = np.flatnonzero(owner == node)
+    if payloads and layout.owner is not None:
+        owner, frags = layout.bySlot[:2]
+        gone = (owner == node).nonzero()[0]
         owner[gone] = -1
-        layout.frags.reshape(-1, layout.codec.flen_bytes)[gone] = 0
+        frags[gone] = bytes(layout.codec.flen_bytes)
 
 
 def advanced_fail_node(state: ClusterState, layout: GroupLayout, t: float,
@@ -560,18 +573,17 @@ class _StepChain:
     per group in ascending order a generate when its position-0 helpers are
     missing, followed by a move+update.  commit() takes a range of groups:
     run() commits each run of groups between missing staircases at once, a
-    Poisson chain one group per sub-operation.
-
-    Each sub-operation is planned from the placement as it stands when the
-    previous one committed, so a donor lost mid-step is regenerated before
-    its helpers move.  Reads and byte work gather in self.reads, which keeps
-    its source pick across sub-operations, and meter() settles them.
-    Creating the chain opens the step on the layout (its pendingNode is the
-    target) and wipes the target; finish() commits the labels.
+    Poisson chain one group per sub-operation.  Each sub-operation is
+    planned from the placement as it stands when the previous one
+    committed, so a donor lost mid-step is regenerated before its helpers
+    move.  Their traffic and byte work wait in self.window for meter().
+    Creating the chain opens the step on the layout (pendingNode is the
+    target) and wipes the target (wiped: its payloads already were);
+    finish() commits the labels.
     """
 
     def __init__(self, state: ClusterState, layout: GroupLayout, node: int,
-                 t: float):
+                 t: float, wiped: bool = False):
         self.state = state
         self.layout = layout
         self.startTime = t
@@ -579,10 +591,10 @@ class _StepChain:
         # groups each kind has committed
         self.generated = self.moved = self.updated = 0
         self.bitsRead = 0
-        self.reads = _Reads(layout)
+        self.window = _Window(layout)
         layout.begin_step(node)
         # formatting the replacement is free; only repair traffic is metered
-        _clear_row(layout, node)
+        _clear_row(layout, node, payloads=not wiped)
 
     def next_subop(self) -> Optional[tuple]:
         """(kind, group) of the next sub-operation, None once all are done."""
@@ -595,23 +607,23 @@ class _StepChain:
         return ("moveupdate" if has_front else "generate"), group
 
     def commit(self, kind: str, groups: range) -> None:
-        """Run a planned sub-operation on each of groups; the reads wait
-        for meter().  A move+update commits the groups the last source
-        pick serves as one range and a group needing a fresh pick alone, so
-        a stall leaves that group's move committed, as one at a time would."""
+        """Run a planned sub-operation on each of groups; the work waits for
+        meter().  A move+update commits the groups the last source pick
+        serves as one range and a group needing a fresh pick alone, so a
+        stall leaves that group's move committed, as one at a time would."""
         ctx, node = (self.state, self.layout), self.layout.pendingNode
         if kind == "generate":
             for group in groups:
-                generate_helpers(*ctx, group, collect=self.reads, exclude=node)
+                generate_helpers(*ctx, group, collect=self.window, exclude=node)
                 self.generated += 1
             return
         g = groups.start
         while g < groups.stop:
-            served = self.reads.reach(g, node, self.layout.k)
+            served = self.window.reach(g, node, self.layout.k)
             part = range(g, min(groups.stop, max(served, g + 1)))
-            move_helpers(*ctx, part, node, collect=self.reads)
+            move_helpers(*ctx, part, node, collect=self.window)
             self.moved += len(part)
-            update_helpers(*ctx, part, collect=self.reads, exclude=node)
+            update_helpers(*ctx, part, collect=self.window, exclude=node)
             self.updated += len(part)
             g = part.stop
 
@@ -624,17 +636,15 @@ class _StepChain:
         return {kind: [ops[kind]] * n for kind, n in done.items()}
 
     def meter(self, t0: float, t1: float, split=None) -> None:
-        """Stream the reads committed since the last call over [t0, t1] and
-        settle their byte work; split, as ClusterState.meter_read_spread
-        takes it, logs the reads as one entry per sub-operation."""
-        self.bitsRead += self.state.meter_read_spread(self.reads.take(),
-                                                      t0, t1, split)
-        self.reads.settle()     # callers meter in a finally: stalls settle
+        """_Window.meter over what committed since the last call; split
+        logs the reads as one entry per sub-operation.  Callers meter in a
+        finally: stalls settle."""
+        self.bitsRead += self.window.meter(self.state, t0, t1, split)
 
     def planned_reads(self, kind: str, group: int) -> np.ndarray:
         """(N,) read bits of a sub-operation, re-derived from the current
         placement; used only to attribute aborted reads."""
-        layout, reads = self.layout, _Reads(self.layout)
+        layout, reads = self.layout, _Window(self.layout)
         per_src = layout.flen * (layout.r if kind == "generate" else 1)
         if kind != "generate":
             reads.vector[group] += layout.r * layout.flen
@@ -644,7 +654,7 @@ class _StepChain:
         except DecodeError:
             log.warning("aborted sub-operation reads under-attributed: "
                         "sources already gone")
-        return reads.take()
+        return reads._flush()
 
     def finish(self, t: float) -> AdvancedStepRecord:
         node = self.layout.pendingNode      # commit_step clears it
@@ -674,13 +684,8 @@ class _StepChain:
 
 def advanced_repair_step(state: ClusterState, layout: GroupLayout, node: int,
                          *, t0: float, t1: float) -> AdvancedStepRecord:
-    """One full periodic repair step for node, run synchronously.
-
-    Generates the target's own staircase first, then moves the donated
-    helpers of every group (ascending, including the target's own) in and
-    updates the staircases, as array ops over each run of groups between
-    missing staircases.  Reads are metered as one stream over [t0, t1].
-    """
+    """One full periodic repair step for node, run synchronously (see
+    _StepChain); reads are metered as one stream over [t0, t1]."""
     return _StepChain(state, layout, node, t0).run(t0, t1)
 
 
@@ -850,39 +855,32 @@ class AdvancedPoissonRepairer:
     layout.variant.
 
     One step is in flight at a time; failed nodes queue oldest-first and
-    the next step starts whenever the queue is non-empty, so the counter
-    never strands a broken node.  Periodic: pace is the step duration
-    (half the failure period) and each step is one event that commits the
-    whole chain; a failure during a step breaks the variant's contract.
-    Poisson: pace is the (move+update, generate) sub-operation durations,
-    each one's read bits over the proof's read rate (sim_engine._pace), and
-    each sub-operation commits atomically at its end time, binding reads
-    to sources alive at completion.  A donor failing mid-sub-operation
-    aborts it with pro-rata read metering and the chain re-plans,
-    regenerating the donor's helpers before retrying the move.  The step's
-    own target failing does not stop the chain: the finished step leaves
-    the target outside the witness census, the counter still ticks up at
-    completion, and the node queues again.
+    the next step starts whenever the queue is non-empty.  Periodic: pace
+    is the step duration (half the failure period) and each step is one
+    event; a failure during a step breaks the variant's contract.  Poisson:
+    pace is the (move+update, generate) durations, each one's read bits
+    over the proof's read rate (sim_engine._pace), and each sub-operation
+    commits atomically at its end time, binding reads to sources alive
+    then.  A donor failing mid-sub-operation aborts it with pro-rata read
+    metering and the chain re-plans, regenerating the donor's helpers.  The
+    target failing mid-step does not stop the chain: the finished step
+    leaves it outside the census, the counter still ticks up, and the node
+    queues again.
 
-    Sub-operation durations are fixed, so the ones due before the next
-    failure are known in advance, and given that failure's time as a
-    horizon, on_subop_complete commits the step's due sub-operations in
-    one call, each run of move+updates as one range, a window that
-    _Reads.settle() ends with one decode per source pick.  It still makes
-    one event, one read_log entry and one trace row of each: self.done
-    gives their end times and bits.  A census check after each
-    of them is implied by checks before and after the call.  Between
-    failures nothing is erased: a generate adds a staircase, a move+update
-    adds its group to the target's row and restores its anchor's
-    staircase, and the counter stays put.  So within a step the witness
-    count, every group's holder count and every staircase can only grow.
-    A step's end breaks this: the counter ticks up, and the next step
-    wipes its target's row, which a futile step may have refilled.  A
-    stall breaks it too: the group's front helpers moved without an update.
-    The call therefore stops after the step's last sub-operation or a
-    stall, and that event is checked in full.  The argument needs the
-    invariant at the start, so the call checks it first and, when it
-    fails, commits the due sub-operation alone.
+    Sub-operation durations are fixed, so given the next failure's time
+    as a horizon, on_subop_complete commits the step's sub-operations due
+    by then in one call, one metering window, each run of move+updates as
+    one range.  It still makes one event, one read_log entry and one trace
+    row of each (self.done gives their end times and bits), and the census
+    checks before and after the call imply one after each: between
+    failures a generate adds a staircase, a move+update adds its group to
+    the target's row and restores its anchor's staircase, and the counter
+    stays put, so the witness count, every holder count and every
+    staircase can only grow.  A step's end (the counter ticks up, the next
+    step wipes its target's row) and a stall (front helpers moved without
+    an update) break this, so the call stops after either and checks that
+    event in full.  The argument needs the invariant at the start: when
+    it fails, the call commits the due sub-operation alone.
     """
 
     def __init__(self, state: ClusterState, layout: GroupLayout, pace):
@@ -934,7 +932,7 @@ class AdvancedPoissonRepairer:
             self._abort_subop(t)
             self._plan(t)
         elif self.chain is None and not self.counter.halted:
-            self._start_step(t)
+            self._start_step(t, wiped=node)
 
     def on_subop_complete(self, t: float, horizon: Optional[float] = None
                           ) -> Optional[AdvancedStepRecord]:
@@ -1014,11 +1012,13 @@ class AdvancedPoissonRepairer:
             chain.meter(t0, float(ends[last]),
                         (ends[:last], reads[:last]) if last else None)
 
-    def _start_step(self, t: float) -> None:
+    def _start_step(self, t: float, wiped: Optional[int] = None) -> None:
+        # wiped: a node this call has just failed, whose payloads are clear
         if not self.queue:
             return
         node = self.queue.popleft()
-        self.chain = _StepChain(self.state, self.layout, node, t)
+        self.chain = _StepChain(self.state, self.layout, node, t,
+                                wiped=node == wiped)
         if self.layout.variant == "periodic":
             self.subop = _SubOp("step", node, t, t + self.pace)
         else:

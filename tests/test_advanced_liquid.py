@@ -699,7 +699,7 @@ class TestChainAgainstDensePlacement:
             assume(False)
         place = DensePlacement(N)
         picks = []
-        real_move, real_add = adv.move_helpers, adv._Reads.add_sources
+        real_move, real_add = adv.move_helpers, adv._Window.add_sources
 
         def move(state, layout, groups, toNode, **kw):
             out = real_move(state, layout, groups, toNode, **kw)
@@ -748,7 +748,7 @@ class TestChainAgainstDensePlacement:
                 event(rep.on_subop_complete, now)
 
         with mock.patch.object(adv, "move_helpers", move), \
-                mock.patch.object(adv._Reads, "add_sources", add_sources):
+                mock.patch.object(adv._Window, "add_sources", add_sources):
             try:
                 fail(1.0, first)
                 for count, victim, frac in ops:
@@ -1002,10 +1002,18 @@ class TestBatchedStepMatchesOneGroupAtATime:
 
 
 def rebuild_in_one_window(layout, groups, phys, srcs, labels, width):
-    """The rebuild as a sub-operation queues it and its window settles it."""
-    reads = adv._Reads(layout)
-    reads.rebuild(srcs, groups * layout.r + phys, labels, width)
-    reads.settle()
+    """The rebuild as a sub-operation records it, a generate's staircase or
+    an update's back objects at the store's labels, and its window settles
+    it."""
+    window = adv._Window(layout)
+    if (width < layout.r).any():        # a staircase: one group, phys j
+        window.generate(int(groups[0]), srcs)
+    else:       # an update rebuilds rot's object at the step's post labels
+        layout.rot[groups] = phys
+        layout.pendingNode, layout.postHelpers = 0, labels
+        window.update(range(groups[0], groups[-1] + 1), srcs)
+        layout.pendingNode = layout.postHelpers = None
+    window.settle()
 
 
 def rebuild_one_at_a_time(layout, groups, phys, srcs, labels, width):
@@ -1051,7 +1059,7 @@ def rebuild_cases(draw):
 
 
 class TestBatchedRebuild:
-    """_Reads.settle decodes objects read at the same labels in one product
+    """_Window.settle decodes objects read at the same labels in one product
     and copies their helpers from the stored codewords; decoding and
     re-encoding each object with decode_in_place and encode_rows must write
     the same bytes and owners, and raise the same error after the same
@@ -1433,6 +1441,23 @@ class TestPoissonProtocol:
         assert_advanced_invariant(layout)
 
 
+@st.composite
+def damaged_windows(draw):
+    """A byte Poisson store whose step on node v runs with donor d failed,
+    so its later window regenerates d's staircase mid-window, and one piece
+    of damage at group g of what that window reads or moves."""
+    N = draw(st.integers(8, 16))
+    v = draw(st.integers(0, N - 1))
+    d = draw(st.sampled_from([m for m in range(1, N) if m != v]))
+    start = draw(st.integers(0, d - 1))     # groups moved before it
+    return SimpleNamespace(
+        N=N, r=draw(st.integers(1, 3)), v=v, d=d, start=start,
+        eps=draw(st.sampled_from([0.3, 0.45, 0.6])),
+        seed=draw(st.integers(0, 99)), group=draw(st.integers(start, N - 1)),
+        kind=draw(st.sampled_from(["payload", "primary", "helper"])),
+        source=draw(st.integers(0, N)), byte=draw(st.integers(0, 7)))
+
+
 class TestWindowMatchesOneSubOpPerCall:
     """A byte Poisson store driven with horizons, each call a window of
     many sub-operations whose byte work settles at its end, must hold the
@@ -1471,14 +1496,71 @@ class TestWindowMatchesOneSubOpPerCall:
                     assert decodes <= calls["pick"] - before["pick"] + 1
                     windows += horizon is not None
                     check_sync(rep)
-            (_, coalesced, _), (_, single, _) = runs
+            (meters, coalesced, _), (single_meters, single, _) = runs
             assert np.array_equal(coalesced.frags, single.frags)
             assert np.array_equal(coalesced.owner, single.owner)
+            # one write meter per window meters what one per call does
+            for name in ("nodeBitsRead", "nodeBitsWritten"):
+                assert np.array_equal(getattr(meters, name),
+                                      getattr(single_meters, name)), name
+            assert meters.phase_read == single_meters.phase_read
+            assert meters.phase_written == single_meters.phase_written
+            assert meters.read_log == single_meters.read_log
             victim = int(ids.integers(N))
             for _, _, rep in runs:
                 rep.on_failure(t, victim)
                 check_sync(rep)
         assert windows > 30 and calls["decode"] > 2 * windows
+        assert len(runs[0][0].read_log) > 1000
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(damaged_windows())
+    def test_damage_inside_a_window_stops_where_one_call_does(self, case):
+        # the window from group `start` on spans the mid-window generate of
+        # the donor's group; one damaged payload byte, read primary owner
+        # or front helper owner must raise the same error as one
+        # sub-operation per call and leave the same payloads and owners
+        runs = []
+        for horizon in (math.inf, None):
+            try:
+                state, layout = byte_cluster(N=case.N, r=case.r,
+                                             seed=case.seed,
+                                             variant="poisson", eps=case.eps)
+            except (ConfigError, InvariantViolation):
+                assume(False)
+            assume(layout.counterCap >= 2)      # two failures, no stall
+            rep = AdvancedPoissonRepairer(
+                state, layout, poisson_pace(layout, 1.0 / case.N, case.eps))
+            state.begin_phase("repair")
+            rep.on_failure(1.0, case.v)
+            rep.on_failure(1.0 + 1e-9, case.d)
+            rep.on_subop_complete(rep.next_completion())    # v's staircase
+            while rep.chain.moved < case.start:
+                rep.on_subop_complete(rep.next_completion())
+            g, N = case.group, layout.N
+            p = layout.front_phys(g)        # read by g's generate or update
+            srcs = [m for m in range(N) if m not in (case.v, case.d)]
+            label = layout.labels[srcs[case.source % layout.k]]
+            if case.kind == "payload":
+                layout.frags[g, p, label,
+                             case.byte % layout.codec.flen_bytes] ^= 1
+            elif case.kind == "primary":
+                layout.owner[g, p, label] = -1
+            else:
+                layout.owner[g, case.byte % layout.r, layout.labels[N]] = -1
+            err = None
+            try:
+                while rep.next_completion() is not None:
+                    rep.on_subop_complete(rep.next_completion(), horizon)
+            except (InvariantViolation, DecodeError) as e:
+                err = f"{type(e).__name__}: {e}"
+            runs.append((err, layout))
+        (err, windowed), (single_err, single) = runs
+        assert err == single_err
+        # only a regenerated staircase rewrites the damaged front helper
+        assert (err is None) == (case.kind == "helper" and g == case.d)
+        assert np.array_equal(windowed.frags, single.frags)
+        assert np.array_equal(windowed.owner, single.owner)
 
     def test_sync_after_every_call_through_stalls(self, monkeypatch):
         # the golden abort-stall scenario on the byte backend: trials 0 and

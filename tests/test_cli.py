@@ -466,6 +466,37 @@ class TestCmdRun:
                      str(tmp_path / "o")]) == 3
         assert "invariant violation" in capsys.readouterr().err
 
+    def test_fault_injection_advanced_poisson_byte(self, tmp_path, capsys):
+        # the advanced-poisson-byte benchmark's store: N = 40, r = 8,
+        # eps = 0.9, 256-bit fragments; the fault drops two staircases
+        text = """\
+[system]
+N = 40
+clen = 91136       # 256 * (r*N + r(r+1)/2)
+xlen = 1913856
+lambda = 0.025
+
+[repairer]
+kind = advancedLiquid
+variant = poisson
+eps = 0.9
+r = 8
+
+[codec]
+backend = byte
+
+[run]
+failures = 3
+seed = 1
+fault_injection = true
+"""
+        f = scenario_file(tmp_path, text)
+        assert main(["run", "--scenario", str(f), "--out",
+                     str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "invariant violation: witness set has 37 members, need 39" in err
+        assert "Traceback" not in err
+
     def test_seed_and_trials_overrides(self, tmp_path, capsys):
         f = scenario_file(tmp_path, LIQUID_PERIODIC)
         assert main(["run", "--scenario", str(f), "--seed", "99", "--trials",
