@@ -11,9 +11,11 @@ anchor regenerates one helper set, and the fragment labels rotate so the
 next failure finds the staircases ready again.
 
 Both failure models run one chain of sub-operations per failure
-(_StepChain) and differ only in pacing: the periodic variant commits the
-whole chain at once, the Poisson variant paces each sub-operation at the
-proof's read rate (AdvancedPoissonRepairer).
+(_StepChain) and one commit path: the chain plans its sub-operations from
+the placement and commits a plan in one pass.  The periodic variant
+commits the whole chain as one plan; the Poisson variant paces each
+sub-operation at the proof's read rate and commits those due before the
+next failure as one plan (AdvancedPoissonRepairer).
 
 Slack is a counter capped at b (1 periodic): failures decrement it,
 completed steps increment it.  A census of nodes holding their full
@@ -34,19 +36,20 @@ commit moves two labels and shifts the r helper labels.
 The byte backend holds code, the read-only codewords, frags, what the
 nodes hold, and owner, the node holding each fragment or -1 (see
 GroupLayout).  owner is never derived from placement, so
-check_advanced_sync can compare the two.  The sub-operations record each
-committed range on their metering window (a step, a Poisson repairer
-call or a standalone call), which meters its writes once and whose
-settle() alone touches payloads and owner: it checks every primary
-read's owner, decodes each pick's objects in one kernel call and
-compares them with code, copies helpers from code and moves front
-helpers by owner, stopping where one sub-operation at a time would.  A
-source pick depends only on the group's holder set outside the target,
-which changes at the run ends of other rows or when a row is cleared; a
-chain keeps its pick while neither happens, so the groups it serves
-commit as array ops on a range.  A wipe or a failure clears the node's
-owner entries and zeroes their payloads.  The fault-injection hook drops
-the staircases of nodes 0 and 1, which fails the census but not recovery.
+check_advanced_sync can compare the two.  The sub-operations commit on
+a metering window (a step, a Poisson repairer call or a standalone call),
+which meters their writes once and whose settle() alone touches payloads
+and owner: it checks every primary read's owner, decodes each pick's
+objects in one kernel call and compares them with code, copies helpers
+from code and moves front helpers by owner, stopping where one
+sub-operation at a time would.  A source pick depends only on the
+group's holder set outside the target, which changes at the run ends of
+other rows or when a row is cleared, never within a plan; so a plan
+picks each holder span's sources before its first move, and the moves
+and updates a pick serves commit as ranges.  A wipe or a failure clears
+the node's owner entries and zeroes their payloads.  The fault-injection
+hook drops the staircases of nodes 0 and 1, which fails the census but
+not recovery.
 """
 
 from __future__ import annotations
@@ -276,14 +279,15 @@ def _pick_primary_sources(layout, group, phys, exclude, need) -> np.ndarray:
 
 def _holder_span(layout, group, exclude) -> tuple:
     """[lo, hi): the groups around `group` whose holders, exclude aside,
-    are the same: no run of another row starts or ends inside."""
-    lo, hi = layout.heldLo, layout.heldHi
-    partial = (lo < hi) & ((lo > 0) | (hi < layout.N))
+    are the same: no run of another row starts or ends inside.  A full or
+    an empty row, (0, N) or (0, 0), adds no cut, nor does exclude's, at 0."""
+    ends = np.concatenate((layout.heldLo, layout.heldHi))
     if exclude is not None:
-        partial[exclude] = False
-    cuts = np.concatenate((lo[partial], hi[partial]))
-    return (int(cuts[cuts <= group].max(initial=0)),
-            int(cuts[cuts > group].min(initial=layout.N)))
+        ends[exclude] = ends[layout.N + exclude] = 0
+    ends.sort()
+    i = int(ends.searchsorted(group, side="right"))
+    return (int(ends[i - 1]) if i else 0,
+            int(ends[i]) if i < len(ends) else layout.N)
 
 
 def _at(groups: range):
@@ -302,13 +306,19 @@ def _first_above(values: np.ndarray, groups: range, floor: int):
 
 
 class _Window:
-    """One metering window: the read bits, an (N,) vector plus the last
-    source pick's weight, the write bits and each committed range's byte
-    work.  The pick serves its holder span while no row is cleared: exact
-    while only the excluded row grows, as a chain's moves to its target."""
+    """One metering window, on which generate(), move() and update() commit
+    sub-operations to placement: the read bits, an (N,) vector plus the
+    current source pick's weight, the write bits, and the byte work, one
+    record per generate and, for moves and updates, one per pick.  The
+    pick serves its holder span while no row is cleared: exact while only
+    the excluded row grows, as a chain's moves to its target.  Sub-operation
+    i of the window sits at chain position i * (r + 1): a generate's object
+    j at + j, a move at + 0 and its update at + 1.  alone: the window of one
+    standalone call, which settles each record before placement commits."""
 
-    def __init__(self, layout: GroupLayout):
+    def __init__(self, layout: GroupLayout, alone: bool = False):
         self.layout = layout
+        self.alone = alone
         self.vector = np.zeros(layout.N, np.int64)
         self.written = np.zeros(layout.N, np.int64)
         self.srcs = None
@@ -316,33 +326,25 @@ class _Window:
         self.key = None         # (exclude, need, rowClears, lo, hi) of srcs
         self.bits = {kind: ops.fragmentWrites * layout.flen for kind, ops
                      in op_counts(layout.k, layout.r).items()}
-        # in chain order, at the next position: rebuilds (srcs, objects, slot
-        # bases as a column, slots, at, step), object j at at + step * j;
-        # moves (g0, g1, at, toNode), group g at at + 2 (g - g0)
-        self.rebuilds, self.moves, self.at = [], [], 0
+        # in chain order: rebuilds (srcs, objects, their positions, their
+        # helper slots, staircase); moves (g0, g1, sub-operation indices,
+        # toNode); items counts the sub-operations recorded
+        self.rebuilds, self.moves, self.items = [], [], 0
 
-    def reach(self, group, exclude, need) -> int:
-        """End of the groups from `group` on the last pick serves, or group."""
-        key = self.key
-        if (key is None or key[:3] != (exclude, need, self.layout.rowClears)
+    def pick(self, group, exclude, need) -> tuple:
+        """(srcs, lo, hi): `need` primary sources of the group, skipping
+        exclude, and the holder span [lo, hi) they serve; the last pick
+        while it serves the group.  Reads are charged by the records."""
+        layout, key = self.layout, self.key
+        if (key is None or key[:3] != (exclude, need, layout.rowClears)
                 or not key[3] <= group < key[4]):
-            return group
-        return key[4]
-
-    def add_sources(self, groups, phys, exclude, need, bits) -> tuple:
-        """Pick `need` primary sources of groups[0] (phys names its object in
-        the error) and charge each bits per group for the leading groups the
-        pick serves; returns the sources and the first group not charged."""
-        layout, group = self.layout, groups.start
-        stop = self.reach(group, exclude, need)
-        if stop == group:
             self._flush()
-            self.srcs = _pick_primary_sources(layout, group, phys, exclude, need)
-            lo, stop = _holder_span(layout, group, exclude)
-            self.key = (exclude, need, layout.rowClears, lo, stop)
-        stop = min(stop, groups.stop)
-        self.weight += bits * (stop - group)
-        return self.srcs, stop
+            self.srcs = _pick_primary_sources(layout, group,
+                                              layout.front_phys(group),
+                                              exclude, need)
+            self.key = key = (exclude, need, layout.rowClears,
+                              *_holder_span(layout, group, exclude))
+        return self.srcs, key[3], key[4]
 
     def _flush(self) -> np.ndarray:
         """The read vector, the last pick's weight added."""
@@ -360,57 +362,88 @@ class _Window:
         self.settle()
         return bits
 
-    def generate(self, group: int, srcs) -> None:
-        """Record the group's staircase: position j takes roles 0..j."""
+    def generate(self, group: int, srcs, item: int) -> None:
+        """Commit the group's staircase, read from srcs, the current pick:
+        position j takes roles 0..j."""
         layout, r = self.layout, self.layout.r
+        self.weight += r * layout.flen
         self.written[group] += self.bits["generate"]
         if layout.owner is not None:
-            phys, held = _staircase(r)
-            objs = phys[layout.rot[group] % r] + group * r
-            self._rebuild(srcs, objs, layout.labels[layout.N:], held, 1)
-        self.at += r
+            phys, slots, roles = _staircase(r, layout.codec.n)
+            front, base = int(layout.rot[group]) % r, group * r
+            self._rebuild(srcs, phys[front] + base, phys[0] + item * (r + 1),
+                          slots[front] + (base * layout.codec.n
+                                          + layout.labels[layout.N:][roles]),
+                          True)
+        layout.helperLo[group] = 0
 
-    def move(self, groups: range, toNode: int) -> None:
-        """Record the hand-over of the groups' front helpers to toNode, each
-        group's before its update."""
-        self.moves.append((groups.start, groups.stop, self.at, toNode))
-        self.vector[_at(groups)] += self.layout.r * self.layout.flen
+    def move(self, groups: range, toNode: int, items) -> None:
+        """Commit the hand-over of the groups' front helpers to toNode (see
+        move_helpers)."""
+        layout, (g0, g1) = self.layout, (groups.start, groups.stop)
+        lacking = _first_above(layout.helperLo, groups, 0)
+        if lacking is not None:
+            raise MissingFragmentError(
+                f"node {lacking} lacks position-0 helpers to donate")
+        lo, hi = int(layout.heldLo[toNode]), int(layout.heldHi[toNode])
+        if lo < hi and not lo - 1 <= g0 <= hi:
+            raise InvariantViolation(
+                f"node {toNode} holds groups {lo}..{hi - 1}; group {g0} "
+                f"would split the run")
+        self.vector[_at(groups)] += layout.r * layout.flen
         self.written[toNode] += len(groups) * self.bits["move"]
+        if layout.owner is not None:
+            self.moves.append((g0, g1, items, toNode))
+            if self.alone:
+                self.settle()
+        layout.heldLo[toNode] = min(lo, g0) if lo < hi else g0
+        layout.heldHi[toNode] = max(hi, g1) if lo < hi else g1
+        layout.helperLo[_at(groups)] = 1
 
-    def update(self, groups: range, srcs) -> None:
-        """Record the rebuild of the groups' position-0 objects."""
+    def update(self, groups: range, srcs, items) -> None:
+        """Commit the shift of the groups (see update_helpers) and the
+        rebuild of their position-0 objects from srcs, the current pick."""
         layout, idx, r = self.layout, _at(groups), self.layout.r
+        self.weight += len(groups) * layout.flen
         self.written[idx] += self.bits["update"]
         if layout.owner is not None:
             objs = np.arange(groups.start * r, groups.stop * r, r) + (
                 layout.rot[idx] % r)
-            self._rebuild(srcs, objs, layout.post_helpers(), None, 2)
-        self.at += 2 * len(groups)
+            slots = (objs * layout.codec.n)[:, None] + layout.post_helpers()
+            self._rebuild(srcs, objs, items * (r + 1) + 1, slots.ravel(),
+                          False)
+        layout.rot[idx] += 1
+        layout.helperLo[idx] = 0
 
-    def _rebuild(self, srcs, objs, labels, held, step) -> None:
-        base = (objs * self.layout.codec.n)[:, None]
-        slots = base + labels       # held picks each object's labels
-        self.rebuilds.append((srcs, objs, base, slots.ravel() if held is None
-                              else slots[held], self.at + step - 1, step))
+    def _rebuild(self, *record) -> None:
+        self.rebuilds.append(record)
+        if self.alone:
+            self.settle()
 
     def settle(self) -> None:
         """Do the recorded byte work as one sub-operation at a time would:
-        check each primary read's owner, decode each pick's objects in one
-        call, write the helpers' owners, check the front helpers' owners (no
-        later rebuild writes one) and move them, copy the helpers; stop at
-        the first failure and raise."""
-        rebuilds, moves, self.rebuilds, self.moves, self.at = (
+        check each primary read's owner, decode each pick's objects in chain
+        order in one call, write the helpers' owners, check the front
+        helpers' owners (no later rebuild writes one) and move them, copy
+        the helpers; stop at the first failure and raise."""
+        rebuilds, moves, self.rebuilds, self.moves, self.items = (
             self.rebuilds, self.moves, [], [], 0)
         layout, end, error, r = self.layout, math.inf, None, self.layout.r
         if layout.owner is None or not (rebuilds or moves):
             return
         owner, frags, code, objects, codewords = layout.bySlot
-        cut = [a for a in range(len(rebuilds))
-               if not a or rebuilds[a][0] is not rebuilds[a - 1][0]]
-        for a, b in zip(cut, cut[1:] + [len(rebuilds)]):
-            run = rebuilds[a:b]     # one pick's
-            srcs, objs, read = run[0][0], _cat(run, 1), layout.labels[run[0][0]]
-            stray = owner[_cat(run, 2) + read] != srcs
+        n, a = layout.codec.n, 0
+        while a < len(rebuilds):
+            b = a + 1
+            while b < len(rebuilds) and rebuilds[b][0] is rebuilds[a][0]:
+                b += 1
+            run, a = rebuilds[a:b], b       # one pick's
+            srcs, objs, pos = run[0][0], _cat(run, 1), _cat(run, 2)
+            if any(x[2][-1] > y[2][0] for x, y in zip(run, run[1:])):
+                order = pos.argsort(kind="stable")  # a generate amid updates
+                objs, pos = objs[order], pos[order]
+            read = layout.labels[srcs]
+            stray = owner[(objs * n)[:, None] + read] != srcs
             at = stray.argmax()
             first = at // len(read) if stray.flat[at] else len(objs)
             done = erasure.decode_in_place(objects[objs[:first]], read,  # a copy
@@ -419,28 +452,31 @@ class _Window:
                 error = (f"decode mismatch for object ({objs[done] // r},"
                          f"{objs[done] % r})" if done < first else
                          f"primary map out of sync at node {srcs[at % len(read)]}")
-                end = np.concatenate([at + step * np.arange(len(part)) for
-                                      _, part, _, _, at, step in run])[done]
+                end = int(pos[done])
                 break
         slots = _cat(rebuilds, 3)
         old = owner[slots]      # to undo writes after a failure; none repeats
-        owner[slots] = slots // (r * layout.codec.n)    # the group's anchor
+        owner[slots] = slots // (r * n)     # the group's anchor
         front = layout.owner[:, :, layout.labels[layout.N]]     # a view
-        for g0, g1, at, _ in moves:     # in chain order: the first stray wins
+        for g0, g1, items, _ in moves:  # in chain order: the first stray wins
             bad = front[g0:g1] != np.arange(g0, g1)[:, None]
-            g = g0 + int(bad.argmax()) // r
-            if bad[g - g0].any() and at + 2 * (g - g0) < end:
-                end, error = at + 2 * (g - g0), f"helper map out of sync at node {g}"
+            x = int(bad.argmax()) // r
+            if bad[x].any() and items[x] * (r + 1) < end:
+                end = int(items[x]) * (r + 1)
+                error = f"helper map out of sync at node {g0 + x}"
         if error is not None:           # keep only the writes before end
-            keep = 0
-            for _, objs, _, _, at, step in rebuilds:
-                rows = min(len(objs), max(0, -(-(end - at) // step)))
-                keep += rows * (rows + 1) // 2 if step == 1 else rows * r
-            owner[slots[keep:]] = old[keep:]
-            slots = slots[:keep]
-        for g0, g1, at, toNode in moves:
+            keep, at = np.zeros(len(slots), dtype=bool), 0
+            for _, _, pos, part, staircase in rebuilds:
+                rows = int(pos.searchsorted(end))
+                whole, j = divmod(rows, r)
+                keep[at:at + (whole * r * (r + 1) // 2 + j * (j + 1) // 2
+                              if staircase else rows * r)] = True
+                at += len(part)
+            owner[slots[~keep]] = old[~keep]
+            slots = slots[keep]
+        for g0, g1, items, toNode in moves:
             if error is not None:
-                g1 = min(g1, max(g0, g0 + (end - at + 1) // 2))
+                g1 = g0 + int((items * (r + 1)).searchsorted(end))
             front[g0:g1] = toNode
         frags[slots] = code[slots]
         if error is not None:
@@ -454,35 +490,33 @@ def _cat(items, field: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _staircase(r: int) -> tuple:
-    """(r, r) phys at positions 0..r-1 by front phys, and the roles held."""
+def _staircase(r: int, n: int) -> tuple:
+    """By front phys, (r, ...) each: the phys at positions 0..r-1, and the
+    slot, less the helper label, of each helper a staircase holds, position
+    j's roles 0..j in turn; then those roles."""
     roles = np.arange(r)
-    return (roles + roles[:, None]) % r, roles <= roles[:, None]
+    phys = (roles + roles[:, None]) % r
+    position, role = np.nonzero(roles <= roles[:, None])
+    return phys, phys[:, position] * n, role
 
 
 def generate_helpers(state: ClusterState, layout: GroupLayout, group: int,
-                     *, t=None, collect=None, exclude=None) -> OpCounts:
+                     *, t=None, exclude=None) -> OpCounts:
     """Rebuild the helper staircase for a group at its anchor node.
 
     Decodes each of the r group objects from k primary fragments (the
     same k nodes for all of them) and writes helpers 0..j for the object at
-    position j.  Reads, writes and byte work wait in collect, a _Window the
-    caller meters; collect=None meters them here, the reads at t.
+    position j; the reads are metered at t.
     """
-    win = _Window(layout) if collect is None else collect
-    srcs, _ = win.add_sources(range(group, group + 1), layout.front_phys(group),
-                              exclude, layout.k, layout.r * layout.flen)
-    win.generate(group, srcs)
-    if collect is None:
-        win.settle()
-    layout.helperLo[group] = 0
-    if collect is None:
-        win.meter(state, t, t)
+    win = _Window(layout, alone=True)
+    srcs, _, _ = win.pick(group, exclude, layout.k)
+    win.generate(group, srcs, 0)
+    win.meter(state, t, t)
     return op_counts(layout.k, layout.r)["generate"]
 
 
 def move_helpers(state: ClusterState, layout: GroupLayout, groups: range,
-                 toNode: int, *, t=None, collect=None) -> OpCounts:
+                 toNode: int, *, t=None) -> OpCounts:
     """Hand every position-0 helper of each group in `groups`, held at the
     group's anchor node, to toNode, where the donated fragments take over
     the primary role.  Returns one group's counts.
@@ -493,30 +527,14 @@ def move_helpers(state: ClusterState, layout: GroupLayout, groups: range,
     before anything is written.  A byte move only changes the fragments'
     owner.
     """
-    g0, g1 = groups.start, groups.stop
-    lacking = _first_above(layout.helperLo, groups, 0)
-    if lacking is not None:
-        raise MissingFragmentError(
-            f"node {lacking} lacks position-0 helpers to donate")
-    lo, hi = int(layout.heldLo[toNode]), int(layout.heldHi[toNode])
-    if lo < hi and not lo - 1 <= g0 <= hi:
-        raise InvariantViolation(
-            f"node {toNode} holds groups {lo}..{hi - 1}; group {g0} "
-            f"would split the run")
-    win = _Window(layout) if collect is None else collect
-    win.move(groups, toNode)
-    if collect is None:
-        win.settle()
-    layout.heldLo[toNode] = min(lo, g0) if lo < hi else g0
-    layout.heldHi[toNode] = max(hi, g1) if lo < hi else g1
-    layout.helperLo[_at(groups)] = 1
-    if collect is None:
-        win.meter(state, t, t)
+    win = _Window(layout, alone=True)
+    win.move(groups, toNode, np.arange(len(groups)))
+    win.meter(state, t, t)
     return op_counts(layout.k, layout.r)["move"]
 
 
 def update_helpers(state: ClusterState, layout: GroupLayout, groups: range,
-                   *, t=None, collect=None, exclude=None) -> OpCounts:
+                   *, t=None, exclude=None) -> OpCounts:
     """Shift the order of each group in `groups` by one and rebuild the
     full helper set for the object that moved to the back.  Returns one
     group's counts.
@@ -533,20 +551,14 @@ def update_helpers(state: ClusterState, layout: GroupLayout, groups: range,
     if bare is not None:
         raise MissingFragmentError(f"node {bare} holds no staircase to update")
     layout.require_step()
-    win = _Window(layout) if collect is None else collect
+    win = _Window(layout, alone=True)
     g = groups.start
     while g < groups.stop:
-        srcs, end = win.add_sources(range(g, groups.stop), layout.front_phys(g),
-                                    exclude, layout.k, layout.flen)
-        win.update(range(g, end), srcs)
-        if collect is None:
-            win.settle()
-        done = _at(range(g, end))
-        layout.rot[done] += 1
-        layout.helperLo[done] = 0
-        g = end
-    if collect is None:
-        win.meter(state, t, t)
+        srcs, _, hi = win.pick(g, exclude, layout.k)
+        part = range(g, min(hi, groups.stop))
+        win.update(part, srcs, np.arange(len(part)))
+        g = part.stop
+    win.meter(state, t, t)
     return op_counts(layout.k, layout.r)["update"]
 
 
@@ -571,15 +583,15 @@ def advanced_fail_node(state: ClusterState, layout: GroupLayout, t: float,
 class _StepChain:
     """All work of one repair step: the target's own staircase first, then
     per group in ascending order a generate when its position-0 helpers are
-    missing, followed by a move+update.  commit() takes a range of groups:
-    run() commits each run of groups between missing staircases at once, a
-    Poisson chain one group per sub-operation.  Each sub-operation is
-    planned from the placement as it stands when the previous one
-    committed, so a donor lost mid-step is regenerated before its helpers
-    move.  Their traffic and byte work wait in self.window for meter().
-    Creating the chain opens the step on the layout (pendingNode is the
-    target) and wipes the target (wiped: its payloads already were);
-    finish() commits the labels.
+    missing, followed by a move+update.  plan() lists the sub-operations
+    from the placement as it stands, and commit() commits such a plan in
+    one pass, one source pick at a time: run() plans and commits the whole
+    chain, a Poisson window the sub-operations due by its horizon.  A donor
+    lost mid-step fails between windows, so the next plan regenerates its
+    staircase before its helpers move.  Traffic and byte work wait in
+    self.window for meter().  Creating the chain opens the step on the
+    layout (pendingNode is the target) and wipes the target (wiped: its
+    payloads already were); finish() commits the labels.
     """
 
     def __init__(self, state: ClusterState, layout: GroupLayout, node: int,
@@ -606,26 +618,66 @@ class _StepChain:
         has_front = self.layout.helperLo[group] == 0
         return ("moveupdate" if has_front else "generate"), group
 
-    def commit(self, kind: str, groups: range) -> None:
-        """Run a planned sub-operation on each of groups; the work waits for
-        meter().  A move+update commits the groups the last source pick
-        serves as one range and a group needing a fresh pick alone, so a
-        stall leaves that group's move committed, as one at a time would."""
-        ctx, node = (self.state, self.layout), self.layout.pendingNode
-        if kind == "generate":
-            for group in groups:
-                generate_helpers(*ctx, group, collect=self.window, exclude=node)
-                self.generated += 1
-            return
-        g = groups.start
-        while g < groups.stop:
-            served = self.window.reach(g, node, self.layout.k)
-            part = range(g, min(groups.stop, max(served, g + 1)))
-            move_helpers(*ctx, part, node, collect=self.window)
-            self.moved += len(part)
-            update_helpers(*ctx, part, collect=self.window, exclude=node)
-            self.updated += len(part)
-            g = part.stop
+    def plan(self, kind: str, group: int, limit=None) -> tuple:
+        """(generate, groups): each sub-operation's kind (True for a
+        generate) and group in chain order, the one due next, (kind,
+        group), first.  Then come the later groups, at most limit of them:
+        a generate where a group's front helpers are missing, then its
+        move+update."""
+        first, N = kind == "generate", self.layout.N
+        m = self.moved + (not first)        # the first later group
+        stop = N if limit is None else min(N, m + limit)
+        lacking = self.layout.helperLo[m:stop].nonzero()[0]
+        if first and len(lacking):          # the due generate stages its own
+            lacking = lacking[lacking != group - m]
+        generate = np.zeros(1 + stop - m + len(lacking), dtype=bool)
+        generate[0] = first
+        groups = np.arange(m - 1, stop)
+        if len(lacking):
+            generate[1 + lacking + np.arange(len(lacking))] = True
+            per = np.ones(len(groups), dtype=np.int64)
+            per[1 + lacking] = 2
+            groups = groups.repeat(per)
+        groups[0] = group
+        return generate, groups
+
+    def commit(self, generate: np.ndarray, groups: np.ndarray) -> None:
+        """Commit a plan in one pass.  Each source pick is made before the
+        first move it serves: it reads only rows other than the target's,
+        so the moves cannot change it.  The sub-operations it serves then
+        commit, each generate as one record, the moves and the updates as
+        one record each, their placement as slices; where a pick fails at a
+        move+update, that group's move commits and the DecodeError rises,
+        as one sub-operation at a time does."""
+        layout, win, node = self.layout, self.window, self.layout.pendingNode
+        base, n, i = win.items, len(groups), 0
+        win.items += n
+        while i < n:
+            g = int(groups[i])
+            try:
+                srcs, lo, hi = win.pick(g, node, layout.k)
+            except DecodeError:
+                if not generate[i]:
+                    win.move(range(g, g + 1), node, np.array([base + i]))
+                    self.moved += 1
+                raise
+            j = i + 1           # groups ascend after i, and g lies in [lo, hi)
+            if j < n and groups[j] >= lo:
+                j += int(groups[j:].searchsorted(hi))
+            gen = generate[i:j].nonzero()[0].tolist()
+            for x in gen:
+                win.generate(int(groups[i + x]), srcs, base + i + x)
+            self.generated += len(gen)
+            count = j - i - len(gen)
+            if count:           # the moved groups are consecutive
+                stop = int(groups[j - 1]) + (not generate[j - 1])
+                moved = range(stop - count, stop)
+                items = (~generate[i:j]).nonzero()[0] + (base + i)
+                win.move(moved, node, items)
+                self.moved += count
+                win.update(moved, srcs, items)
+                self.updated += count
+            i = j
 
     @property
     def counts(self) -> dict:
@@ -645,12 +697,12 @@ class _StepChain:
         """(N,) read bits of a sub-operation, re-derived from the current
         placement; used only to attribute aborted reads."""
         layout, reads = self.layout, _Window(self.layout)
-        per_src = layout.flen * (layout.r if kind == "generate" else 1)
         if kind != "generate":
             reads.vector[group] += layout.r * layout.flen
         try:
-            reads.add_sources(range(group, group + 1), layout.front_phys(group),
-                              layout.pendingNode, layout.k, per_src)
+            reads.pick(group, layout.pendingNode, layout.k)
+            reads.weight = layout.flen * (
+                layout.r if kind == "generate" else 1)
         except DecodeError:
             log.warning("aborted sub-operation reads under-attributed: "
                         "sources already gone")
@@ -668,15 +720,13 @@ class _StepChain:
             futile=self.futile, startTime=self.startTime, endTime=t)
 
     def run(self, t0: float, t1: float) -> AdvancedStepRecord:
-        """The whole chain at once: every sub-operation commits at t1 and
-        the step's reads are metered as one stream over [t0, t1], those
+        """The whole chain as one plan: every sub-operation commits at t1
+        and the step's reads are metered as one stream over [t0, t1], those
         committed before a stall included."""
+        nxt = self.next_subop()
         try:
-            for kind, group in iter(self.next_subop, None):
-                # up to the next missing staircase; a generate's own is missing
-                lacking = self.layout.helperLo[group:] != 0
-                run = lacking.argmax() if lacking.any() else len(lacking)
-                self.commit(kind, range(group, group + max(1, run)))
+            if nxt is not None:
+                self.commit(*self.plan(*nxt))
         finally:
             self.meter(t0, t1)
         return self.finish(t1)
@@ -868,14 +918,14 @@ class AdvancedPoissonRepairer:
     queues again.
 
     Sub-operation durations are fixed, so given the next failure's time
-    as a horizon, on_subop_complete commits the step's sub-operations due
-    by then in one call, one metering window, each run of move+updates as
-    one range.  It still makes one event, one read_log entry and one trace
-    row of each (self.done gives their end times and bits), and the census
-    checks before and after the call imply one after each: between
-    failures a generate adds a staircase, a move+update adds its group to
-    the target's row and restores its anchor's staircase, and the counter
-    stays put, so the witness count, every holder count and every
+    as a horizon, on_subop_complete plans the step's sub-operations due by
+    then and commits them as one plan, in one metering window (_due,
+    _StepChain.commit).  It still makes one event, one read_log entry and
+    one trace row of each (self.done gives their end times and bits), and
+    the census checks before and after the call imply one after each:
+    between failures a generate adds a staircase, a move+update adds its
+    group to the target's row and restores its anchor's staircase, and the
+    counter stays put, so the witness count, every holder count and every
     staircase can only grow.  A step's end (the counter ticks up, the next
     step wipes its target's row) and a stall (front helpers moved without
     an update) break this, so the call stops after either and checks that
@@ -893,6 +943,8 @@ class AdvancedPoissonRepairer:
         self.queue = deque()
         self.chain: Optional[_StepChain] = None
         self.subop: Optional[_SubOp] = None
+        # [read, written] bits of a move+update, then of a generate
+        self.bits = np.array(subop_bits(layout.k, layout.r, layout.flen))
         # (end times, read bits, written bits) of the sub-operations the
         # last on_subop_complete committed, oldest first; None for a step
         self.done: Optional[tuple] = None
@@ -957,60 +1009,43 @@ class AdvancedPoissonRepairer:
             except InvariantViolation:
                 horizon = None      # a check inside the run could fail
         generate, groups, ends = self._due(sub, t, horizon)
-        self._commit_due(sub.t0, generate, groups, ends)
+        chain = self.chain
+        before = chain.generated + chain.updated
+        try:
+            chain.commit(generate, groups)
+        finally:
+            # a stall ends the run at the stalled sub-operation
+            last = min(chain.generated + chain.updated - before,
+                       len(generate) - 1)
+            bits = self.bits[generate[:last + 1].view(np.uint8)]
+            reads = bits[:, 0]
+            self.done = ends[:last + 1], reads, bits[:, 1]
+            chain.meter(sub.t0, float(ends[last]),
+                        (ends[:last], reads[:last]) if last else None)
         return self._plan(float(ends[-1]))
 
     def _due(self, sub: _SubOp, t: float, horizon: Optional[float]) -> tuple:
         """(generate, groups, ends): the kind (True for a generate), group
         and end time of sub, due at t, and with a horizon of the step's
-        later sub-operations due at or before it, in chain order."""
-        first = sub.kind == "generate"
+        later sub-operations due at or before it, in chain order.  Only
+        the groups the horizon can reach are planned."""
         if horizon is None:
-            return np.array([first]), np.array([sub.group]), np.array([t])
-        layout = self.layout
-        m = self.chain.moved + (not first)      # first group after sub
-        # each later group: a generate where its front helpers are
-        # missing, then its move+update
-        missing = layout.helperLo[m:] != 0
-        if first:
-            missing[sub.group - m] = False          # sub stages them
-        per = 1 + missing
-        moves = np.cumsum(per)          # each move+update's index, sub at 0
-        generate = np.zeros(1 + len(per) + int(missing.sum()), dtype=bool)
-        generate[0] = first
-        generate[moves[missing] - 1] = True
-        groups = np.concatenate(([sub.group],
-                                 np.repeat(np.arange(m, layout.N), per)))
-        # sequential adds, as one sub-operation at a time plans them
-        ends = np.concatenate(([t], np.where(
-            generate[1:], self.pace[1], self.pace[0])))
-        ends = ends.cumsum()
-        n = max(1, int(ends.searchsorted(horizon, side="right")))
-        return generate[:n], groups[:n], ends[:n]
-
-    def _commit_due(self, t0: float, generate, groups, ends) -> None:
-        """Commit the planned sub-operations in order, each run of
-        move+updates as one range, and meter their reads as one log entry
-        each; a stall ends them at the stalled one."""
-        chain, layout = self.chain, self.layout
-        before = chain.generated + chain.updated
-        starts = np.flatnonzero(np.concatenate(
-            ([True], generate[1:] | generate[:-1]))).tolist()
-        try:
-            for a, b in zip(starts, starts[1:] + [len(generate)]):
-                chain.commit("generate" if generate[a] else "moveupdate",
-                             range(groups[a], groups[b - 1] + 1))
-        finally:
-            last = min(chain.generated + chain.updated - before,
-                       len(generate) - 1)
-            (mu_read, mu_written), (gen_read, gen_written) = subop_bits(
-                layout.k, layout.r, layout.flen)
-            gen = generate[:last + 1]
-            reads = np.where(gen, gen_read, mu_read)
-            writes = np.where(gen, gen_written, mu_written)
-            self.done = ends[:last + 1], reads, writes
-            chain.meter(t0, float(ends[last]),
-                        (ends[:last], reads[:last]) if last else None)
+            return np.array([sub.kind == "generate"]), np.array([sub.group]), \
+                np.array([t])
+        # each later sub-operation lasts at least min(pace), and each later
+        # group takes one or two
+        reach = (horizon - t) / min(self.pace)
+        limit = int(reach) + 2 if reach < self.layout.N else None
+        while True:
+            generate, groups = self.chain.plan(sub.kind, sub.group, limit)
+            # sequential adds, as one sub-operation at a time plans them
+            ends = np.where(generate, self.pace[1], self.pace[0])
+            ends[0] = t
+            ends = ends.cumsum()
+            n = max(1, int(ends.searchsorted(horizon, side="right")))
+            if n < len(ends) or limit is None:
+                return generate[:n], groups[:n], ends[:n]
+            limit = None        # every planned one is due: plan them all
 
     def _start_step(self, t: float, wiped: Optional[int] = None) -> None:
         # wiped: a node this call has just failed, whose payloads are clear

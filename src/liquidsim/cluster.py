@@ -66,9 +66,7 @@ class ClusterState:
             self.read_log.add(t0, t1, total)
         else:
             ends, bits = split
-            self.read_log.add(np.concatenate(([t0], ends)),
-                              np.concatenate((ends, [t1])),
-                              np.concatenate((bits, [total - bits.sum()])))
+            self.read_log.add_run(t0, ends, t1, bits, total - int(bits.sum()))
         return total
 
     def meter_write_bulk(self, nodes, bits) -> None:
@@ -124,15 +122,35 @@ class ReadLog:
             m = 1
         else:
             return
-        if n + m > len(self._bits):
-            size = max(2 * len(self._bits), n + m)
-            for name in ("_t0", "_t1", "_bits"):
-                col = getattr(self, name)
-                setattr(self, name, np.resize(col, size))
+        self._reserve(n + m)
         self._t0[n:n + m] = t0
         self._t1[n:n + m] = t1
         self._bits[n:n + m] = bits
         self._n = n + m
+
+    def add_run(self, t0, ends, t1, bits, last) -> None:
+        """Append one stream cut into consecutive entries: bits[i] up to
+        ends[i], from t0 on, then last from ends[-1] to t1; as add, an
+        entry of no bits is left out."""
+        if not bits.all():
+            self.add(np.concatenate(([t0], ends)), np.concatenate((ends, [t1])),
+                     np.append(bits, last))
+            return
+        n, m = self._n, len(bits)
+        self._reserve(n + m + 1)
+        self._t0[n] = t0
+        self._t0[n + 1:n + m + 1] = ends
+        self._t1[n:n + m] = ends
+        self._t1[n + m] = t1
+        self._bits[n:n + m] = bits
+        self._bits[n + m] = last
+        self._n = n + m + (last != 0)
+
+    def _reserve(self, size: int) -> None:
+        if size > len(self._bits):
+            size = max(2 * len(self._bits), size)
+            for name in ("_t0", "_t1", "_bits"):
+                setattr(self, name, np.resize(getattr(self, name), size))
 
     def columns(self) -> tuple:
         """(t0, t1, bits) views of the entries in log order."""

@@ -20,12 +20,13 @@ by EFI, the form the repairers hold them in, or on a stack of objects read
 at the same EFIs.  The parity rows are Cauchy rows, so the (m, k) matrix
 taking the rows read to the m missing source rows has a closed form over
 the EFIs alone; a read set holding every source row needs no matrix.
-decode_in_place checks the EFIs, raising DecodeError on one that repeats
-or lies outside [0, n) before any product, and makes one
-gf256.decode_check call: it solves that matrix, multiplies it into the
-rows read where they lie, writes the decoded source chunks into the
-caller's array, in the rows they belong in, and, given the codewords,
-compares every object's source rows with its codeword's.  gf256 alone
+decode_in_place raises DecodeError on an EFI that repeats or lies outside
+[0, n) before any product; the kernel checks the k lowest itself, so
+valid EFIs cost one sort and one gf256.decode_check call: it solves that
+matrix, multiplies it into the rows read where they lie, writes the
+decoded source chunks into the caller's array, in the rows they belong
+in, and, given the codewords, compares every object's source rows with
+its codeword's.  gf256 alone
 chooses whether a C kernel or numpy does that.  encode_rows multiplies
 generator rows by the k source rows of an object or of each object of a
 stack.  The repair steps only decode: they copy rebuilt fragments from
@@ -91,17 +92,12 @@ def _generator(n: int, k: int) -> np.ndarray:
     return G
 
 
-def _labels(read, params: CodecParams) -> np.ndarray:
-    """The k lowest EFIs of read, a sorted int64 array.  Raises DecodeError
-    on fewer than k EFIs, or on one repeated or outside [0, n)."""
-    labels = np.sort(np.asarray(read, dtype=np.int64))
-    if len(labels) < params.k:
-        raise DecodeError(f"need {params.k} fragments, have {len(labels)}")
+def _reject(labels: np.ndarray, params: CodecParams) -> None:
+    """Raise DecodeError if the sorted EFIs repeat or leave [0, n)."""
     if labels[0] < 0 or labels[-1] >= params.n:
         raise DecodeError(f"EFIs {labels.tolist()} outside [0, {params.n})")
     if (labels[1:] == labels[:-1]).any():
         raise DecodeError(f"EFIs {labels.tolist()} repeat")
-    return labels[: params.k]
 
 
 def decode_in_place(frags, read, params: CodecParams, code=None, objs=None):
@@ -116,9 +112,23 @@ def decode_in_place(frags, read, params: CodecParams, code=None, objs=None):
     with those of code[objs[c]] (code[c] where objs is None).  Returns the
     first object that differs, decoded; the objects after it are not
     decoded.  Returns the object count if none differs or code is None.
-    Byte backend only.
+    Raises DecodeError on fewer than k EFIs, or on one repeated or outside
+    [0, n), before any product.  Byte backend only.
     """
-    return gf256.decode_check(_labels(read, params), frags, code, objs)
+    labels = np.sort(np.asarray(read, dtype=np.int64))
+    k = params.k
+    if len(labels) < k:
+        raise DecodeError(f"need {k} fragments, have {len(labels)}")
+    # the kernel refuses k lowest EFIs that repeat or are negative; the
+    # others, and n, are checked here
+    if labels[-1] >= params.n or len(labels) > k and (
+            labels[k:] == labels[k - 1:-1]).any():
+        _reject(labels, params)
+    try:
+        return gf256.decode_check(labels[:k], frags, code, objs)
+    except ValueError:
+        _reject(labels, params)     # the EFIs the kernel refused
+        raise
 
 
 def encode_rows(frags, efis, params: CodecParams):

@@ -179,6 +179,15 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return (a.ctypes.data + offsets).astype(np.uintp)
 
 
+def _address(a: np.ndarray) -> int:
+    """The data address of a C-contiguous array: through a ctypes view of
+    its buffer, a third of the cost of ndarray.ctypes, where a is writable
+    and not empty."""
+    if a.flags.writeable and a.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
 def _c_matmul(entry, G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Run one C product on G and each (k, L) matrix of X, a 2-d array or
     a 3-d stack, reading X's rows where they lie."""
@@ -297,9 +306,9 @@ def decode_check(labels: np.ndarray, X: np.ndarray, code=None,
         first = _decode_check_numpy(labels, stack, refs, objs)
     else:
         first = _lib.gf_decode_check(
-            _PRODUCTS[KERNEL], labels.ctypes.data, len(labels), n,
-            X.ctypes.data, L, count, None if refs is None else code.ctypes.data,
-            ncode, None if objs is None else objs.ctypes.data)
+            _PRODUCTS[KERNEL], _address(labels), len(labels), n, _address(X),
+            L, count, None if refs is None else _address(code), ncode,
+            None if objs is None else _address(objs))
     if first > count:
         raise ValueError(f"EFIs {labels.tolist()} not ascending, distinct and "
                          f"below n = {n} <= 256, or codeword indices {objs} "

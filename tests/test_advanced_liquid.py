@@ -699,28 +699,27 @@ class TestChainAgainstDensePlacement:
             assume(False)
         place = DensePlacement(N)
         picks = []
-        real_move, real_add = adv.move_helpers, adv._Window.add_sources
+        real_move, real_pick = adv._Window.move, adv._Window.pick
 
-        def move(state, layout, groups, toNode, **kw):
-            out = real_move(state, layout, groups, toNode, **kw)
+        def move(window, groups, toNode, items):
+            real_move(window, groups, toNode, items)
             for group in groups:
                 place.move(group, toNode)
-            return out
 
-        def add_sources(reads, groups, phys, exclude, need, bits):
-            group, got = groups.start, []
+        def pick(window, group, exclude, need):
+            phys, got = layout.front_phys(group), []
             picks.append(group)
             assert_pick_matches(
                 place.P[:, group],
-                lambda: got.append(real_add(reads, groups, phys, exclude,
-                                            need, bits)) or got[0][0],
+                lambda: got.append(real_pick(window, group, exclude,
+                                             need)) or got[0][0],
                 group, phys, exclude, need)
-            srcs, stop = got[0]
-            # every group charged to the pick must have picked the same
-            for g in range(group + 1, stop):
+            srcs, lo, hi = got[0]
+            # every group of the span the pick serves must pick the same
+            for g in range(lo, hi):
                 assert reference_pick(place.P[:, g], g, phys, exclude,
                                       need) == srcs.tolist()
-            return srcs, stop
+            return got[0]
 
         def event(call, *args):
             chain = rep.chain
@@ -747,8 +746,8 @@ class TestChainAgainstDensePlacement:
                 now = rep.next_completion()
                 event(rep.on_subop_complete, now)
 
-        with mock.patch.object(adv, "move_helpers", move), \
-                mock.patch.object(adv._Window, "add_sources", add_sources):
+        with mock.patch.object(adv._Window, "move", move), \
+                mock.patch.object(adv._Window, "pick", pick):
             try:
                 fail(1.0, first)
                 for count, victim, frac in ops:
@@ -910,8 +909,8 @@ def periodic_step_cases(draw):
 
 
 class TestBatchedStepMatchesOneGroupAtATime:
-    """_StepChain.run() commits whole runs of groups as array ops; replaying
-    the step one group per commit, as a Poisson chain does, must leave the
+    """_StepChain.run() commits the whole chain as one plan; replaying the
+    step one sub-operation per commit, as a Poisson chain may, must leave the
     same placement, meters, counts and error, stall or not."""
 
     @staticmethod
@@ -934,7 +933,7 @@ class TestBatchedStepMatchesOneGroupAtATime:
                 return chain, chain.run(1.0, 2.0), None
             try:
                 for kind, group in iter(chain.next_subop, None):
-                    chain.commit(kind, one(group))
+                    chain.commit(*chain.plan(kind, group, 0))
             finally:    # a stall still meters the reads committed before it
                 chain.meter(1.0, 2.0)
             return chain, chain.finish(2.0), None
@@ -1007,11 +1006,12 @@ def rebuild_in_one_window(layout, groups, phys, srcs, labels, width):
     it."""
     window = adv._Window(layout)
     if (width < layout.r).any():        # a staircase: one group, phys j
-        window.generate(int(groups[0]), srcs)
+        window.generate(int(groups[0]), srcs, 0)
     else:       # an update rebuilds rot's object at the step's post labels
         layout.rot[groups] = phys
         layout.pendingNode, layout.postHelpers = 0, labels
-        window.update(range(groups[0], groups[-1] + 1), srcs)
+        window.update(range(groups[0], groups[-1] + 1), srcs,
+                      np.arange(len(groups)))
         layout.pendingNode = layout.postHelpers = None
     window.settle()
 
@@ -1458,6 +1458,66 @@ def damaged_windows(draw):
         source=draw(st.integers(0, N)), byte=draw(st.integers(0, 7)))
 
 
+@st.composite
+def paced_runs(draw):
+    """A Poisson store with a slack cap of 1 to 3 and a list of failures,
+    each after a gap of up to three steps' worth of move+updates, of a
+    node, the in-flight sub-operation's group or the step's target."""
+    N = draw(st.integers(8, 16))
+    victim = st.one_of(st.integers(0, N - 1),
+                       st.sampled_from(["donor", "target"]))
+    return SimpleNamespace(
+        N=N, r=draw(st.integers(1, 3)),
+        eps=draw(st.sampled_from([0.2, 0.3, 0.45])),
+        backend=draw(st.sampled_from(["symbolic", "byte"])),
+        seed=draw(st.integers(0, 99)),
+        failures=draw(st.lists(st.tuples(st.floats(0.0, 3.0), victim),
+                               min_size=1, max_size=12)))
+
+
+def drive_paced(case, windowed):
+    """Run case's failures through a Poisson repairer, the completions due
+    before each failure in calls up to it as a horizon (windowed) or one
+    sub-operation per call; a stall latches the counter as sim_engine's
+    driver does.  Returns (state, layout, step records, stall message)."""
+    kw = {"seed": case.seed} if case.backend == "byte" else {}
+    make = byte_cluster if case.backend == "byte" else symbolic_cluster
+    try:
+        state, layout = make(N=case.N, r=case.r, variant="poisson",
+                             eps=case.eps, **kw)
+    except (ConfigError, InvariantViolation):
+        assume(False)
+    rep = AdvancedPoissonRepairer(
+        state, layout, poisson_pace(layout, 1.0 / case.N, case.eps))
+    state.begin_phase("repair")
+    records, err, t = [], None, 0.0
+
+    def complete(until):
+        nonlocal err
+        while (err is None and rep.next_completion() is not None
+               and rep.next_completion() <= until):
+            try:
+                rec = rep.on_subop_complete(rep.next_completion(),
+                                            until if windowed else None)
+            except DecodeError as e:
+                err = str(e)
+                rep.counter.halted = True
+            else:
+                if rec is not None:
+                    records.append(rec)
+
+    for frac, victim in case.failures:
+        t += frac * case.N * rep.pace[0]
+        complete(t)
+        if victim == "donor":
+            victim = rep.subop.group if rep.subop is not None else 0
+        elif victim == "target":
+            victim = layout.pendingNode if rep.chain is not None else 0
+        rep.on_failure(t, victim)
+    complete(math.inf)
+    return state, layout, records, err
+
+
 class TestWindowMatchesOneSubOpPerCall:
     """A byte Poisson store driven with horizons, each call a window of
     many sub-operations whose byte work settles at its end, must hold the
@@ -1561,6 +1621,92 @@ class TestWindowMatchesOneSubOpPerCall:
         assert (err is None) == (case.kind == "helper" and g == case.d)
         assert np.array_equal(windowed.frags, single.frags)
         assert np.array_equal(windowed.owner, single.owner)
+
+    @staticmethod
+    def short_window(backend, horizon):
+        """A step whose window reaches a group one source short: node 3's
+        futile step leaves it holding groups 2..7, the next step, on node 6,
+        starts, and nodes 4 and 5 fail during its first generate, which
+        drives the counter below 0, so no census check stops the window.
+        Group 6's pick, from 5 holders, serves groups 2..7; group 0 keeps 4
+        of the k = 5 sources it needs."""
+        make = byte_cluster if backend == "byte" else symbolic_cluster
+        state, layout = make(N=8, r=2, variant="poisson", eps=0.5)
+        assert (layout.k, layout.counterCap) == (5, 3)
+        rep = AdvancedPoissonRepairer(state, layout,
+                                      poisson_pace(layout, 1.0 / 8, 0.5))
+        state.begin_phase("repair")
+
+        def mid():
+            return (rep.subop.t0 + rep.subop.t1) / 2.0
+
+        rep.on_failure(1.0, 3)
+        rep.on_failure(mid(), 6)
+        for _ in range(3):              # node 3's staircase, groups 0 and 1
+            rep.on_subop_complete(rep.next_completion())
+        rep.on_failure(mid(), 3)        # futile: its row restarts at group 2
+        while layout.pendingNode == 3:
+            rep.on_subop_complete(rep.next_completion())
+        assert layout.pendingNode == 6
+        assert (layout.heldLo[3], layout.heldHi[3]) == (2, 8)
+        for node in (4, 5):
+            rep.on_failure(mid(), node)
+        assert rep.counter.value < 0
+        with pytest.raises(DecodeError) as err:
+            while True:
+                rep.on_subop_complete(rep.next_completion(), horizon)
+        return state, layout, rep, str(err.value)
+
+    @pytest.mark.parametrize("backend", ["symbolic", "byte"])
+    def test_stall_leaves_the_short_group_moved(self, backend):
+        # the windowed twin of the periodic step's: the window commits
+        # node 6's staircase, then group 0's fresh pick falls short; group
+        # 0 moves, is not updated, and the window stops there
+        (state, layout, rep, msg), (s_state, s_layout, _, s_msg) = (
+            self.short_window(backend, h) for h in (math.inf, None))
+        assert msg == s_msg
+        assert msg == (f"object (0,{layout.front_phys(0)}) has 4 primary "
+                       f"sources, need 5")
+        assert len(rep.done[0]) == 2        # the staircase, group 0's stall
+        assert (layout.helperLo[0], layout.helperLo[6]) == (1, 0)
+        assert (layout.heldLo[6], layout.heldHi[6]) == (0, 1)
+        assert (rep.chain.moved, rep.chain.updated) == (1, 0)
+        # the stalled sub-operation's log entry is its move's r reads
+        assert list(state.read_log)[-1][2] == layout.r * layout.flen
+        for name in ("heldLo", "heldHi", "helperLo", "rot", "labels"):
+            assert np.array_equal(getattr(layout, name),
+                                  getattr(s_layout, name)), name
+        for name in ("nodeBitsRead", "nodeBitsWritten"):
+            assert np.array_equal(getattr(state, name),
+                                  getattr(s_state, name)), name
+        assert (state.phase_read, state.phase_written) == (
+            s_state.phase_read, s_state.phase_written)
+        assert state.read_log == s_state.read_log
+        if backend == "byte":
+            assert np.array_equal(layout.frags, s_layout.frags)
+            assert np.array_equal(layout.owner, s_layout.owner)
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(paced_runs())
+    def test_horizon_run_matches_one_subop_per_call(self, case):
+        # small slack caps: failures abort sub-operations, hit the step's
+        # target and stall chains; both drives must agree on everything
+        runs = [drive_paced(case, windowed) for windowed in (True, False)]
+        (state, layout, records, err), (s_state, s_layout, s_records,
+                                        s_err) = runs
+        assert err == s_err and records == s_records
+        names = ["heldLo", "heldHi", "helperLo", "rot", "labels"]
+        if case.backend == "byte":
+            names += ["frags", "owner"]
+        for name in names:
+            assert np.array_equal(getattr(layout, name),
+                                  getattr(s_layout, name)), name
+        for name in ("nodeBitsRead", "nodeBitsWritten"):
+            assert np.array_equal(getattr(state, name),
+                                  getattr(s_state, name)), name
+        assert (state.phase_read, state.phase_written) == (
+            s_state.phase_read, s_state.phase_written)
+        assert state.read_log == s_state.read_log
 
     def test_sync_after_every_call_through_stalls(self, monkeypatch):
         # the golden abort-stall scenario on the byte backend: trials 0 and
