@@ -1445,17 +1445,25 @@ class TestPoissonProtocol:
 def damaged_windows(draw):
     """A byte Poisson store whose step on node v runs with donor d failed,
     so its later window regenerates d's staircase mid-window, and one piece
-    of damage at group g of what that window reads or moves."""
+    of damage, or two, at groups g of what that window reads or moves; a
+    second one lands on the donor's group half the time, so the window
+    must find the first failure in chain order among a pick's updates and
+    the generate amid them."""
     N = draw(st.integers(8, 16))
     v = draw(st.integers(0, N - 1))
     d = draw(st.sampled_from([m for m in range(1, N) if m != v]))
     start = draw(st.integers(0, d - 1))     # groups moved before it
+    damage = st.tuples(st.integers(start, N - 1),
+                       st.sampled_from(["payload", "primary", "helper"]),
+                       st.integers(0, N), st.integers(0, 7))
+    first = draw(damage)
+    second = draw(st.lists(st.one_of(damage.map(lambda x: (d, *x[1:])),
+                                     damage), max_size=1))
     return SimpleNamespace(
         N=N, r=draw(st.integers(1, 3)), v=v, d=d, start=start,
         eps=draw(st.sampled_from([0.3, 0.45, 0.6])),
-        seed=draw(st.integers(0, 99)), group=draw(st.integers(start, N - 1)),
-        kind=draw(st.sampled_from(["payload", "primary", "helper"])),
-        source=draw(st.integers(0, N)), byte=draw(st.integers(0, 7)))
+        seed=draw(st.integers(0, 99)),
+        damage=[first] + [x for x in second if x[:2] != first[:2]])
 
 
 @st.composite
@@ -1577,8 +1585,8 @@ class TestWindowMatchesOneSubOpPerCall:
     @given(damaged_windows())
     def test_damage_inside_a_window_stops_where_one_call_does(self, case):
         # the window from group `start` on spans the mid-window generate of
-        # the donor's group; one damaged payload byte, read primary owner
-        # or front helper owner must raise the same error as one
+        # the donor's group; damaged payload bytes, read primary owners or
+        # front helper owners must raise the same error as one
         # sub-operation per call and leave the same payloads and owners
         runs = []
         for horizon in (math.inf, None):
@@ -1597,17 +1605,18 @@ class TestWindowMatchesOneSubOpPerCall:
             rep.on_subop_complete(rep.next_completion())    # v's staircase
             while rep.chain.moved < case.start:
                 rep.on_subop_complete(rep.next_completion())
-            g, N = case.group, layout.N
-            p = layout.front_phys(g)        # read by g's generate or update
+            N = layout.N
             srcs = [m for m in range(N) if m not in (case.v, case.d)]
-            label = layout.labels[srcs[case.source % layout.k]]
-            if case.kind == "payload":
-                layout.frags[g, p, label,
-                             case.byte % layout.codec.flen_bytes] ^= 1
-            elif case.kind == "primary":
-                layout.owner[g, p, label] = -1
-            else:
-                layout.owner[g, case.byte % layout.r, layout.labels[N]] = -1
+            for g, kind, source, byte in case.damage:
+                p = layout.front_phys(g)    # read by g's generate or update
+                label = layout.labels[srcs[source % layout.k]]
+                if kind == "payload":
+                    layout.frags[g, p, label,
+                                 byte % layout.codec.flen_bytes] ^= 1
+                elif kind == "primary":
+                    layout.owner[g, p, label] = -1
+                else:
+                    layout.owner[g, byte % layout.r, layout.labels[N]] = -1
             err = None
             try:
                 while rep.next_completion() is not None:
@@ -1617,8 +1626,9 @@ class TestWindowMatchesOneSubOpPerCall:
             runs.append((err, layout))
         (err, windowed), (single_err, single) = runs
         assert err == single_err
-        # only a regenerated staircase rewrites the damaged front helper
-        assert (err is None) == (case.kind == "helper" and g == case.d)
+        # only a regenerated staircase rewrites a damaged front helper
+        assert (err is None) == all(kind == "helper" and g == case.d
+                                    for g, kind, _, _ in case.damage)
         assert np.array_equal(windowed.frags, single.frags)
         assert np.array_equal(windowed.owner, single.owner)
 
