@@ -53,9 +53,10 @@ class ClusterState:
         per node streamed over [t0, t1], or read at once when t0 == t1.
         Returns the total metered.
 
-        split, (ends, bits) arrays, cuts the stream into consecutive log
-        entries: bits[i] up to ends[i], the rest from ends[-1] to t1.  The
-        caller is responsible for fragment presence; this only meters.
+        split, (ends, bits) arrays with every bits[i] positive, cuts the
+        stream into consecutive log entries: bits[i] up to ends[i], the
+        rest from ends[-1] to t1.  The caller is responsible for fragment
+        presence; this only meters.
         """
         if t1 < t0:
             raise ConfigError("t1 must be >= t0")
@@ -130,12 +131,9 @@ class ReadLog:
 
     def add_run(self, t0, ends, t1, bits, last) -> None:
         """Append one stream cut into consecutive entries: bits[i] up to
-        ends[i], from t0 on, then last from ends[-1] to t1; as add, an
-        entry of no bits is left out."""
-        if not bits.all():
-            self.add(np.concatenate(([t0], ends)), np.concatenate((ends, [t1])),
-                     np.append(bits, last))
-            return
+        ends[i], from t0 on, then last from ends[-1] to t1.  Each bits[i]
+        must be positive; last may be 0, and is then left out, as add
+        leaves it."""
         n, m = self._n, len(bits)
         self._reserve(n + m + 1)
         self._t0[n] = t0

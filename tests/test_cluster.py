@@ -316,6 +316,19 @@ class TestReadLog:
         assert len(log) == 200 and bits.tolist() == list(range(1, 201))
         assert (t1 - t0 == 1.0).all()
 
+    @pytest.mark.parametrize("last", [0, 4])
+    def test_run_matches_one_entry_at_a_time(self, last):
+        # a split stream past the first block, its last entry left out at 0
+        ends, bits = np.arange(1.0, 21.0), np.arange(1, 21)
+        run, each = ReadLog(), ReadLog()
+        run.add(0.0, 0.0, 3)
+        run.add_run(0.0, ends, 21.0, bits, last)
+        for entry in [(0.0, 0.0, 3), (0.0, 1.0, 1)] + [
+                (ends[i - 1], ends[i], bits[i]) for i in range(1, 20)] + [
+                (20.0, 21.0, last)]:
+            each.add(*entry)
+        assert run == each and len(run) == 21 + (last != 0)
+
     @settings(max_examples=150, deadline=None, database=None)
     @given(read_logs(), st.sampled_from([1, 5, 1 << 16]))
     def test_sweep_matches_walk_bit_for_bit(self, entries, chunk):
