@@ -37,19 +37,19 @@ The byte backend holds code, the read-only codewords, frags, what the
 nodes hold, and owner, the node holding each fragment or -1 (see
 GroupLayout).  owner is never derived from placement, so
 check_advanced_sync can compare the two.  The sub-operations commit on
-a metering window (a step, a Poisson repairer call or a standalone call),
-which meters their writes once and whose settle() alone touches payloads
-and owner: it checks every primary read's owner, decodes each pick's
-objects in one kernel call and compares them with code, copies helpers
-from code and moves front helpers by owner, stopping where one
-sub-operation at a time would.  A source pick depends only on the
-group's holder set outside the target, which changes at the run ends of
-other rows or when a row is cleared, never within a plan; so a plan
-picks each holder span's sources before its first move, and the moves
-and updates a pick serves commit as ranges.  A wipe or a failure clears
-the node's owner entries and zeroes their payloads.  The fault-injection
-hook drops the staircases of nodes 0 and 1, which fails the census but
-not recovery.
+a metering window (a step or a Poisson repairer call), which meters
+their writes once and whose settle(), run once from meter(), is the only
+code that touches payloads and owner: it checks every primary read's
+owner, decodes each pick's objects in one kernel call and compares them
+with code, copies helpers from code and moves front helpers by owner,
+stopping where one sub-operation at a time would.  A source pick
+depends only on the group's holder set outside the target, which
+changes at the run ends of other rows or when a row is cleared, never
+within a plan; so a plan picks each holder span's sources before its
+first move, and the moves and updates a pick serves commit as ranges.
+A wipe or a failure clears the node's owner entries and zeroes their
+payloads.  The fault-injection hook drops the staircases of nodes 0 and
+1, which fails the census but not recovery.
 """
 
 from __future__ import annotations
@@ -296,12 +296,12 @@ def _at(groups: range):
     return groups.start if len(groups) == 1 else slice(groups.start, groups.stop)
 
 
-def _first_above(values: np.ndarray, groups: range, floor: int):
-    """First group in groups whose value exceeds floor, None if none does."""
+def _first_nonzero(values: np.ndarray, groups: range):
+    """First group in groups whose value is not 0, None if none is."""
     idx = _at(groups)
     if isinstance(idx, int):
-        return idx if values[idx] > floor else None
-    over = values[idx] > floor
+        return idx if values[idx] else None
+    over = values[idx] != 0
     return groups.start + int(over.argmax()) if over.any() else None
 
 
@@ -313,12 +313,10 @@ class _Window:
     pick serves its holder span while no row is cleared: exact while only
     the excluded row grows, as a chain's moves to its target.  Sub-operation
     i of the window sits at chain position i * (r + 1): a generate's object
-    j at + j, a move at + 0 and its update at + 1.  alone: the window of one
-    standalone call, which settles each record before placement commits."""
+    j at + j, a move at + 0 and its update at + 1."""
 
-    def __init__(self, layout: GroupLayout, alone: bool = False):
+    def __init__(self, layout: GroupLayout):
         self.layout = layout
-        self.alone = alone
         self.vector = np.zeros(layout.N, np.int64)
         self.written = np.zeros(layout.N, np.int64)
         self.srcs = None
@@ -371,17 +369,22 @@ class _Window:
         if layout.owner is not None:
             phys, slots, roles = _staircase(r, layout.codec.n)
             front, base = int(layout.rot[group]) % r, group * r
-            self._rebuild(srcs, phys[front] + base, phys[0] + item * (r + 1),
-                          slots[front] + (base * layout.codec.n
-                                          + layout.labels[layout.N:][roles]),
-                          True)
+            helpers = base * layout.codec.n + layout.labels[layout.N:][roles]
+            self.rebuilds.append((srcs, phys[front] + base,
+                                  phys[0] + item * (r + 1),
+                                  slots[front] + helpers, True))
         layout.helperLo[group] = 0
 
     def move(self, groups: range, toNode: int, items) -> None:
-        """Commit the hand-over of the groups' front helpers to toNode (see
-        move_helpers)."""
+        """Commit the hand-over of every position-0 helper of each group,
+        held at the group's anchor, to toNode, where the donated fragments
+        take over the primary role.  The group anchored at toNode relabels
+        in place; the copy is still metered.  The groups join toNode's run
+        of held groups; an anchor without its front helpers, or groups that
+        would split the run, raise before anything is recorded.  A byte move
+        only changes the fragments' owner."""
         layout, (g0, g1) = self.layout, (groups.start, groups.stop)
-        lacking = _first_above(layout.helperLo, groups, 0)
+        lacking = _first_nonzero(layout.helperLo, groups)
         if lacking is not None:
             raise MissingFragmentError(
                 f"node {lacking} lacks position-0 helpers to donate")
@@ -394,15 +397,18 @@ class _Window:
         self.written[toNode] += len(groups) * self.bits["move"]
         if layout.owner is not None:
             self.moves.append((g0, g1, items, toNode))
-            if self.alone:
-                self.settle()
         layout.heldLo[toNode] = min(lo, g0) if lo < hi else g0
         layout.heldHi[toNode] = max(hi, g1) if lo < hi else g1
         layout.helperLo[_at(groups)] = 1
 
     def update(self, groups: range, srcs, items) -> None:
-        """Commit the shift of the groups (see update_helpers) and the
-        rebuild of their position-0 objects from srcs, the current pick."""
+        """Commit the shift of each group's object order by one and the
+        rebuild, from srcs, the current pick, of the full helper set of the
+        object that moves to the back.  Inside a step: that object's helpers
+        take the post-step labels, post_helpers(), ending with the target's
+        old primary label.  The other objects already hold exactly the
+        helpers their new position needs, one label down from where they
+        sat before."""
         layout, idx, r = self.layout, _at(groups), self.layout.r
         self.weight += len(groups) * layout.flen
         self.written[idx] += self.bits["update"]
@@ -410,15 +416,10 @@ class _Window:
             objs = np.arange(groups.start * r, groups.stop * r, r) + (
                 layout.rot[idx] % r)
             slots = (objs * layout.codec.n)[:, None] + layout.post_helpers()
-            self._rebuild(srcs, objs, items * (r + 1) + 1, slots.ravel(),
-                          False)
+            self.rebuilds.append((srcs, objs, items * (r + 1) + 1,
+                                  slots.ravel(), False))
         layout.rot[idx] += 1
         layout.helperLo[idx] = 0
-
-    def _rebuild(self, *record) -> None:
-        self.rebuilds.append(record)
-        if self.alone:
-            self.settle()
 
     def settle(self) -> None:
         """Do the recorded byte work as one sub-operation at a time would:
@@ -498,68 +499,6 @@ def _staircase(r: int, n: int) -> tuple:
     phys = (roles + roles[:, None]) % r
     position, role = np.nonzero(roles <= roles[:, None])
     return phys, phys[:, position] * n, role
-
-
-def generate_helpers(state: ClusterState, layout: GroupLayout, group: int,
-                     *, t=None, exclude=None) -> OpCounts:
-    """Rebuild the helper staircase for a group at its anchor node.
-
-    Decodes each of the r group objects from k primary fragments (the
-    same k nodes for all of them) and writes helpers 0..j for the object at
-    position j; the reads are metered at t.
-    """
-    win = _Window(layout, alone=True)
-    srcs, _, _ = win.pick(group, exclude, layout.k)
-    win.generate(group, srcs, 0)
-    win.meter(state, t, t)
-    return op_counts(layout.k, layout.r)["generate"]
-
-
-def move_helpers(state: ClusterState, layout: GroupLayout, groups: range,
-                 toNode: int, *, t=None) -> OpCounts:
-    """Hand every position-0 helper of each group in `groups`, held at the
-    group's anchor node, to toNode, where the donated fragments take over
-    the primary role.  Returns one group's counts.
-
-    The group anchored at toNode relabels in place; the copy is still
-    metered.  The groups join toNode's run of held groups; an anchor
-    without its front helpers, or groups that would split the run, raise
-    before anything is written.  A byte move only changes the fragments'
-    owner.
-    """
-    win = _Window(layout, alone=True)
-    win.move(groups, toNode, np.arange(len(groups)))
-    win.meter(state, t, t)
-    return op_counts(layout.k, layout.r)["move"]
-
-
-def update_helpers(state: ClusterState, layout: GroupLayout, groups: range,
-                   *, t=None, exclude=None) -> OpCounts:
-    """Shift the order of each group in `groups` by one and rebuild the
-    full helper set for the object that moved to the back.  Returns one
-    group's counts.
-
-    Requires an in-flight step on layout: the new back object's helpers
-    take the post-step labels, ending with the repaired node's old primary
-    label.  The other objects already hold exactly the helpers their new
-    position needs, one label down from where they sat before.  An anchor
-    without its staircase (helperLo > 1) has nothing to shift.  Groups
-    sharing a source pick commit together; a group short of sources raises
-    DecodeError with the groups before it committed.
-    """
-    bare = _first_above(layout.helperLo, groups, 1)
-    if bare is not None:
-        raise MissingFragmentError(f"node {bare} holds no staircase to update")
-    layout.require_step()
-    win = _Window(layout, alone=True)
-    g = groups.start
-    while g < groups.stop:
-        srcs, _, hi = win.pick(g, exclude, layout.k)
-        part = range(g, min(hi, groups.stop))
-        win.update(part, srcs, np.arange(len(part)))
-        g = part.stop
-    win.meter(state, t, t)
-    return op_counts(layout.k, layout.r)["update"]
 
 
 def _clear_row(layout, node, payloads: bool = True) -> None:
@@ -646,9 +585,11 @@ class _StepChain:
         first move it serves: it reads only rows other than the target's,
         so the moves cannot change it.  The sub-operations it serves then
         commit, each generate as one record, the moves and the updates as
-        one record each, their placement as slices; where a pick fails at a
-        move+update, that group's move commits and the DecodeError rises,
-        as one sub-operation at a time does."""
+        one record each, their placement as slices.  As one sub-operation
+        at a time does: where a pick fails at a move+update, that group's
+        move commits and the DecodeError rises; a move+update whose front
+        helpers went after the plan (the fault hook) raises the move's
+        MissingFragmentError before the pick's later generates commit."""
         layout, win, node = self.layout, self.window, self.layout.pendingNode
         base, n, i = win.items, len(groups), 0
         win.items += n
@@ -661,6 +602,8 @@ class _StepChain:
                     win.move(range(g, g + 1), node, np.array([base + i]))
                     self.moved += 1
                 raise
+            if not generate[i] and layout.helperLo[g]:
+                win.move(range(g, g + 1), node, None)       # raises
             j = i + 1           # groups ascend after i, and g lies in [lo, hi)
             if j < n and groups[j] >= lo:
                 j += int(groups[j:].searchsorted(hi))
@@ -930,7 +873,7 @@ class AdvancedPoissonRepairer:
     step wipes its target's row) and a stall (front helpers moved without
     an update) break this, so the call stops after either and checks that
     event in full.  The argument needs the invariant at the start: when
-    it fails, the call commits the due sub-operation alone.
+    it fails, the call commits only the due sub-operation.
     """
 
     def __init__(self, state: ClusterState, layout: GroupLayout, pace):
@@ -948,10 +891,6 @@ class AdvancedPoissonRepairer:
         # (end times, read bits, written bits) of the sub-operations the
         # last on_subop_complete committed, oldest first; None for a step
         self.done: Optional[tuple] = None
-
-    @property
-    def idle(self) -> bool:
-        return self.chain is None
 
     def next_completion(self) -> Optional[float]:
         return self.subop.t1 if self.subop is not None else None

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cluster_oracles import owned_bits
+from cluster_oracles import one_subop, owned_bits
 from liquidsim import advanced_liquid as adv
 from liquidsim import erasure, gf256, rng, sim_engine
 from liquidsim.advanced_liquid import (
     AdvancedPoissonRepairer, advanced_fail_node, advanced_repair_step,
     advanced_schedule, advanced_store, assert_advanced_invariant, census,
-    check_advanced_sync, generate_helpers, move_helpers, node_used_bits,
-    recoverable_census, r_for_target_overhead, update_helpers)
+    check_advanced_sync, node_used_bits, recoverable_census,
+    r_for_target_overhead)
 from liquidsim.bounds import EpsilonSet, SystemParams
 from liquidsim.errors import (ConfigError, DecodeError, InvariantViolation,
                               MissingFragmentError)
@@ -35,12 +35,6 @@ def symbolic_cluster(N=20, r=4, variant="periodic", eps=0.0):
     divisor = r * N + r * (r + 1) // 2
     return advanced_store(N, divisor, r, variant=variant, eps=eps,
                           backend="symbolic")
-
-
-def one(group):
-    """The range of one group, the unit the chain commits in a Poisson
-    sub-operation."""
-    return range(group, group + 1)
 
 
 def holds(layout, node, group):
@@ -441,21 +435,20 @@ class TestStandaloneOps:
         layout.begin_step(4)
         before = state.phase_read["store"]
         state.begin_phase("repair")
-        counts = generate_helpers(state, layout, 4, t=1.0, exclude=4)
-        assert counts == (layout.k * 2, 3)
-        assert state.phase_read["repair"] == counts.fragmentReads * layout.flen
-        assert state.phase_written["repair"] == counts.fragmentWrites * layout.flen
+        read = one_subop(state, layout, "generate", 4, 4, 1.0)
+        assert adv.op_counts(layout.k, 2)["generate"] == (layout.k * 2, 3)
+        assert state.phase_read["repair"] == read == layout.k * 2 * layout.flen
+        assert state.phase_written["repair"] == 3 * layout.flen
         assert layout.helperLo[4] == 0
 
     def test_move_conserves_used_bits(self):
         state, layout = byte_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 4)
         layout.begin_step(4)
-        generate_helpers(state, layout, 4, t=1.0, exclude=4)
+        one_subop(state, layout, "generate", 4, 4, 1.0)
         frags = layout.frags.copy()
         donor_before, target_before = owned_bits(layout)[[6, 4]]
-        counts = move_helpers(state, layout, one(6), 4, t=1.1)
-        assert counts == (2, 2)
+        assert one_subop(state, layout, "move", 6, 4, 1.1) == 2 * layout.flen
         assert owned_bits(layout)[6] == donor_before - 2 * layout.flen
         assert owned_bits(layout)[4] == target_before + 2 * layout.flen
         assert (layout.owner[6, :, layout.labels[layout.N]] == 4).all()
@@ -466,12 +459,12 @@ class TestStandaloneOps:
         state, layout = symbolic_cluster(N=8, r=2)
         advanced_fail_node(state, layout, 1.0, 4)
         layout.begin_step(4)
-        move_helpers(state, layout, one(2), 4, t=1.1)
-        move_helpers(state, layout, one(3), 4, t=1.1)
+        one_subop(state, layout, "move", 2, 4, 1.1)
+        one_subop(state, layout, "move", 3, 4, 1.1)
         assert (layout.heldLo[4], layout.heldHi[4]) == (2, 4)
         written = state.phase_written[state.phase]
         with pytest.raises(InvariantViolation, match="split the run"):
-            move_helpers(state, layout, one(6), 4, t=1.2)
+            one_subop(state, layout, "move", 6, 4, 1.2)
         assert (layout.heldLo[4], layout.heldHi[4]) == (2, 4)
         assert layout.helperLo[6] == 0
         assert state.phase_written[state.phase] == written
@@ -482,20 +475,12 @@ class TestStandaloneOps:
         advanced_fail_node(state, layout, 1.2, 6)
         layout.begin_step(4)
         with pytest.raises(MissingFragmentError):
-            move_helpers(state, layout, one(6), 4, t=1.3)
-
-    def test_update_on_wiped_anchor_raises(self):
-        state, layout = byte_cluster(N=8, r=2)
-        advanced_fail_node(state, layout, 1.0, 2)
-        layout.begin_step(4)
-        with pytest.raises(MissingFragmentError, match="node 2 holds no"):
-            update_helpers(state, layout, one(2), t=1.0)
-        assert layout.helperLo[2] == layout.r and layout.rot[2] == 0
+            one_subop(state, layout, "move", 6, 4, 1.3)
 
     def test_update_requires_in_flight_step(self):
         state, layout = byte_cluster(N=8, r=2)
         with pytest.raises(InvariantViolation):
-            update_helpers(state, layout, one(2), t=1.0)
+            one_subop(state, layout, "update", 2, 4, 1.0)
 
     def test_update_shifts_group_order(self):
         state, layout = byte_cluster(N=8, r=3)
@@ -635,31 +620,30 @@ class TestStaircaseAgainstDenseModel:
                 place.clear(a)
             elif kind == "generate":
                 try:
-                    generate_helpers(*ctx, a, t=float(t), exclude=b)
+                    one_subop(*ctx, "generate", a, b, float(t))
                     dense.generate(a, layout.rot[a])
                 except DecodeError:
                     pass
             elif not dense.H[a, :, 0].all():
                 with pytest.raises(MissingFragmentError):
-                    move_helpers(*ctx, one(a), b, t=float(t))
+                    one_subop(*ctx, "move", a, b, float(t))
             elif place.splits(a, b):
                 with pytest.raises(InvariantViolation, match="split"):
-                    move_helpers(*ctx, one(a), b, t=float(t))
+                    one_subop(*ctx, "move", a, b, float(t))
             else:
-                move_helpers(*ctx, one(a), b, t=float(t))
+                one_subop(*ctx, "move", a, b, float(t))
                 dense.move(a)
                 place.move(a, b)
                 if kind == "movestall":
                     with mock.patch.object(adv, "_pick_primary_sources",
                                            side_effect=DecodeError("forced")):
                         with pytest.raises(DecodeError):
-                            update_helpers(*ctx, one(a), t=float(t),
-                                           exclude=b)
+                            one_subop(*ctx, "update", a, b, float(t))
                     assert layout.helperLo[a] == 1
                 else:
                     p0 = layout.front_phys(a)
                     try:
-                        update_helpers(*ctx, one(a), t=float(t), exclude=b)
+                        one_subop(*ctx, "update", a, b, float(t))
                         dense.update(a, p0)
                     except DecodeError:
                         pass
@@ -808,7 +792,7 @@ class TestPeriodicThroughRepairer:
             assert rep.next_completion() == t + 0.5
             got = rep.on_subop_complete(t + 0.5)
             assert got == want
-            assert rep.idle and rep.counter.value == 1
+            assert rep.chain is None and rep.counter.value == 1
             for name in ("heldLo", "heldHi", "helperLo", "rot"):
                 assert np.array_equal(getattr(p_layout, name),
                                       getattr(s_layout, name))
@@ -850,7 +834,7 @@ class TestPacedStepMatchesSynchronous:
             node = int(ids.integers(N))
             rep.on_failure(t, node)
             got = rep.on_subop_complete(rep.next_completion(), math.inf)
-            assert got is not None and rep.idle
+            assert got is not None and rep.chain is None
             advanced_fail_node(s_state, s_layout, t, node)
             want = advanced_repair_step(s_state, s_layout, node, t0=t,
                                         t1=got.endTime)
@@ -973,7 +957,8 @@ class TestBatchedStepMatchesOneGroupAtATime:
         assert (layout.k, layout.flen) == (7, 8)
         state.begin_phase("repair")
         advanced_fail_node(state, layout, 1.0, 5)
-        move_helpers(state, layout, range(0, 3), 5, t=1.0)
+        for group in range(3):
+            one_subop(state, layout, "move", group, 5, 1.0)
         for node in (6, 7, 0):
             advanced_fail_node(state, layout, 1.0, node)
         read, written = (state.phase_read["repair"],
@@ -1250,7 +1235,7 @@ class TestPoissonProtocol:
                                            layout.r * (layout.r + 1) // 2)]
         assert len(rec.counts["move"]) == layout.N
         assert rep.counter.value == rep.counter.cap
-        assert rep.idle and not rep.queue
+        assert rep.chain is None and not rep.queue
         assert_advanced_invariant(layout)
 
     def test_pacing_identity(self):
@@ -1339,6 +1324,40 @@ class TestPoissonProtocol:
         rep.inject_fault()
         rep.on_subop_complete(rep.next_completion(), math.inf)
         assert len(rep.done[0]) == 1
+
+    @pytest.mark.parametrize("backend", ["byte", "symbolic"])
+    def test_stale_due_move_raises_before_later_generates(self, backend):
+        # the fault hook drops groups 0 and 1's staircases after the due
+        # move+update of group 0 launched; the plan then generates group 1
+        # from the same pick, which must not commit before the move raises
+        runs = []
+        for limit in (None, 0):     # the whole plan, the due one alone
+            state, layout, rep = poisson_fixture(N=8, r=2, eps=0.5,
+                                                 backend=backend)
+            advanced_fail_node(state, layout, 1.0, 5)
+            chain = adv._StepChain(state, layout, 5, 1.0, wiped=True)
+            chain.commit(*chain.plan("generate", 5, 0))
+            chain.meter(1.0, 1.5)
+            assert chain.next_subop() == ("moveupdate", 0)
+            layout.helperLo[:2] = layout.r
+            generate, groups = chain.plan("moveupdate", 0, limit)
+            assert generate[1:2].tolist() == ([True] if limit is None else [])
+            with pytest.raises(MissingFragmentError,
+                               match="node 0 lacks position-0 helpers"):
+                try:
+                    chain.commit(generate, groups)
+                finally:
+                    chain.meter(1.5, 2.0)
+            runs.append((state, layout, chain))
+        (sa, la, ca), (sb, lb, cb) = runs
+        assert (ca.generated, ca.moved, ca.updated) == (1, 0, 0)
+        assert ca.counts == cb.counts
+        for name in ("heldLo", "heldHi", "helperLo", "rot", "frags", "owner"):
+            x, y = getattr(la, name), getattr(lb, name)
+            assert (x is None and y is None) or np.array_equal(x, y), name
+        for name in ("nodeBitsRead", "nodeBitsWritten"):
+            assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
+        assert sa.read_log == sb.read_log
 
     def test_halt_latches_on_dip(self):
         state, layout, rep = poisson_fixture()
@@ -1435,7 +1454,7 @@ class TestPoissonProtocol:
             rec = None
             while rec is None:
                 rec = rep.on_subop_complete(rep.next_completion())
-        assert rep.idle
+        assert rep.chain is None
         check_advanced_sync(layout)
         decode_all_from_primaries(layout)
         assert_advanced_invariant(layout)
@@ -1746,7 +1765,8 @@ class TestWindowMatchesOneSubOpPerCall:
                     raise
                 finally:
                     check_sync(rep)
-                    seen["midstep"] += not rep.idle and rep.chain.moved > 0
+                    chain = rep.chain
+                    seen["midstep"] += chain is not None and chain.moved > 0
             return call
 
         for name in ("on_failure", "on_subop_complete"):
@@ -1759,7 +1779,8 @@ class TestWindowMatchesOneSubOpPerCall:
 
 def check_sync(rep):
     """check_advanced_sync with the labels of the step in flight, if any."""
-    check_advanced_sync(rep.layout, 0 if rep.idle else rep.chain.updated)
+    chain = rep.chain
+    check_advanced_sync(rep.layout, 0 if chain is None else chain.updated)
 
 
 def self_check(layout, rep, k):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cluster_oracles import check_liquid_payloads, decodes, owned_bits
+from cluster_oracles import (check_liquid_payloads, decodes, one_subop,
+                             owned_bits)
 from liquidsim import advanced_liquid as adv
 from liquidsim import cluster, liquid, rng
 from liquidsim.cluster import ClusterState, ReadLog, _CumulativeReads
@@ -68,8 +69,7 @@ class TestStoreReadFail:
         state, layout = byte_advanced()
         frags, owner = layout.frags.copy(), layout.owner.copy()
         written = state.nodeBitsWritten.copy()
-        counts = adv.generate_helpers(state, layout, 2, t=1.0)
-        assert counts.fragmentWrites == 3
+        one_subop(state, layout, "generate", 2, 2, 1.0)
         assert (state.nodeBitsWritten - written).tolist() == (
             [0, 0, 3 * layout.flen] + [0] * 5)
         assert np.array_equal(layout.frags, frags)
@@ -83,13 +83,10 @@ class TestStoreReadFail:
         adv.advanced_fail_node(state, layout, 1.0, 4)
         layout.begin_step(4)
         layout.owner[6, 1, layout.labels[layout.N]] = -1
-        written = state.nodeBitsWritten.copy()
         with pytest.raises(InvariantViolation,
                            match="helper map out of sync at node 6"):
-            adv.move_helpers(state, layout, range(6, 7), 4, t=1.1)
-        assert (layout.heldLo[4], layout.heldHi[4]) == (0, 0)
+            one_subop(state, layout, "move", 6, 4, 1.1)
         assert (layout.owner[6, 0, layout.labels[layout.N]] == 6)
-        assert np.array_equal(state.nodeBitsWritten, written)
 
     def test_fail_node_erases_data_keeps_meters(self):
         state, lay = byte_liquid()
